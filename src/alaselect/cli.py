@@ -329,6 +329,7 @@ def run_select(args) -> int:
             meta["rho_hat"] = scorer.curvature.rho_hat
         if not family.phi_known:
             meta["phi0"] = fam.phi0_mle(family, cache.y)
+    scorers = [scorer]
     if args.screen_threshold is not None:
         if args.search != "enumerate":
             raise ParseError("screening requires --search enumerate")
@@ -336,6 +337,7 @@ def run_select(args) -> int:
         summary = screen_then_refine(
             scorer, refine, threshold=args.screen_threshold, constraints=constraints
         )
+        scorers.append(refine)
     elif args.search == "enumerate":
         summary = enumerate_posterior(scorer, constraints)
     elif args.search == "gibbs":
@@ -350,7 +352,8 @@ def run_select(args) -> int:
         "search_s": round(t_score - t_ingest, 6),
         "total_s": round(t_score - t_start, 6),
     }
-    meta["n_models_scored"] = len(summary.models)
+    meta["n_models_scored"] = sum(s.n_scored for s in scorers)
+    meta["support_size"] = len(summary.models)
     _write_summary_files(out, summary, meta)
     return 0
 

@@ -10,7 +10,6 @@ the sample size.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -251,18 +250,12 @@ class GramStore:
 
     Entries are keyed by ordered column pairs; each pair is computed at most
     once (``dot_count`` tracks how many dot products were actually taken).
-    First-touch fills happen under a lock so concurrent readers agree.
     """
 
     def __init__(self, matrix: np.ndarray):
         self._matrix = matrix
         self._entries: dict[tuple[int, int], float] = {}
-        self._lock = threading.Lock()
         self.dot_count = 0
-
-    @property
-    def n_filled(self) -> int:
-        return len(self._entries)
 
     def block(self, cols: np.ndarray) -> np.ndarray:
         cols = np.asarray(cols, dtype=np.intp)
@@ -291,19 +284,32 @@ class GramStore:
                 out[b, a] = v
         return out
 
+    def block_where(self, cols: np.ndarray, needed: np.ndarray) -> np.ndarray:
+        """Dense block over the ascending columns ``cols`` holding only the
+        entries where the symmetric boolean matrix ``needed`` is set.
+
+        Pairs not yet stored are computed; every other entry is NaN.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        out = np.full(needed.shape, np.nan)
+        a, b = np.nonzero(np.triu(needed))
+        keys = list(zip(cols[a].tolist(), cols[b].tolist()))
+        self._fill(keys)
+        vals = np.fromiter(
+            (self._entries[key] for key in keys), dtype=np.float64, count=len(keys)
+        )
+        out[a, b] = vals
+        out[b, a] = vals
+        return out
+
     def _fill(self, keys: list[tuple[int, int]]) -> None:
-        with self._lock:
-            todo = [key for key in dict.fromkeys(keys) if key not in self._entries]
-            if not todo:
-                return
-            ii = np.fromiter((k[0] for k in todo), dtype=np.intp, count=len(todo))
-            jj = np.fromiter((k[1] for k in todo), dtype=np.intp, count=len(todo))
-            vals = np.einsum(
-                "nk,nk->k", self._matrix[:, ii], self._matrix[:, jj]
-            )
-            self.dot_count += len(todo)
-            for key, v in zip(todo, vals):
-                self._entries[key] = float(v)
+        # one dot product of two column views per pair: no n-row copies, so
+        # filling many pairs at once costs no more memory than one pair
+        matrix = self._matrix
+        for key in keys:
+            if key not in self._entries:
+                self._entries[key] = float(matrix[:, key[0]] @ matrix[:, key[1]])
+                self.dot_count += 1
 
 
 @dataclass

@@ -13,7 +13,7 @@ route are provided as references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +29,7 @@ from .data_model import (
     ModelId,
     SuffStatsCache,
     ls_solve,
+    make_model,
     submodel_stats,
 )
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
     NotConcave,
     NotConcaveAtExpansion,
     NotInvertible,
+    SelectionError,
     ToleranceNotMet,
 )
 from .priors import (
@@ -356,20 +358,6 @@ def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> Curvatur
     return CurvatureContext(rho_hat=rho_hat, nu0=cache.nu0, bpp_nu0=cache.bpp_nu0)
 
 
-def ala_curvadj_bf(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    curvature: Optional[CurvatureContext] = None,
-) -> float:
-    """Log Bayes factor against the empty model with the inflated Hessian."""
-    if curvature is None:
-        curvature = curvature_context(cache, family)
-    score = ala_expfam_known_phi(model, cache, family, prior, curvature)
-    return score.log_ml - _loglik_at_center(cache, family, float(family.phi))
-
-
 def _unknown_phi_stats(cache: SuffStatsCache, family: fam.FamilySpec) -> dict:
     """Dispersion-profile quantities at the zero expansion, memoized."""
 
@@ -553,6 +541,138 @@ def ala_gmom(
     return MarginalScore(
         float(local.log_ml + tilt), "ala-gmom", local.expansion, diag
     )
+
+
+# Upper bound on B * k * k for one stacked solve, so that enumerating a
+# large space never allocates more than a few tens of megabytes at once.
+_STACK_ENTRIES = 1 << 20
+
+
+def _lower_inverse(factor: np.ndarray) -> np.ndarray:
+    """Inverses of a (B, k, k) stack of lower-triangular factors, by one
+    forward substitution against the identity."""
+    k = factor.shape[1]
+    inv = np.zeros_like(factor)
+    for i in range(k):
+        row = -np.einsum("bj,bjm->bm", factor[:, i, :i], inv[:, :i, :])
+        row[:, i] += 1.0
+        inv[:, i, :] = row / factor[:, i, i, None]
+    return inv
+
+
+def _stacked_gmom_tilt(xtx, same, groups, inv, beta, col_tilt, phi):
+    """``gmom_tilt`` for a stack of models of one dimension.
+
+    Per group, ``(p_j+2)/(n p_j g) tr(A_j (Sigma_jj + m_j m_j')) / phi``
+    with ``Sigma = inv' inv``; its log is summed over the groups, and a
+    model with a non-positive group value gets -inf.
+    """
+    sigma = np.einsum("bki,bkj->bij", inv, inv)
+    moment = sigma + beta[:, :, None] * beta[:, None, :]
+    per_col = np.sum(xtx * same * moment, axis=2) / phi
+    totals = np.einsum("bij,bj->bi", same, per_col)
+    first = np.ones_like(same[:, 0])
+    first[:, 1:] = groups[:, 1:] != groups[:, :-1]
+    value = np.where(first, col_tilt * totals, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(value > 0.0, value, 0.0)).sum(axis=1)
+
+
+def ala_known_phi_many(
+    models: Sequence[ModelId],
+    cache: SuffStatsCache,
+    family: fam.FamilySpec,
+    prior: ParamPriorSpec,
+    curvature: Optional[CurvatureContext] = None,
+) -> list[MarginalScore]:
+    """Zero-expansion scores of many models under a known dispersion.
+
+    Returns, in order, what ``ala_expfam_known_phi`` (block Zellner prior,
+    exact Normal integral) or ``ala_gmom`` (product-moment prior) returns
+    for each model, up to rounding.  Models of one dimension share a
+    stacked Cholesky factorization and one batched triangular solve; their
+    Gram entries come from one dense block holding exactly the column pairs
+    that occur together in some model, so the store takes the same dot
+    products as scoring the models one at a time.  Raises
+    ``numpy.linalg.LinAlgError`` when a stacked curvature is not positive
+    definite and ``NotInvertible`` when a group's Gram block is singular.
+    """
+    if not family.phi_known:
+        raise ValueError("dispersion must be known for this engine")
+    gmom = prior.kind == "gmom"
+    shift = 2 if gmom else 0
+    if gmom:
+        method = "ala-gmom" if curvature is None else "ala-gmom-curvadj"
+    else:
+        method = "ala" if curvature is None else "ala-curvadj"
+    design = cache.design
+    n, g = cache.n, prior.g
+    phi = float(family.phi)
+    l0 = _loglik_at_center(cache, family, phi)
+    bpp = cache.bpp_nu0
+    rho = curvature.rho_hat if curvature is not None else 1.0
+    sizes = np.asarray(design.group_sizes)
+    col_group = np.repeat(np.arange(design.n_groups), sizes)
+    col_prec = ((sizes + shift) / (g * n * phi))[col_group]
+    col_tilt = ((sizes + 2) / (n * sizes * g))[col_group]
+    bits = np.array([m.bits for m in models], dtype=bool).reshape(
+        len(models), design.n_groups
+    )
+    col_mask = np.repeat(bits, sizes, axis=1)
+    p_gamma = col_mask.sum(axis=1)
+    # log det of the prior precision, group by group
+    group_term = np.zeros(design.n_groups)
+    for j in np.flatnonzero(bits.any(axis=0)):
+        coef = (sizes[j] + shift) / (g * n * phi)
+        group_term[j] = sizes[j] * np.log(coef) + cache.group_logdet(j)
+    out: list[Optional[MarginalScore]] = [None] * len(models)
+    for i in np.flatnonzero(p_gamma == 0):
+        if gmom:
+            out[i] = ala_gmom(models[i], cache, family, prior, curvature)
+        else:
+            out[i] = ala_expfam_known_phi(models[i], cache, family, prior, curvature)
+    for k in np.unique(p_gamma[p_gamma > 0]):
+        members = np.flatnonzero(p_gamma == k)
+        step = max(1, _STACK_ENTRIES // (k * k))
+        for lo in range(0, members.shape[0], step):
+            rows = members[lo : lo + step]
+            mask = col_mask[rows]
+            union = np.flatnonzero(mask.any(axis=0))
+            used = mask[:, union].astype(np.float64)
+            block = cache.gram.block_where(union, used.T @ used > 0.0)
+            pos = np.nonzero(mask[:, union])[1].reshape(rows.shape[0], k)
+            cols = union[pos]
+            xtx = block[pos[:, :, None], pos[:, None, :]]
+            groups = col_group[cols]
+            same = groups[:, :, None] == groups[:, None, :]
+            prec = xtx * same * col_prec[cols][:, :, None]
+            factor = np.linalg.cholesky((rho * bpp / phi) * xtx + prec)
+            inv = _lower_inverse(factor)
+            half = np.einsum("bij,bj->bi", inv, -(bpp / phi) * cache.zty[cols])
+            quad = np.einsum("bi,bi->b", half, half)
+            beta = -np.einsum("bji,bj->bi", inv, half)
+            logdet_h = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+            score = l0 + 0.5 * bits[rows] @ group_term - 0.5 * logdet_h + 0.5 * quad
+            if gmom:
+                tilt = _stacked_gmom_tilt(
+                    xtx, same, groups, inv, beta, col_tilt[cols], phi
+                )
+                for r, i in enumerate(rows):
+                    out[i] = MarginalScore(
+                        float(score[r] + tilt[r]),
+                        method,
+                        beta[r],
+                        {"tilt": float(tilt[r]), "phi": phi, "rho_hat": rho},
+                    )
+            else:
+                for r, i in enumerate(rows):
+                    out[i] = MarginalScore(
+                        float(score[r]),
+                        method,
+                        beta[r],
+                        {"phi": phi, "rho_hat": rho, "quad": float(quad[r])},
+                    )
+    return out
 
 
 def _damped_newton(
@@ -1365,6 +1485,11 @@ class ModelScorer:
         self.curvature: Optional[CurvatureContext] = None
         if name == "ala-curvadj":
             self.curvature = curvature_context(cache, family)
+        self._batched = (
+            name in ("ala", "ala-curvadj")
+            and family.phi_known
+            and variant == "exact-normal"
+        )
         self._memo: dict[tuple[int, ...], MarginalScore] = {}
 
     @property
@@ -1434,6 +1559,42 @@ class ModelScorer:
             value += log_model_prior_unnorm(tuple(bits), self.model_prior)
         return float(value)
 
+    def score_many(self, models) -> np.ndarray:
+        """``[log_score(m) for m in models]`` as an array, filling the memo.
+
+        ``models`` holds bit vectors or ``ModelId``s.  Known-dispersion
+        ``ala``/``ala-curvadj`` scoring with the exact Normal integral
+        scores the models not yet memoized in one batch
+        (``ala_known_phi_many``); every other method scores one model at a
+        time.  When the batch fails, the models are rescored one at a time,
+        so the error comes from the same first model as the loop's.
+        """
+        keys = [tuple(getattr(m, "bits", m)) for m in models]
+        if self._batched:
+            todo = {key: m for key, m in zip(keys, models) if key not in self._memo}
+            sizes, intercept = self.design.group_sizes, self.design.intercept_group
+            try:
+                scores = ala_known_phi_many(
+                    [
+                        m if isinstance(m, ModelId) else make_model(key, sizes, intercept)
+                        for key, m in todo.items()
+                    ],
+                    self.cache,
+                    self.family,
+                    self.prior,
+                    self.curvature,
+                )
+            except (np.linalg.LinAlgError, SelectionError):
+                pass
+            else:
+                self._memo.update(zip(todo, scores))
+        return np.array([self.log_score(key) for key in keys], dtype=np.float64)
+
+    @property
+    def n_scored(self) -> int:
+        """Distinct models whose marginal this scorer has computed."""
+        return len(self._memo)
+
 
 class AftScorer:
     """Memoizing per-model scorer for survival models."""
@@ -1481,3 +1642,14 @@ class AftScorer:
         if self.model_prior is not None:
             value += log_model_prior_unnorm(tuple(bits), self.model_prior)
         return float(value)
+
+    def score_many(self, models) -> np.ndarray:
+        """``[log_score(m) for m in models]`` as an array, filling the memo;
+        ``models`` holds bit vectors or ``ModelId``s."""
+        keys = [tuple(getattr(m, "bits", m)) for m in models]
+        return np.array([self.log_score(key) for key in keys], dtype=np.float64)
+
+    @property
+    def n_scored(self) -> int:
+        """Distinct models whose marginal this scorer has computed."""
+        return len(self._memo)

@@ -103,18 +103,17 @@ def enumerate_posterior(
     """Score every admissible model and normalize exactly."""
     design = scorer.design
     constraints = _resolve_constraints(scorer, constraints)
-    models = []
-    scores = []
-    for model in enumerate_models(
-        design.n_groups,
-        constraints,
-        sizes=design.group_sizes,
-        intercept_group=design.intercept_group,
-        limit=limit,
-    ):
-        models.append(model.bits)
-        scores.append(scorer.log_score(model.bits))
-    log_scores = np.asarray(scores)
+    admissible = list(
+        enumerate_models(
+            design.n_groups,
+            constraints,
+            sizes=design.group_sizes,
+            intercept_group=design.intercept_group,
+            limit=limit,
+        )
+    )
+    log_scores = scorer.score_many(admissible)
+    models = [model.bits for model in admissible]
     probs = _normalize(log_scores)
     return PosteriorSummary(
         models=models,
@@ -218,7 +217,7 @@ def gibbs_models(
         key = tuple(int(b) for b in row)
         unique[key] = unique.get(key, 0) + 1
     models = sorted(unique)
-    log_scores = np.asarray([scorer.log_score(m) for m in models])
+    log_scores = scorer.score_many(models)
     probs = _normalize(log_scores)
     return PosteriorSummary(
         models=models,
@@ -261,7 +260,7 @@ def importance_reweight(
         draw_keys.append(key)
         counts[key] = counts.get(key, 0) + 1
     models = sorted(counts)
-    log_scores = np.asarray([scorer.log_score(m) for m in models])
+    log_scores = scorer.score_many(models)
     total = logsumexp(log_scores)
     if not np.isfinite(total):
         raise ValueError("every model in the support scored -inf")
@@ -271,9 +270,7 @@ def importance_reweight(
     if proposal_scorer is None:
         log_prop = np.log(freqs)
     else:
-        prop_scores = np.asarray(
-            [proposal_scorer.log_score(m) for m in models]
-        )
+        prop_scores = proposal_scorer.score_many(models)
         log_prop = prop_scores - logsumexp(prop_scores)
     log_w = log_target - log_prop
     index = {m: i for i, m in enumerate(models)}
@@ -310,8 +307,10 @@ def screen_then_refine(
     inclusion falls below ``threshold``, then re-enumerate the survivors
     with the expensive scorer.
 
-    A surviving child keeps its parents; a child whose parent was dropped is
-    dropped with it.  Dropped groups are reported with inclusion zero.
+    A surviving child keeps its parents: a parent whose own inclusion fell
+    below the threshold is pulled back in (transitively), so every surviving
+    group can still enter a model.  Dropped groups are reported with
+    inclusion zero.
     """
     design = screen_scorer.design
     constraints = _resolve_constraints(screen_scorer, constraints)
@@ -324,7 +323,7 @@ def screen_then_refine(
     if design.intercept_group is not None:
         keep.add(design.intercept_group)
     if constraints is not None:
-        # pull in parents of survivors, then drop orphaned children
+        # pull in the parents of survivors until no survivor lacks one
         changed = True
         while changed:
             changed = False
@@ -345,7 +344,6 @@ def screen_then_refine(
             f"{len(kept)} surviving groups still exceed the enumeration limit"
         )
     models = []
-    scores = []
     for mask in range(1 << len(kept)):
         bits = [0] * design.n_groups
         for pos, j in enumerate(kept):
@@ -354,10 +352,8 @@ def screen_then_refine(
             continue
         if constraints is not None and not constraints.satisfied_by(bits):
             continue
-        key = tuple(bits)
-        models.append(key)
-        scores.append(refine_scorer.log_score(key))
-    log_scores = np.asarray(scores)
+        models.append(tuple(bits))
+    log_scores = refine_scorer.score_many(models)
     probs = _normalize(log_scores)
     return PosteriorSummary(
         models=models,

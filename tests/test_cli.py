@@ -161,6 +161,21 @@ class TestSelectCommand:
             assert key in meta
         assert meta["n"] == 40 and meta["p"] == 3 and meta["n_groups"] == 3
         assert meta["n_models_scored"] == 8
+        assert meta["support_size"] == 8
+
+    def test_gibbs_meta_counts_scored_models_beyond_the_support(
+        self, gaussian_files, tmp_path
+    ):
+        """Every Gibbs step scores both states it compares, so the scorer
+        evaluates models that the sampled support never contains."""
+        data, groups, _, _ = gaussian_files
+        out = tmp_path / "run"
+        _select(data, groups, out, "--family", "gaussian", "--search", "gibbs",
+                "--n-scans", "100")
+        meta = json.loads((out / "meta.json").read_text())
+        _, rows = _read_csv(out / "models.csv")
+        assert meta["support_size"] == len(rows)
+        assert meta["support_size"] < meta["n_models_scored"] <= 8
 
     def test_unknown_dispersion_family_records_the_null_estimate(self, tmp_path):
         # The expansion point needs most of the response variance left in

@@ -6,12 +6,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
 import alaselect.marginal_engines as me
-from alaselect.data_model import DesignMatrix, build_cache, submodel_stats
-from alaselect.errors import NotConcaveAtExpansion
+from alaselect.data_model import (
+    ConstraintSet,
+    DesignMatrix,
+    build_cache,
+    enumerate_models,
+    submodel_stats,
+)
+from alaselect.errors import NotConcaveAtExpansion, NotInvertible
 from alaselect.families import (
     SurvivalData,
     aft_loglik_grad_hess,
@@ -700,6 +708,184 @@ class TestScorers:
         assert scorer.marginal((1, 0, 0)) is scorer.marginal((1, 0, 0))
         direct = me.ala_aft(design.model((1, 0, 0)), ctx, prior)
         np.testing.assert_allclose(scorer.log_ml((1, 0, 0)), direct.log_ml, atol=1e-12)
+
+
+_FAMILIES = {"logistic": logistic, "poisson": poisson, "gaussian": gaussian}
+
+
+def _glm_response(rng, family, eta):
+    if family == "logistic":
+        return (rng.random(eta.shape[0]) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    if family == "poisson":
+        return rng.poisson(np.exp(eta)).astype(float)
+    return eta + rng.normal(size=eta.shape[0])
+
+
+@st.composite
+def _batch_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    intercept = draw(st.booleans())
+    n_groups = len(sizes) + intercept
+    free = list(range(int(intercept), n_groups))
+    pairs = [(c, p) for c in free for p in free if p < c]
+    requires = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "sizes": sizes,
+        "intercept": intercept,
+        "max_groups": draw(st.integers(1 + intercept, n_groups)),
+        "requires": requires,
+        "family": draw(st.sampled_from(sorted(_FAMILIES))),
+        "kind": draw(st.sampled_from(["gzellner", "gmom"])),
+        "method": draw(st.sampled_from(["ala", "ala-curvadj"])),
+        "picks": draw(st.lists(st.integers(0, 10**6), max_size=40)),
+        "warm": draw(st.integers(0, 3)),
+    }
+
+
+class TestScoreMany:
+    """Batched scoring returns the per-model loop's scores and leaves the
+    memo and the Gram store where the loop leaves them."""
+
+    def _pair(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n = 60
+        design = make_design(rng, n, case["sizes"], intercept=case["intercept"])
+        beta = rng.normal(scale=0.3, size=design.p)
+        y = _glm_response(rng, case["family"], design.values @ beta)
+        family = _FAMILIES[case["family"]]()
+        center = "intercept-mle" if case["method"] == "ala-curvadj" else "zero"
+        prior = ParamPriorSpec(kind=case["kind"], g=1.0)
+        model_prior = ModelPriorSpec(
+            n_groups=design.n_groups,
+            p_total=design.p,
+            constraints=ConstraintSet(case["max_groups"], tuple(case["requires"])),
+            intercept_group=design.intercept_group,
+        )
+        scorers = [
+            me.ModelScorer(
+                build_cache(design, y, family, center=center),
+                family,
+                prior,
+                model_prior,
+                method=case["method"],
+            )
+            for _ in range(2)
+        ]
+        admissible = [
+            m.bits
+            for m in enumerate_models(
+                design.n_groups,
+                model_prior.constraints,
+                sizes=design.group_sizes,
+                intercept_group=design.intercept_group,
+            )
+        ]
+        models = [admissible[i % len(admissible)] for i in case["picks"]]
+        return scorers, admissible[: case["warm"]] + models
+
+    @settings(max_examples=60, deadline=None)
+    @given(_batch_cases())
+    def test_batch_matches_the_per_model_loop(self, case):
+        (loop, batch), models = self._pair(case)
+        warm = models[: case["warm"]]
+        for scorer in (loop, batch):
+            for bits in warm:
+                scorer.log_score(bits)
+        looped = np.array([loop.log_score(bits) for bits in models])
+        batched = batch.score_many(models)
+        assert batched.shape == (len(models),)
+        np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=0)
+        assert batch.cache.gram.dot_count == loop.cache.gram.dot_count
+        assert batch.n_scored == loop.n_scored
+        for bits, value in zip(models, batched):
+            assert batch.log_score(bits) == value
+            ref, got = loop.marginal(bits), batch.marginal(bits)
+            assert got.method == ref.method
+            assert got.diagnostics.keys() == ref.diagnostics.keys()
+            for key, ref_value in ref.diagnostics.items():
+                np.testing.assert_allclose(
+                    got.diagnostics[key], ref_value, rtol=1e-9, atol=1e-12
+                )
+            np.testing.assert_allclose(
+                got.expansion, ref.expansion, rtol=1e-8, atol=1e-10
+            )
+
+    def test_single_group_enumeration_touches_no_cross_group_pair(self, rng):
+        design = make_design(rng, 50, [1, 2, 3])
+        y = rng.normal(size=50)
+        models = [
+            m.bits
+            for m in enumerate_models(
+                3, ConstraintSet(max_groups=1), sizes=design.group_sizes
+            )
+        ]
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+        loop = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
+        batch = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
+        looped = [loop.log_score(bits) for bits in models]
+        np.testing.assert_allclose(batch.score_many(models), looped, rtol=1e-10)
+        # within-group pairs only: 1 + 3 + 6
+        assert batch.cache.gram.dot_count == loop.cache.gram.dot_count == 10
+
+    def test_singular_group_raises_the_loops_error(self, rng):
+        # a group of two identical +-1 columns has the exactly singular
+        # Gram block [[n, n], [n, n]]
+        n = 64
+        twin = rng.choice([-1.0, 1.0], size=(n, 1))
+        design = DesignMatrix(
+            np.hstack([rng.normal(size=(n, 1)), twin, twin]), ((0, 1), (1, 3))
+        )
+        y = rng.normal(size=n)
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+        models = [(1, 0), (0, 1), (1, 1)]
+        loop = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
+        batch = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
+        with pytest.raises(NotInvertible) as looped:
+            for bits in models:
+                loop.log_score(bits)
+        with pytest.raises(NotInvertible) as batched:
+            batch.score_many(models)
+        assert str(batched.value) == str(looped.value)
+        assert batch.n_scored == loop.n_scored == 1
+
+    @pytest.mark.parametrize(
+        "method, family, variant",
+        [
+            ("la", logistic(), "exact-normal"),
+            ("ala-refined(2)", logistic(), "exact-normal"),
+            ("ala", logistic(), "plugin-density"),
+            ("ala", gaussian_unknown(), "exact-normal"),
+            ("exact-gaussian", gaussian(1.0), "exact-normal"),
+        ],
+    )
+    def test_other_methods_return_exactly_the_loops_values(
+        self, rng, method, family, variant
+    ):
+        design = make_design(rng, 50, [1, 2, 1])
+        eta = design.values @ np.array([0.6, 0.0, -0.4, 0.3])
+        kind = "logistic" if family.kind == "logistic" else "gaussian"
+        y = _glm_response(rng, kind, eta)
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
+        models = [m.bits for m in enumerate_models(3)] + [(1, 1, 0)]
+        scorers = [
+            me.ModelScorer(cache, family, prior, method=method, variant=variant)
+            for _ in range(2)
+        ]
+        looped = [scorers[0].log_score(bits) for bits in models]
+        np.testing.assert_array_equal(scorers[1].score_many(models), looped)
+
+    def test_survival_scorer_returns_exactly_the_loops_values(self, rng):
+        design, data = _survival_sample(rng)
+        ctx = me.build_aft_context(design, data)
+        prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
+        models = [m.bits for m in enumerate_models(3)]
+        for method in ("ala", "la"):
+            loop, batch = (me.AftScorer(ctx, prior, method=method) for _ in range(2))
+            looped = [loop.log_score(bits) for bits in models]
+            np.testing.assert_array_equal(batch.score_many(models), looped)
+            assert batch.n_scored == len(models)
 
 
 class TestScalingBehavior:

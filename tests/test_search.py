@@ -35,6 +35,9 @@ class _FakeScorer:
     def log_score(self, bits):
         return self.table[tuple(getattr(bits, "bits", bits))]
 
+    def score_many(self, models):
+        return np.array([self.log_score(m) for m in models])
+
 
 def _gaussian_scorer(rng, n=40, n_groups=4, seed_beta=None, method="ala"):
     design = make_design(rng, n, [1] * n_groups)
@@ -363,3 +366,54 @@ class TestScreenThenRefine:
         probs = [p for _, p in top]
         assert probs == sorted(probs, reverse=True)
         assert top[0][1] == summary.probabilities.max()
+
+
+class TestBatchedScoringInSearch:
+    """The search routines score known model lists with ``score_many``;
+    their scores equal a fresh per-model scorer's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_groups=st.integers(2, 5),
+        requires=st.lists(
+            st.sampled_from([(2, 1), (3, 1), (4, 2), (4, 3)]), max_size=2
+        ),
+        kind=st.sampled_from(["gzellner", "gmom"]),
+    )
+    def test_scores_match_a_fresh_per_model_scorer(
+        self, seed, max_groups, requires, kind
+    ):
+        rng = np.random.default_rng(seed)
+        design = make_design(rng, 80, [1, 2, 1, 1], intercept=True)
+        eta = design.values @ rng.normal(scale=0.4, size=design.p)
+        y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        constraints = ConstraintSet(max_groups, tuple(requires))
+        model_prior = ModelPriorSpec(
+            n_groups=5, p_total=design.p, constraints=constraints, intercept_group=0
+        )
+        prior = ParamPriorSpec(kind=kind, g=1.0)
+
+        def fresh():
+            cache = build_cache(design, y, logistic())
+            return ModelScorer(cache, logistic(), prior, model_prior)
+
+        scorer, reference = fresh(), fresh()
+        summary = enumerate_posterior(scorer)
+        looped = [reference.log_score(m) for m in summary.models]
+        np.testing.assert_allclose(summary.log_scores, looped, rtol=1e-10, atol=0)
+        assert scorer.cache.gram.dot_count == reference.cache.gram.dot_count
+
+        sampled = gibbs_models(fresh(), n_scans=30, seed=seed % 1000)
+        looped = [reference.log_score(m) for m in sampled.models]
+        np.testing.assert_allclose(sampled.log_scores, looped, rtol=1e-10, atol=0)
+
+        staged = screen_then_refine(fresh(), fresh(), threshold=0.0)
+        looped = [reference.log_score(m) for m in staged.models]
+        np.testing.assert_allclose(staged.log_scores, looped, rtol=1e-10, atol=0)
+
+        report = importance_reweight(fresh(), sampled.samples, proposal_scorer=fresh())
+        looped = np.array([reference.log_score(m) for m in report.models])
+        np.testing.assert_allclose(
+            report.probabilities, np.exp(looped - logsumexp(looped)), rtol=1e-9
+        )
