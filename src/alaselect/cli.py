@@ -354,6 +354,11 @@ def run_select(args) -> int:
     }
     meta["n_models_scored"] = sum(s.n_scored for s in scorers)
     meta["support_size"] = len(summary.models)
+    la_scorers = [s for s in scorers if s.method == "la"]
+    if la_scorers:
+        meta["la_newton_evaluations"] = int(
+            sum(s.diagnostic_sum("evaluations") for s in la_scorers)
+        )
     _write_summary_files(out, summary, meta)
     return 0
 

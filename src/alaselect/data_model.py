@@ -393,8 +393,7 @@ def build_cache(
             raise DegenerateResponse(f"link diverges at ybar={ybar!r}")
     else:
         raise ValueError(f"unknown center {center!r}")
-    bp = float(family.bp(nu0))
-    bpp = float(family.bpp(nu0))
+    _, bp, bpp = map(float, family.cumulant(nu0))
     if not bpp > 0.0:
         raise DegenerateResponse(
             "b''(nu0) vanished; the response carries no variation at the "

@@ -1,12 +1,12 @@
 """Exponential-family likelihoods on the canonical scale, plus the
 log-concave censored-normal survival likelihood.
 
-Each family carries the cumulant ``b`` and its first two derivatives, the
-dispersion terms ``c(y, phi)`` with their phi derivatives, and the canonical
-link.  Gradients and Hessians returned by :func:`grad_hess` follow the
-negative log-likelihood convention used by the minimizers; the survival
-helpers return the log-likelihood itself and its derivatives with signs
-unchanged.
+Each family carries the cumulant ``b`` with its first two derivatives,
+computed together from one transcendental pass, the dispersion terms
+``c(y, phi)`` with their phi derivatives, and the canonical link.
+:func:`grad_hess` returns the negative log-likelihood with its gradient and
+Hessian, the convention used by the minimizers; the survival helpers return
+the log-likelihood itself and its derivatives with signs unchanged.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ class FamilySpec:
     kind: str
     phi_known: bool
     phi: Optional[float]
-    b: Callable[[np.ndarray], np.ndarray]
-    bp: Callable[[np.ndarray], np.ndarray]
-    bpp: Callable[[np.ndarray], np.ndarray]
+    # (b, b', b'') at the canonical parameter u
+    cumulant: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     c: Callable[[np.ndarray, float], np.ndarray]
     c_dphi: Callable[[np.ndarray, float], np.ndarray]
     c_dphi2: Callable[[np.ndarray, float], np.ndarray]
@@ -42,15 +41,23 @@ def _zeros_like_y(y, phi):
     return np.zeros_like(np.asarray(y, dtype=np.float64))
 
 
+def _logistic_cumulant(u):
+    # b, b' and b'' of log(1 + e^u) from the one exponential e^-|u|
+    e = np.exp(-np.abs(u))
+    inv = 1.0 / (1.0 + e)
+    return (
+        np.maximum(u, 0.0) + np.log1p(e),
+        np.where(u >= 0.0, inv, e * inv),
+        e * inv * inv,
+    )
+
+
 def logistic() -> FamilySpec:
-    expit = scipy.special.expit
     return FamilySpec(
         kind="logistic",
         phi_known=True,
         phi=1.0,
-        b=lambda u: np.logaddexp(0.0, u),
-        bp=expit,
-        bpp=lambda u: expit(u) * expit(-u),
+        cumulant=_logistic_cumulant,
         c=_zeros_like_y,
         c_dphi=_zeros_like_y,
         c_dphi2=_zeros_like_y,
@@ -58,14 +65,17 @@ def logistic() -> FamilySpec:
     )
 
 
+def _poisson_cumulant(u):
+    e = np.exp(u)
+    return e, e, e
+
+
 def poisson() -> FamilySpec:
     return FamilySpec(
         kind="poisson",
         phi_known=True,
         phi=1.0,
-        b=np.exp,
-        bp=np.exp,
-        bpp=np.exp,
+        cumulant=_poisson_cumulant,
         c=lambda y, phi: -scipy.special.gammaln(np.asarray(y) + 1.0),
         c_dphi=_zeros_like_y,
         c_dphi2=_zeros_like_y,
@@ -88,14 +98,16 @@ def _gaussian_c_dphi2(y, phi):
     return -y * y / phi**3 + 0.5 / phi**2
 
 
+def _gaussian_cumulant(u):
+    return 0.5 * np.square(u), u, np.ones_like(u)
+
+
 def _gaussian_spec(phi_known: bool, phi: Optional[float]) -> FamilySpec:
     return FamilySpec(
         kind="gaussian",
         phi_known=phi_known,
         phi=phi,
-        b=lambda u: 0.5 * np.square(u),
-        bp=lambda u: np.asarray(u, dtype=np.float64),
-        bpp=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
+        cumulant=_gaussian_cumulant,
         c=_gaussian_c,
         c_dphi=_gaussian_c_dphi,
         c_dphi2=_gaussian_c_dphi2,
@@ -133,7 +145,7 @@ def loglik(
     eta = np.asarray(eta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(over="ignore"):
-        bsum = float(np.sum(family.b(eta)))
+        bsum = float(np.sum(family.cumulant(eta)[0]))
     if not np.isfinite(bsum):
         return -np.inf
     return (float(y @ eta) - bsum) / phi + float(np.sum(family.c(y, phi)))
@@ -145,39 +157,50 @@ def grad_hess(
     y: np.ndarray,
     beta: np.ndarray,
     phi: Optional[float] = None,
+    c_sum: Optional[float] = None,
 ):
-    """Gradient and Hessian of the negative log-likelihood.
+    """Negative log-likelihood with its gradient and Hessian, in one pass.
 
+    Takes one product ``Z @ beta``, one evaluation of the cumulant and its
+    derivatives, one ``Z' r`` and one weighted Gram.  ``c_sum`` is the
+    response-only term ``sum c(y, phi)`` when the caller has it at hand.
     For a known-dispersion family the derivatives are over beta alone.  For
     an unknown-dispersion family ``phi`` gives the evaluation point and the
-    derivatives cover ``(beta, phi)`` with phi last.
+    derivatives cover ``(beta, phi)`` with phi last.  An overflowing
+    cumulant gives the value inf with NaN derivatives.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     phi_val = _resolve_phi(family, phi)
     eta = Z @ beta
-    resid = y - family.bp(eta)
-    weights = family.bpp(eta)
-    g_beta = -(Z.T @ resid) / phi_val
-    h_bb = (Z.T * weights) @ Z / phi_val
+    with np.errstate(over="ignore"):
+        b, bp, bpp = family.cumulant(eta)
+        bsum = float(np.sum(b))
+    d = Z.shape[1] + (not family.phi_known)
+    if not np.isfinite(bsum):
+        return np.inf, np.full(d, np.nan), np.full((d, d), np.nan)
+    if c_sum is None:
+        c_sum = float(np.sum(family.c(y, phi_val)))
+    kernel = float(y @ eta) - bsum
+    value = -(kernel / phi_val + c_sum)
+    ztr = Z.T @ (y - bp)
+    g_beta = -ztr / phi_val
+    h_bb = (Z.T * bpp) @ Z / phi_val
     if family.phi_known:
-        return g_beta, h_bb
+        return value, g_beta, h_bb
     # joint (beta, phi) curvature for the dispersion-unknown case
-    kernel = float(y @ eta - np.sum(family.b(eta)))
     g_phi = kernel / phi_val**2 - float(np.sum(family.c_dphi(y, phi_val)))
     h_pp = -2.0 * kernel / phi_val**3 - float(np.sum(family.c_dphi2(y, phi_val)))
-    h_bp = (Z.T @ resid) / phi_val**2
-    p = Z.shape[1]
-    grad = np.empty(p + 1)
+    p = d - 1
+    grad = np.empty(d)
     grad[:p] = g_beta
     grad[p] = g_phi
-    hess = np.empty((p + 1, p + 1))
+    hess = np.empty((d, d))
     hess[:p, :p] = h_bb
-    hess[:p, p] = h_bp
-    hess[p, :p] = h_bp
+    hess[:p, p] = hess[p, :p] = ztr / phi_val**2
     hess[p, p] = h_pp
-    return grad, hess
+    return value, grad, hess
 
 
 def phi0_mle(family: FamilySpec, y: np.ndarray, nu0: float = 0.0) -> float:
@@ -191,7 +214,7 @@ def phi0_mle(family: FamilySpec, y: np.ndarray, nu0: float = 0.0) -> float:
         if not phi0 > 0.0:
             raise DegenerateResponse("response has no variation around nu0")
         return phi0
-    kernel = float(nu0 * np.sum(y) - n * family.b(nu0))
+    kernel = float(nu0 * np.sum(y) - n * family.cumulant(nu0)[0])
 
     def score(phi):
         return -kernel / phi**2 + float(np.sum(family.c_dphi(y, phi)))

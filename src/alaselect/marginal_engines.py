@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 import scipy.special
 from scipy.special import gammaln, log_ndtr
@@ -91,16 +92,39 @@ def _cache_scalar(cache: SuffStatsCache, key, compute):
     return memo[key]
 
 
+def _c_sum(cache: SuffStatsCache, family: fam.FamilySpec, phi: float) -> float:
+    """The response-only log-likelihood term ``sum c(y, phi)``, memoized."""
+    return _cache_scalar(
+        cache, ("c", family.kind, phi), lambda: float(np.sum(family.c(cache.y, phi)))
+    )
+
+
 def _loglik_at_center(cache: SuffStatsCache, family: fam.FamilySpec, phi: float):
     """Log-likelihood with the whole predictor pinned at nu0, memoized."""
 
     def compute():
-        y = cache.y
         n = cache.n
-        kernel = cache.nu0 * float(np.sum(y)) - n * float(family.b(cache.nu0))
-        return kernel / phi + float(np.sum(family.c(y, phi)))
+        b_nu0 = float(family.cumulant(cache.nu0)[0])
+        kernel = cache.nu0 * float(np.sum(cache.y)) - n * b_nu0
+        return kernel / phi + _c_sum(cache, family, phi)
 
     return _cache_scalar(cache, ("l0", family.kind, phi), compute)
+
+
+def _at_zero(cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols):
+    """Negative log-likelihood, gradient and Hessian at beta = 0, read from
+    the cache: ``-l(0)``, ``-(b''(0)/phi) Z'ytilde`` and ``(b''(0)/phi) Z'Z``.
+
+    None unless the cache is centered at zero for this family's cumulant.
+    """
+    if cache.nu0 != 0.0 or not cache.transform_tag.startswith(f"{family.kind}:"):
+        return None
+    w = cache.bpp_nu0 / phi
+    return (
+        -_loglik_at_center(cache, family, phi),
+        -w * cache.zty[cols],
+        w * cache.gram.block(cols),
+    )
 
 
 def _block_precision(
@@ -325,19 +349,6 @@ def ala_expfam_known_phi(
     return score
 
 
-def ala_bf_known_phi(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    curvature: Optional[CurvatureContext] = None,
-) -> float:
-    """Log Bayes factor of ``model`` against the empty model."""
-    score = ala_expfam_known_phi(model, cache, family, prior, curvature)
-    phi = float(family.phi)
-    return score.log_ml - _loglik_at_center(cache, family, phi)
-
-
 def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> CurvatureContext:
     """Ratio of observed response variance to the model-implied variance at
     the intercept-only fit.
@@ -367,18 +378,18 @@ def _unknown_phi_stats(cache: SuffStatsCache, family: fam.FamilySpec) -> dict:
         y = cache.y
         n = cache.n
         phi0 = fam.phi0_mle(family, y, 0.0)
-        b0 = float(family.b(0.0))
-        bpp0 = float(family.bpp(0.0))
-        l0 = -n * b0 / phi0 + float(np.sum(family.c(y, phi0)))
-        # negative-loglik curvature in phi at (0, phi0); the score in phi is
-        # zero there because phi0 solves the profile equation
+        b0, _, bpp0 = map(float, family.cumulant(0.0))
+        # negative-loglik derivatives in phi at (0, phi0); the score g_phi is
+        # zero up to rounding because phi0 solves the profile equation
+        g_phi = -n * b0 / phi0**2 - float(np.sum(family.c_dphi(y, phi0)))
         h_pp = 2.0 * n * b0 / phi0**3 - float(np.sum(family.c_dphi2(y, phi0)))
         if not h_pp > 0.0:
             raise NotConcaveAtExpansion("dispersion curvature is not positive")
         return {
             "phi0": phi0,
-            "l0": l0,
+            "l0": _loglik_at_center(cache, family, phi0),
             "bpp0": bpp0,
+            "g_phi": g_phi,
             "h_pp": h_pp,
             "s": phi0 * h_pp / bpp0,
         }
@@ -681,15 +692,18 @@ def _damped_newton(
     tol: float = 1e-8,
     max_iter: int = 100,
     positive: tuple[int, ...] = (),
+    first=None,
 ):
     """Minimize a smooth convex objective by Newton steps with halving.
 
-    ``objective(theta)`` returns ``(value, grad, hess)``.  Coordinates in
+    ``objective(theta)`` returns ``(value, grad, hess)``; ``first`` is that
+    triple at ``theta0`` when the caller already has it.  Coordinates in
     ``positive`` are kept strictly positive by the line search.  Returns the
-    final ``(theta, value, grad, hess, trace)``.
+    final ``(theta, value, grad, hess, trace)``; each trace entry counts the
+    objective evaluations its line search took.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    value, grad, hess = objective(theta)
+    value, grad, hess = objective(theta) if first is None else first
     if not np.isfinite(value):
         raise NoConvergence("objective is not finite at the start", trace=[])
     trace = []
@@ -705,12 +719,14 @@ def _damped_newton(
         slack = 1e-13 * (1.0 + abs(value))
         scale = 1.0
         accepted = False
+        evaluations = 0
         for _ in range(60):
             candidate = theta - scale * step
             if any(candidate[i] <= 0.0 for i in positive):
                 scale *= 0.5
                 continue
             cand_value, cand_grad, cand_hess = objective(candidate)
+            evaluations += 1
             if np.isfinite(cand_value) and (
                 cand_value < value
                 or (
@@ -733,6 +749,7 @@ def _damped_newton(
                 "objective": float(value),
                 "grad_norm": float(np.max(np.abs(grad))),
                 "step_scale": scale,
+                "evaluations": evaluations,
             }
         )
     if float(np.max(np.abs(grad))) <= tol:
@@ -744,18 +761,39 @@ def _damped_newton(
     )
 
 
+def _newton_diagnostics(trace, grad, start_evaluated: bool) -> dict:
+    """Accepted Newton steps, objective evaluations that touched the data
+    (the start counts when it was not read from the cache), and the final
+    gradient norm."""
+    evaluations = int(start_evaluated) + sum(step["evaluations"] for step in trace)
+    return {
+        "iterations": len(trace),
+        "evaluations": evaluations,
+        "grad_norm": float(np.max(np.abs(grad))),
+    }
+
+
+def _cho_factor_solve(matrix: np.ndarray, rhs: np.ndarray):
+    """Lower Cholesky factor of ``matrix`` and ``matrix^{-1} rhs`` by LAPACK
+    potrf and potrs, or ``(None, None)`` when ``matrix`` is not positive
+    definite.  The scipy ``cho_solve`` wrapper costs several times the
+    solve at Newton's dimensions."""
+    factor, info = scipy.linalg.lapack.dpotrf(matrix, lower=1)
+    if info:
+        return None, None
+    return factor, scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0]
+
+
 def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     d = grad.shape[0]
     base = max(abs(float(np.trace(hess))) / max(d, 1), 1e-300)
     ridge = 0.0
     for _ in range(12):
-        try:
-            shifted = hess + ridge * np.eye(d) if ridge else hess
-            factor = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
-            continue
-        return scipy.linalg.cho_solve((factor, True), grad)
+        shifted = hess + ridge * np.eye(d) if ridge else hess
+        factor, step = _cho_factor_solve(shifted, grad)
+        if factor is not None:
+            return step
+        ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
     raise NotConcave("objective curvature is not positive definite")
 
 
@@ -772,6 +810,8 @@ def la_marginal(
 
     Runs damped Newton on the negative log joint until the gradient drops
     below ``tol``; raises if it fails to, with the iteration trace attached.
+    Without ``start`` it begins at zero coefficients, where a zero-centered
+    cache supplies the first evaluation without a pass over the data.
     """
     if prior.kind != "gzellner":
         raise ValueError("mode-expansion scoring expects the block Zellner prior")
@@ -785,32 +825,42 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     p = model.p_gamma
     if p == 0:
         return MarginalScore(
-            _loglik_at_center(cache, family, phi), "la", np.empty(0), {"iterations": 0}
+            _loglik_at_center(cache, family, phi),
+            "la",
+            np.empty(0),
+            {"iterations": 0, "evaluations": 0},
         )
     cols = cache.design.columns_for(model.bits)
     Z = cache.design.values[:, cols]
     y = cache.y
+    c_sum = _c_sum(cache, family, phi)
     prec, logdet_p0 = _block_precision(model, cache, prior.g, phi, shift=0)
 
-    def objective(beta):
-        g, h = fam.grad_hess(family, Z, y, beta, phi)
-        value = -fam.loglik(family, Z @ beta, y, phi) + 0.5 * float(beta @ prec @ beta)
-        return value, g + prec @ beta, h + prec
+    def with_prior(beta, lik):
+        value, g, h = lik
+        pb = prec @ beta
+        return value + 0.5 * float(beta @ pb), g + pb, h + prec
 
-    theta0 = np.zeros(p) if start is None else np.asarray(start, dtype=np.float64)
+    def objective(beta):
+        return with_prior(beta, fam.grad_hess(family, Z, y, beta, phi, c_sum))
+
+    if start is None:
+        theta0 = np.zeros(p)
+        at_zero = _at_zero(cache, family, phi, cols)
+        first = None if at_zero is None else with_prior(theta0, at_zero)
+    else:
+        theta0, first = np.asarray(start, dtype=np.float64), None
     theta, value, grad, hess, trace = _damped_newton(
-        objective, theta0, tol=tol, max_iter=max_iter
+        objective, theta0, tol=tol, max_iter=max_iter, first=first
     )
-    factor = _chol(hess, NotConcave, "curvature at the mode")
-    sol = scipy.linalg.cho_solve((factor, True), grad)
+    factor, sol = _cho_factor_solve(hess, grad)
+    if factor is None:
+        raise NotConcave("curvature at the mode is not positive definite")
     log_ml = (
         -value + 0.5 * logdet_p0 - 0.5 * _chol_logdet(factor) + 0.5 * float(grad @ sol)
     )
     return MarginalScore(
-        float(log_ml),
-        "la",
-        theta,
-        {"iterations": len(trace), "grad_norm": float(np.max(np.abs(grad)))},
+        float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
     )
 
 
@@ -820,50 +870,61 @@ def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     cols = cache.design.columns_for(model.bits)
     Z = cache.design.values[:, cols]
     y = cache.y
-    n = cache.n
     st = _unknown_phi_stats(cache, family)
     # phi-free prior precision and its constants
     prec_bar, logdet_bar = _block_precision(model, cache, prior.g, 1.0, shift=0)
     prior_const = 0.5 * p * _LOG_2PI - 0.5 * logdet_bar - a * np.log(b) + gammaln(a)
 
-    def objective(theta):
+    def with_prior(theta, lik):
         beta, phi = theta[:p], theta[p]
-        g, h = fam.grad_hess(family, Z, y, beta, phi)
-        quad = float(beta @ prec_bar @ beta)
+        value, grad, hess = lik
+        pb = prec_bar @ beta
+        quad = float(beta @ pb)
         value = (
-            -fam.loglik(family, Z @ beta, y, phi)
+            value
             + 0.5 * p * np.log(phi)
             + 0.5 * quad / phi
             + (a + 1.0) * np.log(phi)
             + b / phi
             + prior_const
         )
-        grad = np.empty(p + 1)
-        grad[:p] = g[:p] + prec_bar @ beta / phi
-        grad[p] = g[p] + 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
-        hess = np.array(h, copy=True)
+        grad = grad.copy()
+        grad[:p] += pb / phi
+        grad[p] += 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
+        hess = hess.copy()
         hess[:p, :p] += prec_bar / phi
-        cross = -prec_bar @ beta / phi**2
-        hess[:p, p] += cross
-        hess[p, :p] += cross
+        hess[:p, p] -= pb / phi**2
+        hess[p, :p] -= pb / phi**2
         hess[p, p] += -0.5 * p / phi**2 + quad / phi**3 - (a + 1.0) / phi**2 + 2.0 * b / phi**3
         return value, grad, hess
 
-    theta0 = (
-        np.concatenate([np.zeros(p), [st["phi0"]]])
-        if start is None
-        else np.asarray(start, dtype=np.float64)
-    )
+    def objective(theta):
+        return with_prior(theta, fam.grad_hess(family, Z, y, theta[:p], theta[p]))
+
+    if start is None:
+        theta0 = np.concatenate([np.zeros(p), [st["phi0"]]])
+        at_zero = _at_zero(cache, family, st["phi0"], cols)
+        first = None
+        if at_zero is not None:
+            value, g_beta, h_bb = at_zero
+            grad = np.append(g_beta, st["g_phi"])
+            hess = np.empty((p + 1, p + 1))
+            hess[:p, :p] = h_bb
+            # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
+            hess[:p, p] = hess[p, :p] = -g_beta / st["phi0"]
+            hess[p, p] = st["h_pp"]
+            first = with_prior(theta0, (value, grad, hess))
+    else:
+        theta0, first = np.asarray(start, dtype=np.float64), None
     theta, value, grad, hess, trace = _damped_newton(
-        objective, theta0, tol=tol, max_iter=max_iter, positive=(p,)
+        objective, theta0, tol=tol, max_iter=max_iter, positive=(p,), first=first
     )
-    factor = _chol(hess, NotConcave, "curvature at the mode")
+    factor, _ = _cho_factor_solve(hess, grad)
+    if factor is None:
+        raise NotConcave("curvature at the mode is not positive definite")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * _chol_logdet(factor)
     return MarginalScore(
-        float(log_ml),
-        "la",
-        theta,
-        {"iterations": len(trace), "grad_norm": float(np.max(np.abs(grad)))},
+        float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
     )
 
 
@@ -878,8 +939,9 @@ def ala_refined(
 
     The expansion point is moved toward the maximum-likelihood estimate
     before applying the closed-form Normal-prior integral; ``k = 0`` is the
-    plain zero expansion.  A non-finite step stops the refinement early and
-    is reported in the diagnostics.
+    plain zero expansion.  The derivatives at zero come from the cache, so
+    ``k`` steps take ``k`` passes over the data.  A non-finite step stops
+    the refinement early and is reported in the diagnostics.
     """
     if prior.kind != "gzellner":
         raise ValueError("refined scoring expects the block Zellner prior")
@@ -899,32 +961,34 @@ def ala_refined(
     cols = cache.design.columns_for(model.bits)
     Z = cache.design.values[:, cols]
     y = cache.y
+    c_sum = _c_sum(cache, family, phi)
     beta = np.zeros(p)
+    lik = _at_zero(cache, family, phi, cols)
+    value, grad, hess = (
+        lik if lik is not None else fam.grad_hess(family, Z, y, beta, phi, c_sum)
+    )
     steps = 0
     note = None
     for _ in range(k):
-        grad, hess = fam.grad_hess(family, Z, y, beta, phi)
-        try:
-            factor = np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
+        factor, sol = _cho_factor_solve(hess, grad)
+        if factor is None:
             note = "curvature lost during refinement"
             break
-        candidate = beta - scipy.linalg.cho_solve((factor, True), grad)
+        candidate = beta - sol
         if not np.all(np.isfinite(candidate)):
             note = "refinement step diverged"
             break
         beta = candidate
         steps += 1
-    l0 = fam.loglik(family, Z @ beta, y, phi)
+        value, grad, hess = fam.grad_hess(family, Z, y, beta, phi, c_sum)
     diag = {"steps_taken": steps}
     if note:
         diag["note"] = note
-    if not np.isfinite(l0):
+    if not np.isfinite(value):
         return MarginalScore(-np.inf, f"ala-refined({k})", beta, diag)
-    grad, hess = fam.grad_hess(family, Z, y, beta, phi)
     prec, logdet_p0 = _block_precision(model, cache, prior.g, phi, shift=0)
     score = ala_general(
-        l0, grad, hess, prec, theta0=beta, prior_logdet=logdet_p0,
+        -value, grad, hess, prec, theta0=beta, prior_logdet=logdet_p0,
         method=f"ala-refined({k})",
     )
     score.diagnostics.update(diag)
@@ -1435,10 +1499,7 @@ def la_aft(
     factor = _chol(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * _chol_logdet(factor)
     return MarginalScore(
-        float(log_ml),
-        "la",
-        theta,
-        {"iterations": len(trace), "grad_norm": float(np.max(np.abs(grad)))},
+        float(log_ml), "la", theta, _newton_diagnostics(trace, grad, True)
     )
 
 
@@ -1554,9 +1615,10 @@ class ModelScorer:
         return self.marginal(bits).log_ml
 
     def log_score(self, bits) -> float:
-        value = self.marginal(bits).log_ml
+        key = tuple(getattr(bits, "bits", bits))
+        value = self.marginal(key).log_ml
         if self.model_prior is not None:
-            value += log_model_prior_unnorm(tuple(bits), self.model_prior)
+            value += log_model_prior_unnorm(key, self.model_prior)
         return float(value)
 
     def score_many(self, models) -> np.ndarray:
@@ -1594,6 +1656,10 @@ class ModelScorer:
     def n_scored(self) -> int:
         """Distinct models whose marginal this scorer has computed."""
         return len(self._memo)
+
+    def diagnostic_sum(self, key: str) -> float:
+        """Sum of one per-model diagnostic over the models scored so far."""
+        return sum(score.diagnostics.get(key, 0) for score in self._memo.values())
 
 
 class AftScorer:
@@ -1638,9 +1704,10 @@ class AftScorer:
         return self.marginal(bits).log_ml
 
     def log_score(self, bits) -> float:
-        value = self.marginal(bits).log_ml
+        key = tuple(getattr(bits, "bits", bits))
+        value = self.marginal(key).log_ml
         if self.model_prior is not None:
-            value += log_model_prior_unnorm(tuple(bits), self.model_prior)
+            value += log_model_prior_unnorm(key, self.model_prior)
         return float(value)
 
     def score_many(self, models) -> np.ndarray:
@@ -1653,3 +1720,7 @@ class AftScorer:
     def n_scored(self) -> int:
         """Distinct models whose marginal this scorer has computed."""
         return len(self._memo)
+
+    def diagnostic_sum(self, key: str) -> float:
+        """Sum of one per-model diagnostic over the models scored so far."""
+        return sum(score.diagnostics.get(key, 0) for score in self._memo.values())

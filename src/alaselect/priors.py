@@ -197,10 +197,3 @@ def log_model_prior_unnorm(bits, spec: ModelPriorSpec) -> float:
     j = spec.n_free
     log_choose = gammaln(j + 1.0) - gammaln(k + 1.0) - gammaln(j - k + 1.0)
     return -spec.c_exponent * k * np.log(spec.p_total) - log_choose
-
-
-def log_model_prior_ratio(bits_new, bits_old, spec: ModelPriorSpec) -> float:
-    """Log prior odds of ``bits_new`` against ``bits_old``."""
-    return log_model_prior_unnorm(bits_new, spec) - log_model_prior_unnorm(
-        bits_old, spec
-    )

@@ -3,13 +3,17 @@
 Everything in this module is assembled from plain numpy linear algebra and
 scipy distribution functions, sharing no code paths with the package
 itself.  Agreement between these references and the library is therefore a
-genuine two-route check, not a tautology.
+genuine two-route check, not a tautology.  The one exception is the Newton
+reference at the end, which checks the engines' bookkeeping rather than the
+family algebra: it calls the package's ``loglik`` and ``grad_hess``, whose
+derivatives the acceptance tests check against finite differences.
 """
 
 import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
+from alaselect import families as fam
 from alaselect.data_model import DesignMatrix
 
 
@@ -258,3 +262,142 @@ def total_variation(models_a, probs_a, models_b, probs_b):
     mass_b = {tuple(m): float(p) for m, p in zip(models_b, probs_b)}
     keys = set(mass_a) | set(mass_b)
     return 0.5 * sum(abs(mass_a.get(k, 0.0) - mass_b.get(k, 0.0)) for k in keys)
+
+
+# ----------------------------------------------------------------------
+# Laplace approximation by a reference damped Newton
+# ----------------------------------------------------------------------
+
+
+def _reference_damped_newton(objective, theta0, tol=1e-8, max_iter=100, positive=()):
+    """Newton steps with halving, the acceptance rule and the |value|-scaled
+    tolerances of the engine, with every objective evaluated from the data
+    (the start included).  Returns ``(theta, value, grad, hess, iterations,
+    evaluations)``."""
+    theta = np.array(theta0, dtype=np.float64)
+    value, grad, hess = objective(theta)
+    evaluations = 1
+    assert np.isfinite(value)
+    for iteration in range(max_iter):
+        if np.max(np.abs(grad)) <= tol:
+            return theta, value, grad, hess, iteration, evaluations
+        step = np.linalg.solve(hess, grad)
+        if 0.5 * float(grad @ step) <= 1e-13 * (1.0 + abs(value)):
+            return theta, value, grad, hess, iteration, evaluations
+        slack = 1e-13 * (1.0 + abs(value))
+        scale = 1.0
+        for _ in range(60):
+            candidate = theta - scale * step
+            if any(candidate[i] <= 0.0 for i in positive):
+                scale *= 0.5
+                continue
+            cand = objective(candidate)
+            evaluations += 1
+            if np.isfinite(cand[0]) and (
+                cand[0] < value
+                or (
+                    cand[0] <= value + slack
+                    and np.max(np.abs(cand[1])) < np.max(np.abs(grad))
+                )
+            ):
+                break
+            scale *= 0.5
+        else:
+            raise AssertionError("reference line search stalled")
+        theta = candidate
+        value, grad, hess = cand
+    raise AssertionError("reference Newton did not converge")
+
+
+def block_zellner_precision(design, bits, g):
+    """Dispersion-free block Zellner precision over the active columns,
+    ``(p_j / (g n)) Z_j' Z_j`` per group, and its log determinant."""
+    cols = design.columns_for(bits)
+    prec = np.zeros((cols.size, cols.size))
+    at = 0
+    for j, on in enumerate(bits):
+        if on:
+            z = group_columns(design, j)
+            p_j = z.shape[1]
+            prec[at : at + p_j, at : at + p_j] = p_j / (g * design.n) * (z.T @ z)
+            at += p_j
+    return prec, (np.linalg.slogdet(prec)[1] if cols.size else 0.0)
+
+
+def reference_la(design, bits, y, family, g, phi_prior=None):
+    """Laplace approximation of one model under the block Zellner prior, by
+    the objective with separate ``loglik`` and ``grad_hess`` calls, started
+    at zero coefficients (and the null dispersion estimate when phi is
+    unknown).  Returns ``(log_ml, mode, iterations, evaluations)``."""
+    cols = design.columns_for(bits)
+    z = design.values[:, cols]
+    p = cols.size
+    prec_bar, logdet_bar = block_zellner_precision(design, bits, g)
+    if family.phi_known:
+        phi = float(family.phi)
+        prec = prec_bar / phi
+
+        def objective(beta):
+            _, grad, hess = fam.grad_hess(family, z, y, beta, phi)
+            value = -fam.loglik(family, z @ beta, y, phi) + 0.5 * float(
+                beta @ prec @ beta
+            )
+            return value, grad + prec @ beta, hess + prec
+
+        theta, value, grad, hess, its, evals = _reference_damped_newton(
+            objective, np.zeros(p)
+        )
+        log_ml = (
+            -value
+            + 0.5 * (logdet_bar - p * np.log(phi))
+            - 0.5 * np.linalg.slogdet(hess)[1]
+            + 0.5 * float(grad @ np.linalg.solve(hess, grad))
+        )
+        return log_ml, theta, its, evals
+    a, b = phi_prior
+    const = 0.5 * p * np.log(2.0 * np.pi) - 0.5 * logdet_bar - a * np.log(b) + gammaln(a)
+
+    def objective(theta):
+        beta, phi = theta[:p], theta[p]
+        _, g_lik, h_lik = fam.grad_hess(family, z, y, beta, phi)
+        quad = float(beta @ prec_bar @ beta)
+        value = (
+            -fam.loglik(family, z @ beta, y, phi)
+            + 0.5 * p * np.log(phi)
+            + 0.5 * quad / phi
+            + (a + 1.0) * np.log(phi)
+            + b / phi
+            + const
+        )
+        grad = g_lik.copy()
+        grad[:p] += prec_bar @ beta / phi
+        grad[p] += 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
+        hess = h_lik.copy()
+        hess[:p, :p] += prec_bar / phi
+        hess[:p, p] -= prec_bar @ beta / phi**2
+        hess[p, :p] -= prec_bar @ beta / phi**2
+        hess[p, p] += (
+            -0.5 * p / phi**2 + quad / phi**3 - (a + 1.0) / phi**2 + 2.0 * b / phi**3
+        )
+        return value, grad, hess
+
+    theta0 = np.append(np.zeros(p), fam.phi0_mle(family, y))
+    theta, value, grad, hess, its, evals = _reference_damped_newton(
+        objective, theta0, positive=(p,)
+    )
+    log_ml = -value + 0.5 * (p + 1) * np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(hess)[1]
+    return log_ml, theta, its, evals
+
+
+def reference_refined_expansion(design, bits, y, family, k):
+    """Point, log-likelihood, gradient and Hessian after ``k`` undamped
+    Newton steps on the log-likelihood from zero, each step from separate
+    ``grad_hess`` calls and the final value from ``loglik``."""
+    z = design.values[:, design.columns_for(bits)]
+    phi = float(family.phi)
+    beta = np.zeros(z.shape[1])
+    for _ in range(k):
+        _, grad, hess = fam.grad_hess(family, z, y, beta, phi)
+        beta = beta - np.linalg.solve(hess, grad)
+    _, grad, hess = fam.grad_hess(family, z, y, beta, phi)
+    return beta, fam.loglik(family, z @ beta, y, phi), grad, hess

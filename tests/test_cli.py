@@ -162,6 +162,13 @@ class TestSelectCommand:
         assert meta["n"] == 40 and meta["p"] == 3 and meta["n_groups"] == 3
         assert meta["n_models_scored"] == 8
         assert meta["support_size"] == 8
+        assert "la_newton_evaluations" not in meta
+        out_la = tmp_path / "run-la"
+        _select(data, groups, out_la, "--family", "gaussian", "--method", "la")
+        meta = json.loads((out_la / "meta.json").read_text())
+        # a Gaussian log-likelihood is quadratic: from the start read off the
+        # cache, one Newton step per non-empty model reaches the mode
+        assert meta["la_newton_evaluations"] == 7
 
     def test_gibbs_meta_counts_scored_models_beyond_the_support(
         self, gaussian_files, tmp_path

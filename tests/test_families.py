@@ -4,7 +4,7 @@ estimates, and the censored-Gaussian survival pieces."""
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaln, log_ndtr
+from scipy.special import expit, gammaln, log_ndtr
 
 from alaselect.errors import DegenerateResponse, NotConcave
 from alaselect.families import (
@@ -82,7 +82,7 @@ class TestGradHess:
         z = rng.normal(size=(25, 3))
         y = (rng.random(25) < 0.4).astype(np.float64)
         beta = rng.normal(size=3) * 0.5
-        g, h = grad_hess(logistic(), z, y, beta)
+        _, g, h = grad_hess(logistic(), z, y, beta)
         # returned derivatives are of the negative log likelihood
         fd_g = fd_grad(lambda b: -logistic_loglik_np(z, y, b), beta)
         fd_h = fd_hess(lambda b: -logistic_loglik_np(z, y, b), beta)
@@ -93,7 +93,7 @@ class TestGradHess:
         z = rng.normal(size=(25, 2))
         y = rng.poisson(1.5, size=25).astype(np.float64)
         beta = np.array([0.2, -0.4])
-        g, h = grad_hess(poisson(), z, y, beta)
+        _, g, h = grad_hess(poisson(), z, y, beta)
         fd_g = fd_grad(lambda b: -poisson_loglik_np(z, y, b), beta)
         fd_h = fd_hess(lambda b: -poisson_loglik_np(z, y, b), beta)
         assert max_rel_err(g, fd_g) < 1e-6
@@ -106,7 +106,7 @@ class TestGradHess:
         y = z @ np.array([0.5, -0.3]) + rng.normal(size=30)
         beta = np.array([0.3, 0.1])
         phi = 0.9
-        g, h = grad_hess(gaussian_unknown(), z, y, beta, phi=phi)
+        _, g, h = grad_hess(gaussian_unknown(), z, y, beta, phi=phi)
 
         def negll(theta):
             return -gaussian_loglik_np(z, y, theta[:2], theta[2])
@@ -120,10 +120,47 @@ class TestGradHess:
         cross product and the hessian is the scaled Gram matrix."""
         z = rng.normal(size=(40, 3))
         y = rng.poisson(1.0, size=40).astype(np.float64)
-        g, h = grad_hess(poisson(), z, y, np.zeros(3))
+        _, g, h = grad_hess(poisson(), z, y, np.zeros(3))
         # canonical Poisson at zero: mean 1, variance 1
         np.testing.assert_allclose(g, -z.T @ (y - 1.0), atol=1e-10)
         np.testing.assert_allclose(h, z.T @ z, atol=1e-10)
+
+
+    def test_value_is_the_negative_loglik(self, rng):
+        """The value comes from the same pass as the derivatives; a given
+        ``c_sum`` replaces the response-only term."""
+        z = rng.normal(size=(30, 2))
+        beta = np.array([0.3, -0.2])
+        y_counts = rng.poisson(1.2, size=30).astype(np.float64)
+        cases = [
+            (logistic(), (rng.random(30) < 0.4).astype(np.float64), None),
+            (poisson(), y_counts, None),
+            (gaussian(0.8), rng.normal(size=30), None),
+            (gaussian_unknown(), rng.normal(size=30), 1.3),
+        ]
+        for family, y, phi in cases:
+            value, _, _ = grad_hess(family, z, y, beta, phi)
+            ll = loglik(family, z @ beta, y, phi)
+            np.testing.assert_allclose(value, -ll, rtol=1e-13)
+        value, _, _ = grad_hess(poisson(), z, y_counts, beta, c_sum=0.0)
+        c_sum = -gammaln(y_counts + 1.0).sum()
+        np.testing.assert_allclose(
+            value, -loglik(poisson(), z @ beta, y_counts) + c_sum, rtol=1e-13
+        )
+
+    def test_overflowing_predictor_gives_inf_and_nan_derivatives(self):
+        value, g, h = grad_hess(
+            poisson(), np.array([[800.0]]), np.array([1.0]), np.array([1.0])
+        )
+        assert value == np.inf
+        assert np.isnan(g).all() and np.isnan(h).all()
+
+    def test_logistic_cumulant_is_stable_in_both_tails(self):
+        u = np.array([-800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0])
+        b, bp, bpp = logistic().cumulant(u)
+        np.testing.assert_allclose(b, np.logaddexp(0.0, u), rtol=1e-15)
+        np.testing.assert_allclose(bp, expit(u), rtol=1e-15)
+        np.testing.assert_allclose(bpp, expit(u) * expit(-u), rtol=1e-15)
 
 
 class TestDispersionEstimate:

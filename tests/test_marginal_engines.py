@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
+import alaselect.families as fam
 import alaselect.marginal_engines as me
 from alaselect.data_model import (
     ConstraintSet,
@@ -31,10 +32,13 @@ from alaselect.families import (
 from alaselect.priors import ModelPriorSpec, ParamPriorSpec, log_model_prior_unnorm
 
 from tests.oracles import (
+    block_zellner_precision,
     conjugate_known_phi_log_ml,
     conjugate_unknown_phi_log_ml,
     logistic_loglik_np,
     make_design,
+    reference_la,
+    reference_refined_expansion,
     zero_expansion_unknown_phi_log_ml,
 )
 
@@ -143,16 +147,24 @@ class TestKnownDispersionExactness:
         )
 
     def test_bayes_factor_is_score_minus_null(self, rng):
+        """The log Bayes factor against the empty model, log_ml(model) -
+        log_ml(null), is the exact Gaussian one, and the null score is the
+        likelihood at zero."""
         design = make_design(rng, 30, [1, 1])
         y = rng.normal(size=30)
         cache = build_cache(design, y, gaussian(1.0))
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
-        model = design.model((1, 0))
-        null = design.model((0, 0))
-        bf = me.ala_bf_known_phi(model, cache, gaussian(1.0), prior)
-        s_model = me.ala_expfam_known_phi(model, cache, gaussian(1.0), prior)
-        s_null = me.ala_expfam_known_phi(null, cache, gaussian(1.0), prior)
-        np.testing.assert_allclose(bf, s_model.log_ml - s_null.log_ml, atol=1e-10)
+        scorer = me.ModelScorer(cache, gaussian(1.0), prior)
+        null = (0, 0)
+        np.testing.assert_allclose(
+            scorer.log_ml(null), stats.norm.logpdf(y).sum(), atol=1e-10
+        )
+        for bits in [(1, 0), (0, 1), (1, 1)]:
+            bf = scorer.log_ml(bits) - scorer.log_ml(null)
+            exact = conjugate_known_phi_log_ml(
+                design, bits, y, 1.0, 1.0
+            ) - conjugate_known_phi_log_ml(design, null, y, 1.0, 1.0)
+            np.testing.assert_allclose(bf, exact, atol=1e-10)
 
 
 class TestPluginVariant:
@@ -679,6 +691,29 @@ class TestScorers:
             atol=1e-12,
         )
 
+    def test_log_score_accepts_a_model_identifier(self, rng):
+        """A ``ModelId`` and its bit tuple get the same score, model prior
+        included, from both scorers."""
+        design = make_design(rng, 30, [1, 1])
+        cache = build_cache(design, rng.normal(size=30), gaussian(1.0))
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+        model_prior = ModelPriorSpec(n_groups=2, p_total=2, c_exponent=1.0)
+        scorer = me.ModelScorer(cache, gaussian(1.0), prior, model_prior=model_prior)
+        assert scorer.log_score(design.model((1, 0))) == scorer.log_score((1, 0))
+
+        design, data = _survival_sample(rng)
+        ctx = me.build_aft_context(design, data)
+        prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
+        model_prior = ModelPriorSpec(n_groups=3, p_total=3, c_exponent=1.0)
+        scorer = me.AftScorer(ctx, prior, model_prior)
+        model = design.model((1, 0, 1))
+        assert scorer.log_score(model) == scorer.log_score((1, 0, 1))
+        np.testing.assert_allclose(
+            scorer.log_score(model),
+            scorer.log_ml(model) + log_model_prior_unnorm((1, 0, 1), model_prior),
+            atol=1e-12,
+        )
+
     def test_unknown_method_is_rejected(self, rng):
         design = make_design(rng, 10, [1])
         cache = build_cache(design, rng.normal(size=10), gaussian(1.0))
@@ -910,3 +945,162 @@ class TestScalingBehavior:
             design_rot.model(bits), cache_rot, gaussian(1.0), prior
         )
         np.testing.assert_allclose(score.log_ml, score_rot.log_ml, atol=1e-8)
+
+
+_PARITY_FAMILIES = {
+    "poisson": poisson,
+    "logistic": logistic,
+    "gaussian": lambda: gaussian(0.7),
+    "gaussian-unknown": gaussian_unknown,
+}
+_PARITY_CASES = [
+    (name, center)
+    for name in _PARITY_FAMILIES
+    for center in ("zero", "intercept-mle")
+    # the unknown-dispersion engines expand at zero only
+    if not (name == "gaussian-unknown" and center == "intercept-mle")
+]
+
+
+def _parity_data(name, seed=31, n=300):
+    """A grouped design with an intercept group and a response with a few
+    moderate effects."""
+    rng = np.random.default_rng(seed)
+    design = make_design(rng, n, [2, 1, 3, 1], intercept=True)
+    beta = np.zeros(design.p)
+    beta[[0, 1, 3, 5]] = [0.2, 0.35, -0.3, 0.25]
+    eta = design.values @ beta
+    kind = "gaussian" if name.startswith("gaussian") else name
+    return design, _glm_response(rng, kind, eta)
+
+
+_PARITY_MODELS = [(1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 1, 1, 1, 0), (1, 1, 1, 1, 1)]
+
+
+class TestNewtonParity:
+    """The Laplace engine reads its first Newton evaluation from the cache
+    and fuses each later one into one pass; it must take the iterates of
+    the plain objective with separate likelihood and derivative calls."""
+
+    @pytest.mark.parametrize("name,center", _PARITY_CASES)
+    def test_la_matches_the_reference_newton(self, name, center):
+        design, y = _parity_data(name)
+        family = _PARITY_FAMILIES[name]()
+        cache = build_cache(design, y, family, center=center)
+        phi_prior = None if family.phi_known else (0.5, 0.7)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3, phi_prior=phi_prior)
+        for bits in _PARITY_MODELS:
+            score = me.la_marginal(design.model(bits), cache, family, prior)
+            log_ml, mode, iterations, _ = reference_la(
+                design, bits, y, family, 1.3, phi_prior
+            )
+            np.testing.assert_allclose(score.log_ml, log_ml, rtol=1e-10)
+            assert score.diagnostics["iterations"] == iterations
+            np.testing.assert_allclose(score.expansion, mode, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["poisson", "logistic", "gaussian"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_refined_matches_the_general_expansion(self, name, k):
+        design, y = _parity_data(name)
+        family = _PARITY_FAMILIES[name]()
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        for bits in _PARITY_MODELS:
+            beta, loglik, grad, hess = reference_refined_expansion(
+                design, bits, y, family, k
+            )
+            prec, logdet = block_zellner_precision(design, bits, 1.3)
+            phi = float(family.phi)
+            reference = me.ala_general(
+                loglik, grad, hess, prec / phi, theta0=beta,
+                prior_logdet=logdet - beta.size * np.log(phi),
+            )
+            score = me.ala_refined(design.model(bits), cache, family, prior, k=k)
+            np.testing.assert_allclose(score.log_ml, reference.log_ml, rtol=1e-10)
+            np.testing.assert_allclose(score.expansion, reference.expansion, atol=1e-8)
+            assert score.diagnostics["steps_taken"] == k
+
+
+def _counting(monkeypatch):
+    """Count calls of ``families.grad_hess``, the n-length evaluation."""
+    calls = []
+    original = fam.grad_hess
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fam, "grad_hess", counted)
+    return calls
+
+
+def _counting_c(family):
+    """``family`` with its response-only term ``c`` wrapped by a counter."""
+    calls = []
+
+    def c(y, phi):
+        calls.append(1)
+        return family.c(y, phi)
+
+    return dataclasses.replace(family, c=c), calls
+
+
+class TestNewtonCost:
+    """What each Laplace score costs in passes over the data."""
+
+    @pytest.mark.parametrize("name", ["poisson", "logistic", "gaussian"])
+    def test_each_evaluation_is_one_pass_and_the_start_is_free(
+        self, name, monkeypatch
+    ):
+        design, y = _parity_data(name)
+        family, c_calls = _counting_c(_PARITY_FAMILIES[name]())
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        screen = me.ModelScorer(cache, family, prior)
+        la = me.ModelScorer(cache, family, prior, method="la")
+        calls = _counting(monkeypatch)
+        models = [m.bits for m in enumerate_models(5, intercept_group=0)]
+        screen.score_many(models)
+        assert not calls
+        for bits in models:
+            before = len(calls)
+            score = la.marginal(bits)
+            diag = score.diagnostics
+            # moderate effects: every full Newton step is accepted
+            assert diag["evaluations"] == diag["iterations"]
+            assert len(calls) - before == diag["iterations"]
+        # the response-only term is computed once for the cache
+        assert len(c_calls) == 1
+        assert la.diagnostic_sum("evaluations") == len(calls) > 0
+
+    def test_rejected_first_step_still_converges_to_the_reference(self, monkeypatch):
+        """A strong Poisson effect sends the first full step from zero far
+        past the mode, where the cumulant overflows; halving recovers."""
+        rng = np.random.default_rng(8)
+        n = 200
+        design = make_design(rng, n, [1, 1], intercept=True)
+        y = rng.poisson(np.exp(2.5 * design.values[:, 1])).astype(float)
+        family = poisson()
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+        bits = (1, 1, 0)
+        calls = _counting(monkeypatch)
+        score = me.la_marginal(design.model(bits), cache, family, prior)
+        diag = score.diagnostics
+        assert diag["evaluations"] > diag["iterations"]
+        assert len(calls) == diag["evaluations"]
+        log_ml, mode, iterations, evaluations = reference_la(
+            design, bits, y, family, 1.0
+        )
+        np.testing.assert_allclose(score.log_ml, log_ml, rtol=1e-10)
+        assert diag["iterations"] == iterations
+        # the reference also evaluates the start from the data
+        assert diag["evaluations"] == evaluations - 1
+        np.testing.assert_allclose(score.expansion, mode, atol=1e-8)
+        # a given start is evaluated from the data, and lands on the same mode
+        for start in (mode, 0.5 * mode):
+            del calls[:]
+            again = me.la_marginal(design.model(bits), cache, family, prior, start=start)
+            np.testing.assert_allclose(again.log_ml, log_ml, rtol=1e-10)
+            np.testing.assert_allclose(again.expansion, mode, atol=1e-8)
+            assert len(calls) == again.diagnostics["evaluations"] >= 1

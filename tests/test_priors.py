@@ -14,7 +14,6 @@ from alaselect.priors import (
     log_gmom,
     log_gzellner,
     log_invgamma,
-    log_model_prior_ratio,
     log_model_prior_unnorm,
     log_tau_prior,
 )
@@ -171,7 +170,9 @@ class TestModelPrior:
 
     def test_single_flip_ratio_is_minus_log_two_for_two_groups(self):
         spec = ModelPriorSpec(n_groups=2, p_total=2, c_exponent=0.0)
-        ratio = log_model_prior_ratio((1, 0), (0, 0), spec)
+        ratio = log_model_prior_unnorm((1, 0), spec) - log_model_prior_unnorm(
+            (0, 0), spec
+        )
         np.testing.assert_allclose(ratio, -np.log(2.0), atol=1e-12)
 
     def test_complexity_exponent_penalizes_size(self):
@@ -215,11 +216,20 @@ class TestModelPrior:
         )
 
     def test_ratio_is_the_difference_of_masses(self):
+        """The prior odds of adding one group to a size-k model, a
+        difference of unnormalized masses, are -c log p - log((J-k)/(k+1))."""
         spec = ModelPriorSpec(n_groups=5, p_total=5, c_exponent=0.5)
         new, old = (1, 1, 0, 1, 0), (1, 0, 0, 1, 0)
         np.testing.assert_allclose(
-            log_model_prior_ratio(new, old, spec),
             log_model_prior_unnorm(new, spec) - log_model_prior_unnorm(old, spec),
+            -0.5 * np.log(5.0) - np.log(3.0 / 3.0),
+            atol=1e-12,
+        )
+        # with a forced intercept the odds use the free counts only
+        spec = ModelPriorSpec(n_groups=5, p_total=5, c_exponent=0.5, intercept_group=0)
+        np.testing.assert_allclose(
+            log_model_prior_unnorm(new, spec) - log_model_prior_unnorm(old, spec),
+            -0.5 * np.log(5.0) - np.log(3.0 / 2.0),
             atol=1e-12,
         )
 
