@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .data_model import (
     ConstraintSet,
     DesignMatrix,
-    GramStore,
+    Gram,
     ModelId,
     SuffStatsCache,
     build_cache,
@@ -65,7 +65,7 @@ __all__ = [
     "DegenerateResponse",
     "DesignMatrix",
     "FamilySpec",
-    "GramStore",
+    "Gram",
     "ImportanceReport",
     "InvalidModel",
     "MarginalScore",

@@ -25,8 +25,7 @@ from scipy.special import gammaln, log_ndtr
 from . import families as fam
 from .data_model import (
     DesignMatrix,
-    GramStore,
-    GroupBlocks,
+    Gram,
     ModelId,
     SuffStatsCache,
     ls_solve,
@@ -42,9 +41,9 @@ from .errors import (
     ToleranceNotMet,
 )
 from .priors import (
+    BlockPrior,
     ModelPriorSpec,
     ParamPriorSpec,
-    log_gzellner,
     log_invgamma,
     log_model_prior_unnorm,
     log_tau_prior,
@@ -125,53 +124,6 @@ def _at_zero(cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols):
         -w * cache.zty[cols],
         w * cache.gram.block(cols),
     )
-
-
-def _block_precision(
-    model: ModelId, cache: SuffStatsCache, g: float, phi: float, shift: int = 0
-):
-    """Dense Normal-prior precision over the active columns plus its logdet.
-
-    Block j is ``(p_j + shift) / (g n phi)`` times the Gram block, so shift 0
-    is the block Zellner precision and shift 2 the product-moment kernel.
-    """
-    k = model.p_gamma
-    n = cache.n
-    prec = np.zeros((k, k))
-    logdet = 0.0
-    offset = 0
-    for j in model.active_groups:
-        pj = cache.design.group_size(j)
-        coef = (pj + shift) / (g * n * phi)
-        prec[offset : offset + pj, offset : offset + pj] = coef * cache.group_block(j)
-        logdet += pj * np.log(coef) + cache.group_logdet(j)
-        offset += pj
-    return prec, logdet
-
-
-def _log_block_normal(
-    beta: np.ndarray,
-    model: ModelId,
-    cache: SuffStatsCache,
-    g: float,
-    phi: float,
-    shift: int = 0,
-) -> float:
-    """Log density of the block Normal with covariance scale g n / (p_j+shift)."""
-    total = 0.0
-    offset = 0
-    n = cache.n
-    for j in model.active_groups:
-        pj = cache.design.group_size(j)
-        bj = beta[offset : offset + pj]
-        offset += pj
-        half = cache.group_chol(j).T @ bj
-        quad = float(half @ half)
-        scale = phi * g * n / (pj + shift)
-        total += -0.5 * (
-            pj * _LOG_2PI + pj * np.log(scale) - cache.group_logdet(j) + quad / scale
-        )
-    return float(total)
 
 
 def ala_general(
@@ -274,10 +226,11 @@ def _known_phi_core(
         out["score"] = l0
         out["beta_tilde"] = np.empty(0)
         return out
-    xtx, xty = submodel_stats(cache, model)
+    cols = cache.design.columns_for(model.bits)
+    xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
-    prec, logdet_p0 = _block_precision(model, cache, g, phi, shift)
+    prec, logdet_p0 = cache.block_prior.precision(cols, g, phi, shift, xtx)
     h_joint = (rho * bpp / phi) * xtx + prec
     factor = _chol(h_joint)
     g_joint = -(bpp / phi) * xty
@@ -290,10 +243,8 @@ def _known_phi_core(
         chol=factor,
         rho_hat=rho,
         quad=quad,
+        cols=cols,
         xtx=xtx,
-        xty=xty,
-        logdet_p0=logdet_p0,
-        logdet_h=logdet_h,
     )
     return out
 
@@ -335,14 +286,15 @@ def ala_expfam_known_phi(
     l0 = _loglik_at_center(cache, family, phi)
     if model.p_gamma == 0:
         return MarginalScore(l0, method, np.empty(0), {"phi": phi})
-    xtx, xty = submodel_stats(cache, model)
+    cols = cache.design.columns_for(model.bits)
+    xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
     score = ala_plugin(
         l0,
         -(bpp / phi) * xty,
         (rho * bpp / phi) * xtx,
-        lambda b: log_gzellner(b, model, cache, prior.g, phi),
+        lambda b: cache.block_prior.log_density(b, cols, prior.g, phi, block=xtx),
         method=method,
     )
     score.diagnostics.update(phi=phi, rho_hat=rho, variant=variant)
@@ -421,7 +373,8 @@ def ala_expfam_unknown_phi(
         return MarginalScore(
             float(log_ml), "ala", np.array([phi0]), {"phi0": phi0}
         )
-    xtx, xty = submodel_stats(cache, model)
+    cols = cache.design.columns_for(model.bits)
+    xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = st["bpp0"]
     factor = bpp / phi0
     hess = np.empty((p + 1, p + 1))
@@ -438,8 +391,8 @@ def ala_expfam_unknown_phi(
     diag = {"phi0": phi0, "phi_tilde": phi_tilde, "quad": quad}
     if not phi_tilde > 0.0:
         return MarginalScore(-np.inf, "ala", expansion, diag)
-    log_prior = _log_block_normal(
-        beta_tilde, model, cache, prior.g, phi_tilde, shift=_kernel_shift
+    log_prior = cache.block_prior.log_density(
+        beta_tilde, cols, prior.g, phi_tilde, _kernel_shift, xtx
     ) + log_invgamma(phi_tilde, a, b)
     log_ml = (
         l0
@@ -449,40 +402,6 @@ def ala_expfam_unknown_phi(
         - 0.5 * _chol_logdet(chol)
     )
     return MarginalScore(float(log_ml), "ala", expansion, diag)
-
-
-def gmom_tilt(
-    model: ModelId,
-    cache: SuffStatsCache,
-    g: float,
-    mean: np.ndarray,
-    shape: np.ndarray,
-    rbar: float,
-) -> float:
-    """Log posterior expectation of the product-moment penalty.
-
-    ``mean`` and ``shape`` are the dispersion-free posterior moments of the
-    active coefficients (covariance = phi * shape), and ``rbar`` the
-    posterior mean of ``1/phi``.  Each active group contributes
-    ``log(tr(V_j S_jj) + rbar m_j' V_j m_j)`` with the penalty matrix
-    ``V_j = A_j (p_j + 2) / (n p_j g)``.
-    """
-    n = cache.n
-    total = 0.0
-    offset = 0
-    for j in model.active_groups:
-        pj = cache.design.group_size(j)
-        sl = slice(offset, offset + pj)
-        offset += pj
-        block = cache.group_block(j)
-        coef = (pj + 2) / (n * pj * g)
-        mj = mean[sl]
-        trace = float(np.sum(block * shape[sl, sl]))
-        value = coef * (trace + rbar * float(mj @ block @ mj))
-        if not value > 0.0:
-            return -np.inf
-        total += np.log(value)
-    return float(total)
 
 
 def ala_gmom(
@@ -509,11 +428,11 @@ def ala_gmom(
     if family.phi_known:
         phi = float(family.phi)
         core = _known_phi_core(model, cache, family, prior.g, curvature, shift=2)
-        sigma = scipy.linalg.cho_solve(
-            (core["chol"], True), np.eye(model.p_gamma)
-        )
-        tilt = gmom_tilt(
-            model, cache, prior.g, core["beta_tilde"], sigma / phi, 1.0 / phi
+        beta = core["beta_tilde"]
+        sigma = scipy.linalg.cho_solve((core["chol"], True), np.eye(model.p_gamma))
+        moment = (sigma + np.outer(beta, beta)) / phi
+        tilt = float(
+            cache.block_prior.log_penalty(core["cols"], moment, prior.g, core["xtx"])
         )
         return MarginalScore(
             float(core["score"] + tilt),
@@ -532,21 +451,16 @@ def ala_gmom(
     local = ala_expfam_unknown_phi(model, cache, family, prior, _kernel_shift=2)
     if not np.isfinite(local.log_ml):
         return MarginalScore(local.log_ml, "ala-gmom", local.expansion, local.diagnostics)
-    xtx, xty = submodel_stats(cache, model)
-    n = cache.n
-    scaled = np.array(xtx, copy=True)
-    offset = 0
-    for j in model.active_groups:
-        pj = cache.design.group_size(j)
-        sl = slice(offset, offset + pj)
-        scaled[sl, sl] += ((pj + 2) / (prior.g * n)) * cache.group_block(j)
-        offset += pj
-    factor = _chol(scaled)
+    cols = cache.design.columns_for(model.bits)
+    xtx, xty = cache.gram.block(cols), cache.zty[cols]
+    kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
+    factor = _chol(xtx + kernel)
     shape = scipy.linalg.cho_solve((factor, True), np.eye(model.p_gamma))
     mean = shape @ xty
     fit = ls_solve(xtx, xty, jitter=True)
-    rbar = (a + n) / (b + cache.yty - fit.quad)
-    tilt = gmom_tilt(model, cache, prior.g, mean, shape, rbar)
+    rbar = (a + cache.n) / (b + cache.yty - fit.quad)
+    moment = shape + rbar * np.outer(mean, mean)
+    tilt = float(cache.block_prior.log_penalty(cols, moment, prior.g, xtx))
     diag = dict(local.diagnostics)
     diag.update(tilt=tilt, rbar=rbar, jittered=fit.jittered)
     return MarginalScore(
@@ -571,24 +485,6 @@ def _lower_inverse(factor: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _stacked_gmom_tilt(xtx, same, groups, inv, beta, col_tilt, phi):
-    """``gmom_tilt`` for a stack of models of one dimension.
-
-    Per group, ``(p_j+2)/(n p_j g) tr(A_j (Sigma_jj + m_j m_j')) / phi``
-    with ``Sigma = inv' inv``; its log is summed over the groups, and a
-    model with a non-positive group value gets -inf.
-    """
-    sigma = np.einsum("bki,bkj->bij", inv, inv)
-    moment = sigma + beta[:, :, None] * beta[:, None, :]
-    per_col = np.sum(xtx * same * moment, axis=2) / phi
-    totals = np.einsum("bij,bj->bi", same, per_col)
-    first = np.ones_like(same[:, 0])
-    first[:, 1:] = groups[:, 1:] != groups[:, :-1]
-    value = np.where(first, col_tilt * totals, 1.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.where(value > 0.0, value, 0.0)).sum(axis=1)
-
-
 def ala_known_phi_many(
     models: Sequence[ModelId],
     cache: SuffStatsCache,
@@ -602,11 +498,11 @@ def ala_known_phi_many(
     exact Normal integral) or ``ala_gmom`` (product-moment prior) returns
     for each model, up to rounding.  Models of one dimension share a
     stacked Cholesky factorization and one batched triangular solve; their
-    Gram entries come from one dense block holding exactly the column pairs
-    that occur together in some model, so the store takes the same dot
-    products as scoring the models one at a time.  Raises
-    ``numpy.linalg.LinAlgError`` when a stacked curvature is not positive
-    definite and ``NotInvertible`` when a group's Gram block is singular.
+    Gram blocks are gathered from one block over the columns they use, so
+    the Gram fills the same columns as scoring the models one at a time.
+    Raises ``numpy.linalg.LinAlgError`` when a stacked curvature is not
+    positive definite and ``NotInvertible`` when a group's Gram block is
+    singular.
     """
     if not family.phi_known:
         raise ValueError("dispersion must be known for this engine")
@@ -617,25 +513,16 @@ def ala_known_phi_many(
     else:
         method = "ala" if curvature is None else "ala-curvadj"
     design = cache.design
-    n, g = cache.n, prior.g
+    block_prior = cache.block_prior
     phi = float(family.phi)
     l0 = _loglik_at_center(cache, family, phi)
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
-    sizes = np.asarray(design.group_sizes)
-    col_group = np.repeat(np.arange(design.n_groups), sizes)
-    col_prec = ((sizes + shift) / (g * n * phi))[col_group]
-    col_tilt = ((sizes + 2) / (n * sizes * g))[col_group]
     bits = np.array([m.bits for m in models], dtype=bool).reshape(
         len(models), design.n_groups
     )
-    col_mask = np.repeat(bits, sizes, axis=1)
+    col_mask = np.repeat(bits, design.group_sizes, axis=1)
     p_gamma = col_mask.sum(axis=1)
-    # log det of the prior precision, group by group
-    group_term = np.zeros(design.n_groups)
-    for j in np.flatnonzero(bits.any(axis=0)):
-        coef = (sizes[j] + shift) / (g * n * phi)
-        group_term[j] = sizes[j] * np.log(coef) + cache.group_logdet(j)
     out: list[Optional[MarginalScore]] = [None] * len(models)
     for i in np.flatnonzero(p_gamma == 0):
         if gmom:
@@ -649,25 +536,22 @@ def ala_known_phi_many(
             rows = members[lo : lo + step]
             mask = col_mask[rows]
             union = np.flatnonzero(mask.any(axis=0))
-            used = mask[:, union].astype(np.float64)
-            block = cache.gram.block_where(union, used.T @ used > 0.0)
+            block = cache.gram.block(union)
             pos = np.nonzero(mask[:, union])[1].reshape(rows.shape[0], k)
             cols = union[pos]
             xtx = block[pos[:, :, None], pos[:, None, :]]
-            groups = col_group[cols]
-            same = groups[:, :, None] == groups[:, None, :]
-            prec = xtx * same * col_prec[cols][:, :, None]
+            prec, logdet_p0 = block_prior.precision(cols, prior.g, phi, shift, xtx)
             factor = np.linalg.cholesky((rho * bpp / phi) * xtx + prec)
             inv = _lower_inverse(factor)
             half = np.einsum("bij,bj->bi", inv, -(bpp / phi) * cache.zty[cols])
             quad = np.einsum("bi,bi->b", half, half)
             beta = -np.einsum("bji,bj->bi", inv, half)
             logdet_h = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
-            score = l0 + 0.5 * bits[rows] @ group_term - 0.5 * logdet_h + 0.5 * quad
+            score = l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
             if gmom:
-                tilt = _stacked_gmom_tilt(
-                    xtx, same, groups, inv, beta, col_tilt[cols], phi
-                )
+                sigma = np.einsum("bki,bkj->bij", inv, inv)
+                moment = (sigma + beta[:, :, None] * beta[:, None, :]) / phi
+                tilt = block_prior.log_penalty(cols, moment, prior.g, xtx)
                 for r, i in enumerate(rows):
                     out[i] = MarginalScore(
                         float(score[r] + tilt[r]),
@@ -834,7 +718,7 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     Z = cache.design.values[:, cols]
     y = cache.y
     c_sum = _c_sum(cache, family, phi)
-    prec, logdet_p0 = _block_precision(model, cache, prior.g, phi, shift=0)
+    prec, logdet_p0 = cache.block_prior.precision(cols, prior.g, phi)
 
     def with_prior(beta, lik):
         value, g, h = lik
@@ -872,7 +756,7 @@ def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     y = cache.y
     st = _unknown_phi_stats(cache, family)
     # phi-free prior precision and its constants
-    prec_bar, logdet_bar = _block_precision(model, cache, prior.g, 1.0, shift=0)
+    prec_bar, logdet_bar = cache.block_prior.precision(cols, prior.g)
     prior_const = 0.5 * p * _LOG_2PI - 0.5 * logdet_bar - a * np.log(b) + gammaln(a)
 
     def with_prior(theta, lik):
@@ -986,7 +870,7 @@ def ala_refined(
         diag["note"] = note
     if not np.isfinite(value):
         return MarginalScore(-np.inf, f"ala-refined({k})", beta, diag)
-    prec, logdet_p0 = _block_precision(model, cache, prior.g, phi, shift=0)
+    prec, logdet_p0 = cache.block_prior.precision(cols, prior.g, phi)
     score = ala_general(
         -value, grad, hess, prec, theta0=beta, prior_logdet=logdet_p0,
         method=f"ala-refined({k})",
@@ -1149,8 +1033,9 @@ def exact_gmom_blockdiag(
         pj = cache.design.group_size(j)
         if pj > 2:
             raise ValueError("block quadrature supports groups of up to 2 columns")
-        block = cache.group_block(j)
         start, stop = cache.design.groups[j]
+        block = cache.gram.block(np.arange(start, stop))
+        logdet_a = np.linalg.slogdet(block)[1]
         uj = cache.zty[start:stop]
         kernel_cov = phi * g * n / (pj + 2)
         pen_coef = (pj + 2) / (n * pj * g * phi)
@@ -1163,7 +1048,7 @@ def exact_gmom_blockdiag(
                 log_pen = np.log(pen_coef * quad_a)
             log_kernel = (
                 -0.5 * pj * (_LOG_2PI + np.log(kernel_cov))
-                + 0.5 * cache.group_logdet(j)
+                + 0.5 * logdet_a
                 - 0.5 * quad_a / kernel_cov
             )
             return lin / phi - 0.5 * quad_a / phi + log_pen + log_kernel
@@ -1267,9 +1152,11 @@ def exact_gmom_mc(
     m_prec = np.array(xtx, copy=True)
     offset = 0
     for j in model.active_groups:
-        pj = cache.design.group_size(j)
+        start, stop = cache.design.groups[j]
+        pj = stop - start
         sl = slice(offset, offset + pj)
-        m_prec[sl, sl] += ((pj + 2) / (g * n)) * cache.group_block(j)
+        block = cache.gram.block(np.arange(start, stop))
+        m_prec[sl, sl] += ((pj + 2) / (g * n)) * block
         offset += pj
     m_factor = _chol(m_prec, NotInvertible, "kernel posterior precision")
     mean = scipy.linalg.cho_solve((m_factor, True), xty)
@@ -1299,10 +1186,11 @@ def exact_gmom_mc(
     log_pen = np.zeros(n_draws)
     offset = 0
     for j in model.active_groups:
-        pj = cache.design.group_size(j)
+        start, stop = cache.design.groups[j]
+        pj = stop - start
         sl = slice(offset, offset + pj)
         offset += pj
-        block = cache.group_block(j)
+        block = cache.gram.block(np.arange(start, stop))
         coef = (pj + 2) / (n * pj * g)
         quad_j = np.einsum("mi,ij,mj->m", draws[:, sl], block, draws[:, sl])
         log_pen += np.log(coef * quad_j / phi_draws)
@@ -1327,15 +1215,16 @@ class AftContext:
 
     ``tau0`` maximizes the covariate-free likelihood, where the gradient in
     tau vanishes.  The censoring weights are model independent there, so the
-    curvature of every sub-model assembles from one weighted Gram store.
+    curvature of every sub-model assembles from one weighted Gram; the
+    coefficient prior is built on the unweighted one.
     """
 
     design: DesignMatrix
     data: fam.SurvivalData
     tau0: float
     l0: float
-    wgram: GramStore
-    prior_blocks: GroupBlocks
+    wgram: Gram
+    block_prior: BlockPrior
     ztv: np.ndarray
     ztyw: np.ndarray
     h_tt: float
@@ -1370,32 +1259,12 @@ def build_aft_context(design: DesignMatrix, data: fam.SurvivalData) -> AftContex
         data=data,
         tau0=tau0,
         l0=float(l0),
-        wgram=GramStore(weighted),
-        prior_blocks=GroupBlocks(design, GramStore(design.values)),
+        wgram=Gram(weighted),
+        block_prior=BlockPrior(design, Gram(design.values)),
         ztv=design.values.T @ v,
         ztyw=design.values.T @ (y * weights),
         h_tt=float(n_o / tau0**2 + yo @ yo + (yc * yc) @ weights[~obs]),
     )
-
-
-def _aft_log_prior(ctx: AftContext, prior: ParamPriorSpec, model: ModelId, alpha, tau):
-    a, b = prior.phi_prior_required()
-    total = log_tau_prior(tau, a, b)
-    offset = 0
-    n = ctx.n
-    for j in model.active_groups:
-        pj = ctx.design.group_size(j)
-        aj = alpha[offset : offset + pj]
-        offset += pj
-        half = ctx.prior_blocks.chol(j).T @ aj
-        scale = prior.g * n / pj
-        total += -0.5 * (
-            pj * _LOG_2PI
-            + pj * np.log(scale)
-            - ctx.prior_blocks.logdet(j)
-            + float(half @ half) / scale
-        )
-    return float(total)
 
 
 def ala_aft(
@@ -1439,7 +1308,8 @@ def ala_aft(
     log_ml = (
         ctx.l0
         + 0.5 * quad
-        + _aft_log_prior(ctx, prior, model, alpha_tilde, tau_tilde)
+        + ctx.block_prior.log_density(alpha_tilde, cols, prior.g)
+        + log_tau_prior(tau_tilde, a, b)
         + 0.5 * (p + 1) * _LOG_2PI
         - 0.5 * _chol_logdet(factor)
     )
@@ -1461,18 +1331,10 @@ def la_aft(
     cols = ctx.design.columns_for(model.bits)
     Z = ctx.design.values[:, cols]
     fam.aft_concavity_check(Z, ctx.data)
-    n = ctx.n
-    prec = np.zeros((p, p))
-    prior_const = -a * np.log(b) + gammaln(a) - np.log(2.0)
-    offset = 0
-    for j in model.active_groups:
-        pj = ctx.design.group_size(j)
-        sl = slice(offset, offset + pj)
-        prec[sl, sl] = (pj / (prior.g * n)) * ctx.prior_blocks.block(j)
-        prior_const += 0.5 * (
-            pj * _LOG_2PI + pj * np.log(prior.g * n / pj) - ctx.prior_blocks.logdet(j)
-        )
-        offset += pj
+    prec, logdet = ctx.block_prior.precision(cols, prior.g)
+    prior_const = (
+        -a * np.log(b) + gammaln(a) - np.log(2.0) + 0.5 * (p * _LOG_2PI - logdet)
+    )
 
     def objective(theta):
         alpha, tau = theta[:p], theta[p]

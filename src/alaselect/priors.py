@@ -11,13 +11,16 @@ zero, which removes prior mass from near-null coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+import scipy.linalg.lapack
 from scipy.special import gammaln
 
-from .data_model import ConstraintSet, ModelId, SuffStatsCache
-from .errors import InvalidModel
+from .errors import InvalidModel, NotInvertible
+
+if TYPE_CHECKING:
+    from .data_model import ConstraintSet, DesignMatrix, Gram, ModelId, SuffStatsCache
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -53,6 +56,82 @@ class ParamPriorSpec:
         return self.phi_prior
 
 
+class BlockPrior:
+    """Block-diagonal Normal prior over the coefficient groups of a model.
+
+    Group j has precision ``c_j A_j``, with ``A_j`` the group's Gram block
+    and ``c_j = (p_j + shift) / (g n phi)``: shift 0 is the block Zellner
+    prior and shift 2 the product-moment kernel.  Methods take the model's
+    columns ``cols`` (whole groups in group order, as
+    ``DesignMatrix.columns_for`` gives them), or a (B, k) stack of such
+    column lists, and optionally the Gram block over them when the caller
+    has already gathered it.  ``log det A_j`` is computed once per group; a
+    group whose columns are linearly dependent raises ``NotInvertible``.
+    """
+
+    def __init__(self, design: DesignMatrix, gram: Gram):
+        self.design = design
+        self.gram = gram
+        self.sizes = np.asarray(design.group_sizes)
+        self.col_group = np.repeat(np.arange(design.n_groups), self.sizes)
+        # log det A_j / p_j, so that summing over a group's columns gives
+        # log det A_j; NaN until the group is first factorized
+        self._logdet_share = np.full(design.n_groups, np.nan)
+
+    def precision(self, cols, g, phi=1.0, shift=0, block=None):
+        """Dense precision over ``cols`` and its log determinant
+        ``sum_j p_j log c_j + log det A_j``."""
+        groups = self.col_group[cols]
+        if block is None:
+            block = self.gram.block(cols)
+        coef = ((self.sizes + shift) / (g * self.design.n * phi))[groups]
+        same = groups[..., :, None] == groups[..., None, :]
+        prec = block * same * coef[..., :, None]
+        logdet = np.sum(np.log(coef) + self._logdet_shares(groups), axis=-1)
+        return prec, logdet
+
+    def log_density(self, beta, cols, g, phi=1.0, shift=0, block=None) -> float:
+        """Log density at ``beta``, one coefficient per column of ``cols``."""
+        prec, logdet = self.precision(cols, g, phi, shift, block)
+        return float(-0.5 * (len(cols) * _LOG_2PI - logdet + beta @ prec @ beta))
+
+    def log_penalty(self, cols, moment, g, block=None):
+        """``sum_j log((p_j + 2) / (n p_j g) tr(A_j M_jj))`` for a second
+        moment ``M`` over ``cols`` (dispersion folded in): the log
+        product-moment penalty at ``beta`` for ``M = beta beta' / phi``, and
+        its posterior expectation for the posterior second moment.  A group
+        whose value is not positive makes it -inf.
+        """
+        groups = self.col_group[cols]
+        if block is None:
+            block = self.gram.block(cols)
+        same = groups[..., :, None] == groups[..., None, :]
+        per_col = np.sum(block * same * moment, axis=-1)
+        # every column of group j carries tr(A_j M_jj) and 1/p_j of its log
+        value = np.einsum("...ij,...j->...i", same, per_col)
+        value *= ((self.sizes + 2) / (g * self.design.n * self.sizes))[groups]
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.where(value > 0.0, value, 0.0))
+        return np.sum(logs / self.sizes[groups], axis=-1)
+
+    def _logdet_shares(self, groups: np.ndarray) -> np.ndarray:
+        """``log det A_j / p_j`` for each entry of ``groups``, factorizing
+        each group on first use.  A pivot below 1e-10 of its diagonal entry
+        (the scale of ``ls_solve``'s ridge) makes the block singular."""
+        shares = self._logdet_share[groups]
+        if not np.isnan(shares).any():
+            return shares
+        for j in np.unique(groups[np.isnan(shares)]):
+            start, stop = self.design.groups[j]
+            block = self.gram.block(np.arange(start, stop))
+            factor, info = scipy.linalg.lapack.dpotrf(block, lower=1)
+            pivots = np.diag(factor) ** 2
+            if info or np.any(pivots < 1e-10 * np.diag(block)):
+                raise NotInvertible(f"group {j} Gram block is singular")
+            self._logdet_share[j] = float(np.sum(np.log(pivots))) / (stop - start)
+        return self._logdet_share[groups]
+
+
 def log_gzellner(
     beta: np.ndarray,
     model: ModelId,
@@ -68,22 +147,8 @@ def log_gzellner(
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (model.p_gamma,):
         raise ValueError("beta length does not match the active columns")
-    n = cache.n
-    total = 0.0
-    offset = 0
-    for j in model.active_groups:
-        pj = cache.design.group_size(j)
-        bj = beta[offset : offset + pj]
-        offset += pj
-        quad = _gram_quad(cache, j, bj)
-        scale = phi * g * n / pj
-        total += -0.5 * (
-            pj * _LOG_2PI
-            + pj * np.log(scale)
-            - cache.group_logdet(j)
-            + quad / scale
-        )
-    return float(total)
+    cols = cache.design.columns_for(model.bits)
+    return cache.block_prior.log_density(beta, cols, g, phi)
 
 
 def log_gmom(
@@ -103,31 +168,11 @@ def log_gmom(
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (model.p_gamma,):
         raise ValueError("beta length does not match the active columns")
-    n = cache.n
-    total = 0.0
-    offset = 0
-    for j in model.active_groups:
-        pj = cache.design.group_size(j)
-        bj = beta[offset : offset + pj]
-        offset += pj
-        quad = _gram_quad(cache, j, bj)
-        scale = phi * g * n / (pj + 2)
-        penalty = quad * (pj + 2) / (n * pj * g * phi)
-        if penalty <= 0.0:
-            return -np.inf
-        total += np.log(penalty) - 0.5 * (
-            pj * _LOG_2PI
-            + pj * np.log(scale)
-            - cache.group_logdet(j)
-            + quad / scale
-        )
-    return float(total)
-
-
-def _gram_quad(cache: SuffStatsCache, j: int, bj: np.ndarray) -> float:
-    # b' A_j b through the memoized Cholesky factor of the Gram block
-    half = cache.group_chol(j).T @ bj
-    return float(half @ half)
+    cols = cache.design.columns_for(model.bits)
+    prior = cache.block_prior
+    block = prior.gram.block(cols)
+    penalty = prior.log_penalty(cols, np.outer(beta, beta) / phi, g, block)
+    return float(penalty + prior.log_density(beta, cols, g, phi, 2, block))
 
 
 def log_invgamma(x: float, a: float, b: float) -> float:

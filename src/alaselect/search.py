@@ -135,12 +135,13 @@ def gibbs_models(
 ) -> PosteriorSummary:
     """Systematic-scan Gibbs over group-inclusion bits.
 
-    Each scan visits every free group once.  A group whose parents are
-    inactive, or whose activation would exceed the size cap, has conditional
-    on-probability zero.  Switching a parent off also switches off its
-    active dependents in the same move, so no intermediate state violates a
-    constraint.  Inclusion estimates average the conditional on-probability
-    over post-burn-in scans; raw sampling frequencies are kept alongside.
+    Each scan visits every free group once and draws it from its exact full
+    conditional.  A group whose parents are inactive, or whose activation
+    would exceed the size cap, has conditional on-probability zero; a group
+    with an active direct dependent has conditional on-probability one, so
+    no state violates a constraint.  Inclusion estimates average the
+    conditional on-probability over post-burn-in scans; raw sampling
+    frequencies are kept alongside.
     """
     design = scorer.design
     j_groups = design.n_groups
@@ -148,12 +149,10 @@ def gibbs_models(
     max_groups = constraints.max_groups if constraints is not None else j_groups
     requires = constraints.requires if constraints is not None else ()
     parents = {j: [] for j in range(j_groups)}
+    children = {j: [] for j in range(j_groups)}
     for child, parent in requires:
         parents[child].append(parent)
-    closure = {
-        j: tuple(constraints.dependents_closure(j)) if constraints is not None else ()
-        for j in range(j_groups)
-    }
+        children[parent].append(child)
     intercept = design.intercept_group
     if init is None:
         bits = [0] * j_groups
@@ -179,11 +178,14 @@ def gibbs_models(
                 continue
             active = sum(bits)
             if bits[j]:
+                if any(bits[child] for child in children[j]):
+                    # switching off would orphan a dependent; the conditional is one
+                    if keep:
+                        rb_sums[j] += 1.0
+                    continue
                 state_on = tuple(bits)
                 off = list(bits)
                 off[j] = 0
-                for dep in closure[j]:
-                    off[dep] = 0
                 state_off = tuple(off)
             else:
                 if any(not bits[parent] for parent in parents[j]) or (

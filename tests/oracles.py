@@ -309,9 +309,10 @@ def _reference_damped_newton(objective, theta0, tol=1e-8, max_iter=100, positive
     raise AssertionError("reference Newton did not converge")
 
 
-def block_zellner_precision(design, bits, g):
+def block_zellner_precision(design, bits, g, shift=0):
     """Dispersion-free block Zellner precision over the active columns,
-    ``(p_j / (g n)) Z_j' Z_j`` per group, and its log determinant."""
+    ``((p_j + shift) / (g n)) Z_j' Z_j`` per group, and its log determinant;
+    shift 2 gives the product-moment kernel."""
     cols = design.columns_for(bits)
     prec = np.zeros((cols.size, cols.size))
     at = 0
@@ -319,7 +320,8 @@ def block_zellner_precision(design, bits, g):
         if on:
             z = group_columns(design, j)
             p_j = z.shape[1]
-            prec[at : at + p_j, at : at + p_j] = p_j / (g * design.n) * (z.T @ z)
+            coef = (p_j + shift) / (g * design.n)
+            prec[at : at + p_j, at : at + p_j] = coef * (z.T @ z)
             at += p_j
     return prec, (np.linalg.slogdet(prec)[1] if cols.size else 0.0)
 

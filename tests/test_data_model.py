@@ -10,7 +10,7 @@ from alaselect.data_model import (
     ENUMERATION_LIMIT,
     ConstraintSet,
     DesignMatrix,
-    GramStore,
+    Gram,
     build_cache,
     enumerate_models,
     ls_solve,
@@ -83,38 +83,69 @@ class TestDesignMatrix:
             make_model((1, 0), (1, 1, 1))
 
 
-class TestGramStore:
-    """Cross products are computed once and reassembled from memory."""
+class TestGram:
+    """Columns are computed once, on first touch, and reassembled from
+    memory as exactly symmetric blocks."""
 
     def test_block_matches_dense_product(self, rng):
-        x = rng.normal(size=(11, 5))
-        store = GramStore(x)
-        cols = np.array([0, 2, 4])
-        np.testing.assert_allclose(
-            store.block(cols), x[:, cols].T @ x[:, cols], rtol=0, atol=1e-12
-        )
+        # the wide fill is one matrix product whose two triangles can differ
+        # in rounding; the stored block must still be exactly symmetric
+        for shape, cols in (((11, 5), [0, 2, 4]), ((10_000, 50), range(50))):
+            x = rng.normal(size=shape)
+            cols = np.array(cols)
+            block = Gram(x).block(cols)
+            np.testing.assert_allclose(
+                block, x[:, cols].T @ x[:, cols], rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_array_equal(block, block.T)
 
     def test_entries_are_never_recomputed(self, rng):
         x = rng.normal(size=(7, 4))
-        store = GramStore(x)
-        store.block(np.array([0, 1]))
-        first = store.dot_count
-        store.block(np.array([0, 1]))
-        assert store.dot_count == first
-        store.block(np.array([0, 1, 2]))
-        # the superset adds exactly the three new pairs involving column 2
-        assert store.dot_count == first + 3
+        gram = Gram(x)
+        first = gram.block(np.array([0, 1]))
+        # one column fill computes p = 4 entries
+        assert gram.dot_count == 2 * 4
+        gram.block(np.array([1, 0]))
+        assert gram.dot_count == 2 * 4
+        wider = gram.block(np.array([0, 1, 2]))
+        # the superset fills column 2 only, and leaves the filled entries as
+        # they were
+        assert gram.dot_count == 3 * 4
+        np.testing.assert_array_equal(wider[:2, :2], first)
+
+    def test_filled_entries_never_change(self, rng):
+        """Entries between two column fills keep the values of the first
+        fill; a wide fill after a one-column fill rounds many of them
+        differently."""
+        x = rng.normal(size=(10_000, 50))
+        gram = Gram(x)
+        gram.block(np.array([0]))
+        column = (x.T @ x[:, [0]])[1:, 0]
+        np.testing.assert_array_equal(gram.block(np.arange(50))[1:, 0], column)
 
     @settings(max_examples=25, deadline=None)
-    @given(subset=st.sets(st.integers(min_value=0, max_value=5), min_size=1))
-    def test_any_subset_matches_dense(self, subset):
-        """Every column subset reproduces the dense Gram slice exactly."""
-        x = np.random.default_rng(3).normal(size=(9, 6))
-        store = GramStore(x)
-        cols = np.array(sorted(subset))
-        np.testing.assert_allclose(
-            store.block(cols), x[:, cols].T @ x[:, cols], rtol=0, atol=1e-12
+    @given(
+        touches=st.lists(
+            st.lists(st.integers(min_value=0, max_value=5), min_size=1),
+            min_size=1,
+            max_size=4,
         )
+    )
+    def test_any_subset_matches_dense(self, touches):
+        """Every column list, in any touch order and with repeats, reproduces
+        the dense Gram slice; blocks are exactly symmetric and each touched
+        column is filled once."""
+        x = np.random.default_rng(3).normal(size=(9, 6))
+        gram = Gram(x)
+        for cols in touches:
+            cols = np.array(cols)
+            block = gram.block(cols)
+            np.testing.assert_allclose(
+                block, x[:, cols].T @ x[:, cols], rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(block, block.T)
+        touched = set().union(*map(set, touches))
+        assert gram.dot_count == 6 * len(touched)
 
 
 class TestConstraintSet:
@@ -139,12 +170,6 @@ class TestConstraintSet:
         cs = ConstraintSet(1)
         assert cs.satisfied_by((0, 1, 0))
         assert not cs.satisfied_by((1, 1, 0))
-
-    def test_dependents_closure_is_transitive(self):
-        cs = ConstraintSet(4, ((1, 0), (2, 1), (3, 0)))
-        assert set(cs.dependents_closure(0)) == {1, 2, 3}
-        assert set(cs.dependents_closure(1)) == {2}
-        assert set(cs.dependents_closure(2)) == set()
 
     def test_no_constraints_helper_allows_everything(self):
         cs = no_constraints(3)
@@ -281,18 +306,20 @@ class TestBuildCache:
             design, y, logistic(), center="intercept-mle", gram=first.gram
         )
         assert second.gram is first.gram
-        first.group_block(1)
+        first.gram.block(np.array([1]))
         count = first.gram.dot_count
-        second.group_block(1)
+        second.gram.block(np.array([1]))
         assert second.gram.dot_count == count
 
     def test_group_block_matches_raw_gram(self, rng):
         design = make_design(rng, 12, [2, 3])
         cache = build_cache(design, rng.normal(size=12), gaussian())
-        z = design.values[:, 2:5]
-        np.testing.assert_allclose(cache.group_block(1), z.T @ z, atol=1e-12)
+        cols = np.arange(2, 5)
+        z = design.values[:, cols]
+        np.testing.assert_allclose(cache.gram.block(cols), z.T @ z, atol=1e-12)
+        _, logdet = cache.block_prior.precision(cols, g=1.0)
         np.testing.assert_allclose(
-            cache.group_logdet(1), np.linalg.slogdet(z.T @ z)[1], atol=1e-10
+            logdet - 3 * np.log(3 / 12), np.linalg.slogdet(z.T @ z)[1], atol=1e-10
         )
 
     def test_duplicated_columns_make_a_group_singular(self, rng):
@@ -300,4 +327,4 @@ class TestBuildCache:
         design = DesignMatrix(np.hstack([col, col]), ((0, 2),))
         cache = build_cache(design, rng.normal(size=9), poisson())
         with pytest.raises(NotInvertible):
-            cache.group_chol(0)
+            cache.block_prior.precision(np.array([0, 1]), g=1.0)

@@ -413,7 +413,7 @@ class TestRefinedExpansion:
             )
             design = DesignMatrix(z, ((0, 1),))
             cache = build_cache(design, y, logistic())
-            a = float(cache.group_block(0)[0, 0])
+            a = float(cache.gram.block(np.array([0]))[0, 0])
             prior = ParamPriorSpec(kind="gzellner", g=a / n)
 
             def integrand(b):
@@ -860,8 +860,6 @@ class TestScoreMany:
         batch = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
         looped = [loop.log_score(bits) for bits in models]
         np.testing.assert_allclose(batch.score_many(models), looped, rtol=1e-10)
-        # within-group pairs only: 1 + 3 + 6
-        assert batch.cache.gram.dot_count == loop.cache.gram.dot_count == 10
 
     def test_singular_group_raises_the_loops_error(self, rng):
         # a group of two identical +-1 columns has the exactly singular
@@ -1104,3 +1102,44 @@ class TestNewtonCost:
             np.testing.assert_allclose(again.log_ml, log_ml, rtol=1e-10)
             np.testing.assert_allclose(again.expansion, mode, atol=1e-8)
             assert len(calls) == again.diagnostics["evaluations"] >= 1
+
+
+class TestBenchmarkHooks:
+    """The names the benchmark's tracer and workloads use: the Gram fill
+    counters of both contexts and the two scorers' constructors."""
+
+    def test_regression_gram_counts_first_touch_fills(self, rng):
+        design = make_design(rng, 40, [1, 2, 1])
+        family = gaussian(1.0)
+        cache = build_cache(design, rng.normal(size=40), family)
+        prior = ParamPriorSpec()
+        model_prior = ModelPriorSpec(n_groups=3, p_total=4)
+        scorer = me.ModelScorer(cache, family, prior, model_prior, method="ala")
+        assert cache.gram.dot_count == 0
+        scorer.log_score((1, 0, 0))
+        # one column of p = 4 entries
+        assert cache.gram.dot_count == 4
+        models = [m.bits for m in enumerate_models(3)]
+        scorer.score_many(models)
+        assert cache.gram.dot_count == 4 * 4
+        for method in ("ala", "la"):
+            warmed = me.ModelScorer(cache, family, prior, model_prior, method=method)
+            for bits in models:
+                warmed.log_score(bits)
+            warmed.score_many(models)
+        assert cache.gram.dot_count == 4 * 4
+
+    def test_survival_gram_counts_first_touch_fills(self, rng):
+        design, data = _survival_sample(rng)
+        ctx = me.build_aft_context(design, data)
+        prior = ParamPriorSpec()
+        model_prior = ModelPriorSpec(n_groups=3, p_total=3)
+        scorer = me.AftScorer(ctx, prior, model_prior)
+        assert ctx.wgram.dot_count == 0
+        scorer.log_score((0, 1, 0))
+        assert ctx.wgram.dot_count == 3
+        models = [m.bits for m in enumerate_models(3)]
+        scorer.score_many(models)
+        assert ctx.wgram.dot_count == 3 * 3
+        me.AftScorer(ctx, prior, model_prior).score_many(models)
+        assert ctx.wgram.dot_count == 3 * 3

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import comb, logsumexp
 
-from alaselect.data_model import ConstraintSet, DesignMatrix, build_cache
-from alaselect.errors import InvalidModel
+from alaselect.data_model import ConstraintSet, DesignMatrix, Gram, build_cache
+from alaselect.errors import InvalidModel, NotInvertible
 from alaselect.families import gaussian
 from alaselect.priors import (
+    BlockPrior,
     ModelPriorSpec,
     ParamPriorSpec,
     log_gmom,
@@ -18,7 +21,130 @@ from alaselect.priors import (
     log_tau_prior,
 )
 
-from tests.oracles import active_prior_cov, gzellner_logpdf, make_design
+from tests.oracles import (
+    active_prior_cov,
+    block_zellner_precision,
+    gzellner_logpdf,
+    make_design,
+)
+
+
+@st.composite
+def _prior_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    intercept = draw(st.booleans())
+    n_groups = len(sizes) + intercept
+    bits = [1] * intercept + draw(
+        st.lists(st.integers(0, 1), min_size=len(sizes), max_size=len(sizes))
+    )
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "sizes": sizes,
+        "intercept": intercept,
+        "bits": tuple(bits[:n_groups]),
+        "g": draw(st.sampled_from([0.5, 1.0, 3.0])),
+        "phi": draw(st.sampled_from([0.7, 1.0, 2.0])),
+        "shift": draw(st.sampled_from([0, 2])),
+    }
+
+
+class TestBlockPrior:
+    """One block-diagonal Normal prior per design: the dense precision, its
+    log determinant and its density against independent references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_prior_cases())
+    def test_matches_the_references(self, case):
+        rng = np.random.default_rng(case["seed"])
+        design = make_design(rng, 25, case["sizes"], intercept=case["intercept"])
+        prior = BlockPrior(design, Gram(design.values))
+        bits, g, phi, shift = case["bits"], case["g"], case["phi"], case["shift"]
+        cols = design.columns_for(bits)
+        prec, logdet = prior.precision(cols, g, phi, shift)
+        ref, ref_logdet = block_zellner_precision(design, bits, g, shift)
+        ref = ref / phi
+        ref_logdet -= cols.size * np.log(phi)
+        np.testing.assert_allclose(prec, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(prec, prec.T)
+        np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-10, atol=1e-10)
+        beta = rng.normal(size=cols.size)
+        expected = (
+            stats.multivariate_normal.logpdf(beta, cov=np.linalg.inv(ref))
+            if cols.size
+            else 0.0
+        )
+        np.testing.assert_allclose(
+            prior.log_density(beta, cols, g, phi, shift), expected, rtol=1e-9, atol=1e-9
+        )
+
+    def test_a_stack_of_models_matches_each_model(self, rng):
+        # two models of five columns, with three and four groups
+        design = make_design(rng, 30, [2, 1, 1, 2], intercept=True)
+        prior = BlockPrior(design, Gram(design.values))
+        models = [(1, 1, 0, 0, 1), (1, 0, 1, 1, 1)]
+        stack = np.array([design.columns_for(bits) for bits in models])
+        blocks = np.array([prior.gram.block(cols) for cols in stack])
+        moment = rng.normal(size=(2, 5, 5))
+        moment = moment @ moment.transpose(0, 2, 1)
+        prec, logdet = prior.precision(stack, 1.5, 0.8, 2, blocks)
+        penalty = prior.log_penalty(stack, moment, 1.5, blocks)
+        for r, cols in enumerate(stack):
+            one, one_logdet = prior.precision(cols, 1.5, 0.8, 2)
+            np.testing.assert_array_equal(prec[r], one)
+            assert logdet[r] == one_logdet
+            assert penalty[r] == prior.log_penalty(cols, moment[r], 1.5)
+
+    def test_log_penalty_is_the_per_group_trace(self, rng):
+        design = make_design(rng, 30, [2, 3])
+        prior = BlockPrior(design, Gram(design.values))
+        moment = rng.normal(size=(5, 5))
+        moment = moment @ moment.T
+        expected = 0.0
+        for (start, stop), pj in zip(design.groups, design.group_sizes):
+            z = design.values[:, start:stop]
+            trace = np.trace(z.T @ z @ moment[start:stop, start:stop])
+            expected += np.log((pj + 2) / (30 * pj * 1.2) * trace)
+        np.testing.assert_allclose(
+            prior.log_penalty(np.arange(5), moment, 1.2), expected, rtol=1e-12
+        )
+
+    def test_duplicated_columns_are_singular_at_every_scale(self):
+        """Two copies of one column make the group singular, whatever n:
+        the relative pivot test rejects all 200 draws, where an exact
+        factorization accepts some whose rounding leaves a tiny positive
+        pivot."""
+        accepted = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 3000))
+            col = rng.normal(size=(n, 1))
+            design = DesignMatrix(np.hstack([col, col]), ((0, 2),))
+            prior = BlockPrior(design, Gram(design.values))
+            try:
+                prior.precision(np.array([0, 1]), 1.0)
+            except NotInvertible:
+                continue
+            accepted += 1
+        assert accepted == 0
+
+    def test_nearly_collinear_columns_are_accepted(self, rng):
+        """Columns with R^2 = 1 - 1e-6 leave a relative pivot of 1e-6, well
+        above the 1e-10 cut."""
+        n = 500
+        a = rng.normal(size=n)
+        noise = rng.normal(size=n)
+        noise -= a * (a @ noise) / (a @ a)
+        r2 = 1.0 - 1e-6
+        b = np.sqrt(r2) * a / np.linalg.norm(a) + np.sqrt(1 - r2) * noise / np.linalg.norm(
+            noise
+        )
+        design = DesignMatrix(np.column_stack([a, b]), ((0, 2),))
+        prior = BlockPrior(design, Gram(design.values))
+        _, logdet = prior.precision(np.array([0, 1]), 1.0)
+        z = design.values
+        np.testing.assert_allclose(
+            logdet, 2 * np.log(2 / n) + np.linalg.slogdet(z.T @ z)[1], rtol=1e-8
+        )
 
 
 class TestGroupNormalPrior:
@@ -85,7 +211,7 @@ class TestNonlocalPrior:
         the normalized squared coefficient."""
         design = make_design(rng, 12, [1])
         cache = build_cache(design, rng.normal(size=12), gaussian())
-        a = float(cache.group_block(0)[0, 0])
+        a = float(cache.gram.block(np.array([0]))[0, 0])
         n = design.n
         g, phi = 1.4, 0.8
         for beta in (0.3, -1.2, 2.5):
@@ -111,7 +237,7 @@ class TestNonlocalPrior:
         cache = build_cache(design, rng.normal(size=18), gaussian())
         model = design.model((1,))
         g = 1.0
-        a_block = cache.group_block(0)
+        a_block = cache.gram.block(np.array([0, 1]))
         kernel_cov = design.n * g / 4.0 * np.linalg.inv(a_block)
         draws = rng.multivariate_normal(np.zeros(2), kernel_cov, size=400_000)
         penalty = 4.0 / (design.n * 2.0 * g) * np.einsum(
