@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -62,32 +63,54 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """CSV rows with their 1-based line numbers; the header is row one."""
+def _read_table(path: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """The header, the data rows and the 1-based line number of each data
+    row of a CSV file; blank lines are skipped."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not rows:
+    # line numbers as one list, not one tuple per row: a large table's
+    # tuples would cost more memory than its converted values
+    lines = [i + 1 for i, row in enumerate(rows) if row]
+    if not lines:
         raise ParseError(f"{path}: empty file")
-    header_line, header = rows[0]
+    rows = [row for row in rows if row]
+    header, rows, lines = rows[0], rows[1:], lines[1:]
     width = len(header)
-    for line, row in rows[1:]:
+    for line, row in zip(lines, rows):
         if len(row) != width:
             raise ParseError(
                 f"{path}:{line}: expected {width} cells, found {len(row)}"
             )
-    return [h.strip() for h in header], rows[1:]
+    return [h.strip() for h in header], rows, lines
 
 
-def _cell_float(cell: str, path: str, line: int, column: str) -> float:
+def _numeric_table(
+    path: str, header: list[str], rows: list[list[str]], lines: list[int]
+) -> np.ndarray:
+    """The cells of ``rows`` as an (n, len(header)) float array.
+
+    The cells are converted in one numpy pass, which parses a string as
+    ``float`` does.  When it fails, the first cell ``float`` rejects raises
+    ``ParseError`` with its line and column.
+    """
+    cells = itertools.chain.from_iterable(rows)
     try:
-        return float(cell)
-    except ValueError as exc:
-        raise ParseError(
-            f"{path}:{line}: column {column!r} has non-numeric value {cell!r}"
-        ) from exc
+        table = np.fromiter(cells, np.float64, count=len(rows) * len(header))
+    except ValueError:
+        for line, row in zip(lines, rows):
+            for name, cell in zip(header, row):
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    raise ParseError(
+                        f"{path}:{line}: column {name!r} has non-numeric value "
+                        f"{cell!r}"
+                    ) from exc
+        raise
+    return table.reshape(len(rows), len(header))
 
 
 def ingest(
@@ -106,16 +129,16 @@ def ingest(
     response (a survival pair when ``status`` is given), and the constraint
     set (None when no file and no cap was supplied).
     """
-    header, rows = _read_table(data_path)
+    header, rows, lines = _read_table(data_path)
     if response not in header:
         raise ParseError(f"{data_path}: response column {response!r} not found")
     if status is not None and status not in header:
         raise ParseError(f"{data_path}: status column {status!r} not found")
-    g_header, g_rows = _read_table(groups_path)
+    g_header, g_rows, g_lines = _read_table(groups_path)
     if [h.lower() for h in g_header[:2]] != ["column", "group"]:
         raise ParseError(f"{groups_path}: header must be 'column,group'")
     group_of: dict[str, int] = {}
-    for line, row in g_rows:
+    for line, row in zip(g_lines, g_rows):
         name = row[0].strip()
         if name in group_of:
             raise ParseError(f"{groups_path}:{line}: column {name!r} listed twice")
@@ -145,19 +168,12 @@ def ingest(
     ordered = sorted(
         group_of, key=lambda name: (id_to_pos[group_of[name]], header.index(name))
     )
-    col_idx = {name: header.index(name) for name in header}
-    n = len(rows)
-    values = np.empty((n, len(ordered)))
-    y = np.empty(n)
-    ev = np.empty(n, dtype=bool) if status is not None else None
-    for r, (line, row) in enumerate(rows):
-        y[r] = _cell_float(row[col_idx[response]], data_path, line, response)
-        if ev is not None:
-            ev[r] = bool(
-                _cell_float(row[col_idx[status]], data_path, line, status)
-            )
-        for c, name in enumerate(ordered):
-            values[r, c] = _cell_float(row[col_idx[name]], data_path, line, name)
+    table = _numeric_table(data_path, header, rows, lines)
+    # the cells' strings take ten times the memory of the table
+    del rows, lines
+    y = table[:, header.index(response)].copy()
+    values = table.take([header.index(name) for name in ordered], axis=1)
+    ev = table[:, header.index(status)] != 0.0 if status is not None else None
     if standardize:
         sd = values.std(axis=0, ddof=0)
         mean = values.mean(axis=0)
@@ -179,10 +195,10 @@ def ingest(
     if constraints_path is not None or max_groups is not None:
         requires = []
         if constraints_path is not None:
-            c_header, c_rows = _read_table(constraints_path)
+            c_header, c_rows, c_lines = _read_table(constraints_path)
             if [h.lower() for h in c_header[:2]] != ["child", "parent"]:
                 raise ParseError(f"{constraints_path}: header must be 'child,parent'")
-            for line, row in c_rows:
+            for line, row in zip(c_lines, c_rows):
                 try:
                     child, parent = int(row[0]), int(row[1])
                 except ValueError as exc:
@@ -299,41 +315,38 @@ def run_select(args) -> int:
         "p": design.p,
         "n_groups": design.n_groups,
     }
+    method, center = args.method, args.center
+    if args.curvature_adjust:
+        if args.family == "aft":
+            raise ParseError("--curvature-adjust does not apply to family aft")
+        if method != "ala":
+            raise ParseError("--curvature-adjust applies to method ala")
+        method, center = "ala-curvadj", "intercept-mle"
     if args.family == "aft":
         if not isinstance(response, fam.SurvivalData):
             raise ParseError("family aft needs --status")
-        ctx = engines.build_aft_context(design, response)
-        scorer = engines.AftScorer(ctx, prior, model_prior, method=args.method)
-        meta["tau0"] = ctx.tau0
+        family = None
+        stats = engines.build_aft_context(design, response)
+        meta["tau0"] = stats.tau0
     else:
-        family = _make_family(args)
-        center = args.center
-        method = args.method
-        if args.curvature_adjust:
-            if method != "ala":
-                raise ParseError("--curvature-adjust applies to method ala")
-            method = "ala-curvadj"
-            center = "intercept-mle"
         if isinstance(response, fam.SurvivalData):
             raise ParseError("a status column was given for a non-survival family")
-        cache = build_cache(design, response, family, center=center)
-        scorer = engines.ModelScorer(
-            cache,
-            family,
-            prior,
-            model_prior,
-            method=method,
-            refine_steps=args.refine_steps,
-        )
-        if scorer.curvature is not None:
-            meta["rho_hat"] = scorer.curvature.rho_hat
+        family = _make_family(args)
+        stats = build_cache(design, response, family, center=center)
         if not family.phi_known:
-            meta["phi0"] = fam.phi0_mle(family, cache.y)
+            meta["phi0"] = fam.phi0_mle(family, stats.y)
+    scorer = engines.ModelScorer(
+        stats, family, prior, model_prior, method=method, refine_steps=args.refine_steps
+    )
+    if scorer.curvature is not None:
+        meta["rho_hat"] = scorer.curvature.rho_hat
     scorers = [scorer]
     if args.screen_threshold is not None:
         if args.search != "enumerate":
             raise ParseError("screening requires --search enumerate")
-        refine = _clone_scorer_for_refine(scorer)
+        # survivors are rescored by the mode expansion where the prior has one
+        refine_method = "la" if prior.kind == "gzellner" else "ala"
+        refine = engines.ModelScorer(stats, family, prior, model_prior, refine_method)
         summary = screen_then_refine(
             scorer, refine, threshold=args.screen_threshold, constraints=constraints
         )
@@ -363,23 +376,8 @@ def run_select(args) -> int:
     return 0
 
 
-def _clone_scorer_for_refine(scorer):
-    """Mode-expansion scorer on the same cached statistics, for screening."""
-    if isinstance(scorer, engines.AftScorer):
-        return engines.AftScorer(
-            scorer.ctx, scorer.prior, scorer.model_prior, method="la"
-        )
-    return engines.ModelScorer(
-        scorer.cache,
-        scorer.family,
-        scorer.prior,
-        scorer.model_prior,
-        method="la" if scorer.prior.kind == "gzellner" else "ala",
-    )
-
-
 def run_expand(args) -> int:
-    header, rows = _read_table(args.data)
+    header, rows, lines = _read_table(args.data)
     skip = {args.response}
     if args.status is not None:
         skip.add(args.status)
@@ -388,16 +386,10 @@ def run_expand(args) -> int:
             raise ParseError(f"{args.data}: column {name!r} not found")
     covariates = [h for h in header if h not in skip]
     n = len(rows)
-    raw = np.empty((n, len(covariates)))
-    passthrough = np.empty((n, len(skip)))
     skip_list = [args.response] + ([args.status] if args.status else [])
-    for r, (line, row) in enumerate(rows):
-        for c, name in enumerate(covariates):
-            raw[r, c] = _cell_float(row[header.index(name)], args.data, line, name)
-        for c, name in enumerate(skip_list):
-            passthrough[r, c] = _cell_float(
-                row[header.index(name)], args.data, line, name
-            )
+    table = _numeric_table(args.data, header, rows, lines)
+    raw = table.take([header.index(name) for name in covariates], axis=1)
+    passthrough = table.take([header.index(name) for name in skip_list], axis=1)
     design, constraints = simdesigns.expand_spline_design(
         raw, dim=args.spline_dim, max_groups=args.max_groups
     )

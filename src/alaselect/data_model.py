@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import DegenerateResponse, InvalidModel, NotInvertible, RefuseEnumeration
 from .priors import BlockPrior
@@ -27,12 +27,14 @@ class DesignMatrix:
 
     ``groups`` is a sequence of half-open column ranges ``(start, stop)``
     that must partition ``[0, p)`` exactly.  ``intercept_group`` names a
-    group that is forced into every model.
+    group that is forced into every model.  ``col_group`` holds the group of
+    each column.
     """
 
     values: np.ndarray
     groups: tuple[tuple[int, int], ...]
     intercept_group: Optional[int] = None
+    col_group: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -54,6 +56,10 @@ class DesignMatrix:
             0 <= self.intercept_group < len(groups)
         ):
             raise ValueError("intercept_group out of range")
+        sizes = [stop - start for start, stop in groups]
+        object.__setattr__(
+            self, "col_group", np.repeat(np.arange(len(groups)), sizes)
+        )
 
     @property
     def n(self) -> int:
@@ -77,12 +83,7 @@ class DesignMatrix:
 
     def columns_for(self, bits: Sequence[int]) -> np.ndarray:
         """Column indices of the active groups, in group order."""
-        idx = []
-        for j, on in enumerate(bits):
-            if on:
-                start, stop = self.groups[j]
-                idx.extend(range(start, stop))
-        return np.asarray(idx, dtype=np.intp)
+        return np.flatnonzero(np.asarray(bits, dtype=bool)[self.col_group])
 
     def model(self, bits: Sequence[int]) -> "ModelId":
         return make_model(bits, self.group_sizes, self.intercept_group)
@@ -103,9 +104,6 @@ class ModelId:
     bits: tuple[int, ...]
     size: int
     p_gamma: int
-
-    def is_active(self, j: int) -> bool:
-        return bool(self.bits[j])
 
     @property
     def active_groups(self) -> tuple[int, ...]:
@@ -148,9 +146,6 @@ class ConstraintSet:
         cycle = _find_cycle(self.requires)
         if cycle is not None:
             raise ValueError(f"constraint cycle: {' -> '.join(map(str, cycle))}")
-
-    def parents_of(self, j: int) -> tuple[int, ...]:
-        return tuple(l for child, l in self.requires if child == j)
 
     def satisfied_by(self, bits: Sequence[int]) -> bool:
         if sum(bits) > self.max_groups:
@@ -263,10 +258,6 @@ class SuffStatsCache:
     def n(self) -> int:
         return self.design.n
 
-    @property
-    def ybar(self) -> float:
-        return float(np.mean(self.y))
-
 
 def build_cache(
     design: DesignMatrix,
@@ -371,20 +362,16 @@ def ls_solve(xtx: np.ndarray, xty: np.ndarray, jitter: bool = False) -> LsSoluti
     if k == 0:
         return LsSolution(beta=np.empty(0), quad=0.0, chol=np.empty((0, 0)))
     jittered = False
-    try:
-        factor = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError:
+    factor, info = scipy.linalg.lapack.dpotrf(xtx, lower=1)
+    if info:
         if not jitter:
             raise NotInvertible("Gram block is not positive definite")
         ridge = 1e-10 * float(np.trace(xtx)) / k
-        try:
-            factor = np.linalg.cholesky(xtx + ridge * np.eye(k))
-        except np.linalg.LinAlgError as exc:
-            raise NotInvertible(
-                "Gram block is not positive definite even after jitter"
-            ) from exc
+        factor, info = scipy.linalg.lapack.dpotrf(xtx + ridge * np.eye(k), lower=1)
+        if info:
+            raise NotInvertible("Gram block is not positive definite even after jitter")
         jittered = True
-    beta = scipy.linalg.cho_solve((factor, True), xty)
+    beta = scipy.linalg.lapack.dpotrs(factor, xty, lower=1)[0]
     quad = float(xty @ beta)
     return LsSolution(beta=beta, quad=quad, chol=factor, jittered=jittered)
 

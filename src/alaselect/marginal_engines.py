@@ -67,15 +67,29 @@ class CurvatureContext:
     """Response-variance inflation for the Hessian at the expansion point."""
 
     rho_hat: float
-    nu0: float
-    bpp_nu0: float
 
 
-def _chol(matrix: np.ndarray, exc=NotConcaveAtExpansion, what="joint curvature"):
+def _chol(matrix: np.ndarray, exc, what: str):
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as err:
         raise exc(f"{what} is not positive definite") from err
+
+
+def _cho_factor_solve(
+    matrix: np.ndarray,
+    rhs: np.ndarray,
+    exc=NotConcaveAtExpansion,
+    what="joint curvature",
+):
+    """Lower Cholesky factor of ``matrix`` and ``matrix^{-1} rhs`` by LAPACK
+    potrf and potrs; raises ``exc`` when ``matrix`` is not positive
+    definite.  The scipy ``cho_solve`` wrapper costs several times the
+    solve at the dimensions of one model."""
+    factor, info = scipy.linalg.lapack.dpotrf(matrix, lower=1)
+    if info:
+        raise exc(f"{what} is not positive definite")
+    return factor, scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 def _chol_logdet(factor: np.ndarray) -> float:
@@ -150,10 +164,8 @@ def ala_general(
         prior_logdet = _chol_logdet(
             _chol(prior_precision, NotInvertible, "prior precision")
         )
-    h_joint = hess + prior_precision
-    factor = _chol(h_joint)
     g_joint = grad + prior_precision @ theta0
-    shift = scipy.linalg.cho_solve((factor, True), g_joint)
+    factor, shift = _cho_factor_solve(hess + prior_precision, g_joint)
     quad = float(g_joint @ shift)
     quad_prior = float(theta0 @ prior_precision @ theta0)
     log_ml = (
@@ -190,8 +202,9 @@ def ala_plugin(
     d = grad.shape[0]
     if theta0 is None:
         theta0 = np.zeros(d)
-    factor = _chol(hess, NotConcaveAtExpansion, "likelihood curvature")
-    shift = scipy.linalg.cho_solve((factor, True), grad)
+    factor, shift = _cho_factor_solve(
+        hess, grad, NotConcaveAtExpansion, "likelihood curvature"
+    )
     theta_tilde = theta0 - shift
     quad = float(grad @ shift)
     log_ml = (
@@ -232,9 +245,8 @@ def _known_phi_core(
     rho = curvature.rho_hat if curvature is not None else 1.0
     prec, logdet_p0 = cache.block_prior.precision(cols, g, phi, shift, xtx)
     h_joint = (rho * bpp / phi) * xtx + prec
-    factor = _chol(h_joint)
     g_joint = -(bpp / phi) * xty
-    sol = scipy.linalg.cho_solve((factor, True), g_joint)
+    factor, sol = _cho_factor_solve(h_joint, g_joint)
     quad = float(g_joint @ sol)
     logdet_h = _chol_logdet(factor)
     out.update(
@@ -318,7 +330,7 @@ def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> Curvatur
         raise ValueError("need at least two observations")
     resid = y - cache.bp_nu0
     rho_hat = float(resid @ resid) / (float(family.phi) * cache.bpp_nu0 * (n - 1))
-    return CurvatureContext(rho_hat=rho_hat, nu0=cache.nu0, bpp_nu0=cache.bpp_nu0)
+    return CurvatureContext(rho_hat=rho_hat)
 
 
 def _unknown_phi_stats(cache: SuffStatsCache, family: fam.FamilySpec) -> dict:
@@ -382,8 +394,9 @@ def ala_expfam_unknown_phi(
     hess[:p, p] = hess[p, :p] = factor * xty / phi0
     hess[p, p] = st["h_pp"]
     grad = np.concatenate([-factor * xty, [0.0]])
-    chol = _chol(hess, NotConcaveAtExpansion, "joint (beta, phi) curvature")
-    sol = scipy.linalg.cho_solve((chol, True), grad)
+    chol, sol = _cho_factor_solve(
+        hess, grad, NotConcaveAtExpansion, "joint (beta, phi) curvature"
+    )
     quad = float(grad @ sol)
     beta_tilde = -sol[:p]
     phi_tilde = phi0 - sol[p]
@@ -429,7 +442,9 @@ def ala_gmom(
         phi = float(family.phi)
         core = _known_phi_core(model, cache, family, prior.g, curvature, shift=2)
         beta = core["beta_tilde"]
-        sigma = scipy.linalg.cho_solve((core["chol"], True), np.eye(model.p_gamma))
+        sigma = scipy.linalg.lapack.dpotrs(
+            core["chol"], np.eye(model.p_gamma), lower=1
+        )[0]
         moment = (sigma + np.outer(beta, beta)) / phi
         tilt = float(
             cache.block_prior.log_penalty(core["cols"], moment, prior.g, core["xtx"])
@@ -454,8 +469,7 @@ def ala_gmom(
     cols = cache.design.columns_for(model.bits)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
-    factor = _chol(xtx + kernel)
-    shape = scipy.linalg.cho_solve((factor, True), np.eye(model.p_gamma))
+    _, shape = _cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
     mean = shape @ xty
     fit = ls_solve(xtx, xty, jitter=True)
     rbar = (a + cache.n) / (b + cache.yty - fit.quad)
@@ -521,7 +535,7 @@ def ala_known_phi_many(
     bits = np.array([m.bits for m in models], dtype=bool).reshape(
         len(models), design.n_groups
     )
-    col_mask = np.repeat(bits, design.group_sizes, axis=1)
+    col_mask = bits[:, design.col_group]
     p_gamma = col_mask.sum(axis=1)
     out: list[Optional[MarginalScore]] = [None] * len(models)
     for i in np.flatnonzero(p_gamma == 0):
@@ -657,27 +671,16 @@ def _newton_diagnostics(trace, grad, start_evaluated: bool) -> dict:
     }
 
 
-def _cho_factor_solve(matrix: np.ndarray, rhs: np.ndarray):
-    """Lower Cholesky factor of ``matrix`` and ``matrix^{-1} rhs`` by LAPACK
-    potrf and potrs, or ``(None, None)`` when ``matrix`` is not positive
-    definite.  The scipy ``cho_solve`` wrapper costs several times the
-    solve at Newton's dimensions."""
-    factor, info = scipy.linalg.lapack.dpotrf(matrix, lower=1)
-    if info:
-        return None, None
-    return factor, scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0]
-
-
 def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     d = grad.shape[0]
     base = max(abs(float(np.trace(hess))) / max(d, 1), 1e-300)
     ridge = 0.0
     for _ in range(12):
         shifted = hess + ridge * np.eye(d) if ridge else hess
-        factor, step = _cho_factor_solve(shifted, grad)
-        if factor is not None:
-            return step
-        ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
+        try:
+            return _cho_factor_solve(shifted, grad, NotConcave)[1]
+        except NotConcave:
+            ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
     raise NotConcave("objective curvature is not positive definite")
 
 
@@ -737,9 +740,7 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, first=first
     )
-    factor, sol = _cho_factor_solve(hess, grad)
-    if factor is None:
-        raise NotConcave("curvature at the mode is not positive definite")
+    factor, sol = _cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
     log_ml = (
         -value + 0.5 * logdet_p0 - 0.5 * _chol_logdet(factor) + 0.5 * float(grad @ sol)
     )
@@ -803,9 +804,7 @@ def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, positive=(p,), first=first
     )
-    factor, _ = _cho_factor_solve(hess, grad)
-    if factor is None:
-        raise NotConcave("curvature at the mode is not positive definite")
+    factor, _ = _cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * _chol_logdet(factor)
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
@@ -854,8 +853,9 @@ def ala_refined(
     steps = 0
     note = None
     for _ in range(k):
-        factor, sol = _cho_factor_solve(hess, grad)
-        if factor is None:
+        try:
+            sol = _cho_factor_solve(hess, grad)[1]
+        except NotConcaveAtExpansion:
             note = "curvature lost during refinement"
             break
         candidate = beta - sol
@@ -1296,8 +1296,9 @@ def ala_aft(
     hess[:p, p] = hess[p, :p] = -ctx.ztyw[cols]
     hess[p, p] = ctx.h_tt
     grad = np.concatenate([-ctx.ztv[cols], [0.0]])
-    factor = _chol(hess, NotConcaveAtExpansion, "survival curvature")
-    sol = scipy.linalg.cho_solve((factor, True), grad)
+    factor, sol = _cho_factor_solve(
+        hess, grad, NotConcaveAtExpansion, "survival curvature"
+    )
     quad = float(grad @ sol)
     alpha_tilde = -sol[:p]
     tau_tilde = ctx.tau0 - sol[p]
@@ -1358,7 +1359,7 @@ def la_aft(
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, positive=(p,)
     )
-    factor = _chol(hess, NotConcave, "curvature at the mode")
+    factor, _ = _cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * _chol_logdet(factor)
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, True)
@@ -1366,7 +1367,7 @@ def la_aft(
 
 
 # ---------------------------------------------------------------------------
-# scoring front ends used by the search routines
+# the scorer used by the search routines
 
 
 def _parse_method(method: str) -> tuple[str, Optional[int]]:
@@ -1380,98 +1381,163 @@ def _parse_method(method: str) -> tuple[str, Optional[int]]:
     return method, None
 
 
-class ModelScorer:
-    """Memoizing per-model scorer for the regression families.
+# Each engine takes the scorer and one ModelId; a batched engine takes the
+# scorer and a list of them.
 
-    ``log_score`` adds the unnormalized model prior to the marginal score,
-    which is what the enumeration and Gibbs routines need.
+
+def _ala_known_phi(s, m):
+    return ala_expfam_known_phi(m, s.cache, s.family, s.prior, s.curvature, s.variant)
+
+
+def _ala_unknown_phi(s, m):
+    return ala_expfam_unknown_phi(m, s.cache, s.family, s.prior)
+
+
+def _ala_gmom(s, m):
+    return ala_gmom(m, s.cache, s.family, s.prior, s.curvature)
+
+
+def _ala_refined(s, m):
+    return ala_refined(m, s.cache, s.family, s.prior, k=s.refine_steps)
+
+
+def _la(s, m):
+    return la_marginal(m, s.cache, s.family, s.prior)
+
+
+def _exact_gaussian(s, m):
+    return exact_gaussian_marginal(m, s.cache, s.family, s.prior)
+
+
+def _ala_aft(s, m):
+    return ala_aft(m, s.cache, s.prior)
+
+
+def _la_aft(s, m):
+    return la_aft(m, s.cache, s.prior)
+
+
+def _ala_many(s, models):
+    return ala_known_phi_many(models, s.cache, s.family, s.prior, s.curvature)
+
+
+# (statistics, method, prior kind, dispersion known) -> (engine, batched
+# engine or None).  The statistics are "expfam" for the exponential families
+# other than the gaussian, "gaussian", and "aft" for survival data.
+_ENGINES = {
+    ("expfam", "ala", "gzellner", True): (_ala_known_phi, _ala_many),
+    ("expfam", "ala-curvadj", "gzellner", True): (_ala_known_phi, _ala_many),
+    ("expfam", "ala", "gmom", True): (_ala_gmom, _ala_many),
+    ("expfam", "ala-curvadj", "gmom", True): (_ala_gmom, _ala_many),
+    ("expfam", "ala-refined", "gzellner", True): (_ala_refined, None),
+    ("expfam", "la", "gzellner", True): (_la, None),
+}
+# The gaussian family has every engine of the others, its unknown-dispersion
+# form, and two engines that need a quadratic log-likelihood: the conjugate
+# closed form, and the product-moment score at the mode, which is the
+# zero-expansion score because the expansion is exact.
+_ENGINES.update({("gaussian", *key[1:]): entry for key, entry in _ENGINES.items()})
+_ENGINES.update(
+    {
+        ("gaussian", "ala", "gzellner", False): (_ala_unknown_phi, None),
+        ("gaussian", "ala", "gmom", False): (_ala_gmom, None),
+        ("gaussian", "la", "gzellner", False): (_la, None),
+        ("gaussian", "la", "gmom", True): (_ala_gmom, None),
+        ("gaussian", "la", "gmom", False): (_ala_gmom, None),
+        ("gaussian", "exact-gaussian", "gzellner", True): (_exact_gaussian, None),
+        ("gaussian", "exact-gaussian", "gzellner", False): (_exact_gaussian, None),
+        ("aft", "ala", "gzellner", False): (_ala_aft, None),
+        ("aft", "la", "gzellner", False): (_la_aft, None),
+    }
+)
+
+
+def _unsupported(kind: str, method: str, prior_kind: str) -> str:
+    """Why no entry of ``_ENGINES`` scores this combination."""
+    if kind == "aft":
+        if method in ("ala", "la"):
+            return "survival scoring expects the block Zellner prior"
+        return f"unknown survival method {method!r}"
+    if method == "ala-curvadj":
+        return "curvature adjustment needs a known dispersion"
+    if prior_kind == "gmom":
+        if method == "la":
+            return (
+                "mode expansion with the product-moment prior is supported "
+                "for the gaussian family only"
+            )
+        return f"method {method!r} is unavailable for this prior"
+    if method == "exact-gaussian":
+        return "exact marginal is available for the gaussian family"
+    if method == "ala-refined":
+        return "refined scoring expects a known dispersion"
+    return f"unknown method {method!r}"
+
+
+class ModelScorer:
+    """Memoizing per-model scorer for regression and survival models.
+
+    ``cache`` holds the per-dataset statistics: a ``SuffStatsCache`` for
+    the regression families, or an ``AftContext`` with ``family=None`` for
+    survival data (see ``AftScorer``).  The engine is chosen once, here,
+    from ``_ENGINES``; a combination that no engine scores, or a model
+    prior whose group count or intercept group differs from the design's,
+    raises ``ValueError``.  ``log_score`` adds the unnormalized model prior
+    to the marginal score, which is what the enumeration and Gibbs routines
+    need.
     """
 
     def __init__(
         self,
-        cache: SuffStatsCache,
-        family: fam.FamilySpec,
+        cache: SuffStatsCache | AftContext,
+        family: Optional[fam.FamilySpec],
         prior: ParamPriorSpec,
         model_prior: Optional[ModelPriorSpec] = None,
         method: str = "ala",
         refine_steps: int = 1,
         variant: str = "exact-normal",
     ):
+        design = cache.design
+        if model_prior is not None and (
+            (model_prior.n_groups, model_prior.intercept_group)
+            != (design.n_groups, design.intercept_group)
+        ):
+            raise ValueError("the model prior's groups differ from the design's")
+        name, parsed_k = _parse_method(method)
+        if isinstance(cache, AftContext):
+            key = ("aft", name, prior.kind, False)
+        else:
+            kind = "gaussian" if family.kind == "gaussian" else "expfam"
+            key = (kind, name, prior.kind, family.phi_known)
+        entry = _ENGINES.get(key)
+        if entry is None:
+            raise ValueError(_unsupported(*key[:3]))
+        self._engine, many = entry
+        # the batched kernel integrates the Normal prior exactly
+        self._many = many if variant == "exact-normal" else None
         self.cache = cache
         self.family = family
         self.prior = prior
         self.model_prior = model_prior
-        name, parsed_k = _parse_method(method)
         self.method = name
         self.refine_steps = parsed_k if parsed_k is not None else refine_steps
         self.variant = variant
         self.curvature: Optional[CurvatureContext] = None
         if name == "ala-curvadj":
             self.curvature = curvature_context(cache, family)
-        self._batched = (
-            name in ("ala", "ala-curvadj")
-            and family.phi_known
-            and variant == "exact-normal"
-        )
         self._memo: dict[tuple[int, ...], MarginalScore] = {}
 
     @property
     def design(self) -> DesignMatrix:
         return self.cache.design
 
-    @property
-    def n_groups(self) -> int:
-        return self.cache.design.n_groups
-
     def marginal(self, bits) -> MarginalScore:
         key = tuple(getattr(bits, "bits", bits))
         found = self._memo.get(key)
         if found is None:
-            found = self._compute(self.cache.design.model(key))
+            found = self._engine(self, self.cache.design.model(key))
             self._memo[key] = found
         return found
-
-    def _compute(self, model: ModelId) -> MarginalScore:
-        name = self.method
-        if self.prior.kind == "gmom":
-            if name in ("ala", "ala-curvadj"):
-                return ala_gmom(
-                    model, self.cache, self.family, self.prior, self.curvature
-                )
-            if name == "la":
-                if self.family.kind == "gaussian":
-                    # the kernel posterior is exact here, so the zero
-                    # expansion and the mode expansion coincide
-                    return ala_gmom(model, self.cache, self.family, self.prior)
-                raise ValueError(
-                    "mode expansion with the product-moment prior is supported "
-                    "for the gaussian family only"
-                )
-            raise ValueError(f"method {name!r} is unavailable for this prior")
-        if name == "ala":
-            if self.family.phi_known:
-                return ala_expfam_known_phi(
-                    model, self.cache, self.family, self.prior, variant=self.variant
-                )
-            return ala_expfam_unknown_phi(model, self.cache, self.family, self.prior)
-        if name == "ala-curvadj":
-            return ala_expfam_known_phi(
-                model,
-                self.cache,
-                self.family,
-                self.prior,
-                curvature=self.curvature,
-                variant=self.variant,
-            )
-        if name == "ala-refined":
-            return ala_refined(
-                model, self.cache, self.family, self.prior, k=self.refine_steps
-            )
-        if name == "la":
-            return la_marginal(model, self.cache, self.family, self.prior)
-        if name == "exact-gaussian":
-            return exact_gaussian_marginal(model, self.cache, self.family, self.prior)
-        raise ValueError(f"unknown method {name!r}")
 
     def log_ml(self, bits) -> float:
         return self.marginal(bits).log_ml
@@ -1486,27 +1552,24 @@ class ModelScorer:
     def score_many(self, models) -> np.ndarray:
         """``[log_score(m) for m in models]`` as an array, filling the memo.
 
-        ``models`` holds bit vectors or ``ModelId``s.  Known-dispersion
-        ``ala``/``ala-curvadj`` scoring with the exact Normal integral
-        scores the models not yet memoized in one batch
-        (``ala_known_phi_many``); every other method scores one model at a
-        time.  When the batch fails, the models are rescored one at a time,
-        so the error comes from the same first model as the loop's.
+        ``models`` holds bit vectors or ``ModelId``s.  Where the engine has
+        a batched form (known-dispersion ``ala``/``ala-curvadj`` with the
+        exact Normal integral), the models not yet memoized are scored in
+        one batch (``ala_known_phi_many``); otherwise one model at a time.
+        When the batch fails, the models are rescored one at a time, so the
+        error comes from the same first model as the loop's.
         """
         keys = [tuple(getattr(m, "bits", m)) for m in models]
-        if self._batched:
+        if self._many is not None:
             todo = {key: m for key, m in zip(keys, models) if key not in self._memo}
             sizes, intercept = self.design.group_sizes, self.design.intercept_group
             try:
-                scores = ala_known_phi_many(
+                scores = self._many(
+                    self,
                     [
                         m if isinstance(m, ModelId) else make_model(key, sizes, intercept)
                         for key, m in todo.items()
                     ],
-                    self.cache,
-                    self.family,
-                    self.prior,
-                    self.curvature,
                 )
             except (np.linalg.LinAlgError, SelectionError):
                 pass
@@ -1524,65 +1587,13 @@ class ModelScorer:
         return sum(score.diagnostics.get(key, 0) for score in self._memo.values())
 
 
-class AftScorer:
-    """Memoizing per-model scorer for survival models."""
-
-    def __init__(
-        self,
-        ctx: AftContext,
-        prior: ParamPriorSpec,
-        model_prior: Optional[ModelPriorSpec] = None,
-        method: str = "ala",
-    ):
-        if method not in ("ala", "la"):
-            raise ValueError(f"unknown survival method {method!r}")
-        self.ctx = ctx
-        self.prior = prior
-        self.model_prior = model_prior
-        self.method = method
-        self._memo: dict[tuple[int, ...], MarginalScore] = {}
-
-    @property
-    def design(self) -> DesignMatrix:
-        return self.ctx.design
-
-    @property
-    def n_groups(self) -> int:
-        return self.ctx.design.n_groups
-
-    def marginal(self, bits) -> MarginalScore:
-        key = tuple(getattr(bits, "bits", bits))
-        found = self._memo.get(key)
-        if found is None:
-            model = self.ctx.design.model(key)
-            if self.method == "ala":
-                found = ala_aft(model, self.ctx, self.prior)
-            else:
-                found = la_aft(model, self.ctx, self.prior)
-            self._memo[key] = found
-        return found
-
-    def log_ml(self, bits) -> float:
-        return self.marginal(bits).log_ml
-
-    def log_score(self, bits) -> float:
-        key = tuple(getattr(bits, "bits", bits))
-        value = self.marginal(key).log_ml
-        if self.model_prior is not None:
-            value += log_model_prior_unnorm(key, self.model_prior)
-        return float(value)
-
-    def score_many(self, models) -> np.ndarray:
-        """``[log_score(m) for m in models]`` as an array, filling the memo;
-        ``models`` holds bit vectors or ``ModelId``s."""
-        keys = [tuple(getattr(m, "bits", m)) for m in models]
-        return np.array([self.log_score(key) for key in keys], dtype=np.float64)
-
-    @property
-    def n_scored(self) -> int:
-        """Distinct models whose marginal this scorer has computed."""
-        return len(self._memo)
-
-    def diagnostic_sum(self, key: str) -> float:
-        """Sum of one per-model diagnostic over the models scored so far."""
-        return sum(score.diagnostics.get(key, 0) for score in self._memo.values())
+def AftScorer(
+    ctx: AftContext,
+    prior: ParamPriorSpec,
+    model_prior: Optional[ModelPriorSpec] = None,
+    method: str = "ala",
+) -> ModelScorer:
+    """``ModelScorer`` for survival models: ``method="ala"`` expands at
+    ``(0, tau0)`` (``ala_aft``), ``"la"`` at the posterior mode
+    (``la_aft``)."""
+    return ModelScorer(ctx, None, prior, model_prior, method)

@@ -73,7 +73,6 @@ class BlockPrior:
         self.design = design
         self.gram = gram
         self.sizes = np.asarray(design.group_sizes)
-        self.col_group = np.repeat(np.arange(design.n_groups), self.sizes)
         # log det A_j / p_j, so that summing over a group's columns gives
         # log det A_j; NaN until the group is first factorized
         self._logdet_share = np.full(design.n_groups, np.nan)
@@ -81,7 +80,7 @@ class BlockPrior:
     def precision(self, cols, g, phi=1.0, shift=0, block=None):
         """Dense precision over ``cols`` and its log determinant
         ``sum_j p_j log c_j + log det A_j``."""
-        groups = self.col_group[cols]
+        groups = self.design.col_group[cols]
         if block is None:
             block = self.gram.block(cols)
         coef = ((self.sizes + shift) / (g * self.design.n * phi))[groups]
@@ -102,7 +101,7 @@ class BlockPrior:
         its posterior expectation for the posterior second moment.  A group
         whose value is not positive makes it -inf.
         """
-        groups = self.col_group[cols]
+        groups = self.design.col_group[cols]
         if block is None:
             block = self.gram.block(cols)
         same = groups[..., :, None] == groups[..., None, :]

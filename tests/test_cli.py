@@ -270,6 +270,30 @@ class TestSurvivalSelect:
         _, rows = _read_csv(out / "models.csv")
         assert len(rows) == 4
 
+    def test_curvature_adjustment_is_a_usage_error_for_survival(
+        self, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(12)
+        n = 40
+        x = rng.normal(size=n)
+        log_t = 0.5 * x + rng.normal(size=n)
+        data, groups = tmp_path / "d.csv", tmp_path / "g.csv"
+        _write_csv(
+            data,
+            ["t", "event", "x1"],
+            [[_num(log_t[i]), str(int(i % 3 > 0)), _num(x[i])] for i in range(n)],
+        )
+        _write_csv(groups, ["column", "group"], [["x1", "0"]])
+        out = tmp_path / "run"
+        rc = main([
+            "select", "--data", str(data), "--groups", str(groups),
+            "--response", "t", "--status", "event", "--family", "aft",
+            "--curvature-adjust", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "--curvature-adjust" in capsys.readouterr().err
+        assert not (out / "models.csv").exists()
+
     def test_survival_family_without_status_is_a_usage_error(
         self, gaussian_files, tmp_path, capsys
     ):

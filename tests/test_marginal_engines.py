@@ -718,9 +718,54 @@ class TestScorers:
         design = make_design(rng, 10, [1])
         cache = build_cache(design, rng.normal(size=10), gaussian(1.0))
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
-        scorer = me.ModelScorer(cache, gaussian(1.0), prior, method="bogus")
         with pytest.raises(ValueError):
+            scorer = me.ModelScorer(cache, gaussian(1.0), prior, method="bogus")
             scorer.log_ml((1,))
+
+    def test_model_prior_must_match_the_design(self, rng):
+        """A model prior that counts the groups or the intercept differently
+        from the design would score every model with a wrong prior."""
+        design = make_design(rng, 30, [1, 1], intercept=True)
+        cache = build_cache(design, rng.normal(size=30), gaussian(1.0))
+        prior = ParamPriorSpec()
+        for wrong in (
+            ModelPriorSpec(n_groups=3, p_total=3),
+            ModelPriorSpec(n_groups=2, p_total=3, intercept_group=0),
+        ):
+            with pytest.raises(ValueError, match="model prior"):
+                me.ModelScorer(cache, gaussian(1.0), prior, wrong)
+        right = ModelPriorSpec(n_groups=3, p_total=3, intercept_group=0)
+        me.ModelScorer(cache, gaussian(1.0), prior, right)
+        design, data = _survival_sample(rng)
+        ctx = me.build_aft_context(design, data)
+        with pytest.raises(ValueError, match="model prior"):
+            me.AftScorer(ctx, prior, ModelPriorSpec(n_groups=2, p_total=3))
+
+    @pytest.mark.parametrize(
+        "family, kind, method, message",
+        [
+            (logistic(), "gmom", "la", "gaussian family only"),
+            (gaussian(1.0), "gmom", "ala-refined", "unavailable for this prior"),
+            (logistic(), "gzellner", "exact-gaussian", "gaussian family"),
+            (gaussian_unknown(), "gzellner", "ala-refined", "known dispersion"),
+            (gaussian_unknown(), "gzellner", "ala-curvadj", "known dispersion"),
+            (None, "gmom", "ala", "block Zellner prior"),
+            (None, "gzellner", "ala-refined", "unknown survival method"),
+        ],
+    )
+    def test_unsupported_combinations_fail_at_construction(
+        self, rng, family, kind, method, message
+    ):
+        prior = ParamPriorSpec(kind=kind)
+        if family is None:
+            design, data = _survival_sample(rng)
+            stats = me.build_aft_context(design, data)
+        else:
+            design = make_design(rng, 40, [1, 1])
+            y = (rng.random(40) < 0.5).astype(np.float64)
+            stats = build_cache(design, y, family, center="intercept-mle")
+        with pytest.raises(ValueError, match=message):
+            me.ModelScorer(stats, family, prior, method=method)
 
     def test_refined_method_string_carries_the_step_count(self, rng):
         design = make_design(rng, 40, [1], intercept=True)
@@ -1143,3 +1188,88 @@ class TestBenchmarkHooks:
         assert ctx.wgram.dot_count == 3 * 3
         me.AftScorer(ctx, prior, model_prior).score_many(models)
         assert ctx.wgram.dot_count == 3 * 3
+
+    def test_survival_scorer_is_one_traced_model_scorer(self, rng):
+        """The tracer wraps ``log_score`` where a scorer class defines it:
+        a survival scorer is a ``ModelScorer``, so one call makes one span,
+        named after its method."""
+        from bench import tracing
+
+        design, data = _survival_sample(rng)
+        ctx = me.build_aft_context(design, data)
+        scorer = me.AftScorer(ctx, ParamPriorSpec(), method="la")
+        assert isinstance(scorer, me.ModelScorer)
+        assert "log_score" in me.ModelScorer.__dict__
+        tracer = tracing.Tracer()
+        with tracer.operation(0):
+            scorer.log_score((1, 0, 1))
+        spans = [tracer.names[k] for k in tracer.name]
+        assert [name for name in spans if name.endswith(".log_score")] == [
+            "marginal_engines.la.log_score"
+        ]
+
+
+def _engine_stats(kind, phi_known, method, seed=5):
+    """Statistics and family for one key of the engine table."""
+    rng = np.random.default_rng(seed)
+    if kind == "aft":
+        design, data = _survival_sample(rng)
+        return me.build_aft_context(design, data), None
+    design = make_design(rng, 60, [1, 2, 1], intercept=True)
+    eta = design.values @ np.array([0.2, 0.6, 0.0, -0.3, 0.4])
+    if kind == "gaussian":
+        family = gaussian(1.0) if phi_known else gaussian_unknown()
+        y = eta + rng.normal(size=60)
+    else:
+        family = logistic()
+        y = (rng.random(60) < 1.0 / (1.0 + np.exp(-eta))).astype(np.float64)
+    center = "intercept-mle" if method == "ala-curvadj" else "zero"
+    return build_cache(design, y, family, center=center), family
+
+
+def _engine_reference(key, model, stats, family, prior):
+    """What the engine function a table entry stands for returns."""
+    kind, method, prior_kind, _ = key
+    if kind == "aft":
+        engine = me.ala_aft if method == "ala" else me.la_aft
+        return engine(model, stats, prior)
+    curvature = (
+        me.curvature_context(stats, family) if method == "ala-curvadj" else None
+    )
+    if prior_kind == "gmom":
+        # the mode expansion of the gaussian family is its zero expansion
+        return me.ala_gmom(model, stats, family, prior, curvature)
+    if method in ("ala", "ala-curvadj"):
+        if family.phi_known:
+            return me.ala_expfam_known_phi(model, stats, family, prior, curvature)
+        return me.ala_expfam_unknown_phi(model, stats, family, prior)
+    engines = {
+        "ala-refined": me.ala_refined,
+        "la": me.la_marginal,
+        "exact-gaussian": me.exact_gaussian_marginal,
+    }
+    return engines[method](model, stats, family, prior)
+
+
+class TestEngineTable:
+    """Every entry of the scorer's engine table scores each model exactly as
+    the engine function it stands for."""
+
+    @pytest.mark.parametrize("key", sorted(me._ENGINES), ids=str)
+    def test_scorer_returns_the_engine_value(self, key):
+        kind, method, prior_kind, phi_known = key
+        stats, family = _engine_stats(kind, phi_known, method)
+        prior = ParamPriorSpec(kind=prior_kind)
+        scorer = me.ModelScorer(stats, family, prior, method=method)
+        assert scorer.method == method
+        design = stats.design
+        for model in enumerate_models(
+            design.n_groups,
+            sizes=design.group_sizes,
+            intercept_group=design.intercept_group,
+        ):
+            got = scorer.marginal(model)
+            want = _engine_reference(key, model, stats, family, prior)
+            assert got.log_ml == want.log_ml
+            assert got.method == want.method
+            np.testing.assert_array_equal(got.expansion, want.expansion)
