@@ -256,10 +256,13 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def _write_summary_files(out: Path, summary, meta: dict) -> None:
     model_header = ["model", "log_score", "probability"]
+    # the bit matrix as "0"/"1" strings, one per row, in one numpy pass
+    digits = np.ascontiguousarray(summary.bits + ord("0"), dtype=np.uint8)
+    names = digits.view(f"S{digits.shape[1]}").ravel().astype(str)
     model_rows = [
-        ["".join(map(str, bits)), _fmt(score), _fmt(prob)]
-        for bits, score, prob in zip(
-            summary.models, summary.log_scores, summary.probabilities
+        [name, _fmt(score), _fmt(prob)]
+        for name, score, prob in zip(
+            names.tolist(), summary.log_scores, summary.probabilities
         )
     ]
     _write_rows(out / "models.csv", model_header, model_rows)
@@ -366,7 +369,7 @@ def run_select(args) -> int:
         "total_s": round(t_score - t_start, 6),
     }
     meta["n_models_scored"] = sum(s.n_scored for s in scorers)
-    meta["support_size"] = len(summary.models)
+    meta["support_size"] = summary.bits.shape[0]
     la_scorers = [s for s in scorers if s.method == "la"]
     if la_scorers:
         meta["la_newton_evaluations"] = int(

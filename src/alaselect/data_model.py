@@ -16,9 +16,12 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .errors import DegenerateResponse, InvalidModel, NotInvertible, RefuseEnumeration
-from .priors import BlockPrior
+from .priors import KEY_DIGITS, BlockPrior, model_key
 
 ENUMERATION_LIMIT = 25
+# masks expanded into bits per pass of ``admissible_bits``, so that a large
+# space under a tight size cap never holds every candidate at once
+_MASK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,13 +30,14 @@ class DesignMatrix:
 
     ``groups`` is a sequence of half-open column ranges ``(start, stop)``
     that must partition ``[0, p)`` exactly.  ``intercept_group`` names a
-    group that is forced into every model.  ``col_group`` holds the group of
-    each column.
+    group that is forced into every model.  ``group_sizes`` holds the
+    column count of each group and ``col_group`` the group of each column.
     """
 
     values: np.ndarray
     groups: tuple[tuple[int, int], ...]
     intercept_group: Optional[int] = None
+    group_sizes: np.ndarray = field(init=False, repr=False, compare=False)
     col_group: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,7 +60,8 @@ class DesignMatrix:
             0 <= self.intercept_group < len(groups)
         ):
             raise ValueError("intercept_group out of range")
-        sizes = [stop - start for start, stop in groups]
+        sizes = np.array([stop - start for start, stop in groups], dtype=np.intp)
+        object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(
             self, "col_group", np.repeat(np.arange(len(groups)), sizes)
         )
@@ -73,20 +78,24 @@ class DesignMatrix:
     def n_groups(self) -> int:
         return len(self.groups)
 
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.groups)
-
-    def group_size(self, j: int) -> int:
-        start, stop = self.groups[j]
-        return stop - start
-
-    def columns_for(self, bits: Sequence[int]) -> np.ndarray:
+    def columns_for(self, bits) -> np.ndarray:
         """Column indices of the active groups, in group order."""
-        return np.flatnonzero(np.asarray(bits, dtype=bool)[self.col_group])
+        view = np.frombuffer(model_key(bits), dtype=np.uint8)
+        return np.flatnonzero(view[self.col_group])
 
-    def model(self, bits: Sequence[int]) -> "ModelId":
-        return make_model(bits, self.group_sizes, self.intercept_group)
+    def model(self, bits) -> "ModelId":
+        """The ``ModelId`` of a key or bit vector; raises ``ValueError`` for a
+        key of the wrong length or with a byte other than 0/1, and
+        ``InvalidModel`` when the intercept group is inactive."""
+        key = model_key(bits)
+        if len(key) != self.n_groups:
+            raise ValueError("bit vector length does not match the group count")
+        if key.translate(None, b"\x00\x01"):
+            raise ValueError("a model key holds one 0/1 byte per group")
+        if self.intercept_group is not None and not key[self.intercept_group]:
+            raise InvalidModel("intercept group must be active in every model")
+        view = np.frombuffer(key, dtype=np.uint8)
+        return ModelId(key, int(np.count_nonzero(view)), int(self.group_sizes @ view))
 
     @staticmethod
     def with_singleton_groups(
@@ -99,33 +108,23 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class ModelId:
-    """Bit vector over the J groups, plus cached size and dimension."""
+    """A model's key (see ``model_key``) with its group count and column
+    count; ``DesignMatrix.model`` builds it."""
 
-    bits: tuple[int, ...]
+    key: bytes
     size: int
     p_gamma: int
 
     @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.key)
+
+    @property
     def active_groups(self) -> tuple[int, ...]:
-        return tuple(j for j, on in enumerate(self.bits) if on)
+        return tuple(np.flatnonzero(np.frombuffer(self.key, dtype=np.uint8)).tolist())
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def make_model(
-    bits: Sequence[int],
-    group_sizes: Sequence[int],
-    intercept_group: Optional[int] = None,
-) -> ModelId:
-    bits = tuple(1 if b else 0 for b in bits)
-    if len(bits) != len(group_sizes):
-        raise ValueError("bit vector length does not match the group count")
-    if intercept_group is not None and not bits[intercept_group]:
-        raise InvalidModel("intercept group must be active in every model")
-    size = sum(bits)
-    p_gamma = sum(s for b, s in zip(bits, group_sizes) if b)
-    return ModelId(bits=bits, size=size, p_gamma=p_gamma)
+        return self.key.translate(KEY_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,7 @@ class ConstraintSet:
 
     max_groups: int
     requires: tuple[tuple[int, int], ...] = ()
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -146,14 +146,20 @@ class ConstraintSet:
         cycle = _find_cycle(self.requires)
         if cycle is not None:
             raise ValueError(f"constraint cycle: {' -> '.join(map(str, cycle))}")
+        # child indices in row 0, parent indices in row 1
+        pairs = np.array(self.requires, dtype=np.intp).reshape(-1, 2).T
+        object.__setattr__(self, "_pairs", pairs)
 
-    def satisfied_by(self, bits: Sequence[int]) -> bool:
-        if sum(bits) > self.max_groups:
+    def satisfied_by(self, bits) -> bool:
+        """Whether one model (a key or bit vector) meets the constraints:
+        one count of its key plus one gather per ``requires`` pair."""
+        key = model_key(bits)
+        if key.count(1) > self.max_groups:
             return False
-        for child, parent in self.requires:
-            if bits[child] and not bits[parent]:
-                return False
-        return True
+        if not self.requires:
+            return True
+        view = np.frombuffer(key, dtype=np.uint8)
+        return not np.count_nonzero(view[self._pairs[0]] > view[self._pairs[1]])
 
 
 def _find_cycle(requires) -> Optional[list[int]]:
@@ -187,10 +193,6 @@ def _find_cycle(requires) -> Optional[list[int]]:
             if found:
                 return found
     return None
-
-
-def no_constraints(j: int) -> ConstraintSet:
-    return ConstraintSet(max_groups=j)
 
 
 class Gram:
@@ -323,7 +325,7 @@ def submodel_stats(cache: SuffStatsCache, model: ModelId):
 
     Untouched Gram entries are computed and memoized during assembly.
     """
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     xtx = cache.gram.block(cols)
     xty = cache.zty[cols]
     return xtx, xty
@@ -376,6 +378,46 @@ def ls_solve(xtx: np.ndarray, xty: np.ndarray, jitter: bool = False) -> LsSoluti
     return LsSolution(beta=beta, quad=quad, chol=factor, jittered=jittered)
 
 
+def admissible_bits(
+    n_groups: int,
+    constraints: Optional[ConstraintSet] = None,
+    intercept_group: Optional[int] = None,
+    *,
+    among: Optional[Sequence[int]] = None,
+    limit: int = ENUMERATION_LIMIT,
+) -> np.ndarray:
+    """Every constraint-satisfying model as one row of a (B, n_groups)
+    ``uint8`` 0/1 matrix, in lexicographic bit order (group 0 is the most
+    significant bit).
+
+    ``among`` lists the groups that vary, in order (default: all); the
+    other groups stay inactive.  Raises ``RefuseEnumeration`` when more
+    than ``limit`` groups vary.
+    """
+    among = np.arange(n_groups) if among is None else np.asarray(among, dtype=np.intp)
+    width = among.shape[0]
+    if width > limit:
+        raise RefuseEnumeration(
+            f"2^{width} models exceed the enumeration limit (2^{limit}); "
+            "use Gibbs search instead"
+        )
+    shifts = np.arange(width - 1, -1, -1)
+    chunks = []
+    for start in range(0, 1 << width, _MASK_CHUNK):
+        masks = np.arange(start, min(start + _MASK_CHUNK, 1 << width))
+        bits = np.zeros((masks.shape[0], n_groups), dtype=np.uint8)
+        bits[:, among] = (masks[:, None] >> shifts) & 1
+        ok = np.ones(masks.shape[0], dtype=bool)
+        if intercept_group is not None:
+            ok &= bits[:, intercept_group] == 1
+        if constraints is not None:
+            child, parent = constraints._pairs
+            ok &= np.count_nonzero(bits, axis=1) <= constraints.max_groups
+            ok &= np.all(bits[:, child] <= bits[:, parent], axis=1)
+        chunks.append(bits[ok])
+    return np.concatenate(chunks)
+
+
 def enumerate_models(
     j: int,
     constraints: Optional[ConstraintSet] = None,
@@ -384,20 +426,12 @@ def enumerate_models(
     intercept_group: Optional[int] = None,
     limit: int = ENUMERATION_LIMIT,
 ) -> Iterator[ModelId]:
-    """Yield every constraint-satisfying model in lexicographic bit order."""
-    if j > limit:
-        raise RefuseEnumeration(
-            f"2^{j} models exceed the enumeration limit (2^{limit}); "
-            "use Gibbs search instead"
-        )
-    if constraints is None:
-        constraints = no_constraints(j)
-    if sizes is None:
-        sizes = (1,) * j
-    for mask in range(1 << j):
-        bits = tuple((mask >> (j - 1 - k)) & 1 for k in range(j))
-        if intercept_group is not None and not bits[intercept_group]:
-            continue
-        if not constraints.satisfied_by(bits):
-            continue
-        yield make_model(bits, sizes, intercept_group)
+    """Yield every constraint-satisfying model in lexicographic bit order,
+    as the ``ModelId`` of each row of ``admissible_bits``; ``sizes`` holds
+    the column count of each group (default: one each)."""
+    bits = admissible_bits(j, constraints, intercept_group, limit=limit)
+    sizes = np.ones(j, dtype=np.intp) if sizes is None else np.asarray(sizes)
+    counts = np.count_nonzero(bits, axis=1).tolist()
+    dims = (bits @ sizes).tolist()
+    for row, size, p_gamma in zip(bits, counts, dims):
+        yield ModelId(row.tobytes(), size, p_gamma)

@@ -13,7 +13,7 @@ route are provided as references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +29,6 @@ from .data_model import (
     ModelId,
     SuffStatsCache,
     ls_solve,
-    make_model,
     submodel_stats,
 )
 from .errors import (
@@ -47,6 +46,7 @@ from .priors import (
     log_invgamma,
     log_model_prior_unnorm,
     log_tau_prior,
+    model_key,
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -239,7 +239,7 @@ def _known_phi_core(
         out["score"] = l0
         out["beta_tilde"] = np.empty(0)
         return out
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
@@ -298,7 +298,7 @@ def ala_expfam_known_phi(
     l0 = _loglik_at_center(cache, family, phi)
     if model.p_gamma == 0:
         return MarginalScore(l0, method, np.empty(0), {"phi": phi})
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
@@ -385,7 +385,7 @@ def ala_expfam_unknown_phi(
         return MarginalScore(
             float(log_ml), "ala", np.array([phi0]), {"phi0": phi0}
         )
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = st["bpp0"]
     factor = bpp / phi0
@@ -466,7 +466,7 @@ def ala_gmom(
     local = ala_expfam_unknown_phi(model, cache, family, prior, _kernel_shift=2)
     if not np.isfinite(local.log_ml):
         return MarginalScore(local.log_ml, "ala-gmom", local.expansion, local.diagnostics)
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
     _, shape = _cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
@@ -500,7 +500,7 @@ def _lower_inverse(factor: np.ndarray) -> np.ndarray:
 
 
 def ala_known_phi_many(
-    models: Sequence[ModelId],
+    bits: np.ndarray,
     cache: SuffStatsCache,
     family: fam.FamilySpec,
     prior: ParamPriorSpec,
@@ -508,9 +508,10 @@ def ala_known_phi_many(
 ) -> list[MarginalScore]:
     """Zero-expansion scores of many models under a known dispersion.
 
-    Returns, in order, what ``ala_expfam_known_phi`` (block Zellner prior,
-    exact Normal integral) or ``ala_gmom`` (product-moment prior) returns
-    for each model, up to rounding.  Models of one dimension share a
+    ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
+    in order, what ``ala_expfam_known_phi`` (block Zellner prior, exact
+    Normal integral) or ``ala_gmom`` (product-moment prior) returns for each
+    model, up to rounding.  Models of one dimension share a
     stacked Cholesky factorization and one batched triangular solve; their
     Gram blocks are gathered from one block over the columns they use, so
     the Gram fills the same columns as scoring the models one at a time.
@@ -532,17 +533,16 @@ def ala_known_phi_many(
     l0 = _loglik_at_center(cache, family, phi)
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
-    bits = np.array([m.bits for m in models], dtype=bool).reshape(
-        len(models), design.n_groups
-    )
-    col_mask = bits[:, design.col_group]
+    active = np.asarray(bits, dtype=bool)
+    col_mask = active[:, design.col_group]
     p_gamma = col_mask.sum(axis=1)
-    out: list[Optional[MarginalScore]] = [None] * len(models)
+    out: list[Optional[MarginalScore]] = [None] * active.shape[0]
     for i in np.flatnonzero(p_gamma == 0):
+        model = design.model(active[i].tobytes())
         if gmom:
-            out[i] = ala_gmom(models[i], cache, family, prior, curvature)
+            out[i] = ala_gmom(model, cache, family, prior, curvature)
         else:
-            out[i] = ala_expfam_known_phi(models[i], cache, family, prior, curvature)
+            out[i] = ala_expfam_known_phi(model, cache, family, prior, curvature)
     for k in np.unique(p_gamma[p_gamma > 0]):
         members = np.flatnonzero(p_gamma == k)
         step = max(1, _STACK_ENTRIES // (k * k))
@@ -717,7 +717,7 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
             np.empty(0),
             {"iterations": 0, "evaluations": 0},
         )
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     Z = cache.design.values[:, cols]
     y = cache.y
     c_sum = _c_sum(cache, family, phi)
@@ -752,7 +752,7 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
 def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     a, b = prior.phi_prior_required()
     p = model.p_gamma
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     Z = cache.design.values[:, cols]
     y = cache.y
     st = _unknown_phi_stats(cache, family)
@@ -841,7 +841,7 @@ def ala_refined(
             np.empty(0),
             {"steps_taken": 0},
         )
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     Z = cache.design.values[:, cols]
     y = cache.y
     c_sum = _c_sum(cache, family, phi)
@@ -1020,7 +1020,7 @@ def exact_gmom_blockdiag(
         off = np.array(xtx, copy=True)
         offset = 0
         for j in model.active_groups:
-            pj = cache.design.group_size(j)
+            pj = int(cache.design.group_sizes[j])
             off[offset : offset + pj, offset : offset + pj] = 0.0
             offset += pj
         scale = float(np.max(np.abs(np.diag(xtx)))) or 1.0
@@ -1030,7 +1030,7 @@ def exact_gmom_blockdiag(
     total = base
     g = prior.g
     for j in model.active_groups:
-        pj = cache.design.group_size(j)
+        pj = int(cache.design.group_sizes[j])
         if pj > 2:
             raise ValueError("block quadrature supports groups of up to 2 columns")
         start, stop = cache.design.groups[j]
@@ -1290,7 +1290,7 @@ def ala_aft(
         return MarginalScore(
             float(log_ml), "ala", np.array([ctx.tau0]), {"tau0": ctx.tau0}
         )
-    cols = ctx.design.columns_for(model.bits)
+    cols = ctx.design.columns_for(model.key)
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = ctx.wgram.block(cols)
     hess[:p, p] = hess[p, :p] = -ctx.ztyw[cols]
@@ -1329,7 +1329,7 @@ def la_aft(
         raise ValueError("survival scoring expects the block Zellner prior")
     a, b = prior.phi_prior_required()
     p = model.p_gamma
-    cols = ctx.design.columns_for(model.bits)
+    cols = ctx.design.columns_for(model.key)
     Z = ctx.design.values[:, cols]
     fam.aft_concavity_check(Z, ctx.data)
     prec, logdet = ctx.block_prior.precision(cols, prior.g)
@@ -1382,7 +1382,7 @@ def _parse_method(method: str) -> tuple[str, Optional[int]]:
 
 
 # Each engine takes the scorer and one ModelId; a batched engine takes the
-# scorer and a list of them.
+# scorer and a (B, J) bit matrix.
 
 
 def _ala_known_phi(s, m):
@@ -1417,8 +1417,8 @@ def _la_aft(s, m):
     return la_aft(m, s.cache, s.prior)
 
 
-def _ala_many(s, models):
-    return ala_known_phi_many(models, s.cache, s.family, s.prior, s.curvature)
+def _ala_many(s, bits):
+    return ala_known_phi_many(bits, s.cache, s.family, s.prior, s.curvature)
 
 
 # (statistics, method, prior kind, dispersion known) -> (engine, batched
@@ -1525,25 +1525,26 @@ class ModelScorer:
         self.curvature: Optional[CurvatureContext] = None
         if name == "ala-curvadj":
             self.curvature = curvature_context(cache, family)
-        self._memo: dict[tuple[int, ...], MarginalScore] = {}
+        self._memo: dict[bytes, MarginalScore] = {}
 
     @property
     def design(self) -> DesignMatrix:
         return self.cache.design
 
     def marginal(self, bits) -> MarginalScore:
-        key = tuple(getattr(bits, "bits", bits))
+        """The memoized score of one model, given as a key (see
+        ``model_key``), a ``ModelId`` or a bit sequence."""
+        key = model_key(bits)
         found = self._memo.get(key)
         if found is None:
-            found = self._engine(self, self.cache.design.model(key))
-            self._memo[key] = found
+            found = self._memo[key] = self._engine(self, self.cache.design.model(key))
         return found
 
     def log_ml(self, bits) -> float:
         return self.marginal(bits).log_ml
 
     def log_score(self, bits) -> float:
-        key = tuple(getattr(bits, "bits", bits))
+        key = model_key(bits)
         value = self.marginal(key).log_ml
         if self.model_prior is not None:
             value += log_model_prior_unnorm(key, self.model_prior)
@@ -1552,29 +1553,42 @@ class ModelScorer:
     def score_many(self, models) -> np.ndarray:
         """``[log_score(m) for m in models]`` as an array, filling the memo.
 
-        ``models`` holds bit vectors or ``ModelId``s.  Where the engine has
-        a batched form (known-dispersion ``ala``/``ala-curvadj`` with the
+        ``models`` is a (B, J) 0/1 matrix, one model per row, or a sequence
+        of models in any form ``log_score`` takes.  Where the engine has a
+        batched form (known-dispersion ``ala``/``ala-curvadj`` with the
         exact Normal integral), the models not yet memoized are scored in
-        one batch (``ala_known_phi_many``); otherwise one model at a time.
-        When the batch fails, the models are rescored one at a time, so the
-        error comes from the same first model as the loop's.
+        one batch (``ala_known_phi_many``) straight from their bit matrix;
+        otherwise one model at a time.  Either way every model then passes
+        through one ``log_score`` call.  When the batch fails, the models
+        are rescored one at a time, so the error comes from the same first
+        model as the loop's.
         """
-        keys = [tuple(getattr(m, "bits", m)) for m in models]
+        n_groups = self.design.n_groups
+        if isinstance(models, np.ndarray):
+            bits = np.ascontiguousarray(models, dtype=bool).view(np.uint8)
+            if bits.ndim != 2 or bits.shape[1] != n_groups:
+                raise ValueError("bit vector length does not match the group count")
+            keys = bits.view(f"V{n_groups}").ravel().tolist()
+        else:
+            keys = [model_key(m) for m in models]
         if self._many is not None:
-            todo = {key: m for key, m in zip(keys, models) if key not in self._memo}
-            sizes, intercept = self.design.group_sizes, self.design.intercept_group
-            try:
-                scores = self._many(
-                    self,
-                    [
-                        m if isinstance(m, ModelId) else make_model(key, sizes, intercept)
-                        for key, m in todo.items()
-                    ],
-                )
-            except (np.linalg.LinAlgError, SelectionError):
-                pass
-            else:
-                self._memo.update(zip(todo, scores))
+            todo = [key for key in dict.fromkeys(keys) if key not in self._memo]
+            batch = np.frombuffer(b"".join(todo), dtype=np.uint8)
+            intercept = self.design.intercept_group
+            # malformed keys, and models without the intercept group, are
+            # left to log_score, which raises on the first of them
+            if (
+                todo
+                and all(len(key) == n_groups for key in todo)
+                and batch.max() <= 1
+                and (intercept is None or batch[intercept::n_groups].all())
+            ):
+                try:
+                    scores = self._many(self, batch.reshape(len(todo), n_groups))
+                except (np.linalg.LinAlgError, SelectionError):
+                    pass
+                else:
+                    self._memo.update(zip(todo, scores))
         return np.array([self.log_score(key) for key in keys], dtype=np.float64)
 
     @property

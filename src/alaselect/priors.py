@@ -10,7 +10,7 @@ zero, which removes prior mass from near-null coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -23,6 +23,23 @@ if TYPE_CHECKING:
     from .data_model import ConstraintSet, DesignMatrix, Gram, ModelId, SuffStatsCache
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# maps a model key's 0/1 bytes to the characters "0"/"1"
+KEY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def model_key(bits) -> bytes:
+    """The one representation of a model: one 0/1 byte per group.
+
+    Takes a key (returned as is), a ``ModelId``, or any sequence or array
+    of bits, nonzero meaning active.  Keys are hashed, compared and counted
+    in C, so their bookkeeping does not loop over the groups in Python.
+    """
+    if type(bits) is bytes:
+        return bits
+    key = getattr(bits, "key", None)
+    if key is not None:
+        return key
+    return np.asarray(bits, dtype=bool).tobytes()
 
 
 @dataclass(frozen=True)
@@ -72,7 +89,7 @@ class BlockPrior:
     def __init__(self, design: DesignMatrix, gram: Gram):
         self.design = design
         self.gram = gram
-        self.sizes = np.asarray(design.group_sizes)
+        self.sizes = design.group_sizes
         # log det A_j / p_j, so that summing over a group's columns gives
         # log det A_j; NaN until the group is first factorized
         self._logdet_share = np.full(design.n_groups, np.nan)
@@ -83,7 +100,8 @@ class BlockPrior:
         groups = self.design.col_group[cols]
         if block is None:
             block = self.gram.block(cols)
-        coef = ((self.sizes + shift) / (g * self.design.n * phi))[groups]
+        sizes = self.sizes[groups]
+        coef = (sizes + shift) / (g * self.design.n * phi)
         same = groups[..., :, None] == groups[..., None, :]
         prec = block * same * coef[..., :, None]
         logdet = np.sum(np.log(coef) + self._logdet_shares(groups), axis=-1)
@@ -108,10 +126,11 @@ class BlockPrior:
         per_col = np.sum(block * same * moment, axis=-1)
         # every column of group j carries tr(A_j M_jj) and 1/p_j of its log
         value = np.einsum("...ij,...j->...i", same, per_col)
-        value *= ((self.sizes + 2) / (g * self.design.n * self.sizes))[groups]
+        sizes = self.sizes[groups]
+        value *= (sizes + 2) / (g * self.design.n * sizes)
         with np.errstate(divide="ignore"):
             logs = np.log(np.where(value > 0.0, value, 0.0))
-        return np.sum(logs / self.sizes[groups], axis=-1)
+        return np.sum(logs / sizes, axis=-1)
 
     def _logdet_shares(self, groups: np.ndarray) -> np.ndarray:
         """``log det A_j / p_j`` for each entry of ``groups``, factorizing
@@ -146,7 +165,7 @@ def log_gzellner(
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (model.p_gamma,):
         raise ValueError("beta length does not match the active columns")
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     return cache.block_prior.log_density(beta, cols, g, phi)
 
 
@@ -167,7 +186,7 @@ def log_gmom(
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (model.p_gamma,):
         raise ValueError("beta length does not match the active columns")
-    cols = cache.design.columns_for(model.bits)
+    cols = cache.design.columns_for(model.key)
     prior = cache.block_prior
     block = prior.gram.block(cols)
     penalty = prior.log_penalty(cols, np.outer(beta, beta) / phi, g, block)
@@ -200,7 +219,10 @@ class ModelPriorSpec:
     Up to normalization, ``log p(gamma) = -c k log(p_total) - log C(J, k)``
     where k counts active free groups and J counts all free groups.  A
     forced intercept group is excluded from both counts.  ``c = 0`` recovers
-    the uniform-on-size (beta-binomial 1, 1) prior.
+    the uniform-on-size (beta-binomial 1, 1) prior.  The mass depends on k
+    alone, so ``log_mass[k]`` holds it for every k, computed once; a model
+    costs one count of its key, plus the checks of ``check``, the first
+    time it is seen, and one lookup of its key after that.
     """
 
     n_groups: int
@@ -208,36 +230,49 @@ class ModelPriorSpec:
     c_exponent: float = 0.0
     constraints: Optional[ConstraintSet] = None
     intercept_group: Optional[int] = None
+    log_mass: np.ndarray = field(init=False, repr=False, compare=False)
+    _seen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c_exponent < 0.0:
             raise ValueError("c_exponent must be nonnegative")
         if self.p_total < 1 or self.n_groups < 1:
             raise ValueError("need at least one group and one column")
+        j = self.n_free
+        k = np.arange(j + 1)
+        log_choose = gammaln(j + 1.0) - gammaln(k + 1.0) - gammaln(j - k + 1.0)
+        table = -self.c_exponent * k * np.log(self.p_total) - log_choose
+        object.__setattr__(self, "log_mass", table)
 
     @property
     def n_free(self) -> int:
         return self.n_groups - (1 if self.intercept_group is not None else 0)
 
     def free_size(self, bits) -> int:
-        k = sum(bits)
-        if self.intercept_group is not None and bits[self.intercept_group]:
+        key = model_key(bits)
+        k = key.count(1)
+        if self.intercept_group is not None and key[self.intercept_group]:
             k -= 1
         return k
 
     def check(self, bits) -> None:
-        if len(bits) != self.n_groups:
+        key = model_key(bits)
+        if len(key) != self.n_groups:
             raise InvalidModel("bit vector length does not match the group count")
-        if self.intercept_group is not None and not bits[self.intercept_group]:
+        if self.intercept_group is not None and not key[self.intercept_group]:
             raise InvalidModel("intercept group must stay active")
-        if self.constraints is not None and not self.constraints.satisfied_by(bits):
-            raise InvalidModel(f"model {''.join(map(str, bits))} violates constraints")
+        if self.constraints is not None and not self.constraints.satisfied_by(key):
+            raise InvalidModel(
+                f"model {key.translate(KEY_DIGITS).decode()} violates constraints"
+            )
 
 
 def log_model_prior_unnorm(bits, spec: ModelPriorSpec) -> float:
-    """Unnormalized log prior mass of one model; raises on invalid models."""
-    spec.check(bits)
-    k = spec.free_size(bits)
-    j = spec.n_free
-    log_choose = gammaln(j + 1.0) - gammaln(k + 1.0) - gammaln(j - k + 1.0)
-    return -spec.c_exponent * k * np.log(spec.p_total) - log_choose
+    """Unnormalized log prior mass of one model; raises on invalid models.
+    ``spec`` remembers the mass of each valid model by its key."""
+    key = model_key(bits)
+    mass = spec._seen.get(key)
+    if mass is None:
+        spec.check(key)
+        mass = spec._seen[key] = spec.log_mass[spec.free_size(key)]
+    return mass

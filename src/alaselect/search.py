@@ -16,17 +16,19 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .data_model import ENUMERATION_LIMIT, ConstraintSet, enumerate_models
-from .errors import RefuseEnumeration
+from .data_model import ENUMERATION_LIMIT, ConstraintSet, admissible_bits
+from .priors import model_key
 
 
 @dataclass
 class PosteriorSummary:
     """Posterior over a model support plus per-group inclusion estimates.
 
-    ``inclusion`` holds the primary estimate (conditional averages when the
-    support was sampled); ``inclusion_raw`` the plain sampling frequencies,
-    when available.
+    ``models`` lists the support as bit tuples and ``bits`` holds the same
+    models as a (B, J) ``uint8`` matrix, built from ``models`` when not
+    given.  ``inclusion`` holds the primary estimate (conditional averages
+    when the support was sampled); ``inclusion_raw`` the plain sampling
+    frequencies, when available.
     """
 
     models: list[tuple[int, ...]]
@@ -36,6 +38,11 @@ class PosteriorSummary:
     inclusion_raw: Optional[np.ndarray] = None
     samples: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
+    bits: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.bits is None:
+            self.bits = np.asarray(self.models, dtype=np.uint8)
 
     def top(self, k: int = 10) -> list[tuple[tuple[int, ...], float]]:
         order = np.argsort(-self.probabilities)[:k]
@@ -81,18 +88,38 @@ def _normalize(log_scores: np.ndarray) -> np.ndarray:
     return np.exp(log_scores - total)
 
 
-def _inclusion_from(models: Sequence[tuple[int, ...]], probs: np.ndarray) -> np.ndarray:
-    bits = np.asarray(models, dtype=np.float64)
-    return bits.T @ probs
+def _inclusion_from(bits: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    return bits.astype(np.float64).T @ probs
+
+
+def _as_tuples(bits: np.ndarray) -> list[tuple[int, ...]]:
+    return list(map(tuple, bits.tolist()))
+
+
+def _distinct_rows(samples: np.ndarray):
+    """The distinct rows of a 0/1 draw matrix, sorted, as a ``uint8``
+    matrix, with each draw's row index and each row's count; rows are
+    compared and counted as one byte string each."""
+    draws = np.ascontiguousarray(samples, dtype=bool).view(np.uint8)
+    rows, inverse, counts = np.unique(
+        draws.view(f"V{draws.shape[1]}").ravel(),
+        return_inverse=True,
+        return_counts=True,
+    )
+    return rows.view(np.uint8).reshape(-1, draws.shape[1]), inverse, counts
 
 
 def _resolve_constraints(scorer, constraints: Optional[ConstraintSet]):
-    if constraints is not None:
-        return constraints
+    """The constraints a search runs under: the argument, else the scorer's
+    model prior's.  Two copies that differ raise ``ValueError``, as the
+    prior would otherwise reject a model of the search midway."""
     model_prior = getattr(scorer, "model_prior", None)
-    if model_prior is not None:
-        return model_prior.constraints
-    return None
+    held = model_prior.constraints if model_prior is not None else None
+    if constraints is None:
+        return held
+    if held is not None and held != constraints:
+        raise ValueError("constraints differ from the scorer's model prior constraints")
+    return constraints
 
 
 def enumerate_posterior(
@@ -103,24 +130,18 @@ def enumerate_posterior(
     """Score every admissible model and normalize exactly."""
     design = scorer.design
     constraints = _resolve_constraints(scorer, constraints)
-    admissible = list(
-        enumerate_models(
-            design.n_groups,
-            constraints,
-            sizes=design.group_sizes,
-            intercept_group=design.intercept_group,
-            limit=limit,
-        )
+    bits = admissible_bits(
+        design.n_groups, constraints, design.intercept_group, limit=limit
     )
-    log_scores = scorer.score_many(admissible)
-    models = [model.bits for model in admissible]
+    log_scores = scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(
-        models=models,
+        models=_as_tuples(bits),
         log_scores=log_scores,
         probabilities=probs,
-        inclusion=_inclusion_from(models, probs),
-        diagnostics={"n_models": len(models)},
+        inclusion=_inclusion_from(bits, probs),
+        diagnostics={"n_models": bits.shape[0]},
+        bits=bits,
     )
 
 
@@ -154,14 +175,16 @@ def gibbs_models(
         parents[child].append(parent)
         children[parent].append(child)
     intercept = design.intercept_group
+    # the state is one key, edited in place, and its active-group count
     if init is None:
-        bits = [0] * j_groups
+        state = bytearray(j_groups)
         if intercept is not None:
-            bits[intercept] = 1
+            state[intercept] = 1
     else:
-        bits = [1 if b else 0 for b in init]
-        if constraints is not None and not constraints.satisfied_by(bits):
+        state = bytearray(model_key(init))
+        if constraints is not None and not constraints.satisfied_by(bytes(state)):
             raise ValueError("initial model violates the constraints")
+    active = state.count(1)
     rng = np.random.Generator(np.random.Philox(seed))
     burn = int(np.ceil(burn_frac * n_scans))
     rb_sums = np.zeros(j_groups)
@@ -176,53 +199,45 @@ def gibbs_models(
                 if keep:
                     rb_sums[j] += 1.0
                 continue
-            active = sum(bits)
-            if bits[j]:
-                if any(bits[child] for child in children[j]):
+            was_on = state[j]
+            if was_on:
+                if any(state[child] for child in children[j]):
                     # switching off would orphan a dependent; the conditional is one
                     if keep:
                         rb_sums[j] += 1.0
                     continue
-                state_on = tuple(bits)
-                off = list(bits)
-                off[j] = 0
-                state_off = tuple(off)
-            else:
-                if any(not bits[parent] for parent in parents[j]) or (
-                    active >= max_groups
-                ):
-                    # activation is inadmissible; the conditional is zero
-                    if keep:
-                        rb_sums[j] += 0.0
-                    continue
-                on = list(bits)
-                on[j] = 1
-                state_on = tuple(on)
-                state_off = tuple(bits)
+            elif any(not state[parent] for parent in parents[j]) or (
+                active >= max_groups
+            ):
+                # activation is inadmissible; the conditional is zero
+                if keep:
+                    rb_sums[j] += 0.0
+                continue
+            state[j] = 1
+            state_on = bytes(state)
+            state[j] = 0
+            state_off = bytes(state)
             delta = scorer.log_score(state_off) - scorer.log_score(state_on)
             p_on = 1.0 / (1.0 + np.exp(min(delta, 700.0)))
-            chosen = state_on if rng.random() < p_on else state_off
-            bits = list(chosen)
+            on = int(rng.random() < p_on)
+            state[j] = on
+            active += on - was_on
             if keep:
                 rb_sums[j] += p_on
             if debug and constraints is not None:
-                if not constraints.satisfied_by(bits):
+                if not constraints.satisfied_by(bytes(state)):
                     violations += 1
         if keep:
-            samples[kept] = bits
+            samples[kept] = np.frombuffer(state, dtype=np.uint8)
             raw_sums += samples[kept]
             kept += 1
     if kept == 0:
         raise ValueError("no post-burn-in scans; increase n_scans")
-    unique: dict[tuple[int, ...], int] = {}
-    for row in samples:
-        key = tuple(int(b) for b in row)
-        unique[key] = unique.get(key, 0) + 1
-    models = sorted(unique)
-    log_scores = scorer.score_many(models)
+    bits, _, _ = _distinct_rows(samples)
+    log_scores = scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(
-        models=models,
+        models=_as_tuples(bits),
         log_scores=log_scores,
         probabilities=probs,
         inclusion=rb_sums / kept,
@@ -232,9 +247,10 @@ def gibbs_models(
             "n_scans": n_scans,
             "burn_scans": burn,
             "seed": seed,
-            "n_visited": len(models),
+            "n_visited": bits.shape[0],
             "constraint_violations": violations,
         },
+        bits=bits,
     )
 
 
@@ -255,27 +271,19 @@ def importance_reweight(
     n_draws = samples.shape[0]
     if n_draws == 0:
         raise ValueError("need at least one draw")
-    counts: dict[tuple[int, ...], int] = {}
-    draw_keys: list[tuple[int, ...]] = []
-    for row in samples:
-        key = tuple(int(b) for b in row)
-        draw_keys.append(key)
-        counts[key] = counts.get(key, 0) + 1
-    models = sorted(counts)
-    log_scores = scorer.score_many(models)
+    bits, draw_rows, counts_arr = _distinct_rows(samples)
+    log_scores = scorer.score_many(bits)
     total = logsumexp(log_scores)
     if not np.isfinite(total):
         raise ValueError("every model in the support scored -inf")
     log_target = log_scores - total
-    counts_arr = np.asarray([counts[m] for m in models], dtype=np.float64)
     freqs = counts_arr / n_draws
     if proposal_scorer is None:
         log_prop = np.log(freqs)
     else:
-        prop_scores = proposal_scorer.score_many(models)
+        prop_scores = proposal_scorer.score_many(bits)
         log_prop = prop_scores - logsumexp(prop_scores)
     log_w = log_target - log_prop
-    index = {m: i for i, m in enumerate(models)}
     log_c = np.log(counts_arr)
     sum_w = logsumexp(log_w + log_c)
     sum_w2 = logsumexp(2.0 * log_w + log_c)
@@ -283,13 +291,13 @@ def importance_reweight(
     # Ratios beyond the float range are reported as inf on purpose; the
     # log-space diagnostics above stay finite.
     with np.errstate(over="ignore"):
-        weights = np.exp(np.asarray([log_w[index[k]] for k in draw_keys]))
+        weights = np.exp(log_w[draw_rows])
         max_weight = float(np.exp(np.max(log_w)))
     return ImportanceReport(
-        models=models,
+        models=_as_tuples(bits),
         probabilities=np.exp(log_target),
         frequencies=freqs,
-        inclusion=_inclusion_from(models, np.exp(log_target)),
+        inclusion=_inclusion_from(bits, np.exp(log_target)),
         weights=weights,
         ess=float(np.exp(2.0 * sum_w - sum_w2)),
         n_draws=n_draws,
@@ -315,7 +323,9 @@ def screen_then_refine(
     inclusion zero.
     """
     design = screen_scorer.design
-    constraints = _resolve_constraints(screen_scorer, constraints)
+    constraints = _resolve_constraints(
+        refine_scorer, _resolve_constraints(screen_scorer, constraints)
+    )
     first = enumerate_posterior(screen_scorer, constraints, limit)
     keep = {
         j
@@ -341,30 +351,20 @@ def screen_then_refine(
             "the summary covers the null model only",
             stacklevel=2,
         )
-    if len(kept) > limit:
-        raise RefuseEnumeration(
-            f"{len(kept)} surviving groups still exceed the enumeration limit"
-        )
-    models = []
-    for mask in range(1 << len(kept)):
-        bits = [0] * design.n_groups
-        for pos, j in enumerate(kept):
-            bits[j] = (mask >> (len(kept) - 1 - pos)) & 1
-        if design.intercept_group is not None and not bits[design.intercept_group]:
-            continue
-        if constraints is not None and not constraints.satisfied_by(bits):
-            continue
-        models.append(tuple(bits))
-    log_scores = refine_scorer.score_many(models)
+    bits = admissible_bits(
+        design.n_groups, constraints, design.intercept_group, among=kept, limit=limit
+    )
+    log_scores = refine_scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(
-        models=models,
+        models=_as_tuples(bits),
         log_scores=log_scores,
         probabilities=probs,
-        inclusion=_inclusion_from(models, probs),
+        inclusion=_inclusion_from(bits, probs),
         diagnostics={
             "kept_groups": tuple(kept),
             "screen_inclusion": first.inclusion,
-            "n_models": len(models),
+            "n_models": bits.shape[0],
         },
+        bits=bits,
     )

@@ -10,11 +10,12 @@ derivatives the acceptance tests check against finite differences.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
 from alaselect import families as fam
-from alaselect.data_model import DesignMatrix
+from alaselect.data_model import ConstraintSet, DesignMatrix
 
 
 # ----------------------------------------------------------------------
@@ -403,3 +404,47 @@ def reference_refined_expansion(design, bits, y, family, k):
         beta = beta - np.linalg.solve(hess, grad)
     _, grad, hess = fam.grad_hess(family, z, y, beta, phi)
     return beta, fam.loglik(family, z @ beta, y, phi), grad, hess
+
+
+# ----------------------------------------------------------------------
+# Model spaces
+# ----------------------------------------------------------------------
+
+
+def reference_models(n_groups, constraints, intercept_group, among=None):
+    """The admissible models by a plain loop over masks: the varying groups
+    take the bits of each mask, first group most significant, and a model
+    is kept when its intercept is on and it meets the constraints."""
+    among = list(range(n_groups)) if among is None else list(among)
+    models = []
+    for mask in range(1 << len(among)):
+        bits = [0] * n_groups
+        for pos, j in enumerate(among):
+            bits[j] = (mask >> (len(among) - 1 - pos)) & 1
+        if intercept_group is not None and not bits[intercept_group]:
+            continue
+        if constraints is not None and (
+            sum(bits) > constraints.max_groups
+            or any(bits[c] and not bits[p] for c, p in constraints.requires)
+        ):
+            continue
+        models.append(tuple(bits))
+    return models
+
+
+@st.composite
+def model_spaces(draw, max_groups=8):
+    """A group count up to ``max_groups``, a random size cap and acyclic
+    ``requires`` pairs (or no constraints), and an intercept group or none."""
+    n_groups = draw(st.integers(1, max_groups))
+    order = draw(st.permutations(range(n_groups)))
+    requires = []
+    for _ in range(draw(st.integers(0, 4)) if n_groups > 1 else 0):
+        # an edge from a later to an earlier position keeps the graph acyclic
+        child = draw(st.integers(1, n_groups - 1))
+        parent = draw(st.integers(0, child - 1))
+        requires.append((order[child], order[parent]))
+    cap = draw(st.integers(0, n_groups))
+    constraints = draw(st.sampled_from([None, ConstraintSet(cap, tuple(requires))]))
+    intercept = draw(st.sampled_from([None, *range(n_groups)]))
+    return n_groups, constraints, intercept

@@ -423,6 +423,99 @@ def test_c08_warmed_scoring_takes_no_new_dot_products():
     np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=0)
 
 
+def _c08_wide_scorers(widths):
+    """Fresh-scorer factories over singleton logistic designs of each width
+    that share their first ten columns, with the Gram entries those
+    columns need already filled."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(200, max(widths)))
+    y = (rng.random(200) < expit(x[:, :3].sum(axis=1))).astype(float)
+    makers = []
+    for j in widths:
+        cache = build_cache(_singleton_design(x[:, :j]), y, fam.logistic())
+        model_prior = ModelPriorSpec(n_groups=j, p_total=j)
+        makers.append(
+            lambda cache=cache, model_prior=model_prior: engines.ModelScorer(
+                cache, fam.logistic(), ParamPriorSpec(), model_prior
+            )
+        )
+        cache.gram.block(np.arange(10))
+    return makers
+
+
+def test_c08_per_model_bookkeeping_is_computed_once(monkeypatch):
+    """The deterministic side of the flat-in-J check: a design's group
+    sizes and a model prior's table of log masses by size are built once,
+    not per model, and a model's prior mass is checked and counted the
+    first time it is seen only, whatever form it is given in."""
+    design = _singleton_design(np.eye(12, 4000))
+    assert design.group_sizes is design.group_sizes
+    spec = ModelPriorSpec(n_groups=4000, p_total=4000)
+    assert spec.log_mass.shape == (4001,)
+    table = spec.log_mass
+    counted = []
+    free_size = ModelPriorSpec.free_size
+
+    def counting_free_size(self, bits):
+        counted.append(bits)
+        return free_size(self, bits)
+
+    monkeypatch.setattr(ModelPriorSpec, "free_size", counting_free_size)
+    bits = [1, 0, 1] + [0] * 3997
+    masses = [
+        engines.log_model_prior_unnorm(form, spec)
+        for form in (bytes(bits), tuple(bits), np.array(bits), bytes(bits))
+    ]
+    assert masses == [table[2]] * 4
+    assert len(counted) == 1
+    assert spec.log_mass is table
+
+
+def test_c08_per_model_scoring_time_is_flat_in_the_group_count():
+    """With the Gram filled, a first ``log_score`` call (a miss, on a
+    fresh scorer) and a repeated one (a memo hit) cost at most three times
+    as much at four thousand groups as at ten, for the same models over
+    the same ten columns, each passed as its native ``bytes`` key.  Sides
+    alternate model by model; the ratio is the median over fifteen rounds
+    of fresh scorers."""
+    widths = (10, 4000)
+    makers = _c08_wide_scorers(widths)
+    rng = np.random.default_rng(9)
+    models = [
+        rng.choice(10, size=rng.integers(1, 7), replace=False) for _ in range(40)
+    ]
+    keys = []
+    for j in widths:
+        rows = np.zeros((len(models), j), dtype=np.uint8)
+        for row, active in zip(rows, models):
+            row[active] = 1
+        keys.append([row.tobytes() for row in rows])
+    miss_ratios, hit_ratios = [], []
+    for r in range(15):
+        scorers = [make() for make in makers]
+        miss, hit = [0.0, 0.0], [0.0, 0.0]
+        for i in range(len(models)):
+            for side in ((r + i) % 2, 1 - (r + i) % 2):
+                key = keys[side][i]
+                t0 = time.perf_counter()
+                scorers[side].log_score(key)
+                t1 = time.perf_counter()
+                scorers[side].log_score(key)
+                t2 = time.perf_counter()
+                miss[side] += t1 - t0
+                hit[side] += t2 - t1
+        miss_ratios.append(miss[1] / miss[0])
+        hit_ratios.append(hit[1] / hit[0])
+    miss_ratio = float(np.median(miss_ratios))
+    hit_ratio = float(np.median(hit_ratios))
+    print(
+        "c08: J=4000 over J=10, median miss ratio %.3f, hit ratio %.3f"
+        % (miss_ratio, hit_ratio)
+    )
+    assert miss_ratio <= 3.0
+    assert hit_ratio <= 3.0
+
+
 def test_c09_gibbs_frequencies_match_the_enumerated_posterior():
     """A twelve-group logistic instance small enough to enumerate: after
     ten thousand scans the sampled model frequencies sit within 0.05 total

@@ -331,6 +331,16 @@ class TestIngestErrors:
         assert rc == 2
         assert "column,group" in capsys.readouterr().err.replace('"', "")
 
+    def test_data_column_without_a_group_is_rejected(
+        self, gaussian_files, tmp_path, capsys
+    ):
+        data, _, _, _ = gaussian_files
+        groups = tmp_path / "g.csv"
+        _write_csv(groups, ["column", "group"], [["x1", "0"], ["x3", "1"]])
+        rc = _select(data, groups, tmp_path / "r")
+        assert rc == 2
+        assert "data columns without a group: x2" in capsys.readouterr().err
+
     def test_missing_response_column(self, gaussian_files, tmp_path, capsys):
         data, groups, _, _ = gaussian_files
         rc = main([

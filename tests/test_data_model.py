@@ -11,11 +11,10 @@ from alaselect.data_model import (
     ConstraintSet,
     DesignMatrix,
     Gram,
+    admissible_bits,
     build_cache,
     enumerate_models,
     ls_solve,
-    make_model,
-    no_constraints,
     submodel_stats,
 )
 from alaselect.errors import (
@@ -26,7 +25,7 @@ from alaselect.errors import (
 )
 from alaselect.families import gaussian, logistic, poisson
 
-from tests.oracles import make_design
+from tests.oracles import make_design, model_spaces, reference_models
 
 
 class TestDesignMatrix:
@@ -57,7 +56,7 @@ class TestDesignMatrix:
         a = DesignMatrix.with_singleton_groups(values, intercept_group=0)
         b = DesignMatrix(values, ((0, 1), (1, 2), (2, 3)), intercept_group=0)
         assert a.groups == b.groups
-        assert a.group_sizes == (1, 1, 1)
+        np.testing.assert_array_equal(a.group_sizes, [1, 1, 1])
         assert a.n == 6 and a.p == 3 and a.n_groups == 3
 
     def test_columns_for_concatenates_active_ranges(self, rng):
@@ -78,9 +77,10 @@ class TestDesignMatrix:
         with pytest.raises(InvalidModel):
             design.model((0, 1, 0))
 
-    def test_make_model_checks_length(self):
+    def test_model_checks_length(self, rng):
+        design = make_design(rng, 8, [1, 1, 1])
         with pytest.raises(ValueError):
-            make_model((1, 0), (1, 1, 1))
+            design.model((1, 0))
 
 
 class TestGram:
@@ -171,13 +171,43 @@ class TestConstraintSet:
         assert cs.satisfied_by((0, 1, 0))
         assert not cs.satisfied_by((1, 1, 0))
 
-    def test_no_constraints_helper_allows_everything(self):
-        cs = no_constraints(3)
-        assert cs.satisfied_by((1, 1, 1))
-
 
 class TestEnumerateModels:
     """The full admissible model list, in first-bit-major order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(space=model_spaces(), data=st.data())
+    def test_bit_matrix_matches_a_plain_loop(self, space, data):
+        n_groups, constraints, intercept = space
+        expected = reference_models(n_groups, constraints, intercept)
+        bits = admissible_bits(n_groups, constraints, intercept)
+        assert bits.dtype == np.uint8 and bits.shape == (len(expected), n_groups)
+        assert [tuple(row) for row in bits.tolist()] == expected
+        sizes = data.draw(
+            st.lists(st.integers(1, 3), min_size=n_groups, max_size=n_groups)
+        )
+        models = list(
+            enumerate_models(
+                n_groups, constraints, sizes=sizes, intercept_group=intercept
+            )
+        )
+        assert [m.bits for m in models] == expected
+        assert [m.size for m in models] == [sum(b) for b in expected]
+        assert [m.p_gamma for m in models] == [
+            sum(s for s, b in zip(sizes, bits) if b) for bits in expected
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(space=model_spaces(), data=st.data())
+    def test_subset_enumeration_matches_a_plain_loop(self, space, data):
+        n_groups, constraints, intercept = space
+        among = sorted(data.draw(st.sets(st.integers(0, n_groups - 1))))
+        assert [
+            tuple(row)
+            for row in admissible_bits(
+                n_groups, constraints, intercept, among=among
+            ).tolist()
+        ] == reference_models(n_groups, constraints, intercept, among)
 
     def test_order_is_lexicographic_in_the_bits(self):
         bits = [m.bits for m in enumerate_models(3)]

@@ -16,11 +16,12 @@ import alaselect.marginal_engines as me
 from alaselect.data_model import (
     ConstraintSet,
     DesignMatrix,
+    admissible_bits,
     build_cache,
     enumerate_models,
     submodel_stats,
 )
-from alaselect.errors import NotConcaveAtExpansion, NotInvertible
+from alaselect.errors import InvalidModel, NotConcaveAtExpansion, NotInvertible
 from alaselect.families import (
     SurvivalData,
     aft_loglik_grad_hess,
@@ -928,6 +929,27 @@ class TestScoreMany:
         assert batch.n_scored == loop.n_scored == 1
 
     @pytest.mark.parametrize(
+        "models, error, message",
+        [
+            ([(1, 1, 0), (0, 1, 0)], InvalidModel, "intercept group must be active"),
+            (np.array([[1, 1, 0], [0, 1, 0]]), InvalidModel, "intercept group"),
+            ([b"\x01\x01\x00", b"\x01\x02\x00"], ValueError, "one 0/1 byte"),
+            ([(1, 1, 0), (1, 0)], ValueError, "length does not match"),
+            (np.ones((2, 4)), ValueError, "length does not match"),
+        ],
+    )
+    def test_invalid_models_raise_the_loops_error(self, rng, models, error, message):
+        """A batch holding a model without the intercept group, a key with
+        a byte other than 0/1 or the wrong length raises what scoring the
+        models one at a time raises, and memoizes no invalid model."""
+        design = make_design(rng, 40, [1, 1], intercept=True)
+        cache = build_cache(design, rng.normal(size=40), gaussian(1.0))
+        scorer = me.ModelScorer(cache, gaussian(1.0), ParamPriorSpec())
+        with pytest.raises(error, match=message):
+            scorer.score_many(models)
+        assert scorer.n_scored <= 1
+
+    @pytest.mark.parametrize(
         "method, family, variant",
         [
             ("la", logistic(), "exact-normal"),
@@ -1173,6 +1195,42 @@ class TestBenchmarkHooks:
                 warmed.log_score(bits)
             warmed.score_many(models)
         assert cache.gram.dot_count == 4 * 4
+
+    def test_bit_matrix_scoring_makes_one_log_score_call_per_row(
+        self, rng, monkeypatch
+    ):
+        """The benchmark counts ``ala`` misses from the spans of
+        ``ModelScorer.log_score`` and times the model prior where
+        ``marginal_engines`` calls ``log_model_prior_unnorm``: a batch
+        scored from a bit matrix still makes one ``log_score`` call per
+        row, repeated rows included, and each reaches that module global."""
+        design = make_design(rng, 40, [1, 2, 1])
+        family = gaussian(1.0)
+        cache = build_cache(design, rng.normal(size=40), family)
+        model_prior = ModelPriorSpec(n_groups=3, p_total=4)
+        scorer = me.ModelScorer(cache, family, ParamPriorSpec(), model_prior)
+        assert "log_score" in me.ModelScorer.__dict__
+        calls = []
+        log_score = me.ModelScorer.log_score
+        prior = me.log_model_prior_unnorm
+
+        def traced_log_score(self, bits):
+            calls.append([bytes(bits), 0])
+            return log_score(self, bits)
+
+        def traced_prior(bits, spec):
+            calls[-1][1] += 1
+            return prior(bits, spec)
+
+        monkeypatch.setattr(me.ModelScorer, "log_score", traced_log_score)
+        monkeypatch.setattr(me, "log_model_prior_unnorm", traced_prior)
+        bits = admissible_bits(3)
+        bits = np.concatenate([bits, bits[:2]])
+        scores = scorer.score_many(bits)
+        assert calls == [[row.tobytes(), 1] for row in bits]
+        reference = me.ModelScorer(cache, family, ParamPriorSpec(), model_prior)
+        looped = [log_score(reference, tuple(row)) for row in bits.tolist()]
+        np.testing.assert_allclose(scores, looped, rtol=1e-12, atol=0)
 
     def test_survival_gram_counts_first_touch_fills(self, rng):
         design, data = _survival_sample(rng)

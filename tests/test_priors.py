@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import comb, logsumexp
+from scipy.special import comb, gammaln, logsumexp
 
 from alaselect.data_model import ConstraintSet, DesignMatrix, Gram, build_cache
 from alaselect.errors import InvalidModel, NotInvertible
 from alaselect.families import gaussian
+from alaselect.marginal_engines import ModelScorer
 from alaselect.priors import (
     BlockPrior,
     ModelPriorSpec,
@@ -368,6 +369,72 @@ class TestModelPrior:
         with pytest.raises(InvalidModel):
             spec.check((0, 1, 0))
         spec.check((1, 1, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_groups=st.integers(1, 8),
+        p_extra=st.integers(0, 5),
+        c=st.sampled_from([0.0, 0.5, 1.0]),
+        intercept=st.booleans(),
+        data=st.data(),
+    )
+    def test_size_table_matches_the_closed_form(
+        self, n_groups, p_extra, c, intercept, data
+    ):
+        """``log_mass[k]`` and the mass of a model of free size k equal
+        ``-c k log p - log C(J, k)`` over the J free groups."""
+        p_total = n_groups + p_extra
+        spec = ModelPriorSpec(
+            n_groups=n_groups,
+            p_total=p_total,
+            c_exponent=c,
+            intercept_group=0 if intercept else None,
+        )
+        j = n_groups - intercept
+        k = np.arange(j + 1)
+        closed = -c * k * np.log(p_total) - (
+            gammaln(j + 1.0) - gammaln(k + 1.0) - gammaln(j - k + 1.0)
+        )
+        np.testing.assert_allclose(spec.log_mass, closed, rtol=1e-13, atol=1e-13)
+        bits = data.draw(
+            st.lists(st.integers(0, 1), min_size=n_groups, max_size=n_groups)
+        )
+        if intercept:
+            bits[0] = 1
+        free = sum(bits) - intercept
+        for form in (tuple(bits), bytes(bits), np.array(bits)):
+            assert spec.free_size(form) == free
+            np.testing.assert_allclose(
+                log_model_prior_unnorm(form, spec), closed[free], rtol=1e-13, atol=1e-13
+            )
+
+    def test_invalid_model_message_is_the_same_for_every_key_form(self, rng):
+        """A tuple, a ``ModelId`` and a ``bytes`` key of one invalid model
+        raise the same ``InvalidModel`` message, from the prior alone and
+        from a scorer's ``log_score``."""
+        design = make_design(rng, 30, [1, 1, 1], intercept=True)
+        cache = build_cache(design, rng.normal(size=30), gaussian(1.0))
+        spec = ModelPriorSpec(
+            n_groups=4,
+            p_total=design.p,
+            constraints=ConstraintSet(4, ((2, 1),)),
+            intercept_group=0,
+        )
+        scorer = ModelScorer(cache, gaussian(1.0), ParamPriorSpec(), spec)
+        bad = (1, 0, 1, 0)
+        for form in (bad, design.model(bad), bytes(bad)):
+            with pytest.raises(InvalidModel, match="^model 1010 violates constraints$"):
+                log_model_prior_unnorm(form, spec)
+            with pytest.raises(InvalidModel, match="^model 1010 violates constraints$"):
+                scorer.log_score(form)
+        for form in ((0, 1, 0, 0), b"\x00\x01\x00\x00"):
+            with pytest.raises(InvalidModel, match="^intercept group must stay"):
+                log_model_prior_unnorm(form, spec)
+        for form in ((1, 1, 0), b"\x01\x01\x00"):
+            with pytest.raises(
+                InvalidModel, match="^bit vector length does not match the group count$"
+            ):
+                log_model_prior_unnorm(form, spec)
 
     def test_param_prior_requires_dispersion_parameters_when_asked(self):
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))

@@ -1,9 +1,12 @@
 """Tests for posterior enumeration, Gibbs exploration, importance
 reweighting, and two-stage screening."""
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -20,7 +23,13 @@ from alaselect.search import (
     screen_then_refine,
 )
 
-from tests.oracles import conjugate_known_phi_log_ml, make_design, total_variation
+from tests.oracles import (
+    conjugate_known_phi_log_ml,
+    make_design,
+    model_spaces,
+    reference_models,
+    total_variation,
+)
 
 
 class _FakeScorer:
@@ -359,6 +368,29 @@ class TestScreenThenRefine:
         assert staged.models == [(1, 0, 0)]
         np.testing.assert_allclose(staged.probabilities, [1.0], atol=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=model_spaces(),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.floats(0.0, 1.0),
+    )
+    def test_kept_subset_space_matches_a_plain_loop(self, space, seed, threshold):
+        """The refined space is every admissible model over the kept
+        groups, in the order of a plain loop over their masks."""
+        n_groups, constraints, intercept = space
+        assume(reference_models(n_groups, constraints, intercept))
+        everything = reference_models(n_groups, None, None)
+        scores = np.random.default_rng(seed).normal(scale=3.0, size=len(everything))
+        design = SimpleNamespace(n_groups=n_groups, intercept_group=intercept)
+        scorer = _FakeScorer(design, dict(zip(everything, scores)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            staged = screen_then_refine(scorer, scorer, threshold, constraints)
+        kept = staged.diagnostics["kept_groups"]
+        expected = reference_models(n_groups, constraints, intercept, kept)
+        assert staged.models == expected
+        assert [tuple(row) for row in staged.bits.tolist()] == expected
+
     def test_summary_top_orders_by_probability(self, rng):
         _, _, scorer = _gaussian_scorer(rng, seed_beta=[0.9, 0.0, 0.0, 0.0])
         summary = enumerate_posterior(scorer)
@@ -366,6 +398,33 @@ class TestScreenThenRefine:
         probs = [p for _, p in top]
         assert probs == sorted(probs, reverse=True)
         assert top[0][1] == summary.probabilities.max()
+
+
+class TestOneCopyOfTheConstraints:
+    """A search given constraints that differ from those of the scorer's
+    model prior refuses to start; an equal copy, or None on either side,
+    runs."""
+
+    def test_differing_copies_raise_before_any_scoring(self, rng):
+        design = make_design(rng, 60, [1, 1, 1, 1])
+        y = design.values @ np.array([0.8, 0.6, 0.0, 0.0]) + rng.normal(size=60)
+        cache = build_cache(design, y, gaussian(1.0))
+        held = ConstraintSet(2, ((1, 0),))
+        model_prior = ModelPriorSpec(n_groups=4, p_total=4, constraints=held)
+        scorer = ModelScorer(cache, gaussian(1.0), ParamPriorSpec(), model_prior)
+        plain = ModelScorer(cache, gaussian(1.0), ParamPriorSpec())
+        runs = [
+            lambda c: enumerate_posterior(scorer, c),
+            lambda c: gibbs_models(scorer, n_scans=5, constraints=c),
+            lambda c: screen_then_refine(scorer, scorer, 0.5, c),
+            lambda c: screen_then_refine(plain, scorer, 0.5, c),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="differ from the scorer's"):
+                run(ConstraintSet(3, ((1, 0),)))
+            for same in (held, ConstraintSet(2, ((1, 0),)), None):
+                run(same)
+        enumerate_posterior(plain, ConstraintSet(3, ((1, 0),)))
 
 
 class TestBatchedScoringInSearch:
