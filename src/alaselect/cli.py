@@ -15,6 +15,7 @@ import itertools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -87,6 +88,31 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]], list[int]]:
     return [h.strip() for h in header], rows, lines
 
 
+def _loadtxt_table(path: str) -> Optional[tuple[list[str], np.ndarray]]:
+    """The header of a CSV file and its data rows as an (n, len(header))
+    float array, parsed by ``np.loadtxt``'s C reader; None when loadtxt
+    rejects the file or reads another shape.  The caller then reads the
+    file with ``_read_table`` and ``_numeric_table``, which raise
+    ``ParseError`` at the first bad line or cell and accept what ``float``
+    accepts but loadtxt does not (``1_0``)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if not header:
+                return None
+            with warnings.catch_warnings():
+                # a file without data rows is left to the csv reader
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    fh, np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
+                )
+    except (OSError, ValueError, csv.Error):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        return None
+    return [h.strip() for h in header], table
+
+
 def _numeric_table(
     path: str, header: list[str], rows: list[list[str]], lines: list[int]
 ) -> np.ndarray:
@@ -129,7 +155,11 @@ def ingest(
     response (a survival pair when ``status`` is given), and the constraint
     set (None when no file and no cap was supplied).
     """
-    header, rows, lines = _read_table(data_path)
+    parsed = _loadtxt_table(data_path)
+    if parsed is None:
+        header, rows, lines = _read_table(data_path)
+    else:
+        header, table = parsed
     if response not in header:
         raise ParseError(f"{data_path}: response column {response!r} not found")
     if status is not None and status not in header:
@@ -168,9 +198,10 @@ def ingest(
     ordered = sorted(
         group_of, key=lambda name: (id_to_pos[group_of[name]], header.index(name))
     )
-    table = _numeric_table(data_path, header, rows, lines)
-    # the cells' strings take ten times the memory of the table
-    del rows, lines
+    if parsed is None:
+        table = _numeric_table(data_path, header, rows, lines)
+        # the cells' strings take ten times the memory of the table
+        del rows, lines
     y = table[:, header.index(response)].copy()
     values = table.take([header.index(name) for name in ordered], axis=1)
     ev = table[:, header.index(status)] != 0.0 if status is not None else None
@@ -380,7 +411,11 @@ def run_select(args) -> int:
 
 
 def run_expand(args) -> int:
-    header, rows, lines = _read_table(args.data)
+    parsed = _loadtxt_table(args.data)
+    if parsed is None:
+        header, rows, lines = _read_table(args.data)
+    else:
+        header, table = parsed
     skip = {args.response}
     if args.status is not None:
         skip.add(args.status)
@@ -388,9 +423,10 @@ def run_expand(args) -> int:
         if name not in header:
             raise ParseError(f"{args.data}: column {name!r} not found")
     covariates = [h for h in header if h not in skip]
-    n = len(rows)
+    if parsed is None:
+        table = _numeric_table(args.data, header, rows, lines)
+    n = table.shape[0]
     skip_list = [args.response] + ([args.status] if args.status else [])
-    table = _numeric_table(args.data, header, rows, lines)
     raw = table.take([header.index(name) for name in covariates], axis=1)
     passthrough = table.take([header.index(name) for name in skip_list], axis=1)
     design, constraints = simdesigns.expand_spline_design(

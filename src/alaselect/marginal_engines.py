@@ -124,9 +124,13 @@ def _loglik_at_center(cache: SuffStatsCache, family: fam.FamilySpec, phi: float)
     return _cache_scalar(cache, ("l0", family.kind, phi), compute)
 
 
-def _at_zero(cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols):
+def _at_zero(
+    cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols, block=None
+):
     """Negative log-likelihood, gradient and Hessian at beta = 0, read from
     the cache: ``-l(0)``, ``-(b''(0)/phi) Z'ytilde`` and ``(b''(0)/phi) Z'Z``.
+    ``cols`` may be a (B, k) stack of column lists when ``block`` holds
+    their (B, k, k) Gram blocks.
 
     None unless the cache is centered at zero for this family's cumulant.
     """
@@ -136,7 +140,7 @@ def _at_zero(cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols):
     return (
         -_loglik_at_center(cache, family, phi),
         -w * cache.zty[cols],
-        w * cache.gram.block(cols),
+        w * (cache.gram.block(cols) if block is None else block),
     )
 
 
@@ -482,8 +486,11 @@ def ala_gmom(
     )
 
 
-# Upper bound on B * k * k for one stacked solve, so that enumerating a
-# large space never allocates more than a few tens of megabytes at once.
+# Upper bound on the doubles of one stacked computation: B * k * k for one
+# stacked solve, and the gathered columns, their pair products and the
+# n-length working arrays of one stacked Newton run (``la_known_phi_many``),
+# so that enumerating a large space never allocates more than a few tens of
+# megabytes at once.
 _STACK_ENTRIES = 1 << 20
 
 
@@ -566,20 +573,18 @@ def ala_known_phi_many(
                 sigma = np.einsum("bki,bkj->bij", inv, inv)
                 moment = (sigma + beta[:, :, None] * beta[:, None, :]) / phi
                 tilt = block_prior.log_penalty(cols, moment, prior.g, xtx)
-                for r, i in enumerate(rows):
+                for i, value, b, t in zip(
+                    rows.tolist(), (score + tilt).tolist(), beta, tilt.tolist()
+                ):
                     out[i] = MarginalScore(
-                        float(score[r] + tilt[r]),
-                        method,
-                        beta[r],
-                        {"tilt": float(tilt[r]), "phi": phi, "rho_hat": rho},
+                        value, method, b, {"tilt": t, "phi": phi, "rho_hat": rho}
                     )
             else:
-                for r, i in enumerate(rows):
+                for i, value, b, q in zip(
+                    rows.tolist(), score.tolist(), beta, quad.tolist()
+                ):
                     out[i] = MarginalScore(
-                        float(score[r]),
-                        method,
-                        beta[r],
-                        {"phi": phi, "rho_hat": rho, "quad": float(quad[r])},
+                        value, method, b, {"phi": phi, "rho_hat": rho, "quad": q}
                     )
     return out
 
@@ -606,33 +611,24 @@ def _damped_newton(
         raise NoConvergence("objective is not finite at the start", trace=[])
     trace = []
     for iteration in range(max_iter):
-        if float(np.max(np.abs(grad))) <= tol:
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= tol:
             return theta, value, grad, hess, trace
         step = _newton_direction(grad, hess)
-        # when the predicted decrease is below float resolution the point is
-        # converged for all practical purposes even if the gradient test
-        # has not quite triggered
-        if 0.5 * float(grad @ step) <= 1e-13 * (1.0 + abs(value)):
+        if 0.5 * float(grad @ step) <= _slack(value):
             return theta, value, grad, hess, trace
-        slack = 1e-13 * (1.0 + abs(value))
         scale = 1.0
         accepted = False
         evaluations = 0
-        for _ in range(60):
+        for _ in range(_LINE_SEARCH_HALVINGS):
             candidate = theta - scale * step
             if any(candidate[i] <= 0.0 for i in positive):
                 scale *= 0.5
                 continue
             cand_value, cand_grad, cand_hess = objective(candidate)
             evaluations += 1
-            if np.isfinite(cand_value) and (
-                cand_value < value
-                or (
-                    cand_value <= value + slack
-                    and float(np.max(np.abs(cand_grad)))
-                    < float(np.max(np.abs(grad)))
-                )
-            ):
+            cand_norm = float(np.max(np.abs(cand_grad)))
+            if _accepts(value, grad_norm, cand_value, cand_norm):
                 accepted = True
                 break
             scale *= 0.5
@@ -652,9 +648,33 @@ def _damped_newton(
         )
     if float(np.max(np.abs(grad))) <= tol:
         return theta, value, grad, hess, trace
-    raise NoConvergence(
-        f"gradient norm {float(np.max(np.abs(grad))):.3e} above {tol:.1e} "
-        f"after {max_iter} iterations",
+    raise _gradient_not_met(float(np.max(np.abs(grad))), tol, max_iter, trace)
+
+
+_LINE_SEARCH_HALVINGS = 60
+
+
+def _slack(value):
+    """Objective change below float resolution at ``value``, elementwise.
+    A predicted decrease below it means the point is converged for all
+    practical purposes even if the gradient test has not quite triggered;
+    a rise within it is a tie."""
+    return 1e-13 * (1.0 + np.abs(value))
+
+
+def _accepts(value, grad_norm, cand_value, cand_grad_norm):
+    """The line-search acceptance of the Newton rule, elementwise: the
+    candidate is finite and either lowers the objective or ties it within
+    the slack with a smaller gradient norm."""
+    return np.isfinite(cand_value) & (
+        (cand_value < value)
+        | ((cand_value <= value + _slack(value)) & (cand_grad_norm < grad_norm))
+    )
+
+
+def _gradient_not_met(grad_norm, tol, max_iter, trace):
+    return NoConvergence(
+        f"gradient norm {grad_norm:.3e} above {tol:.1e} after {max_iter} iterations",
         trace=trace,
     )
 
@@ -699,6 +719,8 @@ def la_marginal(
     below ``tol``; raises if it fails to, with the iteration trace attached.
     Without ``start`` it begins at zero coefficients, where a zero-centered
     cache supplies the first evaluation without a pass over the data.
+    ``la_known_phi_many`` scores many known-dispersion models with the same
+    Newton rule in stacks.
     """
     if prior.kind != "gzellner":
         raise ValueError("mode-expansion scoring expects the block Zellner prior")
@@ -747,6 +769,286 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
     )
+
+
+# Models per stacked Newton run of ``la_known_phi_many``.
+_LA_CHUNK = 32
+# Doubles in one working array of a stacked evaluation (live models times
+# the observations of one block), and a bound on the number of such arrays
+# alive at once: the predictor, the cumulant with its two derivatives and
+# their temporaries (ten at the peak of the logistic family), and the
+# residual.
+_LA_BLOCK = 1 << 15
+_LA_WORK = 12
+
+
+def la_known_phi_many(
+    bits: np.ndarray,
+    cache: SuffStatsCache,
+    family: fam.FamilySpec,
+    prior: ParamPriorSpec,
+    tol: float = 1e-8,
+    max_iter: int = 100,
+) -> list[MarginalScore]:
+    """Laplace scores of many models under a known dispersion.
+
+    ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
+    in order, what ``la_marginal`` returns for each model, up to rounding.
+    The models of one dimension run the rule of ``_damped_newton`` as one
+    stack, in chunks of at most ``_LA_CHUNK``: each chunk gathers the union
+    of its columns once with their pairwise products, so that one
+    evaluation of all its live models is one product for the predictors,
+    one cumulant pass and two products over the gathered columns, which
+    give every gradient and every weighted Gram at once.  A chunk is split
+    until its columns and their products fit in ``_STACK_ENTRIES`` doubles
+    beside the working arrays; a chunk of one model is scored by
+    ``la_marginal``, whose weighted Gram costs less formed directly.  Each
+    model takes the iterates, evaluations and stopping decisions of the
+    one-model rule and leaves the stack when it stops.  Raises what the
+    one-model rule raises, without its iteration trace, for the first model
+    that fails in the run.
+    """
+    if prior.kind != "gzellner":
+        raise ValueError("mode-expansion scoring expects the block Zellner prior")
+    if not family.phi_known:
+        raise ValueError("dispersion must be known for this engine")
+    design = cache.design
+    phi = float(family.phi)
+    active = np.asarray(bits, dtype=bool)
+    col_mask = active[:, design.col_group]
+    p_gamma = col_mask.sum(axis=1)
+    out: list[Optional[MarginalScore]] = [None] * active.shape[0]
+
+    def alone(i):
+        model = design.model(active[i])
+        out[i] = _la_known_phi(model, cache, family, prior, None, tol, max_iter)
+
+    for i in np.flatnonzero(p_gamma == 0).tolist():
+        alone(i)
+    shared = None
+    for k in np.unique(p_gamma[p_gamma > 0]).tolist():
+        for rows, union in _la_chunks(np.flatnonzero(p_gamma == k), col_mask, design.n):
+            if rows.shape[0] == 1:
+                alone(int(rows[0]))
+                continue
+            pos = np.nonzero(col_mask[rows][:, union])[1].reshape(rows.shape[0], k)
+            cols = union[pos]
+            block = cache.gram.block(union)
+            xtx = block[pos[:, :, None], pos[:, None, :]]
+            prec, logdet_p0 = cache.block_prior.precision(cols, prior.g, phi, block=xtx)
+            # consecutive chunks often share their union, and with it the
+            # basis; a new one is built only after the old one is released
+            if shared is None or not np.array_equal(shared, union):
+                objective = basis = None
+                basis, pair_of = _pair_basis(design.values, union)
+                shared = union
+            objective = _stacked_objective(
+                cache, family, phi, basis, pair_of, pos, prec
+            )
+            theta = np.zeros((rows.shape[0], k))
+            first = None
+            at_zero = _at_zero(cache, family, phi, cols, xtx)
+            if at_zero is not None:
+                value, grad, hess = at_zero
+                first = (np.full(rows.shape[0], value), grad, hess + prec)
+            theta, value, grad, hess, iterations, evaluations = _stacked_newton(
+                objective, theta, first, tol, max_iter
+            )
+            logdet_h, quad = _stacked_laplace_terms(grad, hess)
+            log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
+            for i, lm, mode, its, evals, norm in zip(
+                rows.tolist(),
+                log_ml.tolist(),
+                theta,
+                iterations.tolist(),
+                evaluations.tolist(),
+                np.max(np.abs(grad), axis=1).tolist(),
+            ):
+                out[i] = MarginalScore(
+                    lm,
+                    "la",
+                    mode,
+                    {"iterations": its, "evaluations": evals, "grad_norm": norm},
+                )
+    return out
+
+
+def _la_chunks(members: np.ndarray, col_mask: np.ndarray, n: int):
+    """Split the models ``members`` of one size into runs of at most
+    ``_LA_CHUNK``, halving a run of several models until its columns and
+    their pair products fit in ``_STACK_ENTRIES`` doubles beside the
+    working arrays.  Yields ``(rows, union)``."""
+    room = _STACK_ENTRIES - _LA_WORK * _LA_BLOCK
+    lo = 0
+    while lo < members.shape[0]:
+        take = min(_LA_CHUNK, members.shape[0] - lo)
+        while True:
+            rows = members[lo : lo + take]
+            union = np.flatnonzero(col_mask[rows].any(axis=0))
+            u = union.shape[0]
+            if take == 1 or n * (u + u * (u + 1) // 2) <= room:
+                break
+            take //= 2
+        yield rows, union
+        lo += take
+
+
+def _pair_basis(values: np.ndarray, union: np.ndarray):
+    """The columns ``union`` of ``values`` as the rows of a (width, n)
+    array, followed by one row per product ``x_i * x_j`` (i <= j), row
+    ``u + pair_of[i, j]``; returns the array and ``pair_of``."""
+    n, u = values.shape[0], union.shape[0]
+    basis = np.empty((u + u * (u + 1) // 2, n))
+    for i, c in enumerate(union.tolist()):
+        basis[i] = values[:, c]
+    pair_of = np.empty((u, u), dtype=np.intp)
+    off = 0
+    for i in range(u):
+        np.multiply(basis[i], basis[i:u], out=basis[u + off : 2 * u + off - i])
+        pair_of[i, i:] = pair_of[i:, i] = np.arange(off, off + u - i)
+        off += u - i
+    return basis, pair_of
+
+
+def _stacked_objective(cache, family, phi, basis, pair_of, pos, prec):
+    """The negative log joint of a stack of models over the columns of a
+    ``_pair_basis``: row r uses its columns ``pos[r]`` and the prior
+    precision ``prec[r]``.  Returns ``objective(live, theta)``, the value,
+    gradient and Hessian of rows ``live`` at coefficients ``theta``, as
+    ``families.grad_hess`` and the prior give them for one model, with the
+    weighted Grams from one product of the second cumulant derivatives
+    with the pair products.  The data pass runs over blocks of
+    observations, so that each working array holds at most ``_LA_BLOCK``
+    doubles.
+    """
+    n, u = basis.shape[1], pair_of.shape[0]
+    y = cache.y
+    c_sum = _c_sum(cache, family, phi)
+
+    def objective(live, theta):
+        m = live.shape[0]
+        at = np.arange(m)[:, None]
+        where = pos[live]
+        coef = np.zeros((m, u))
+        coef[at, where] = theta
+        y_eta = np.zeros(m)
+        bsum = np.zeros(m)
+        ztr = np.zeros((m, u))
+        wgram = np.zeros((m, basis.shape[0] - u))
+        step = max(1, _LA_BLOCK // m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, step):
+                part = basis[:, lo : lo + step]
+                x, y_part = part[:u], y[lo : lo + step]
+                eta = coef @ x
+                b, bp, bpp = family.cumulant(eta)
+                y_eta += eta @ y_part
+                bsum += np.sum(b, axis=1)
+                ztr += (y_part - bp) @ x.T
+                wgram += bpp @ part[u:].T
+            kernel = y_eta - bsum
+        p_live = prec[live]
+        ptheta = np.einsum("bij,bj->bi", p_live, theta)
+        value = -(kernel / phi + c_sum) + 0.5 * np.einsum("bi,bi->b", theta, ptheta)
+        grad = -ztr[at, where] / phi + ptheta
+        h_lik = wgram[at[:, :, None], pair_of[where[:, :, None], where[:, None, :]]]
+        hess = h_lik / phi + p_live
+        # an overflowing cumulant gives the value inf with NaN derivatives
+        bad = ~np.isfinite(bsum)
+        value[bad] = np.inf
+        grad[bad] = np.nan
+        hess[bad] = np.nan
+        return value, grad, hess
+
+    return objective
+
+
+def _stacked_newton(objective, theta, first, tol, max_iter):
+    """``_damped_newton`` on every row of a stack at once.
+
+    ``objective(live, theta)`` evaluates rows ``live``; ``first`` is the
+    evaluation at the start ``theta`` when the caller has it.  Each row
+    takes the iterates, line-search evaluations and stopping decisions the
+    one-row rule takes, and leaves the stack when it stops; one evaluation
+    serves every row still searching.  Returns the final ``(theta, value,
+    grad, hess)`` with each row's accepted steps and its evaluations (the
+    start counts when it was evaluated); raises the one-row rule's error,
+    without its trace, for the first row that fails.
+    """
+    m = theta.shape[0]
+    everyone = np.arange(m)
+    value, grad, hess = objective(everyone, theta) if first is None else first
+    if not np.isfinite(value).all():
+        raise NoConvergence("objective is not finite at the start", trace=[])
+    grad_norm = np.max(np.abs(grad), axis=1)
+    iterations = np.zeros(m, dtype=np.intp)
+    evaluations = np.full(m, int(first is None))
+    tries = np.zeros(m, dtype=np.intp)
+    step = np.empty_like(theta)
+    scale = np.ones(m)
+    searching = np.zeros(m, dtype=bool)
+    fresh = everyone
+    while True:
+        # the stopping tests of the rows at a new point, in the one-row order
+        fresh = fresh[~(grad_norm[fresh] <= tol)]
+        spent = fresh[iterations[fresh] == max_iter]
+        if spent.size:
+            raise _gradient_not_met(float(grad_norm[spent[0]]), tol, max_iter, [])
+        step[fresh] = _stacked_direction(grad[fresh], hess[fresh])
+        decrease = 0.5 * np.einsum("bi,bi->b", grad[fresh], step[fresh])
+        fresh = fresh[~(decrease <= _slack(value[fresh]))]
+        scale[fresh] = 1.0
+        tries[fresh] = 0
+        searching[fresh] = True
+        live = np.flatnonzero(searching)
+        if not live.size:
+            break
+        candidate = theta[live] - scale[live, None] * step[live]
+        c_value, c_grad, c_hess = objective(live, candidate)
+        c_norm = np.max(np.abs(c_grad), axis=1)
+        tries[live] += 1
+        ok = _accepts(value[live], grad_norm[live], c_value, c_norm)
+        fresh = live[ok]
+        theta[fresh] = candidate[ok]
+        value[fresh] = c_value[ok]
+        grad[fresh] = c_grad[ok]
+        hess[fresh] = c_hess[ok]
+        grad_norm[fresh] = c_norm[ok]
+        iterations[fresh] += 1
+        evaluations[fresh] += tries[fresh]
+        searching[fresh] = False
+        missed = live[~ok]
+        scale[missed] *= 0.5
+        stalled = missed[tries[missed] == _LINE_SEARCH_HALVINGS]
+        if stalled.size:
+            raise NoConvergence(
+                f"line search stalled at iteration {iterations[stalled[0]]}", trace=[]
+            )
+    return theta, value, grad, hess, iterations, evaluations
+
+
+def _stacked_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """``_newton_direction`` of each row: one stacked Cholesky test and
+    solve, or the one-row ridge retries when a row is not positive
+    definite."""
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return np.array([_newton_direction(g, h) for g, h in zip(grad, hess)])
+    return np.linalg.solve(hess, grad[..., None])[..., 0]
+
+
+def _stacked_laplace_terms(grad: np.ndarray, hess: np.ndarray):
+    """``log det H`` and ``g' H^-1 g`` of each row at the mode, by one
+    stacked Cholesky; raises the one-row ``NotConcave`` when a row is not
+    positive definite."""
+    try:
+        factor = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError as err:
+        raise NotConcave("curvature at the mode is not positive definite") from err
+    sol = np.linalg.solve(hess, grad[..., None])[..., 0]
+    logdet = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+    return logdet, np.einsum("bi,bi->b", grad, sol)
 
 
 def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
@@ -1421,6 +1723,10 @@ def _ala_many(s, bits):
     return ala_known_phi_many(bits, s.cache, s.family, s.prior, s.curvature)
 
 
+def _la_many(s, bits):
+    return la_known_phi_many(bits, s.cache, s.family, s.prior)
+
+
 # (statistics, method, prior kind, dispersion known) -> (engine, batched
 # engine or None).  The statistics are "expfam" for the exponential families
 # other than the gaussian, "gaussian", and "aft" for survival data.
@@ -1430,7 +1736,7 @@ _ENGINES = {
     ("expfam", "ala", "gmom", True): (_ala_gmom, _ala_many),
     ("expfam", "ala-curvadj", "gmom", True): (_ala_gmom, _ala_many),
     ("expfam", "ala-refined", "gzellner", True): (_ala_refined, None),
-    ("expfam", "la", "gzellner", True): (_la, None),
+    ("expfam", "la", "gzellner", True): (_la, _la_many),
 }
 # The gaussian family has every engine of the others, its unknown-dispersion
 # form, and two engines that need a quadratic log-likelihood: the conjugate
@@ -1555,10 +1861,12 @@ class ModelScorer:
 
         ``models`` is a (B, J) 0/1 matrix, one model per row, or a sequence
         of models in any form ``log_score`` takes.  Where the engine has a
-        batched form (known-dispersion ``ala``/``ala-curvadj`` with the
-        exact Normal integral), the models not yet memoized are scored in
-        one batch (``ala_known_phi_many``) straight from their bit matrix;
-        otherwise one model at a time.  Either way every model then passes
+        batched form, the models not yet memoized are scored in one batch
+        straight from their bit matrix: known-dispersion ``ala``/
+        ``ala-curvadj`` with the exact Normal integral by stacked
+        factorizations (``ala_known_phi_many``), and known-dispersion
+        ``la`` by stacked Newton runs (``la_known_phi_many``); other
+        methods score one model at a time.  Either way every model then passes
         through one ``log_score`` call.  When the batch fails, the models
         are rescored one at a time, so the error comes from the same first
         model as the loop's.

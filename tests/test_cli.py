@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import comb, logsumexp
 
+from alaselect import cli
 from alaselect.cli import main
 
 from tests.oracles import conjugate_known_phi_log_ml, make_design
@@ -361,6 +362,56 @@ class TestIngestErrors:
             "--out", str(tmp_path / "r"),
         ])
         assert rc == 8
+
+
+class TestNumericIngest:
+    """The data file is parsed by ``np.loadtxt`` when it accepts the file,
+    and by the csv reader with ``float`` otherwise, to the same table."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y,x1\n1.5,2\n-3e-2,4\n",
+            "y,x1\r\n1,2\r\n3,4",
+            'y,"x1"\n"1",2\n\n 3 , nan\n',
+        ],
+        ids=["plain", "crlf", "quotes-blank-spaces"],
+    )
+    def test_loadtxt_reads_what_the_csv_reader_reads(self, tmp_path, text):
+        path = str(tmp_path / "d.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        header, table = cli._loadtxt_table(path)
+        csv_header, rows, lines = cli._read_table(path)
+        assert header == csv_header
+        np.testing.assert_array_equal(
+            table, cli._numeric_table(path, csv_header, rows, lines)
+        )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["1_0", "2"], ["3", "4"]], None),
+            ([["1", "2"], ["3"]], ":3: expected 2 cells, found 1"),
+            ([["1", "2", "3"], ["4", "5", "6"]], ":2: expected 2 cells, found 3"),
+            ([["1", "2"], ["3", "x"]], ":3: column 'x1' has non-numeric value 'x'"),
+            # no comment syntax: '#' is a cell's character like any other
+            ([["1", "2"], ["3", "4#5"]], ":3: column 'x1' has non-numeric value '4#5'"),
+        ],
+    )
+    def test_files_loadtxt_rejects_take_the_csv_reader(self, tmp_path, rows, message):
+        data, groups = tmp_path / "d.csv", tmp_path / "g.csv"
+        _write_csv(data, ["y", "x1"], rows)
+        _write_csv(groups, ["column", "group"], [["x1", "0"]])
+        assert cli._loadtxt_table(str(data)) is None
+        if message is None:
+            # float reads 1_0; loadtxt does not
+            design, y, _ = cli.ingest(str(data), str(groups), "y")
+            np.testing.assert_array_equal(y, [10.0, 3.0])
+            np.testing.assert_array_equal(design.values[:, 0], [2.0, 4.0])
+        else:
+            with pytest.raises(cli.ParseError, match=message):
+                cli.ingest(str(data), str(groups), "y")
 
 
 class TestExpandCommand:

@@ -3,6 +3,7 @@ mode-based scores, refinement, non-local tilts, survival scoring, and the
 numerical oracles they are checked against."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from alaselect.data_model import (
     enumerate_models,
     submodel_stats,
 )
-from alaselect.errors import InvalidModel, NotConcaveAtExpansion, NotInvertible
+from alaselect.errors import (
+    InvalidModel,
+    NoConvergence,
+    NotConcave,
+    NotConcaveAtExpansion,
+    NotInvertible,
+    SelectionError,
+)
 from alaselect.families import (
     SurvivalData,
     aft_loglik_grad_hess,
@@ -952,7 +960,8 @@ class TestScoreMany:
     @pytest.mark.parametrize(
         "method, family, variant",
         [
-            ("la", logistic(), "exact-normal"),
+            # known-dispersion la is batched (TestNewtonParity)
+            ("la", gaussian_unknown(), "exact-normal"),
             ("ala-refined(2)", logistic(), "exact-normal"),
             ("ala", logistic(), "plugin-density"),
             ("ala", gaussian_unknown(), "exact-normal"),
@@ -1027,11 +1036,14 @@ _PARITY_CASES = [
 ]
 
 
-def _parity_data(name, seed=31, n=300):
+_KNOWN_PHI = ("poisson", "logistic", "gaussian")
+
+
+def _parity_data(name, seed=31, n=300, sizes=(2, 1, 3, 1)):
     """A grouped design with an intercept group and a response with a few
     moderate effects."""
     rng = np.random.default_rng(seed)
-    design = make_design(rng, n, [2, 1, 3, 1], intercept=True)
+    design = make_design(rng, n, list(sizes), intercept=True)
     beta = np.zeros(design.p)
     beta[[0, 1, 3, 5]] = [0.2, 0.35, -0.3, 0.25]
     eta = design.values @ beta
@@ -1085,18 +1097,231 @@ class TestNewtonParity:
             np.testing.assert_allclose(score.expansion, reference.expansion, atol=1e-8)
             assert score.diagnostics["steps_taken"] == k
 
+    @pytest.mark.parametrize(
+        "name,center,sizes",
+        [
+            (name, center, (2, 1, 3, 1))
+            for name, center in _PARITY_CASES
+            if name in _KNOWN_PHI
+        ]
+        + [("poisson", "zero", (3, 2, 2, 1, 1))],
+    )
+    def test_batched_la_matches_the_one_model_engine(
+        self, name, center, sizes, monkeypatch
+    ):
+        """``score_many`` under ``la`` runs the models of one size as one
+        stacked Newton; each keeps the one-model iterates, evaluations and
+        score, and one model per chunk is the one-model engine exactly."""
+        design, y = _parity_data(name, sizes=sizes)
+        family = _PARITY_FAMILIES[name]()
+        cache = build_cache(design, y, family, center=center)
+        # a Gram entry's rounding depends on the fill that computed it
+        cache.gram.block(np.arange(design.p))
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = admissible_bits(design.n_groups, intercept_group=0)
+        single = [
+            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+        ]
+        for chunk in (me._LA_CHUNK, 1, 3):
+            monkeypatch.setattr(me, "_LA_CHUNK", chunk)
+            scorer = me.ModelScorer(cache, family, prior, method="la")
+            scores = scorer.score_many(bits)
+            for row, value, one in zip(bits, scores, single):
+                got = scorer.marginal(row)
+                np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
+                assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
+                assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
+                # equal up to the order of the n-term sums, which depends on
+                # how many models share a product
+                np.testing.assert_allclose(
+                    got.diagnostics["grad_norm"],
+                    one.diagnostics["grad_norm"],
+                    rtol=0,
+                    atol=1e-12,
+                )
+                if chunk == 1:
+                    assert value == one.log_ml
+                    assert got.diagnostics == one.diagnostics
+                    np.testing.assert_array_equal(got.expansion, one.expansion)
+        for row, one in zip(bits, single):
+            log_ml, mode, iterations, evaluations = reference_la(
+                design, row, y, family, 1.3
+            )
+            np.testing.assert_allclose(one.log_ml, log_ml, rtol=1e-10)
+            assert one.diagnostics["iterations"] == iterations
+            # the reference evaluates its start from the data; a zero
+            # centered cache supplies it
+            assert one.diagnostics["evaluations"] == evaluations - (center == "zero")
+            np.testing.assert_allclose(one.expansion, mode, atol=1e-8)
 
-def _counting(monkeypatch):
-    """Count calls of ``families.grad_hess``, the n-length evaluation."""
-    calls = []
-    original = fam.grad_hess
+    def test_chunks_too_wide_for_their_pair_products_split_to_single_models(
+        self, monkeypatch
+    ):
+        """With room for the pair products of one column only, every chunk
+        splits down to single models, which ``la_marginal`` scores."""
+        design, y = _parity_data("logistic")
+        family = logistic()
+        cache = build_cache(design, y, family)
+        cache.gram.block(np.arange(design.p))
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = admissible_bits(design.n_groups, intercept_group=0)
+        monkeypatch.setattr(
+            me, "_STACK_ENTRIES", me._LA_WORK * me._LA_BLOCK + 2 * design.n
+        )
+        col_mask = bits.astype(bool)[:, design.col_group]
+        chunks = list(me._la_chunks(np.arange(len(bits)), col_mask, design.n))
+        assert [rows.size for rows, _ in chunks] == [1] * len(bits)
+        scorer = me.ModelScorer(cache, family, prior, method="la")
+        scores = scorer.score_many(bits)
+        for row, value in zip(bits, scores):
+            one = me.la_marginal(design.model(row), cache, family, prior)
+            assert value == one.log_ml
+            assert scorer.marginal(row).diagnostics == one.diagnostics
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    @pytest.mark.parametrize("failure", ["start", "stall"])
+    def test_a_failing_model_raises_the_loops_error(self, failure, monkeypatch):
+        """A batch holding a model whose start is not finite, or whose line
+        search stalls, raises what scoring the models one at a time raises,
+        from the same first model, and memoizes the same models."""
+        design, y = _parity_data("poisson")
+        family = poisson()
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = admissible_bits(design.n_groups, intercept_group=0)
+        if failure == "start":
+            # a negative count has likelihood zero
+            y = y.copy()
+            y[7] = -1.0
+        else:
+            # a model stalls once its objective falls below the cut, which
+            # the models with the largest gains reach
+            cache = build_cache(design, y, family)
+            start = -me._loglik_at_center(cache, family, 1.0)
+            gains = []
+            for row in bits:
+                mode = me.la_marginal(design.model(row), cache, family, prior).expansion
+                cols = design.columns_for(row)
+                prec, _ = block_zellner_precision(design, row, 1.3)
+                value = -fam.loglik(family, design.values[:, cols] @ mode, y)
+                gains.append(start - value - 0.5 * mode @ prec @ mode)
+            cut = start - np.median(gains)
+            accepts = me._accepts
 
-    monkeypatch.setattr(fam, "grad_hess", counted)
-    return calls
+            def capped(value, grad_norm, cand_value, cand_grad_norm):
+                return accepts(value, grad_norm, cand_value, cand_grad_norm) & (
+                    value >= cut
+                )
+
+            monkeypatch.setattr(me, "_accepts", capped)
+        loop, batch = (
+            me.ModelScorer(build_cache(design, y, family), family, prior, method="la")
+            for _ in range(2)
+        )
+        with pytest.raises(SelectionError) as looped:
+            for row in bits:
+                loop.log_score(row)
+        with pytest.raises(SelectionError) as batched:
+            batch.score_many(bits)
+        assert type(batched.value) is type(looped.value) is NoConvergence
+        assert str(batched.value) == str(looped.value)
+        assert batch.n_scored == loop.n_scored
+        if failure == "start":
+            assert "not finite at the start" in str(looped.value)
+            assert loop.n_scored == 0
+        else:
+            assert "stalled" in str(looped.value)
+            assert 0 < loop.n_scored < len(bits) - 1
+
+    def test_stacked_rule_takes_the_one_row_iterates(self):
+        """Each row of ``_stacked_newton`` follows ``_damped_newton`` on its
+        own objective: a full step that overshoots and is halved, a value
+        that ties within the slack while the gradient shrinks, and a
+        quadratic."""
+
+        def overshoot(theta):
+            u = 3.0 * (theta - 1.0)
+            value = float(np.sum(np.logaddexp(u, -u)))
+            return value, 3.0 * np.tanh(u), np.diag(9.0 / np.cosh(u) ** 2)
+
+        def tie(theta):
+            return 1e6, 1e-6 * (theta - 1.0), 1e-6 * np.eye(1)
+
+        def quadratic(theta):
+            d = theta - 0.5
+            return float(2.0 * d @ d), 4.0 * d, 4.0 * np.eye(1)
+
+        rows = [overshoot, tie, quadratic]
+
+        def stacked(live, theta):
+            values, grads, hesses = zip(*(rows[r](t) for r, t in zip(live, theta)))
+            return np.array(values), np.array(grads), np.array(hesses)
+
+        theta, value, grad, hess, iterations, evaluations = me._stacked_newton(
+            stacked, np.zeros((3, 1)), None, 1e-8, 100
+        )
+        for r, objective in enumerate(rows):
+            one = me._damped_newton(objective, np.zeros(1))
+            diag = me._newton_diagnostics(one[4], one[2], True)
+            np.testing.assert_array_equal(theta[r], one[0])
+            assert value[r] == one[1]
+            assert iterations[r] == diag["iterations"]
+            assert evaluations[r] == diag["evaluations"]
+        assert evaluations[0] > iterations[0]
+        assert iterations[1] == 1
+
+    def test_stacked_direction_takes_the_ridge_retries_row_by_row(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 3))
+        definite = a @ a.T + 3.0 * np.eye(3)
+        # rank one: the Cholesky factorization fails and a ridge repairs it
+        singular = np.ones((3, 3))
+        grad = rng.normal(size=(2, 3))
+        hess = np.stack([definite, singular])
+        step = me._stacked_direction(grad, hess)
+        for g, h, s in zip(grad, hess, step):
+            np.testing.assert_array_equal(s, me._newton_direction(g, h))
+        # the ridges grow to 1e12 times the mean diagonal, here 1/3
+        hopeless = np.diag([1e20, -1e20, 1.0])
+        with pytest.raises(NotConcave, match="curvature is not positive definite"):
+            me._stacked_direction(grad, np.stack([definite, hopeless]))
+
+    @pytest.mark.parametrize("name", ["poisson", "logistic"])
+    def test_stacked_working_memory_stays_within_the_bound(self, name):
+        """Peak memory of a stacked ``la`` batch beyond what it returns:
+        8 singleton columns at n = 20 000 would take 880 000 doubles of
+        columns and pair products, so chunks are split by their unions."""
+        rng = np.random.default_rng(12)
+        n = 20_000
+        design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, 8)))
+        y = _glm_response(rng, name, 0.1 * design.values.sum(axis=1))
+        family = _PARITY_FAMILIES[name]()
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+        cache = build_cache(design, y, family)
+        bits = admissible_bits(8)
+        # the Gram fill and the cached response terms are not working arrays
+        me.ModelScorer(cache, family, prior).score_many(bits)
+        me.la_marginal(design.model(bits[1]), cache, family, prior)
+        scorer = me.ModelScorer(cache, family, prior, method="la")
+        tracemalloc.start()
+        try:
+            scorer.score_many(bits)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 8 * me._STACK_ENTRIES
+        assert scorer.n_scored == len(bits)
+
+
+def _counting_passes(family):
+    """``family`` with its cumulant wrapped by a counter of the values it
+    is evaluated at; ``n`` of them make one model's pass over the data."""
+    sizes = []
+
+    def cumulant(u):
+        if np.ndim(u):
+            sizes.append(np.size(u))
+        return family.cumulant(u)
+
+    return dataclasses.replace(family, cumulant=cumulant), sizes
 
 
 def _counting_c(family):
@@ -1114,46 +1339,58 @@ class TestNewtonCost:
     """What each Laplace score costs in passes over the data."""
 
     @pytest.mark.parametrize("name", ["poisson", "logistic", "gaussian"])
-    def test_each_evaluation_is_one_pass_and_the_start_is_free(
-        self, name, monkeypatch
-    ):
+    def test_each_evaluation_is_one_pass_and_the_start_is_free(self, name):
         design, y = _parity_data(name)
+        n = design.n
         family, c_calls = _counting_c(_PARITY_FAMILIES[name]())
+        family, passes = _counting_passes(family)
         cache = build_cache(design, y, family)
         prior = ParamPriorSpec(kind="gzellner", g=1.3)
         screen = me.ModelScorer(cache, family, prior)
         la = me.ModelScorer(cache, family, prior, method="la")
-        calls = _counting(monkeypatch)
         models = [m.bits for m in enumerate_models(5, intercept_group=0)]
         screen.score_many(models)
-        assert not calls
+        assert not passes
         for bits in models:
-            before = len(calls)
+            before = sum(passes)
             score = la.marginal(bits)
             diag = score.diagnostics
             # moderate effects: every full Newton step is accepted
             assert diag["evaluations"] == diag["iterations"]
-            assert len(calls) - before == diag["iterations"]
+            assert sum(passes) - before == diag["iterations"] * n
         # the response-only term is computed once for the cache
         assert len(c_calls) == 1
-        assert la.diagnostic_sum("evaluations") == len(calls) > 0
+        assert la.diagnostic_sum("evaluations") * n == sum(passes) > 0
+        # a batch makes the same evaluations, and the models of one size
+        # share each pass over the data
+        del passes[:]
+        batch = me.ModelScorer(cache, family, prior, method="la")
+        batch.score_many(models)
+        assert batch.diagnostic_sum("evaluations") == la.diagnostic_sum("evaluations")
+        assert sum(passes) == batch.diagnostic_sum("evaluations") * n
+        # one stacked evaluation per evaluation of the slowest model of a size
+        slowest: dict[int, int] = {}
+        for bits in models:
+            k = design.model(bits).p_gamma
+            evals = batch.marginal(bits).diagnostics["evaluations"]
+            slowest[k] = max(slowest.get(k, 0), evals)
+        assert len(passes) == sum(slowest.values())
 
-    def test_rejected_first_step_still_converges_to_the_reference(self, monkeypatch):
+    def test_rejected_first_step_still_converges_to_the_reference(self):
         """A strong Poisson effect sends the first full step from zero far
         past the mode, where the cumulant overflows; halving recovers."""
         rng = np.random.default_rng(8)
         n = 200
         design = make_design(rng, n, [1, 1], intercept=True)
         y = rng.poisson(np.exp(2.5 * design.values[:, 1])).astype(float)
-        family = poisson()
+        family, passes = _counting_passes(poisson())
         cache = build_cache(design, y, family)
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         bits = (1, 1, 0)
-        calls = _counting(monkeypatch)
         score = me.la_marginal(design.model(bits), cache, family, prior)
         diag = score.diagnostics
         assert diag["evaluations"] > diag["iterations"]
-        assert len(calls) == diag["evaluations"]
+        assert sum(passes) == diag["evaluations"] * n
         log_ml, mode, iterations, evaluations = reference_la(
             design, bits, y, family, 1.0
         )
@@ -1162,13 +1399,20 @@ class TestNewtonCost:
         # the reference also evaluates the start from the data
         assert diag["evaluations"] == evaluations - 1
         np.testing.assert_allclose(score.expansion, mode, atol=1e-8)
+        # the batch halves the same steps
+        batch = me.ModelScorer(cache, family, prior, method="la")
+        batch.score_many([bits, (1, 0, 1)])
+        stacked = batch.marginal(bits).diagnostics
+        assert stacked["iterations"] == diag["iterations"]
+        assert stacked["evaluations"] == diag["evaluations"]
+        np.testing.assert_allclose(stacked["grad_norm"], diag["grad_norm"], atol=1e-12)
         # a given start is evaluated from the data, and lands on the same mode
         for start in (mode, 0.5 * mode):
-            del calls[:]
+            del passes[:]
             again = me.la_marginal(design.model(bits), cache, family, prior, start=start)
             np.testing.assert_allclose(again.log_ml, log_ml, rtol=1e-10)
             np.testing.assert_allclose(again.expansion, mode, atol=1e-8)
-            assert len(calls) == again.diagnostics["evaluations"] >= 1
+            assert sum(passes) == again.diagnostics["evaluations"] * n >= n
 
 
 class TestBenchmarkHooks:
