@@ -286,17 +286,21 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _write_summary_files(out: Path, summary, meta: dict) -> None:
-    model_header = ["model", "log_score", "probability"]
     # the bit matrix as "0"/"1" strings, one per row, in one numpy pass
     digits = np.ascontiguousarray(summary.bits + ord("0"), dtype=np.uint8)
     names = digits.view(f"S{digits.shape[1]}").ravel().astype(str)
-    model_rows = [
-        [name, _fmt(score), _fmt(prob)]
-        for name, score, prob in zip(
-            names.tolist(), summary.log_scores, summary.probabilities
+    # the bytes csv.writer writes for these rows and _fmt's numbers (no cell
+    # needs quoting), formatted row by row as the file is written
+    with open(out / "models.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("model,log_score,probability\r\n")
+        fh.writelines(
+            f"{name},{score:.17g},{prob:.17g}\r\n"
+            for name, score, prob in zip(
+                names.tolist(),
+                summary.log_scores.tolist(),
+                summary.probabilities.tolist(),
+            )
         )
-    ]
-    _write_rows(out / "models.csv", model_header, model_rows)
     inc_header = ["group", "inclusion"]
     raw = summary.inclusion_raw
     if raw is not None:

@@ -42,14 +42,21 @@ def _zeros_like_y(y, phi):
 
 
 def _logistic_cumulant(u):
-    # b, b' and b'' of log(1 + e^u) from the one exponential e^-|u|
-    e = np.exp(-np.abs(u))
-    inv = 1.0 / (1.0 + e)
-    return (
-        np.maximum(u, 0.0) + np.log1p(e),
-        np.where(u >= 0.0, inv, e * inv),
-        e * inv * inv,
-    )
+    # b, b' and b'' of log(1 + e^u) from the one exponential e = e^-|u|:
+    # b = max(u, 0) + log1p(e), b' = 1/(1 + e) where u >= 0 and e/(1 + e)
+    # elsewhere, b'' = e/(1 + e)^2.  Computed in place, so that at most four
+    # arrays of the size of u (the three results and 1/(1 + e)) are alive.
+    e = np.abs(u, out=np.empty(np.shape(u)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    inv = np.add(e, 1.0, out=np.empty_like(e))
+    np.divide(1.0, inv, out=inv)
+    bp = np.multiply(e, inv, out=np.empty_like(e))
+    b = np.log1p(e, out=e)
+    np.add(b, u, out=b, where=u > 0.0)
+    bpp = np.multiply(bp, inv, out=np.empty_like(e))
+    np.copyto(bp, inv, where=u >= 0.0)
+    return b, bp, bpp
 
 
 def logistic() -> FamilySpec:

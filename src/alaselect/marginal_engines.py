@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-import scipy.optimize
 import scipy.special
 from scipy.special import gammaln, log_ndtr
 
@@ -776,10 +775,12 @@ _LA_CHUNK = 32
 # Doubles in one working array of a stacked evaluation (live models times
 # the observations of one block), and a bound on the number of such arrays
 # alive at once: the predictor, the cumulant with its two derivatives and
-# their temporaries (ten at the peak of the logistic family), and the
-# residual.
+# their temporaries, and the residual, beside the previous block's
+# predictor and cumulant.  Measured with tracemalloc over the evaluations
+# of 8 singleton groups at n = 20 000: 8.16 arrays at the peak for the
+# logistic family, 3.28 for poisson.
 _LA_BLOCK = 1 << 15
-_LA_WORK = 12
+_LA_WORK = 9
 
 
 def la_known_phi_many(
@@ -829,6 +830,8 @@ def la_known_phi_many(
     for k in np.unique(p_gamma[p_gamma > 0]).tolist():
         for rows, union in _la_chunks(np.flatnonzero(p_gamma == k), col_mask, design.n):
             if rows.shape[0] == 1:
+                # the one-model path has working arrays of its own
+                objective = basis = shared = None
                 alone(int(rows[0]))
                 continue
             pos = np.nonzero(col_mask[rows][:, union])[1].reshape(rows.shape[0], k)
@@ -1251,6 +1254,10 @@ def quadrature_oracle(
     count until two successive estimates agree to ``rtol``; raises when the
     tolerance cannot be met.
     """
+    # Imported here, its one use: scipy.optimize pulls in scipy.sparse,
+    # scipy.spatial and scipy.fft, which no ``select`` run needs.
+    import scipy.optimize
+
     scan = x0 + np.linspace(-50.0, 50.0, 4001)
     scan_vals = log_integrand(scan)
     best = int(np.argmax(scan_vals))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.special import expit, ndtri
 
 from .data_model import ConstraintSet, DesignMatrix
@@ -192,6 +191,10 @@ def spline_deviation(x: np.ndarray, dim: int = 5) -> np.ndarray:
     and keeps the leading ``dim`` left singular vectors.  The returned block
     is orthogonal to both removed directions.
     """
+    # Imported here, its one use: scipy.interpolate pulls in scipy.sparse,
+    # scipy.spatial and scipy.fft, which no ``select`` run needs.
+    from scipy.interpolate import BSpline
+
     x = np.asarray(x, dtype=np.float64)
     n_basis = dim + 2
     degree = 3

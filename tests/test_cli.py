@@ -3,8 +3,10 @@ layout, determinism, error reporting, and agreement with the library."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.special import comb, logsumexp
 
 from alaselect import cli
 from alaselect.cli import main
+from alaselect.search import PosteriorSummary
 
 from tests.oracles import conjugate_known_phi_log_ml, make_design
 
@@ -573,3 +576,140 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "select" in proc.stdout
+
+
+class TestModelsFile:
+    """models.csv is written in one formatting pass with the bytes of
+    ``csv.writer`` and ``_fmt``."""
+
+    def test_rows_match_the_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, size=(40, 7), dtype=np.uint8)
+        log_scores = rng.normal(scale=300.0, size=40)
+        log_scores[[2, 17]] = -np.inf
+        probabilities = np.exp(log_scores - logsumexp(log_scores))
+        probabilities[[5, 6]] = 0.0
+        probabilities[7] = 5e-324
+        summary = PosteriorSummary(
+            models=[tuple(row) for row in bits.tolist()],
+            log_scores=log_scores,
+            probabilities=probabilities,
+            inclusion=bits.T @ probabilities,
+            bits=bits,
+        )
+        cli._write_summary_files(tmp_path, summary, {})
+        reference = tmp_path / "reference.csv"
+        _write_csv(
+            reference,
+            ["model", "log_score", "probability"],
+            [
+                ["".join(map(str, row)), cli._fmt(s), cli._fmt(p)]
+                for row, s, p in zip(bits.tolist(), log_scores, probabilities)
+            ],
+        )
+        written = (tmp_path / "models.csv").read_bytes()
+        assert b"-inf" in written and b",0\r\n" in written
+        assert written == reference.read_bytes()
+
+
+# Imported by no ``select`` run: scipy.optimize serves the quadrature
+# oracle and scipy.interpolate the spline expansion, and both pull in the
+# rest.
+_HEAVY = (
+    "scipy.optimize",
+    "scipy.interpolate",
+    "scipy.sparse",
+    "scipy.spatial",
+    "scipy.fft",
+    "scipy.stats",
+    "scipy.integrate",
+)
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import alaselect
+from alaselect import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+_DEFERRED_SCRIPT = """
+import json, sys
+import numpy as np
+from alaselect import cli, simdesigns
+loaded = []
+assert cli.main(json.loads(sys.argv[1])) == 0
+loaded.append("scipy.optimize" in sys.modules)
+design, _ = simdesigns.expand_spline_design(
+    np.random.default_rng(0).normal(size=(60, 2)), dim=3
+)
+assert design.values.shape == (60, 8)
+loaded.append("scipy.interpolate" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_interpreter(script, argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestImportFootprint:
+    """A ``select`` process loads numpy, scipy.linalg and scipy.special,
+    and the heavier scipy subpackages only on the paths that use them."""
+
+    def _files(self, tmp_path, name, response, x):
+        data, groups = tmp_path / f"{name}.csv", tmp_path / f"{name}-groups.csv"
+        header = list(response) + [f"x{j}" for j in range(x.shape[1])]
+        columns = np.column_stack(list(response.values()) + [x])
+        _write_csv(data, header, [[_num(v) for v in row] for row in columns])
+        _write_csv(
+            groups, ["column", "group"],
+            [[f"x{j}", str(j)] for j in range(x.shape[1])],
+        )
+        return ["--data", str(data), "--groups", str(groups)]
+
+    def test_select_loads_no_heavy_scipy_subpackage(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 60
+        x = rng.normal(size=(n, 3))
+        eta = x @ np.array([1.0, 0.0, -0.8])
+        log_t = 0.5 * x[:, 0] + rng.normal(size=n)
+        logistic = self._files(
+            tmp_path, "logistic", {"y": rng.random(n) < 1 / (1 + np.exp(-eta))}, x
+        )
+        poisson = self._files(tmp_path, "poisson", {"y": rng.poisson(np.exp(eta))}, x)
+        aft = self._files(
+            tmp_path, "aft", {"t": log_t, "event": (np.arange(n) % 4 > 0)}, x
+        )
+        out = ["--out", str(tmp_path / "out")]
+        runs = [
+            ["select", *logistic, "--response", "y", "--family", "logistic", *out],
+            ["select", *poisson, "--response", "y", "--family", "poisson",
+             "--screen-threshold", "0.5", *out],
+            ["select", *logistic, "--response", "y", "--family", "logistic",
+             "--search", "gibbs", "--n-scans", "50", *out],
+            ["select", *aft, "--response", "t", "--status", "event",
+             "--family", "aft", *out],
+        ]
+        loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
+        assert "scipy.linalg" in loaded and "scipy.special" in loaded
+        assert [m for m in loaded if m.startswith(_HEAVY)] == []
+
+    def test_deferred_imports_load_where_they_are_used(self, gaussian_files):
+        data, groups, _, _ = gaussian_files
+        argv = [
+            "oracle", "--data", str(data), "--groups", str(groups),
+            "--response", "y", "--model", "100", "--oracle", "quadrature",
+            "--family", "gaussian",
+        ]
+        assert _fresh_interpreter(_DEFERRED_SCRIPT, argv) == [True, True]

@@ -1,6 +1,8 @@
 """Tests for likelihood families: log likelihoods, derivatives, dispersion
 estimates, and the censored-Gaussian survival pieces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -161,6 +163,43 @@ class TestGradHess:
         np.testing.assert_allclose(b, np.logaddexp(0.0, u), rtol=1e-15)
         np.testing.assert_allclose(bp, expit(u), rtol=1e-15)
         np.testing.assert_allclose(bpp, expit(u) * expit(-u), rtol=1e-15)
+
+    def test_logistic_cumulant_in_place_keeps_the_bits(self, rng):
+        """The in-place cumulant returns the bits of the plain formulas on
+        finite and infinite input, and NaN for NaN, with at most four
+        arrays of the argument's size alive at once (one byte mask more)."""
+
+        def plain(u):
+            e = np.exp(-np.abs(u))
+            inv = 1.0 / (1.0 + e)
+            return (
+                np.maximum(u, 0.0) + np.log1p(e),
+                np.where(u >= 0.0, inv, e * inv),
+                e * inv * inv,
+            )
+
+        special = [-np.inf, np.inf, 0.0, -0.0, 1e-300, -745.0, 745.0, -800.0, 40.0]
+        for u in [
+            rng.normal(scale=30.0, size=(8, 500)),
+            np.array(special),
+            rng.normal(size=(6, 12))[:, ::3],
+            np.array(-1.5),
+            2.0,
+        ]:
+            for got, want in zip(logistic().cumulant(u), plain(u)):
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_array_equal(
+                    np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)
+                )
+        assert all(np.isnan(v).all() for v in logistic().cumulant(np.full(3, np.nan)))
+        u = rng.normal(size=(8, 20_000))
+        tracemalloc.start()
+        try:
+            logistic().cumulant(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * u.nbytes
 
 
 class TestDispersionEstimate:
