@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import DegenerateResponse, InvalidModel, NotInvertible, RefuseEnumeration
+from .numerics import cho_factor_solve, chol_logdet
 from .priors import KEY_DIGITS, BlockPrior, model_key
 
 ENUMERATION_LIMIT = 25
@@ -346,9 +346,7 @@ class LsSolution:
 
     @property
     def logdet(self) -> float:
-        if self.chol.shape[0] == 0:
-            return 0.0
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return float(chol_logdet(self.chol))
 
 
 def ls_solve(xtx: np.ndarray, xty: np.ndarray, jitter: bool = False) -> LsSolution:
@@ -364,16 +362,16 @@ def ls_solve(xtx: np.ndarray, xty: np.ndarray, jitter: bool = False) -> LsSoluti
     if k == 0:
         return LsSolution(beta=np.empty(0), quad=0.0, chol=np.empty((0, 0)))
     jittered = False
-    factor, info = scipy.linalg.lapack.dpotrf(xtx, lower=1)
-    if info:
+    try:
+        factor, beta = cho_factor_solve(xtx, xty, NotInvertible, "Gram block")
+    except NotInvertible:
         if not jitter:
-            raise NotInvertible("Gram block is not positive definite")
+            raise
         ridge = 1e-10 * float(np.trace(xtx)) / k
-        factor, info = scipy.linalg.lapack.dpotrf(xtx + ridge * np.eye(k), lower=1)
-        if info:
-            raise NotInvertible("Gram block is not positive definite even after jitter")
+        factor, beta = cho_factor_solve(
+            xtx + ridge * np.eye(k), xty, NotInvertible, "jittered Gram block"
+        )
         jittered = True
-    beta = scipy.linalg.lapack.dpotrs(factor, xty, lower=1)[0]
     quad = float(xty @ beta)
     return LsSolution(beta=beta, quad=quad, chol=factor, jittered=jittered)
 

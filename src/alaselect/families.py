@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.special
 
 from .errors import DegenerateResponse, NoConvergence, NotConcave
+from .numerics import gammaln, logit
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -68,7 +68,7 @@ def logistic() -> FamilySpec:
         c=_zeros_like_y,
         c_dphi=_zeros_like_y,
         c_dphi2=_zeros_like_y,
-        link=scipy.special.logit,
+        link=logit,
     )
 
 
@@ -83,7 +83,7 @@ def poisson() -> FamilySpec:
         phi_known=True,
         phi=1.0,
         cumulant=_poisson_cumulant,
-        c=lambda y, phi: -scipy.special.gammaln(np.asarray(y) + 1.0),
+        c=lambda y, phi: -gammaln(np.asarray(y) + 1.0),
         c_dphi=_zeros_like_y,
         c_dphi2=_zeros_like_y,
         link=np.log,
@@ -272,6 +272,10 @@ def _bracket_newton(
 
 def mills_ratio(t: np.ndarray) -> np.ndarray:
     """Normal hazard pdf(t)/cdf(t), stable across the whole real line."""
+    # Imported here and in ``aft_loglik_grad_hess``: only the survival
+    # family needs scipy's normal tails, and a regression run loads no scipy.
+    import scipy.special
+
     t = np.asarray(t, dtype=np.float64)
     out = np.empty_like(t)
     neg = t < 0.0
@@ -325,6 +329,8 @@ def aft_loglik_grad_hess(
     over ``(alpha, tau)`` with tau last; signs are those of the
     log-likelihood itself, not its negative.
     """
+    import scipy.special
+
     Z = np.asarray(Z, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     if not tau > 0.0:

@@ -16,10 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
-import scipy.special
-from scipy.special import gammaln, log_ndtr
 
 from . import families as fam
 from .data_model import (
@@ -38,6 +34,7 @@ from .errors import (
     SelectionError,
     ToleranceNotMet,
 )
+from .numerics import cho_factor_solve, chol_logdet, cholesky, gammaln, logsumexp
 from .priors import (
     BlockPrior,
     ModelPriorSpec,
@@ -66,35 +63,6 @@ class CurvatureContext:
     """Response-variance inflation for the Hessian at the expansion point."""
 
     rho_hat: float
-
-
-def _chol(matrix: np.ndarray, exc, what: str):
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as err:
-        raise exc(f"{what} is not positive definite") from err
-
-
-def _cho_factor_solve(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    exc=NotConcaveAtExpansion,
-    what="joint curvature",
-):
-    """Lower Cholesky factor of ``matrix`` and ``matrix^{-1} rhs`` by LAPACK
-    potrf and potrs; raises ``exc`` when ``matrix`` is not positive
-    definite.  The scipy ``cho_solve`` wrapper costs several times the
-    solve at the dimensions of one model."""
-    factor, info = scipy.linalg.lapack.dpotrf(matrix, lower=1)
-    if info:
-        raise exc(f"{what} is not positive definite")
-    return factor, scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0]
-
-
-def _chol_logdet(factor: np.ndarray) -> float:
-    if factor.shape[0] == 0:
-        return 0.0
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def _cache_scalar(cache: SuffStatsCache, key, compute):
@@ -164,18 +132,18 @@ def ala_general(
     if theta0 is None:
         theta0 = np.zeros(d)
     if prior_logdet is None:
-        prior_logdet = _chol_logdet(
-            _chol(prior_precision, NotInvertible, "prior precision")
+        prior_logdet = chol_logdet(
+            cholesky(prior_precision, NotInvertible, "prior precision")
         )
     g_joint = grad + prior_precision @ theta0
-    factor, shift = _cho_factor_solve(hess + prior_precision, g_joint)
+    factor, shift = cho_factor_solve(hess + prior_precision, g_joint)
     quad = float(g_joint @ shift)
     quad_prior = float(theta0 @ prior_precision @ theta0)
     log_ml = (
         loglik0
         - 0.5 * quad_prior
         + 0.5 * prior_logdet
-        - 0.5 * _chol_logdet(factor)
+        - 0.5 * chol_logdet(factor)
         + 0.5 * quad
     )
     return MarginalScore(
@@ -205,7 +173,7 @@ def ala_plugin(
     d = grad.shape[0]
     if theta0 is None:
         theta0 = np.zeros(d)
-    factor, shift = _cho_factor_solve(
+    factor, shift = cho_factor_solve(
         hess, grad, NotConcaveAtExpansion, "likelihood curvature"
     )
     theta_tilde = theta0 - shift
@@ -215,7 +183,7 @@ def ala_plugin(
         + 0.5 * quad
         + log_prior(theta_tilde)
         + 0.5 * d * _LOG_2PI
-        - 0.5 * _chol_logdet(factor)
+        - 0.5 * chol_logdet(factor)
     )
     return MarginalScore(
         log_ml=float(log_ml),
@@ -249,13 +217,13 @@ def _known_phi_core(
     prec, logdet_p0 = cache.block_prior.precision(cols, g, phi, shift, xtx)
     h_joint = (rho * bpp / phi) * xtx + prec
     g_joint = -(bpp / phi) * xty
-    factor, sol = _cho_factor_solve(h_joint, g_joint)
+    factor, sol = cho_factor_solve(h_joint, g_joint)
     quad = float(g_joint @ sol)
-    logdet_h = _chol_logdet(factor)
+    logdet_h = chol_logdet(factor)
     out.update(
         score=l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad,
         beta_tilde=-sol,
-        chol=factor,
+        hess=h_joint,
         rho_hat=rho,
         quad=quad,
         cols=cols,
@@ -397,7 +365,7 @@ def ala_expfam_unknown_phi(
     hess[:p, p] = hess[p, :p] = factor * xty / phi0
     hess[p, p] = st["h_pp"]
     grad = np.concatenate([-factor * xty, [0.0]])
-    chol, sol = _cho_factor_solve(
+    chol, sol = cho_factor_solve(
         hess, grad, NotConcaveAtExpansion, "joint (beta, phi) curvature"
     )
     quad = float(grad @ sol)
@@ -415,7 +383,7 @@ def ala_expfam_unknown_phi(
         + 0.5 * quad
         + log_prior
         + 0.5 * (p + 1) * _LOG_2PI
-        - 0.5 * _chol_logdet(chol)
+        - 0.5 * chol_logdet(chol)
     )
     return MarginalScore(float(log_ml), "ala", expansion, diag)
 
@@ -445,9 +413,7 @@ def ala_gmom(
         phi = float(family.phi)
         core = _known_phi_core(model, cache, family, prior.g, curvature, shift=2)
         beta = core["beta_tilde"]
-        sigma = scipy.linalg.lapack.dpotrs(
-            core["chol"], np.eye(model.p_gamma), lower=1
-        )[0]
+        sigma = np.linalg.solve(core["hess"], np.eye(model.p_gamma))
         moment = (sigma + np.outer(beta, beta)) / phi
         tilt = float(
             cache.block_prior.log_penalty(core["cols"], moment, prior.g, core["xtx"])
@@ -472,7 +438,7 @@ def ala_gmom(
     cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
-    _, shape = _cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
+    _, shape = cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
     mean = shape @ xty
     fit = ls_solve(xtx, xty, jitter=True)
     rbar = (a + cache.n) / (b + cache.yty - fit.quad)
@@ -566,7 +532,7 @@ def ala_known_phi_many(
             half = np.einsum("bij,bj->bi", inv, -(bpp / phi) * cache.zty[cols])
             quad = np.einsum("bi,bi->b", half, half)
             beta = -np.einsum("bji,bj->bi", inv, half)
-            logdet_h = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+            logdet_h = chol_logdet(factor)
             score = l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
             if gmom:
                 sigma = np.einsum("bki,bkj->bij", inv, inv)
@@ -697,7 +663,7 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     for _ in range(12):
         shifted = hess + ridge * np.eye(d) if ridge else hess
         try:
-            return _cho_factor_solve(shifted, grad, NotConcave)[1]
+            return cho_factor_solve(shifted, grad, NotConcave)[1]
         except NotConcave:
             ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
     raise NotConcave("objective curvature is not positive definite")
@@ -761,9 +727,9 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, first=first
     )
-    factor, sol = _cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
+    factor, sol = cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
     log_ml = (
-        -value + 0.5 * logdet_p0 - 0.5 * _chol_logdet(factor) + 0.5 * float(grad @ sol)
+        -value + 0.5 * logdet_p0 - 0.5 * chol_logdet(factor) + 0.5 * float(grad @ sol)
     )
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
@@ -775,12 +741,12 @@ _LA_CHUNK = 32
 # Doubles in one working array of a stacked evaluation (live models times
 # the observations of one block), and a bound on the number of such arrays
 # alive at once: the predictor, the cumulant with its two derivatives and
-# their temporaries, and the residual, beside the previous block's
-# predictor and cumulant.  Measured with tracemalloc over the evaluations
-# of 8 singleton groups at n = 20 000: 8.16 arrays at the peak for the
-# logistic family, 3.28 for poisson.
+# their temporaries, and the residual; a block's arrays are freed before
+# the next block's are made.  Measured with tracemalloc over the
+# evaluations of 8 singleton groups at n = 20 000: 5.31 arrays at the peak
+# for the logistic family, 3.31 for poisson.
 _LA_BLOCK = 1 << 15
-_LA_WORK = 9
+_LA_WORK = 6
 
 
 def la_known_phi_many(
@@ -949,6 +915,8 @@ def _stacked_objective(cache, family, phi, basis, pair_of, pos, prec):
                 bsum += np.sum(b, axis=1)
                 ztr += (y_part - bp) @ x.T
                 wgram += bpp @ part[u:].T
+                # freed before the next block's arrays are made
+                del eta, b, bp, bpp
             kernel = y_eta - bsum
         p_live = prec[live]
         ptheta = np.einsum("bij,bj->bi", p_live, theta)
@@ -1035,23 +1003,19 @@ def _stacked_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     solve, or the one-row ridge retries when a row is not positive
     definite."""
     try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
+        return cho_factor_solve(hess, grad[..., None], NotConcave)[1][..., 0]
+    except NotConcave:
         return np.array([_newton_direction(g, h) for g, h in zip(grad, hess)])
-    return np.linalg.solve(hess, grad[..., None])[..., 0]
 
 
 def _stacked_laplace_terms(grad: np.ndarray, hess: np.ndarray):
     """``log det H`` and ``g' H^-1 g`` of each row at the mode, by one
     stacked Cholesky; raises the one-row ``NotConcave`` when a row is not
     positive definite."""
-    try:
-        factor = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError as err:
-        raise NotConcave("curvature at the mode is not positive definite") from err
-    sol = np.linalg.solve(hess, grad[..., None])[..., 0]
-    logdet = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
-    return logdet, np.einsum("bi,bi->b", grad, sol)
+    factor, sol = cho_factor_solve(
+        hess, grad[..., None], NotConcave, "curvature at the mode"
+    )
+    return chol_logdet(factor), np.einsum("bi,bi->b", grad, sol[..., 0])
 
 
 def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
@@ -1109,8 +1073,8 @@ def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, positive=(p,), first=first
     )
-    factor, _ = _cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
-    log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * _chol_logdet(factor)
+    factor, _ = cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
+    log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
     )
@@ -1159,7 +1123,7 @@ def ala_refined(
     note = None
     for _ in range(k):
         try:
-            sol = _cho_factor_solve(hess, grad)[1]
+            sol = cho_factor_solve(hess, grad)[1]
         except NotConcaveAtExpansion:
             note = "curvature lost during refinement"
             break
@@ -1198,6 +1162,10 @@ def exact_gaussian_marginal(
     dispersion the inverse-gamma prior integrates to a multivariate-t form.
     Cost grows with n cubed; intended as a reference, not a search engine.
     """
+    # The references import scipy where they use it, so that a run of the
+    # fast engines loads none.
+    import scipy.linalg
+
     if family.kind != "gaussian":
         raise ValueError("exact marginal is available for the gaussian family")
     if prior.kind != "gzellner":
@@ -1210,10 +1178,10 @@ def exact_gaussian_marginal(
         zj = cache.design.values[:, start:stop]
         ainv_zt = np.linalg.solve(zj.T @ zj, zj.T)
         cov += (prior.g * n / (stop - start)) * (zj @ ainv_zt)
-    factor = _chol(cov, NotInvertible, "marginal covariance")
+    factor = cholesky(cov, NotInvertible, "marginal covariance")
     half = scipy.linalg.solve_triangular(factor, y, lower=True)
     quad = float(half @ half)
-    logdet = _chol_logdet(factor)
+    logdet = chol_logdet(factor)
     if family.phi_known:
         phi = float(family.phi)
         log_ml = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
@@ -1238,7 +1206,7 @@ def _panel_logsum(logf, lo, hi, panels, nodes, weights):
     points = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     logw = np.log(np.repeat(half, nodes.shape[0]) * np.tile(weights, panels))
     vals = logf(points) + logw
-    return float(scipy.special.logsumexp(vals))
+    return float(logsumexp(vals))
 
 
 def quadrature_oracle(
@@ -1400,7 +1368,7 @@ def _tensor_quad(log_f, block, uj, phi, rtol):
             bvecs = mean[None, :] + coords @ eigvecs.T
             logw = np.log(np.outer(w0, w1).ravel())
         vals = log_f(bvecs) + logw
-        estimate = float(scipy.special.logsumexp(vals))
+        estimate = float(logsumexp(vals))
         if previous is not None and abs(estimate - previous) <= rtol:
             return estimate
         previous = estimate
@@ -1422,6 +1390,8 @@ def exact_gmom_mc(
     expectation of the penalty product, draws from the exact kernel
     posterior, and averages.  The log-scale standard error is reported.
     """
+    import scipy.linalg
+
     if family.kind != "gaussian":
         raise ValueError("the Monte Carlo reference expects the gaussian family")
     if prior.kind != "gmom":
@@ -1438,10 +1408,10 @@ def exact_gmom_mc(
         zj = cache.design.values[:, start:stop]
         ainv_zt = np.linalg.solve(zj.T @ zj, zj.T)
         cov += (g * n / (stop - start + 2)) * (zj @ ainv_zt)
-    factor = _chol(cov, NotInvertible, "kernel marginal covariance")
+    factor = cholesky(cov, NotInvertible, "kernel marginal covariance")
     half = scipy.linalg.solve_triangular(factor, y, lower=True)
     quad = float(half @ half)
-    logdet = _chol_logdet(factor)
+    logdet = chol_logdet(factor)
     if p == 0:
         if family.phi_known:
             phi = float(family.phi)
@@ -1467,7 +1437,7 @@ def exact_gmom_mc(
         block = cache.gram.block(np.arange(start, stop))
         m_prec[sl, sl] += ((pj + 2) / (g * n)) * block
         offset += pj
-    m_factor = _chol(m_prec, NotInvertible, "kernel posterior precision")
+    m_factor = cholesky(m_prec, NotInvertible, "kernel posterior precision")
     mean = scipy.linalg.cho_solve((m_factor, True), xty)
     shape = scipy.linalg.cho_solve((m_factor, True), np.eye(p))
     shape_chol = np.linalg.cholesky(shape + 1e-14 * np.eye(p))
@@ -1503,7 +1473,7 @@ def exact_gmom_mc(
         coef = (pj + 2) / (n * pj * g)
         quad_j = np.einsum("mi,ij,mj->m", draws[:, sl], block, draws[:, sl])
         log_pen += np.log(coef * quad_j / phi_draws)
-    log_mean = float(scipy.special.logsumexp(log_pen) - np.log(n_draws))
+    log_mean = float(logsumexp(log_pen) - np.log(n_draws))
     pen = np.exp(log_pen - log_pen.max())
     se_rel = float(np.std(pen) / (np.mean(pen) * np.sqrt(n_draws)))
     return MarginalScore(
@@ -1544,6 +1514,9 @@ class AftContext:
 
 
 def build_aft_context(design: DesignMatrix, data: fam.SurvivalData) -> AftContext:
+    # only survival scoring needs scipy's normal tails
+    from scipy.special import log_ndtr
+
     if data.n != design.n:
         raise ValueError("survival data length does not match the design")
     tau0 = fam.aft_tau0(data)
@@ -1605,7 +1578,7 @@ def ala_aft(
     hess[:p, p] = hess[p, :p] = -ctx.ztyw[cols]
     hess[p, p] = ctx.h_tt
     grad = np.concatenate([-ctx.ztv[cols], [0.0]])
-    factor, sol = _cho_factor_solve(
+    factor, sol = cho_factor_solve(
         hess, grad, NotConcaveAtExpansion, "survival curvature"
     )
     quad = float(grad @ sol)
@@ -1621,7 +1594,7 @@ def ala_aft(
         + ctx.block_prior.log_density(alpha_tilde, cols, prior.g)
         + log_tau_prior(tau_tilde, a, b)
         + 0.5 * (p + 1) * _LOG_2PI
-        - 0.5 * _chol_logdet(factor)
+        - 0.5 * chol_logdet(factor)
     )
     return MarginalScore(float(log_ml), "ala", expansion, diag)
 
@@ -1668,8 +1641,8 @@ def la_aft(
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, positive=(p,)
     )
-    factor, _ = _cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
-    log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * _chol_logdet(factor)
+    factor, _ = cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
+    log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, True)
     )

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.linalg.lapack
-from scipy.special import gammaln
 
 from .errors import InvalidModel, NotInvertible
+from .numerics import cholesky, gammaln
 
 if TYPE_CHECKING:
     from .data_model import ConstraintSet, DesignMatrix, Gram, ModelId, SuffStatsCache
@@ -142,9 +141,9 @@ class BlockPrior:
         for j in np.unique(groups[np.isnan(shares)]):
             start, stop = self.design.groups[j]
             block = self.gram.block(np.arange(start, stop))
-            factor, info = scipy.linalg.lapack.dpotrf(block, lower=1)
+            factor = cholesky(block, NotInvertible, f"group {j} Gram block")
             pivots = np.diag(factor) ** 2
-            if info or np.any(pivots < 1e-10 * np.diag(block)):
+            if np.any(pivots < 1e-10 * np.diag(block)):
                 raise NotInvertible(f"group {j} Gram block is singular")
             self._logdet_share[j] = float(np.sum(np.log(pivots))) / (stop - start)
         return self._logdet_share[groups]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data_model import ENUMERATION_LIMIT, ConstraintSet, admissible_bits
+from .numerics import logsumexp
 from .priors import model_key
 
 

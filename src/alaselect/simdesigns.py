@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .data_model import ConstraintSet, DesignMatrix
 from .families import SurvivalData
@@ -37,6 +36,10 @@ def equicorr_draw(rng: np.random.Generator, n: int, p: int, rho: float = 0.5):
 
 def logistic_trend(rng: np.random.Generator, n: int, p: int = 10) -> SimulatedData:
     """Two active covariates (0.5 and 1) at the end of a correlated block."""
+    # scipy.special is imported by each generator that uses it, so that
+    # importing the package loads no scipy
+    from scipy.special import expit
+
     x = equicorr_draw(rng, n, p)
     beta = np.zeros(p)
     beta[-2], beta[-1] = 0.5, 1.0
@@ -105,6 +108,8 @@ def logistic_intercept_is(rng: np.random.Generator, n: int = 1000) -> SimulatedD
     forced), which makes the restricted posterior concentrate on few models
     and stresses the reweighting diagnostics.
     """
+    from scipy.special import expit
+
     p = 10
     x = np.empty((n, p))
     x[:, 0] = 1.0
@@ -137,6 +142,8 @@ def poisson_quadratic_is(rng: np.random.Generator, n: int = 1000) -> SimulatedDa
 def mixture_screen(rng: np.random.Generator, n: int, p: int = 8) -> SimulatedData:
     """Bernoulli responses from an equal mixture of two logistic models whose
     supports both lie in the first two covariates."""
+    from scipy.special import expit
+
     x = equicorr_draw(rng, n, p)
     b1 = np.zeros(p)
     b2 = np.zeros(p)
@@ -162,6 +169,8 @@ def aft_scenario(
     fitted accelerated-failure model is misspecified.  The realized
     censoring fraction is returned in the meta dictionary.
     """
+    from scipy.special import ndtri
+
     x = equicorr_draw(rng, n, n_covariates)
     nonlin = np.log(np.abs(x[:, 1]))
     if scenario == 1:

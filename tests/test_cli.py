@@ -625,13 +625,19 @@ _HEAVY = (
     "scipy.integrate",
 )
 
+# Prints the scipy modules loaded by the imports, then those loaded once
+# every run has finished.
 _FOOTPRINT_SCRIPT = """
 import json, sys
 import alaselect
-from alaselect import cli
+from alaselect import cli, simdesigns
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
 """
 
 _DEFERRED_SCRIPT = """
@@ -664,8 +670,9 @@ def _fresh_interpreter(script, argv):
 
 
 class TestImportFootprint:
-    """A ``select`` process loads numpy, scipy.linalg and scipy.special,
-    and the heavier scipy subpackages only on the paths that use them."""
+    """Importing the package loads no scipy; a regression ``select`` runs on
+    numpy alone, a survival one loads scipy.special, and the heavier scipy
+    subpackages load only on the paths that use them."""
 
     def _files(self, tmp_path, name, response, x):
         data, groups = tmp_path / f"{name}.csv", tmp_path / f"{name}-groups.csv"
@@ -678,31 +685,44 @@ class TestImportFootprint:
         )
         return ["--data", str(data), "--groups", str(groups)]
 
-    def test_select_loads_no_heavy_scipy_subpackage(self, tmp_path):
+    def test_regression_runs_load_no_scipy(self, tmp_path):
         rng = np.random.default_rng(5)
         n = 60
         x = rng.normal(size=(n, 3))
         eta = x @ np.array([1.0, 0.0, -0.8])
-        log_t = 0.5 * x[:, 0] + rng.normal(size=n)
         logistic = self._files(
             tmp_path, "logistic", {"y": rng.random(n) < 1 / (1 + np.exp(-eta))}, x
         )
         poisson = self._files(tmp_path, "poisson", {"y": rng.poisson(np.exp(eta))}, x)
-        aft = self._files(
-            tmp_path, "aft", {"t": log_t, "event": (np.arange(n) % 4 > 0)}, x
-        )
+        gaussian = self._files(tmp_path, "gaussian", {"y": eta + rng.normal(size=n)}, x)
         out = ["--out", str(tmp_path / "out")]
         runs = [
             ["select", *logistic, "--response", "y", "--family", "logistic", *out],
+            ["select", *logistic, "--response", "y", "--family", "logistic",
+             "--center", "intercept-mle", *out],
             ["select", *poisson, "--response", "y", "--family", "poisson",
              "--screen-threshold", "0.5", *out],
             ["select", *logistic, "--response", "y", "--family", "logistic",
              "--search", "gibbs", "--n-scans", "50", *out],
-            ["select", *aft, "--response", "t", "--status", "event",
-             "--family", "aft", *out],
+            ["select", *gaussian, "--response", "y", "--family", "gaussian", *out],
         ]
-        loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
-        assert "scipy.linalg" in loaded and "scipy.special" in loaded
+        imported, loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
+        assert imported == [] and loaded == []
+
+    def test_survival_run_loads_scipy_special(self, tmp_path):
+        rng = np.random.default_rng(6)
+        n = 60
+        x = rng.normal(size=(n, 3))
+        log_t = 0.5 * x[:, 0] + rng.normal(size=n)
+        aft = self._files(
+            tmp_path, "aft", {"t": log_t, "event": (np.arange(n) % 4 > 0)}, x
+        )
+        runs = [
+            ["select", *aft, "--response", "t", "--status", "event",
+             "--family", "aft", "--out", str(tmp_path / "out")],
+        ]
+        _, loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
+        assert "scipy.special" in loaded
         assert [m for m in loaded if m.startswith(_HEAVY)] == []
 
     def test_deferred_imports_load_where_they_are_used(self, gaussian_files):

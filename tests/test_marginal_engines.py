@@ -1310,6 +1310,32 @@ class TestNewtonParity:
         assert peak - current <= 8 * me._STACK_ENTRIES
         assert scorer.n_scored == len(bits)
 
+    @pytest.mark.parametrize("name", ["poisson", "logistic"])
+    def test_a_stacked_evaluation_holds_at_most_la_work_arrays(self, name):
+        """Peak memory of one evaluation over three blocks of observations,
+        in working arrays of one block: a block's predictor and cumulant
+        are freed before the next block's are made."""
+        rng = np.random.default_rng(12)
+        n, m = 20_000, 4
+        design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, 3)))
+        y = _glm_response(rng, name, 0.1 * design.values.sum(axis=1))
+        family = _PARITY_FAMILIES[name]()
+        cache = build_cache(design, y, family)
+        basis, pair_of = me._pair_basis(design.values, np.arange(3))
+        pos = np.tile(np.arange(3), (m, 1))
+        objective = me._stacked_objective(
+            cache, family, 1.0, basis, pair_of, pos, np.tile(np.eye(3), (m, 1, 1))
+        )
+        theta = 0.1 * rng.normal(size=(m, 3))
+        objective(np.arange(m), theta)
+        tracemalloc.start()
+        try:
+            objective(np.arange(m), theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= me._LA_WORK * 8 * m * (me._LA_BLOCK // m)
+
 
 def _counting_passes(family):
     """``family`` with its cumulant wrapped by a counter of the values it

@@ -1,0 +1,132 @@
+"""The numpy-only special functions and Cholesky solves against scipy, and
+the error each engine raises for a matrix that is not positive definite."""
+
+import numpy as np
+import pytest
+import scipy.special
+
+from alaselect import marginal_engines as me
+from alaselect.data_model import ls_solve
+from alaselect.errors import NotConcave, NotConcaveAtExpansion, NotInvertible
+from alaselect.numerics import (
+    cho_factor_solve,
+    chol_logdet,
+    cholesky,
+    gammaln,
+    logit,
+    logsumexp,
+)
+
+# an indefinite symmetric matrix (eigenvalues 4 and -2; 5 and -1 plus I)
+_INDEFINITE = np.array([[1.0, 3.0], [3.0, 1.0]])
+
+
+class TestGammaln:
+    def test_integers_up_to_1e5(self):
+        x = np.arange(1.0, 100_001.0)
+        np.testing.assert_allclose(gammaln(x), scipy.special.gammaln(x), rtol=2e-15)
+
+    def test_reals_of_either_sign_and_any_shape(self, rng):
+        x = rng.uniform(-50.0, 300.0, size=(40, 25))
+        x[0, :5] = [0.5, 1e-300, 1e5 + 0.25, 171.5, 1e300]
+        out = gammaln(x)
+        assert out.shape == x.shape
+        np.testing.assert_allclose(
+            out, scipy.special.gammaln(x), rtol=4e-15, atol=4e-15
+        )
+
+    def test_poles_are_plus_infinity(self):
+        poles = np.array([0.0, -0.0, -1.0, -2.0, -170.0, -1e5])
+        assert np.all(gammaln(poles) == np.inf)
+        assert np.all(scipy.special.gammaln(poles) == np.inf)
+        for pole in poles.tolist():
+            assert gammaln(pole) == np.inf
+
+    def test_scalars_give_a_numpy_scalar(self):
+        assert isinstance(gammaln(3.5), np.float64)
+        assert isinstance(gammaln(np.float64(3.5)), np.float64)
+        assert gammaln(3) == gammaln(3.0) == pytest.approx(np.log(2.0), rel=1e-15)
+        assert np.isnan(gammaln(np.nan))
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-np.inf, -np.inf, -np.inf],
+            [1.0, np.inf, -np.inf],
+            [1.0, np.nan, -np.inf],
+            [np.inf, np.nan],
+            [],
+        ],
+    )
+    def test_infinities_nan_and_empty_as_scipy(self, values):
+        a = np.array(values, dtype=np.float64)
+        np.testing.assert_array_equal(logsumexp(a), scipy.special.logsumexp(a))
+
+    def test_large_spreads_and_ties(self, rng):
+        for scale in (1e-6, 1.0, 1e3, 1e6, 1e300):
+            a = scale * rng.normal(size=500)
+            a[[3, 70]] = a.max()
+            a[5] = -np.inf
+            np.testing.assert_allclose(
+                logsumexp(a), scipy.special.logsumexp(a), rtol=1e-15, atol=0.0
+            )
+
+    def test_sum_of_many_equal_terms(self):
+        a = np.full(1000, -745.0)
+        assert logsumexp(a) == pytest.approx(np.log(1000.0) - 745.0, rel=1e-15)
+
+
+def test_logit_gives_the_bits_of_scipy():
+    p = np.concatenate(
+        [np.linspace(0.0, 1.0, 4001), [0.3, 0.65, 5e-324, -0.0, -0.5, 1.5, np.nan]]
+    )
+    ours = np.array([logit(v) for v in p.tolist()])
+    np.testing.assert_array_equal(ours, scipy.special.logit(p))
+
+
+class TestCholesky:
+    def test_solve_and_log_determinant(self, rng):
+        x = rng.normal(size=(30, 5))
+        a = x.T @ x
+        rhs = rng.normal(size=(5, 2))
+        factor, sol = cho_factor_solve(a, rhs)
+        np.testing.assert_allclose(factor @ factor.T, a, rtol=1e-12)
+        np.testing.assert_allclose(sol, np.linalg.solve(a, rhs), rtol=1e-12)
+        np.testing.assert_allclose(chol_logdet(factor), np.linalg.slogdet(a)[1])
+
+    def test_stacked_and_empty_log_determinants(self, rng):
+        x = rng.normal(size=(4, 20, 3))
+        a = np.einsum("bni,bnj->bij", x, x)
+        factor = cholesky(a, NotInvertible, "Gram block")
+        np.testing.assert_allclose(chol_logdet(factor), np.linalg.slogdet(a)[1], rtol=1e-12)
+        assert chol_logdet(np.empty((0, 0))) == 0.0
+
+    def test_each_engine_raises_its_own_error(self):
+        grad = np.ones(2)
+        with pytest.raises(NotConcaveAtExpansion, match="joint curvature"):
+            me.ala_general(0.0, grad, _INDEFINITE, np.eye(2))
+        with pytest.raises(NotConcaveAtExpansion, match="likelihood curvature"):
+            me.ala_plugin(0.0, grad, _INDEFINITE, lambda b: 0.0)
+        with pytest.raises(NotInvertible, match="prior precision"):
+            me.ala_general(0.0, grad, np.eye(2), _INDEFINITE)
+        with pytest.raises(NotConcave, match="curvature at the mode"):
+            me._stacked_laplace_terms(
+                np.ones((2, 2)), np.stack([np.eye(2), _INDEFINITE])
+            )
+        with pytest.raises(NotInvertible, match="Gram block is not positive"):
+            ls_solve(_INDEFINITE, grad)
+        with pytest.raises(NotInvertible, match="jittered Gram block"):
+            ls_solve(_INDEFINITE, grad, jitter=True)
+
+    def test_a_singular_matrix_with_a_rounded_factor_raises_the_callers_error(self):
+        # the factor of [[2, 2], [2, 2]] ends on a rounding-sized pivot
+        singular = np.full((2, 2), 2.0)
+        with pytest.raises(NotConcave, match="objective curvature"):
+            cho_factor_solve(singular, np.ones(2), NotConcave, "objective curvature")
+        # so the stacked Newton direction takes the one-row ridge retries
+        np.testing.assert_array_equal(
+            me._stacked_direction(np.ones((1, 2)), singular[None]),
+            me._newton_direction(np.ones(2), singular)[None],
+        )
