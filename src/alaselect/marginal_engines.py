@@ -34,7 +34,9 @@ from .errors import (
     SelectionError,
     ToleranceNotMet,
 )
-from .numerics import cho_factor_solve, chol_logdet, cholesky, gammaln, logsumexp
+from .numerics import (
+    bordered_cholesky, cho_factor_solve, chol_logdet, cholesky, gammaln, logsumexp
+)
 from .priors import (
     BlockPrior,
     ModelPriorSpec,
@@ -50,12 +52,28 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class MarginalScore:
-    """One model's log marginal likelihood with how it was obtained."""
+    """One model's log marginal likelihood with how it was obtained.
+
+    An engine may give, in place of the expansion point, the factor of
+    ``bordered_cholesky`` for the curvature H and gradient g at zero; the
+    first read of ``expansion`` then solves for the point ``-H^-1 g``, so
+    that a point nothing reads is never solved for.
+    """
 
     log_ml: float
     method: str
-    expansion: np.ndarray
+    _expansion: Optional[np.ndarray]
     diagnostics: dict = field(default_factory=dict)
+    _factor: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def expansion(self) -> np.ndarray:
+        if self._expansion is None:
+            k = self._factor.shape[0] - 1
+            upper = self._factor[:k, :k].T
+            self._expansion = -np.linalg.solve(upper, self._factor[k, :k])
+            self._factor = None
+        return self._expansion
 
 
 @dataclass(frozen=True)
@@ -146,12 +164,7 @@ def ala_general(
         - 0.5 * chol_logdet(factor)
         + 0.5 * quad
     )
-    return MarginalScore(
-        log_ml=float(log_ml),
-        method=method,
-        expansion=theta0 - shift,
-        diagnostics={"quad": quad},
-    )
+    return MarginalScore(float(log_ml), method, theta0 - shift, {"quad": quad})
 
 
 def ala_plugin(
@@ -185,51 +198,7 @@ def ala_plugin(
         + 0.5 * d * _LOG_2PI
         - 0.5 * chol_logdet(factor)
     )
-    return MarginalScore(
-        log_ml=float(log_ml),
-        method=method,
-        expansion=theta_tilde,
-        diagnostics={"quad": quad},
-    )
-
-
-def _known_phi_core(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    g: float,
-    curvature: Optional[CurvatureContext],
-    shift: int,
-):
-    """Shared zero-expansion machinery for known-dispersion families."""
-    phi = float(family.phi)
-    l0 = _loglik_at_center(cache, family, phi)
-    p = model.p_gamma
-    out = {"l0": l0, "phi": phi, "p": p}
-    if p == 0:
-        out["score"] = l0
-        out["beta_tilde"] = np.empty(0)
-        return out
-    cols = cache.design.columns_for(model.key)
-    xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    bpp = cache.bpp_nu0
-    rho = curvature.rho_hat if curvature is not None else 1.0
-    prec, logdet_p0 = cache.block_prior.precision(cols, g, phi, shift, xtx)
-    h_joint = (rho * bpp / phi) * xtx + prec
-    g_joint = -(bpp / phi) * xty
-    factor, sol = cho_factor_solve(h_joint, g_joint)
-    quad = float(g_joint @ sol)
-    logdet_h = chol_logdet(factor)
-    out.update(
-        score=l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad,
-        beta_tilde=-sol,
-        hess=h_joint,
-        rho_hat=rho,
-        quad=quad,
-        cols=cols,
-        xtx=xtx,
-    )
-    return out
+    return MarginalScore(float(log_ml), method, theta_tilde, {"quad": quad})
 
 
 def ala_expfam_known_phi(
@@ -251,20 +220,11 @@ def ala_expfam_known_phi(
         raise ValueError("this engine expects the block Zellner prior")
     if not family.phi_known:
         raise ValueError("dispersion must be known for this engine")
-    method = "ala" if curvature is None else "ala-curvadj"
     if variant == "exact-normal":
-        core = _known_phi_core(model, cache, family, prior.g, curvature, shift=0)
-        diag = {"phi": core["phi"], "rho_hat": core.get("rho_hat", 1.0)}
-        if "quad" in core:
-            diag["quad"] = core["quad"]
-        return MarginalScore(
-            log_ml=float(core["score"]),
-            method=method,
-            expansion=core["beta_tilde"],
-            diagnostics=diag,
-        )
+        return _known_phi_one(model, cache, family, prior, curvature)
     if variant != "plugin-density":
         raise ValueError(f"unknown variant {variant!r}")
+    method = "ala" if curvature is None else "ala-curvadj"
     phi = float(family.phi)
     l0 = _loglik_at_center(cache, family, phi)
     if model.p_gamma == 0:
@@ -402,28 +362,10 @@ def ala_gmom(
     """
     if prior.kind != "gmom":
         raise ValueError("this engine expects the product-moment prior")
-    if model.p_gamma == 0:
-        if family.phi_known:
-            phi = float(family.phi)
-            return MarginalScore(
-                _loglik_at_center(cache, family, phi), "ala-gmom", np.empty(0), {}
-            )
-        return ala_expfam_unknown_phi(model, cache, family, prior)
     if family.phi_known:
-        phi = float(family.phi)
-        core = _known_phi_core(model, cache, family, prior.g, curvature, shift=2)
-        beta = core["beta_tilde"]
-        sigma = np.linalg.solve(core["hess"], np.eye(model.p_gamma))
-        moment = (sigma + np.outer(beta, beta)) / phi
-        tilt = float(
-            cache.block_prior.log_penalty(core["cols"], moment, prior.g, core["xtx"])
-        )
-        return MarginalScore(
-            float(core["score"] + tilt),
-            "ala-gmom" if curvature is None else "ala-gmom-curvadj",
-            core["beta_tilde"],
-            {"tilt": tilt, "phi": phi, "rho_hat": core.get("rho_hat", 1.0)},
-        )
+        return _known_phi_one(model, cache, family, prior, curvature)
+    if model.p_gamma == 0:
+        return ala_expfam_unknown_phi(model, cache, family, prior)
     if family.kind != "gaussian":
         raise ValueError(
             "unknown dispersion with the product-moment prior is supported "
@@ -459,18 +401,6 @@ def ala_gmom(
 _STACK_ENTRIES = 1 << 20
 
 
-def _lower_inverse(factor: np.ndarray) -> np.ndarray:
-    """Inverses of a (B, k, k) stack of lower-triangular factors, by one
-    forward substitution against the identity."""
-    k = factor.shape[1]
-    inv = np.zeros_like(factor)
-    for i in range(k):
-        row = -np.einsum("bj,bjm->bm", factor[:, i, :i], inv[:, :i, :])
-        row[:, i] += 1.0
-        inv[:, i, :] = row / factor[:, i, i, None]
-    return inv
-
-
 def ala_known_phi_many(
     bits: np.ndarray,
     cache: SuffStatsCache,
@@ -478,80 +408,87 @@ def ala_known_phi_many(
     prior: ParamPriorSpec,
     curvature: Optional[CurvatureContext] = None,
 ) -> list[MarginalScore]:
-    """Zero-expansion scores of many models under a known dispersion.
-
-    ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
-    in order, what ``ala_expfam_known_phi`` (block Zellner prior, exact
-    Normal integral) or ``ala_gmom`` (product-moment prior) returns for each
-    model, up to rounding.  Models of one dimension share a
-    stacked Cholesky factorization and one batched triangular solve; their
-    Gram blocks are gathered from one block over the columns they use, so
-    the Gram fills the same columns as scoring the models one at a time.
-    Raises ``numpy.linalg.LinAlgError`` when a stacked curvature is not
-    positive definite and ``NotInvertible`` when a group's Gram block is
-    singular.
-    """
+    """What ``ala_expfam_known_phi`` (exact Normal integral) or ``ala_gmom``
+    returns for each row of the (B, J) ``uint8`` 0/1 matrix ``bits``, in
+    order.  The models of one dimension are scored as stacks of at most
+    ``_STACK_ENTRIES`` Gram entries (``_known_phi_stack``), each gathered
+    from one Gram block over its columns, so the Gram fills the columns
+    that scoring the models one at a time fills."""
     if not family.phi_known:
         raise ValueError("dispersion must be known for this engine")
-    gmom = prior.kind == "gmom"
-    shift = 2 if gmom else 0
-    if gmom:
-        method = "ala-gmom" if curvature is None else "ala-gmom-curvadj"
-    else:
-        method = "ala" if curvature is None else "ala-curvadj"
-    design = cache.design
-    block_prior = cache.block_prior
-    phi = float(family.phi)
-    l0 = _loglik_at_center(cache, family, phi)
-    bpp = cache.bpp_nu0
-    rho = curvature.rho_hat if curvature is not None else 1.0
-    active = np.asarray(bits, dtype=bool)
-    col_mask = active[:, design.col_group]
+    col_mask = np.asarray(bits, dtype=bool)[:, cache.design.col_group]
     p_gamma = col_mask.sum(axis=1)
-    out: list[Optional[MarginalScore]] = [None] * active.shape[0]
-    for i in np.flatnonzero(p_gamma == 0):
-        model = design.model(active[i].tobytes())
-        if gmom:
-            out[i] = ala_gmom(model, cache, family, prior, curvature)
-        else:
-            out[i] = ala_expfam_known_phi(model, cache, family, prior, curvature)
-    for k in np.unique(p_gamma[p_gamma > 0]):
+    out: list[Optional[MarginalScore]] = [None] * col_mask.shape[0]
+    for k in np.unique(p_gamma).tolist():
         members = np.flatnonzero(p_gamma == k)
-        step = max(1, _STACK_ENTRIES // (k * k))
+        step = max(1, _STACK_ENTRIES // max(k * k, 1))
         for lo in range(0, members.shape[0], step):
             rows = members[lo : lo + step]
             mask = col_mask[rows]
             union = np.flatnonzero(mask.any(axis=0))
             block = cache.gram.block(union)
             pos = np.nonzero(mask[:, union])[1].reshape(rows.shape[0], k)
-            cols = union[pos]
             xtx = block[pos[:, :, None], pos[:, None, :]]
-            prec, logdet_p0 = block_prior.precision(cols, prior.g, phi, shift, xtx)
-            factor = np.linalg.cholesky((rho * bpp / phi) * xtx + prec)
-            inv = _lower_inverse(factor)
-            half = np.einsum("bij,bj->bi", inv, -(bpp / phi) * cache.zty[cols])
-            quad = np.einsum("bi,bi->b", half, half)
-            beta = -np.einsum("bji,bj->bi", inv, half)
-            logdet_h = chol_logdet(factor)
-            score = l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
-            if gmom:
-                sigma = np.einsum("bki,bkj->bij", inv, inv)
-                moment = (sigma + beta[:, :, None] * beta[:, None, :]) / phi
-                tilt = block_prior.log_penalty(cols, moment, prior.g, xtx)
-                for i, value, b, t in zip(
-                    rows.tolist(), (score + tilt).tolist(), beta, tilt.tolist()
-                ):
-                    out[i] = MarginalScore(
-                        value, method, b, {"tilt": t, "phi": phi, "rho_hat": rho}
-                    )
-            else:
-                for i, value, b, q in zip(
-                    rows.tolist(), score.tolist(), beta, quad.tolist()
-                ):
-                    out[i] = MarginalScore(
-                        value, method, b, {"phi": phi, "rho_hat": rho, "quad": q}
-                    )
+            scores = _known_phi_stack(cache, family, prior, curvature, union[pos], xtx)
+            for i, score in zip(rows.tolist(), scores):
+                out[i] = score
     return out
+
+
+def _known_phi_one(model, cache, family, prior, curvature):
+    """The known-dispersion zero-expansion score of one model: a stack of
+    one, with its Gram block read directly."""
+    cols = cache.design.columns_for(model.key)
+    xtx = cache.gram.block(cols)
+    return _known_phi_stack(cache, family, prior, curvature, cols[None], xtx[None])[0]
+
+
+def _known_phi_stack(cache, family, prior, curvature, cols, xtx):
+    """The one known-dispersion ``ala`` engine: zero-expansion scores of
+    the models with (B, k) columns ``cols`` and (B, k, k) Gram blocks
+    ``xtx``, under the block Zellner prior, or under the product-moment
+    prior with the log posterior expectation of its penalty (the tilt).
+    ``log det H`` and ``g' H^-1 g`` come from one stacked bordered Cholesky
+    factorization.  The tilt's posterior moments and the expansion come
+    from one stacked inverse of the factor; the block Zellner expansion,
+    which no score needs, from one triangular solve when it is read.  A
+    model's score depends on its own block alone, not on its stack.  Raises
+    ``NotConcaveAtExpansion`` when a joint curvature is not positive
+    definite and ``NotInvertible`` when a group's Gram block is singular."""
+    gmom = prior.kind == "gmom"
+    method = ("ala-gmom" if gmom else "ala") + ("" if curvature is None else "-curvadj")
+    phi = float(family.phi)
+    w = cache.bpp_nu0 / phi
+    rho = curvature.rho_hat if curvature is not None else 1.0
+    prec, logdet_p0 = cache.block_prior.precision(
+        cols, prior.g, phi, 2 if gmom else 0, xtx
+    )
+    logdet_h, quad, factor = bordered_cholesky(
+        (rho * w) * xtx + prec,
+        -w * cache.zty[cols],
+        NotConcaveAtExpansion,
+        "joint curvature",
+    )
+    k = cols.shape[1]
+    l0 = _loglik_at_center(cache, family, phi)
+    rows = zip(logdet_p0.tolist(), logdet_h.tolist(), quad.tolist())
+    score = [l0 + 0.5 * lp - 0.5 * lh + 0.5 * q for lp, lh, q in rows]
+    if gmom:
+        # with its corner set to 1, the factor's transpose [[L', L^-1 g],
+        # [0, 1]] has the inverse [[L^-T, beta], [0, 1]], beta = -H^-1 g the
+        # expansion; its first k rows R give H^-1 + beta beta' = R R'
+        factor[:, k, k] = 1.0
+        head = np.linalg.inv(factor.transpose(0, 2, 1))[:, :k]
+        moment = head @ head.transpose(0, 2, 1) / phi
+        tilt = cache.block_prior.log_penalty(cols, moment, prior.g, xtx).tolist()
+        return [
+            MarginalScore(s + t, method, b, {"tilt": t, "phi": phi, "rho_hat": rho})
+            for s, t, b in zip(score, tilt, head[:, :, k])
+        ]
+    return [
+        MarginalScore(s, method, None, {"phi": phi, "rho_hat": rho, "quad": q}, f)
+        for s, q, f in zip(score, quad.tolist(), factor)
+    ]
 
 
 def _damped_newton(
@@ -727,10 +664,10 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, first=first
     )
-    factor, sol = cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
-    log_ml = (
-        -value + 0.5 * logdet_p0 - 0.5 * chol_logdet(factor) + 0.5 * float(grad @ sol)
+    logdet_h, quad, _ = bordered_cholesky(
+        hess, grad, NotConcave, "curvature at the mode"
     )
+    log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
     )
@@ -823,7 +760,9 @@ def la_known_phi_many(
             theta, value, grad, hess, iterations, evaluations = _stacked_newton(
                 objective, theta, first, tol, max_iter
             )
-            logdet_h, quad = _stacked_laplace_terms(grad, hess)
+            logdet_h, quad, _ = bordered_cholesky(
+                hess, grad, NotConcave, "curvature at the mode"
+            )
             log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
             for i, lm, mode, its, evals, norm in zip(
                 rows.tolist(),
@@ -1008,16 +947,6 @@ def _stacked_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
         return np.array([_newton_direction(g, h) for g, h in zip(grad, hess)])
 
 
-def _stacked_laplace_terms(grad: np.ndarray, hess: np.ndarray):
-    """``log det H`` and ``g' H^-1 g`` of each row at the mode, by one
-    stacked Cholesky; raises the one-row ``NotConcave`` when a row is not
-    positive definite."""
-    factor, sol = cho_factor_solve(
-        hess, grad[..., None], NotConcave, "curvature at the mode"
-    )
-    return chol_logdet(factor), np.einsum("bi,bi->b", grad, sol[..., 0])
-
-
 def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     a, b = prior.phi_prior_required()
     p = model.p_gamma
@@ -1073,7 +1002,7 @@ def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, positive=(p,), first=first
     )
-    factor, _ = cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
+    factor = cholesky(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
@@ -1162,14 +1091,24 @@ def exact_gaussian_marginal(
     dispersion the inverse-gamma prior integrates to a multivariate-t form.
     Cost grows with n cubed; intended as a reference, not a search engine.
     """
-    # The references import scipy where they use it, so that a run of the
-    # fast engines loads none.
-    import scipy.linalg
-
     if family.kind != "gaussian":
         raise ValueError("exact marginal is available for the gaussian family")
     if prior.kind != "gzellner":
         raise ValueError("exact marginal expects the block Zellner prior")
+    log_ml, _ = _normal_kernel_marginal(model, cache, family, prior, 0, "marginal")
+    return MarginalScore(float(log_ml), "exact-gaussian", np.empty(0), {})
+
+
+def _normal_kernel_marginal(model, cache, family, prior, shift, what):
+    """Log marginal likelihood of a gaussian response whose coefficient
+    groups are Normal with covariance ``phi g n / (p_j + shift)`` times the
+    inverse Gram block (shift 0 is the block Zellner prior, 2 the kernel of
+    the product-moment prior), through the n x n ``what`` covariance, with
+    the dispersion known or inverse-gamma; returns it and ``y' C^-1 y``."""
+    # The references import scipy where they use it, so that a run of the
+    # fast engines loads none.
+    import scipy.linalg
+
     y = cache.y
     n = cache.n
     cov = np.eye(n)
@@ -1177,15 +1116,15 @@ def exact_gaussian_marginal(
         start, stop = cache.design.groups[j]
         zj = cache.design.values[:, start:stop]
         ainv_zt = np.linalg.solve(zj.T @ zj, zj.T)
-        cov += (prior.g * n / (stop - start)) * (zj @ ainv_zt)
-    factor = cholesky(cov, NotInvertible, "marginal covariance")
+        cov += (prior.g * n / (stop - start + shift)) * (zj @ ainv_zt)
+    factor = cholesky(cov, NotInvertible, f"{what} covariance")
     half = scipy.linalg.solve_triangular(factor, y, lower=True)
     quad = float(half @ half)
     logdet = chol_logdet(factor)
     if family.phi_known:
         phi = float(family.phi)
         log_ml = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
-        return MarginalScore(float(log_ml), "exact-gaussian", np.empty(0), {})
+        return log_ml, quad
     a, b = prior.phi_prior_required()
     log_ml = (
         -0.5 * n * _LOG_2PI
@@ -1195,7 +1134,7 @@ def exact_gaussian_marginal(
         + gammaln(a + 0.5 * n)
         - (a + 0.5 * n) * np.log(b + 0.5 * quad)
     )
-    return MarginalScore(float(log_ml), "exact-gaussian", np.empty(0), {})
+    return log_ml, quad
 
 
 def _panel_logsum(logf, lo, hi, panels, nodes, weights):
@@ -1398,35 +1337,14 @@ def exact_gmom_mc(
         raise ValueError("the Monte Carlo reference expects the product-moment prior")
     if rng is None:
         rng = np.random.default_rng(0)
-    y = cache.y
     n = cache.n
     g = prior.g
     p = model.p_gamma
-    cov = np.eye(n)
-    for j in model.active_groups:
-        start, stop = cache.design.groups[j]
-        zj = cache.design.values[:, start:stop]
-        ainv_zt = np.linalg.solve(zj.T @ zj, zj.T)
-        cov += (g * n / (stop - start + 2)) * (zj @ ainv_zt)
-    factor = cholesky(cov, NotInvertible, "kernel marginal covariance")
-    half = scipy.linalg.solve_triangular(factor, y, lower=True)
-    quad = float(half @ half)
-    logdet = chol_logdet(factor)
+    log_kernel, quad = _normal_kernel_marginal(
+        model, cache, family, prior, 2, "kernel marginal"
+    )
     if p == 0:
-        if family.phi_known:
-            phi = float(family.phi)
-            log_ml = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
-        else:
-            a, b = prior.phi_prior_required()
-            log_ml = (
-                -0.5 * n * _LOG_2PI
-                - 0.5 * logdet
-                + a * np.log(b)
-                - gammaln(a)
-                + gammaln(a + 0.5 * n)
-                - (a + 0.5 * n) * np.log(b + 0.5 * quad)
-            )
-        return MarginalScore(float(log_ml), "mc", np.empty(0), {"mc_se_log": 0.0})
+        return MarginalScore(float(log_kernel), "mc", np.empty(0), {"mc_se_log": 0.0})
     xtx, xty = submodel_stats(cache, model)
     m_prec = np.array(xtx, copy=True)
     offset = 0
@@ -1444,23 +1362,10 @@ def exact_gmom_mc(
     normal = rng.standard_normal((n_draws, p))
     if family.phi_known:
         phi_draws = np.full(n_draws, float(family.phi))
-        log_kernel = (
-            -0.5 * n * (_LOG_2PI + np.log(float(family.phi)))
-            - 0.5 * logdet
-            - 0.5 * quad / float(family.phi)
-        )
     else:
         a, b = prior.phi_prior_required()
         post_a, post_b = a + 0.5 * n, b + 0.5 * quad
         phi_draws = post_b / rng.gamma(post_a, 1.0, size=n_draws)
-        log_kernel = (
-            -0.5 * n * _LOG_2PI
-            - 0.5 * logdet
-            + a * np.log(b)
-            - gammaln(a)
-            + gammaln(post_a)
-            - post_a * np.log(post_b)
-        )
     draws = mean[None, :] + np.sqrt(phi_draws)[:, None] * (normal @ shape_chol.T)
     log_pen = np.zeros(n_draws)
     offset = 0
@@ -1641,7 +1546,7 @@ def la_aft(
     theta, value, grad, hess, trace = _damped_newton(
         objective, theta0, tol=tol, max_iter=max_iter, positive=(p,)
     )
-    factor, _ = cho_factor_solve(hess, grad, NotConcave, "curvature at the mode")
+    factor = cholesky(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
     return MarginalScore(
         float(log_ml), "la", theta, _newton_diagnostics(trace, grad, True)
@@ -1844,9 +1749,10 @@ class ModelScorer:
         batched form, the models not yet memoized are scored in one batch
         straight from their bit matrix: known-dispersion ``ala``/
         ``ala-curvadj`` with the exact Normal integral by stacked
-        factorizations (``ala_known_phi_many``), and known-dispersion
-        ``la`` by stacked Newton runs (``la_known_phi_many``); other
-        methods score one model at a time.  Either way every model then passes
+        bordered factorizations (``ala_known_phi_many``, whose stack
+        scores a lone model too), and known-dispersion ``la`` by stacked
+        Newton runs (``la_known_phi_many``); other methods score one
+        model at a time.  Either way every model then passes
         through one ``log_score`` call.  When the batch fails, the models
         are rescored one at a time, so the error comes from the same first
         model as the loop's.

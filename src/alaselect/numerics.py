@@ -1,10 +1,15 @@
-"""Special functions and Cholesky solves on numpy and ``math`` alone.
+"""Special functions and Cholesky factorizations on numpy and ``math`` alone.
 
 The regression families, the priors, the searches and the fast engines
 take their log-gamma, log-sum-exp, logit, positive-definite solves and
 log-determinants from here, so that a regression run loads no scipy.  Each
-function gives what its scipy counterpart gives on the inputs the package
-passes, up to rounding, including at infinities, NaN and poles.
+special function gives what its scipy counterpart gives on the inputs the
+package passes, up to rounding, including at infinities, NaN and poles.
+
+A score that needs only ``log det H`` and ``g' H^-1 g`` takes them from one
+Cholesky factorization of the bordered matrix ``[[H, g], [g', inf]]``
+(``bordered_cholesky``), for one matrix or a stack; ``cho_factor_solve`` is
+for the callers that need the solution itself.
 """
 
 from __future__ import annotations
@@ -90,8 +95,29 @@ def cho_factor_solve(
         raise exc(f"{what} is not positive definite") from err
 
 
+def bordered_cholesky(matrix: np.ndarray, vector: np.ndarray, exc, what: str):
+    """``(log det H, g' H^-1 g, factor)`` for ``H = matrix`` and
+    ``g = vector`` (or each pair of a stack), from one Cholesky factor of
+    the bordered (k+1) x (k+1) matrix ``[[H, g], [g', c]]``.
+
+    The factor's leading k x k block is the factor ``L`` of ``H``, so
+    ``log det H`` is twice the sum of the logs of its first k pivots; its
+    last row holds ``L^-1 g``, whose squared norm is ``g' H^-1 g``.  The
+    corner ``c`` is +inf, so the last pivot is +inf and the border itself
+    cannot fail.  Raises ``exc`` when ``H`` is not positive definite.
+    """
+    k = matrix.shape[-1]
+    bordered = np.empty(matrix.shape[:-2] + (k + 1, k + 1))
+    bordered[..., :k, :k] = matrix
+    bordered[..., :k, k] = bordered[..., k, :k] = vector
+    bordered[..., k, k] = np.inf
+    factor = cholesky(bordered, exc, what)
+    half = factor[..., k, :k]
+    return chol_logdet(factor[..., :k, :k]), (half * half).sum(axis=-1), factor
+
+
 def chol_logdet(factor: np.ndarray):
     """``log det`` of the matrix whose lower Cholesky factor is ``factor``,
     ``2 sum log diag``; one value per factor of a stack, 0 for a 0 x 0
     factor."""
-    return 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)

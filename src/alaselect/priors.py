@@ -19,7 +19,7 @@ from .errors import InvalidModel, NotInvertible
 from .numerics import cholesky, gammaln
 
 if TYPE_CHECKING:
-    from .data_model import ConstraintSet, DesignMatrix, Gram, ModelId, SuffStatsCache
+    from .data_model import ConstraintSet, DesignMatrix, Gram
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # maps a model key's 0/1 bytes to the characters "0"/"1"
@@ -103,7 +103,7 @@ class BlockPrior:
         coef = (sizes + shift) / (g * self.design.n * phi)
         same = groups[..., :, None] == groups[..., None, :]
         prec = block * same * coef[..., :, None]
-        logdet = np.sum(np.log(coef) + self._logdet_shares(groups), axis=-1)
+        logdet = (np.log(coef) + self._logdet_shares(groups)).sum(axis=-1)
         return prec, logdet
 
     def log_density(self, beta, cols, g, phi=1.0, shift=0, block=None) -> float:
@@ -147,49 +147,6 @@ class BlockPrior:
                 raise NotInvertible(f"group {j} Gram block is singular")
             self._logdet_share[j] = float(np.sum(np.log(pivots))) / (stop - start)
         return self._logdet_share[groups]
-
-
-def log_gzellner(
-    beta: np.ndarray,
-    model: ModelId,
-    cache: SuffStatsCache,
-    g: float,
-    phi: float = 1.0,
-) -> float:
-    """Log density of the block Zellner prior at ``beta``.
-
-    Active block j is Normal with covariance ``phi g n / p_j`` times the
-    inverse Gram block.  ``beta`` concatenates the active groups in order.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (model.p_gamma,):
-        raise ValueError("beta length does not match the active columns")
-    cols = cache.design.columns_for(model.key)
-    return cache.block_prior.log_density(beta, cols, g, phi)
-
-
-def log_gmom(
-    beta: np.ndarray,
-    model: ModelId,
-    cache: SuffStatsCache,
-    g: float,
-    phi: float = 1.0,
-) -> float:
-    """Log density of the block product-moment prior at ``beta``.
-
-    Each active block multiplies a Normal kernel with covariance
-    ``phi g n / (p_j + 2)`` times the inverse Gram block by the penalty
-    ``beta_j' A_j beta_j (p_j + 2) / (n p_j g phi)``.  The density is exactly
-    zero (log density -inf) whenever any active block is zero.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (model.p_gamma,):
-        raise ValueError("beta length does not match the active columns")
-    cols = cache.design.columns_for(model.key)
-    prior = cache.block_prior
-    block = prior.gram.block(cols)
-    penalty = prior.log_penalty(cols, np.outer(beta, beta) / phi, g, block)
-    return float(penalty + prior.log_density(beta, cols, g, phi, 2, block))
 
 
 def log_invgamma(x: float, a: float, b: float) -> float:

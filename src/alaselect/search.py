@@ -76,10 +76,6 @@ class ImportanceReport:
     max_weight: float
     degenerate: bool
 
-    @property
-    def ess_fraction(self) -> float:
-        return self.ess / self.n_draws
-
 
 def _normalize(log_scores: np.ndarray) -> np.ndarray:
     total = logsumexp(log_scores)

@@ -6,7 +6,12 @@ itself.  Agreement between these references and the library is therefore a
 genuine two-route check, not a tautology.  The one exception is the Newton
 reference at the end, which checks the engines' bookkeeping rather than the
 family algebra: it calls the package's ``loglik`` and ``grad_hess``, whose
-derivatives the acceptance tests check against finite differences.
+derivatives the acceptance tests check against finite differences.  The
+dense ``ala`` reference takes the same statistics from the package: the
+log-likelihood at the centre (``loglik``) and the cache's ``b''(nu0)`` and
+shifted response.  The two prior densities at the end are the package's
+block prior evaluated at one coefficient vector; ``tests/test_priors.py``
+checks them against scipy and numerical integration.
 """
 
 import numpy as np
@@ -15,7 +20,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from alaselect import families as fam
-from alaselect.data_model import ConstraintSet, DesignMatrix
+from alaselect.data_model import ConstraintSet, DesignMatrix, ModelId, SuffStatsCache
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +332,49 @@ def block_zellner_precision(design, bits, g, shift=0):
     return prec, (np.linalg.slogdet(prec)[1] if cols.size else 0.0)
 
 
+def dense_known_phi_ala(cache, family, prior, bits, rho=1.0):
+    """The known-dispersion zero-expansion ``ala`` score of one model by
+    dense linear algebra, ``np.linalg.slogdet`` and ``np.linalg.solve``:
+    the log-likelihood at the centre plus
+    ``0.5 (log det P - log det H + g' H^-1 g)``, with ``P`` the block prior
+    precision over phi (``block_zellner_precision``; shift 2, the kernel of
+    the product-moment prior), ``H = rho (b''/phi) Z'Z + P`` and
+    ``g = -(b''/phi) Z'ytilde``.  The product-moment prior adds the log
+    posterior expectation of its penalty,
+    ``sum_j log((p_j + 2) / (n p_j g) tr(Z_j'Z_j M_jj))`` for the second
+    moment ``M = (H^-1 + beta beta') / phi``.  Returns
+    ``(log_ml, beta)`` with ``beta = -H^-1 g``."""
+    design = cache.design
+    phi = float(family.phi)
+    cols = design.columns_for(bits)
+    z = design.values[:, cols]
+    gmom = prior.kind == "gmom"
+    prec, logdet = block_zellner_precision(design, bits, prior.g, 2 if gmom else 0)
+    w = cache.bpp_nu0 / phi
+    hess = rho * w * (z.T @ z) + prec / phi
+    grad = -w * (z.T @ cache.ytilde)
+    beta = -np.linalg.solve(hess, grad)
+    log_ml = (
+        fam.loglik(family, np.full(design.n, cache.nu0), cache.y, phi)
+        + 0.5 * (logdet - cols.size * np.log(phi))
+        - 0.5 * np.linalg.slogdet(hess)[1]
+        - 0.5 * float(grad @ beta)
+    )
+    if gmom:
+        sigma = np.linalg.solve(hess, np.eye(cols.size))
+        moment = (sigma + np.outer(beta, beta)) / phi
+        at = 0
+        for j, on in enumerate(bits):
+            if on:
+                zj = group_columns(design, j)
+                p_j = zj.shape[1]
+                m_jj = moment[at : at + p_j, at : at + p_j]
+                at += p_j
+                coef = (p_j + 2) / (design.n * p_j * prior.g)
+                log_ml += np.log(coef * np.trace(zj.T @ zj @ m_jj))
+    return float(log_ml), beta
+
+
 def reference_la(design, bits, y, family, g, phi_prior=None):
     """Laplace approximation of one model under the block Zellner prior, by
     the objective with separate ``loglik`` and ``grad_hess`` calls, started
@@ -448,3 +496,51 @@ def model_spaces(draw, max_groups=8):
     constraints = draw(st.sampled_from([None, ConstraintSet(cap, tuple(requires))]))
     intercept = draw(st.sampled_from([None, *range(n_groups)]))
     return n_groups, constraints, intercept
+
+
+# ----------------------------------------------------------------------
+# Prior densities at one coefficient vector
+# ----------------------------------------------------------------------
+
+
+def log_gzellner(
+    beta: np.ndarray,
+    model: ModelId,
+    cache: SuffStatsCache,
+    g: float,
+    phi: float = 1.0,
+) -> float:
+    """Log density of the block Zellner prior at ``beta``.
+
+    Active block j is Normal with covariance ``phi g n / p_j`` times the
+    inverse Gram block.  ``beta`` concatenates the active groups in order.
+    """
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (model.p_gamma,):
+        raise ValueError("beta length does not match the active columns")
+    cols = cache.design.columns_for(model.key)
+    return cache.block_prior.log_density(beta, cols, g, phi)
+
+
+def log_gmom(
+    beta: np.ndarray,
+    model: ModelId,
+    cache: SuffStatsCache,
+    g: float,
+    phi: float = 1.0,
+) -> float:
+    """Log density of the block product-moment prior at ``beta``.
+
+    Each active block multiplies a Normal kernel with covariance
+    ``phi g n / (p_j + 2)`` times the inverse Gram block by the penalty
+    ``beta_j' A_j beta_j (p_j + 2) / (n p_j g phi)``.  The density is exactly
+    zero (log density -inf) whenever any active block is zero.
+    """
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (model.p_gamma,):
+        raise ValueError("beta length does not match the active columns")
+    cols = cache.design.columns_for(model.key)
+    prior = cache.block_prior
+    block = prior.gram.block(cols)
+    penalty = prior.log_penalty(cols, np.outer(beta, beta) / phi, g, block)
+    return float(penalty + prior.log_density(beta, cols, g, phi, 2, block))

@@ -44,6 +44,7 @@ from tests.oracles import (
     block_zellner_precision,
     conjugate_known_phi_log_ml,
     conjugate_unknown_phi_log_ml,
+    dense_known_phi_ala,
     logistic_loglik_np,
     make_design,
     reference_la,
@@ -342,6 +343,10 @@ class TestCurvatureAdjustment:
         assert plain.log_ml != adjusted.log_ml
         assert adjusted.method == "ala-curvadj"
         np.testing.assert_allclose(adjusted.diagnostics["rho_hat"], ctx.rho_hat)
+        for score, rho in ((plain, 1.0), (adjusted, ctx.rho_hat)):
+            want, beta = dense_known_phi_ala(cache, poisson(), prior, (1, 1), rho)
+            np.testing.assert_allclose(score.log_ml, want, rtol=1e-13)
+            np.testing.assert_allclose(score.expansion, beta, rtol=1e-10)
 
     def test_needs_an_intercept_centered_cache(self, rng):
         design = make_design(rng, 20, [1], intercept=True)
@@ -477,6 +482,8 @@ class TestNonlocalEngines:
             fast = me.ala_gmom(design.model(bits), cache, gaussian(phi), prior)
             slow = me.exact_gmom_blockdiag(design.model(bits), cache, gaussian(phi), prior)
             np.testing.assert_allclose(fast.log_ml, slow.log_ml, atol=1e-8)
+            dense, _ = dense_known_phi_ala(cache, gaussian(phi), prior, bits)
+            np.testing.assert_allclose(fast.log_ml, dense, rtol=1e-13)
 
     def test_monte_carlo_oracle_confirms_the_quadrature_oracle(self, rng):
         design = self._orthogonal_design(rng)
@@ -516,7 +523,10 @@ class TestNonlocalEngines:
         bits = (0, 0, 0)
         a = me.ala_gmom(design.model(bits), cache, gaussian(1.0), gm)
         b = me.ala_expfam_known_phi(design.model(bits), cache, gaussian(1.0), gz)
-        np.testing.assert_allclose(a.log_ml, b.log_ml, atol=1e-12)
+        assert a.diagnostics["tilt"] == 0.0
+        for score, prior in ((a, gm), (b, gz)):
+            dense, _ = dense_known_phi_ala(cache, gaussian(1.0), prior, bits)
+            np.testing.assert_allclose(score.log_ml, dense, rtol=1e-14)
 
     def test_unknown_dispersion_route_only_for_gaussian(self, rng):
         """Non-Gaussian families with a free dispersion cannot take the
@@ -833,8 +843,9 @@ def _batch_cases(draw):
 
 
 class TestScoreMany:
-    """Batched scoring returns the per-model loop's scores and leaves the
-    memo and the Gram store where the loop leaves them."""
+    """Batched scoring returns the dense per-model reference's scores and
+    leaves the memo and the Gram store where the per-model loop leaves
+    them."""
 
     def _pair(self, case):
         rng = np.random.default_rng(case["seed"])
@@ -881,24 +892,52 @@ class TestScoreMany:
         for scorer in (loop, batch):
             for bits in warm:
                 scorer.log_score(bits)
-        looped = np.array([loop.log_score(bits) for bits in models])
+        for bits in models:
+            loop.log_score(bits)
         batched = batch.score_many(models)
         assert batched.shape == (len(models),)
-        np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=0)
         assert batch.cache.gram.dot_count == loop.cache.gram.dot_count
         assert batch.n_scored == loop.n_scored
+        rho = batch.curvature.rho_hat if batch.curvature is not None else 1.0
         for bits, value in zip(models, batched):
             assert batch.log_score(bits) == value
-            ref, got = loop.marginal(bits), batch.marginal(bits)
-            assert got.method == ref.method
-            assert got.diagnostics.keys() == ref.diagnostics.keys()
-            for key, ref_value in ref.diagnostics.items():
-                np.testing.assert_allclose(
-                    got.diagnostics[key], ref_value, rtol=1e-9, atol=1e-12
-                )
-            np.testing.assert_allclose(
-                got.expansion, ref.expansion, rtol=1e-8, atol=1e-10
+            got = batch.marginal(bits)
+            want, beta = dense_known_phi_ala(
+                batch.cache, batch.family, batch.prior, bits, rho
             )
+            np.testing.assert_allclose(got.log_ml, want, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(got.expansion, beta, rtol=1e-8, atol=1e-10)
+            assert got.method == loop.marginal(bits).method
+            assert got.diagnostics.keys() == loop.marginal(bits).diagnostics.keys()
+
+    @pytest.mark.parametrize("kind", ["gzellner", "gmom"])
+    @pytest.mark.parametrize("method", ["ala", "ala-curvadj"])
+    def test_a_score_does_not_depend_on_its_batch(self, rng, kind, method):
+        """Once the Gram is filled, a model's score is bitwise the same
+        scored alone, in a batch, or in a reordered batch."""
+        design = make_design(rng, 80, [1, 2, 1, 3, 1, 2], intercept=True)
+        eta = design.values @ rng.normal(scale=0.3, size=design.p)
+        y = _glm_response(rng, "logistic", eta)
+        center = "intercept-mle" if method == "ala-curvadj" else "zero"
+        cache = build_cache(design, y, logistic(), center=center)
+        cache.gram.block(np.arange(design.p))
+        prior = ParamPriorSpec(kind=kind, g=1.0)
+        models = admissible_bits(design.n_groups, intercept_group=0)
+        order = rng.permutation(models.shape[0])
+        scorers = [
+            me.ModelScorer(cache, logistic(), prior, method=method) for _ in range(3)
+        ]
+        for row in models:
+            scorers[0].log_score(row)
+        alone = [scorers[0].marginal(row) for row in models]
+        scorers[1].score_many(models)
+        scorers[2].score_many(models[order])
+        for row, one in zip(models, alone):
+            for scorer in scorers[1:]:
+                other = scorer.marginal(row)
+                assert other.log_ml == one.log_ml
+                np.testing.assert_array_equal(other.expansion, one.expansion)
+                assert other.diagnostics == one.diagnostics
 
     def test_single_group_enumeration_touches_no_cross_group_pair(self, rng):
         design = make_design(rng, 50, [1, 2, 3])
@@ -1561,15 +1600,10 @@ def _engine_reference(key, model, stats, family, prior):
     if kind == "aft":
         engine = me.ala_aft if method == "ala" else me.la_aft
         return engine(model, stats, prior)
-    curvature = (
-        me.curvature_context(stats, family) if method == "ala-curvadj" else None
-    )
     if prior_kind == "gmom":
         # the mode expansion of the gaussian family is its zero expansion
-        return me.ala_gmom(model, stats, family, prior, curvature)
-    if method in ("ala", "ala-curvadj"):
-        if family.phi_known:
-            return me.ala_expfam_known_phi(model, stats, family, prior, curvature)
+        return me.ala_gmom(model, stats, family, prior)
+    if method == "ala":
         return me.ala_expfam_unknown_phi(model, stats, family, prior)
     engines = {
         "ala-refined": me.ala_refined,
@@ -1579,9 +1613,22 @@ def _engine_reference(key, model, stats, family, prior):
     return engines[method](model, stats, family, prior)
 
 
+def _known_phi_ala(key):
+    """Whether a table entry is scored by the known-dispersion ``ala``
+    engine, which the mode expansion of the gaussian family under the
+    product-moment prior shares."""
+    kind, method, prior_kind, phi_known = key
+    return (
+        kind != "aft"
+        and phi_known
+        and (method in ("ala", "ala-curvadj") or prior_kind == "gmom")
+    )
+
+
 class TestEngineTable:
     """Every entry of the scorer's engine table scores each model exactly as
-    the engine function it stands for."""
+    the engine function it stands for; the entries of the known-dispersion
+    ``ala`` engine score it as the dense per-model reference does."""
 
     @pytest.mark.parametrize("key", sorted(me._ENGINES), ids=str)
     def test_scorer_returns_the_engine_value(self, key):
@@ -1597,6 +1644,17 @@ class TestEngineTable:
             intercept_group=design.intercept_group,
         ):
             got = scorer.marginal(model)
+            if _known_phi_ala(key):
+                rho = 1.0
+                if method == "ala-curvadj":
+                    rho = me.curvature_context(stats, family).rho_hat
+                want, beta = dense_known_phi_ala(stats, family, prior, model.bits, rho)
+                np.testing.assert_allclose(got.log_ml, want, rtol=1e-13)
+                np.testing.assert_allclose(got.expansion, beta, rtol=1e-10, atol=1e-14)
+                name = "ala-gmom" if prior_kind == "gmom" else "ala"
+                suffix = "-curvadj" if method == "ala-curvadj" else ""
+                assert got.method == name + suffix
+                continue
             want = _engine_reference(key, model, stats, family, prior)
             assert got.log_ml == want.log_ml
             assert got.method == want.method

@@ -9,6 +9,7 @@ from alaselect import marginal_engines as me
 from alaselect.data_model import ls_solve
 from alaselect.errors import NotConcave, NotConcaveAtExpansion, NotInvertible
 from alaselect.numerics import (
+    bordered_cholesky,
     cho_factor_solve,
     chol_logdet,
     cholesky,
@@ -112,8 +113,11 @@ class TestCholesky:
         with pytest.raises(NotInvertible, match="prior precision"):
             me.ala_general(0.0, grad, np.eye(2), _INDEFINITE)
         with pytest.raises(NotConcave, match="curvature at the mode"):
-            me._stacked_laplace_terms(
-                np.ones((2, 2)), np.stack([np.eye(2), _INDEFINITE])
+            bordered_cholesky(
+                np.stack([np.eye(2), _INDEFINITE]),
+                np.ones((2, 2)),
+                NotConcave,
+                "curvature at the mode",
             )
         with pytest.raises(NotInvertible, match="Gram block is not positive"):
             ls_solve(_INDEFINITE, grad)
@@ -130,3 +134,80 @@ class TestCholesky:
             me._stacked_direction(np.ones((1, 2)), singular[None]),
             me._newton_direction(np.ones(2), singular)[None],
         )
+
+
+def _spd_stack(rng, b, k):
+    """A (b, k, k) stack of symmetric positive definite matrices with
+    condition numbers spread over [1, 1e10] and scales over 1e-3..1e3, a
+    (b, k) stack of vectors with g' H^-1 g spread over [1e-2, 1e8], and
+    the condition numbers."""
+    q, _ = np.linalg.qr(rng.normal(size=(b, k, k)))
+    cond = 10.0 ** rng.uniform(0.0, 10.0, size=b)
+    cond[0] = 1e10
+    eig = cond[:, None] ** -np.linspace(0.0, 1.0, k)
+    eig *= 10.0 ** rng.uniform(-3.0, 3.0, size=(b, 1))
+    h = np.einsum("bij,bj,bkj->bik", q, eig, q)
+    h = 0.5 * (h + np.swapaxes(h, 1, 2))
+    g = rng.normal(size=(b, k))
+    quad = np.einsum("bi,bi->b", g, np.linalg.solve(h, g[..., None])[..., 0])
+    target = 10.0 ** rng.uniform(-2.0, 8.0, size=b)
+    target[0] = 1e8
+    return h, g * np.sqrt(target / quad)[:, None], cond
+
+
+class TestBorderedCholesky:
+    """``log det H`` and ``g' H^-1 g`` from one Cholesky factor of the
+    bordered matrix, against ``np.linalg.slogdet`` and
+    ``np.linalg.solve``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_matches_slogdet_and_solve_up_to_the_conditioning(self, rng, k):
+        # both routes lose about eps * cond(H) to the rounding of H itself
+        h, g, cond = _spd_stack(rng, 50, k)
+        logdet, quad, factor = bordered_cholesky(h, g, NotConcave, "curvature")
+        eps = np.finfo(np.float64).eps
+        want_logdet = np.linalg.slogdet(h)[1]
+        want_quad = np.einsum("bi,bi->b", g, np.linalg.solve(h, g[..., None])[..., 0])
+        assert np.all(np.abs(logdet - want_logdet) <= 1e3 * eps * cond)
+        assert np.all(np.abs(quad - want_quad) <= 1e2 * eps * cond * want_quad)
+        assert quad.max() > 0.9e8
+        # the leading block is the factor of H
+        lead = factor[:, :k, :k]
+        np.testing.assert_allclose(lead @ np.swapaxes(lead, 1, 2), h, rtol=1e-12)
+
+    def test_one_matrix_is_a_stack_of_one(self, rng):
+        h, g, _ = _spd_stack(rng, 3, 4)
+        stacked = bordered_cholesky(h, g, NotConcave, "curvature")
+        for i in range(3):
+            alone = bordered_cholesky(h[i], g[i], NotConcave, "curvature")
+            assert alone[0] == stacked[0][i] and alone[1] == stacked[1][i]
+            np.testing.assert_array_equal(alone[2], stacked[2][i])
+
+    def test_empty_and_one_by_one(self):
+        logdet, quad, factor = bordered_cholesky(
+            np.empty((3, 0, 0)), np.empty((3, 0)), NotConcave, "curvature"
+        )
+        np.testing.assert_array_equal(logdet, np.zeros(3))
+        np.testing.assert_array_equal(quad, np.zeros(3))
+        assert factor.shape == (3, 1, 1)
+        logdet, quad, _ = bordered_cholesky(
+            np.array([[4.0]]), np.array([3.0]), NotConcave, "curvature"
+        )
+        assert logdet == pytest.approx(np.log(4.0), rel=1e-15)
+        assert quad == pytest.approx(9.0 / 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "exc, what", [(NotConcave, "curvature at the mode"), (NotInvertible, "Gram")]
+    )
+    def test_a_stack_that_is_not_positive_definite_raises_the_callers_error(
+        self, rng, exc, what
+    ):
+        h, g, _ = _spd_stack(rng, 4, 2)
+        h[2] = _INDEFINITE
+        with pytest.raises(exc, match=f"{what} is not positive definite") as raised:
+            bordered_cholesky(h, g, exc, what)
+        assert type(raised.value) is exc
+        # a huge g' H^-1 g is no failure: the border's corner is +inf
+        huge = bordered_cholesky(np.eye(2)[None], np.full((1, 2), 1e150), exc, what)
+        assert huge[1][0] == pytest.approx(2e300, rel=1e-14)
+

@@ -15,8 +15,6 @@ from alaselect.priors import (
     BlockPrior,
     ModelPriorSpec,
     ParamPriorSpec,
-    log_gmom,
-    log_gzellner,
     log_invgamma,
     log_model_prior_unnorm,
     log_tau_prior,
@@ -26,6 +24,8 @@ from tests.oracles import (
     active_prior_cov,
     block_zellner_precision,
     gzellner_logpdf,
+    log_gmom,
+    log_gzellner,
     make_design,
 )
 
