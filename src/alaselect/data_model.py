@@ -14,8 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateResponse, InvalidModel, NotInvertible, RefuseEnumeration
-from .numerics import cho_factor_solve, chol_logdet
+from .errors import DegenerateResponse, InvalidModel, RefuseEnumeration
 from .priors import KEY_DIGITS, BlockPrior, model_key
 
 ENUMERATION_LIMIT = 25
@@ -329,51 +328,6 @@ def submodel_stats(cache: SuffStatsCache, model: ModelId):
     xtx = cache.gram.block(cols)
     xty = cache.zty[cols]
     return xtx, xty
-
-
-@dataclass
-class LsSolution:
-    """Least-squares solve against a Gram block.
-
-    ``chol`` is the lower-triangular Cholesky factor of (possibly jittered)
-    ``xtx``; it is reused for determinants and posterior covariances.
-    """
-
-    beta: np.ndarray
-    quad: float
-    chol: np.ndarray
-    jittered: bool = False
-
-    @property
-    def logdet(self) -> float:
-        return float(chol_logdet(self.chol))
-
-
-def ls_solve(xtx: np.ndarray, xty: np.ndarray, jitter: bool = False) -> LsSolution:
-    """Solve the normal equations via Cholesky.
-
-    Returns the solution, the quadratic form ``xty^T beta``, and the factor.
-    With ``jitter=True`` a failed factorization is retried once after adding
-    a ridge of 1e-10 * trace / p to the diagonal; the result is flagged.
-    """
-    xtx = np.asarray(xtx, dtype=np.float64)
-    xty = np.asarray(xty, dtype=np.float64)
-    k = xtx.shape[0]
-    if k == 0:
-        return LsSolution(beta=np.empty(0), quad=0.0, chol=np.empty((0, 0)))
-    jittered = False
-    try:
-        factor, beta = cho_factor_solve(xtx, xty, NotInvertible, "Gram block")
-    except NotInvertible:
-        if not jitter:
-            raise
-        ridge = 1e-10 * float(np.trace(xtx)) / k
-        factor, beta = cho_factor_solve(
-            xtx + ridge * np.eye(k), xty, NotInvertible, "jittered Gram block"
-        )
-        jittered = True
-    quad = float(xty @ beta)
-    return LsSolution(beta=beta, quad=quad, chol=factor, jittered=jittered)
 
 
 def admissible_bits(

@@ -23,7 +23,6 @@ from .data_model import (
     Gram,
     ModelId,
     SuffStatsCache,
-    ls_solve,
     submodel_stats,
 )
 from .errors import (
@@ -174,21 +173,21 @@ def ala_plugin(
     log_prior: Callable[[np.ndarray], float],
     theta0: Optional[np.ndarray] = None,
     method: str = "ala-plugin",
+    what: str = "likelihood curvature",
 ) -> MarginalScore:
     """Quadratic-expansion score with the prior density evaluated at the
     implied update point.
 
     Works for any prior density; pays for the generality with an extra
     ``(d/2) log 2 pi - 0.5 log det H`` volume term from the likelihood
-    curvature alone.
+    curvature alone.  ``what`` names H in the ``NotConcaveAtExpansion``
+    raised when it is not positive definite.
     """
     grad = np.asarray(grad, dtype=np.float64)
     d = grad.shape[0]
     if theta0 is None:
         theta0 = np.zeros(d)
-    factor, shift = cho_factor_solve(
-        hess, grad, NotConcaveAtExpansion, "likelihood curvature"
-    )
+    factor, shift = cho_factor_solve(hess, grad, NotConcaveAtExpansion, what)
     theta_tilde = theta0 - shift
     quad = float(grad @ shift)
     log_ml = (
@@ -286,7 +285,6 @@ def _unknown_phi_stats(cache: SuffStatsCache, family: fam.FamilySpec) -> dict:
             "bpp0": bpp0,
             "g_phi": g_phi,
             "h_pp": h_pp,
-            "s": phi0 * h_pp / bpp0,
         }
 
     return _cache_scalar(cache, ("unknown-phi", family.kind), compute)
@@ -303,49 +301,39 @@ def ala_expfam_unknown_phi(
 
     Expands the log-likelihood jointly in ``(beta, phi)`` at ``(0, phi0)``
     where phi0 maximizes the null likelihood, then evaluates the coefficient
-    prior and the inverse-gamma dispersion prior at the implied update.
+    prior and the inverse-gamma dispersion prior at the implied update
+    (``ala_plugin``).  The null model is the one-parameter case.
     """
     a, b = prior.phi_prior_required()
     st = _unknown_phi_stats(cache, family)
-    phi0, l0 = st["phi0"], st["l0"]
+    phi0 = st["phi0"]
     p = model.p_gamma
-    if p == 0:
-        log_ml = (
-            l0 + log_invgamma(phi0, a, b) + 0.5 * _LOG_2PI - 0.5 * np.log(st["h_pp"])
-        )
-        return MarginalScore(
-            float(log_ml), "ala", np.array([phi0]), {"phi0": phi0}
-        )
     cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    bpp = st["bpp0"]
-    factor = bpp / phi0
+    factor = st["bpp0"] / phi0
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = factor * xtx
     hess[:p, p] = hess[p, :p] = factor * xty / phi0
     hess[p, p] = st["h_pp"]
-    grad = np.concatenate([-factor * xty, [0.0]])
-    chol, sol = cho_factor_solve(
-        hess, grad, NotConcaveAtExpansion, "joint (beta, phi) curvature"
+    grad = np.zeros(p + 1)
+    grad[:p] = -factor * xty
+    theta0 = np.zeros(p + 1)
+    theta0[p] = phi0
+
+    def log_prior(theta):
+        phi = theta[p]
+        # the prior precision takes the log of phi
+        if not phi > 0.0:
+            return -np.inf
+        return cache.block_prior.log_density(
+            theta[:p], cols, prior.g, phi, _kernel_shift, xtx
+        ) + log_invgamma(phi, a, b)
+
+    score = ala_plugin(
+        st["l0"], grad, hess, log_prior, theta0, "ala", "joint (beta, phi) curvature"
     )
-    quad = float(grad @ sol)
-    beta_tilde = -sol[:p]
-    phi_tilde = phi0 - sol[p]
-    expansion = np.concatenate([beta_tilde, [phi_tilde]])
-    diag = {"phi0": phi0, "phi_tilde": phi_tilde, "quad": quad}
-    if not phi_tilde > 0.0:
-        return MarginalScore(-np.inf, "ala", expansion, diag)
-    log_prior = cache.block_prior.log_density(
-        beta_tilde, cols, prior.g, phi_tilde, _kernel_shift, xtx
-    ) + log_invgamma(phi_tilde, a, b)
-    log_ml = (
-        l0
-        + 0.5 * quad
-        + log_prior
-        + 0.5 * (p + 1) * _LOG_2PI
-        - 0.5 * chol_logdet(chol)
-    )
-    return MarginalScore(float(log_ml), "ala", expansion, diag)
+    score.diagnostics.update(phi0=phi0, phi_tilde=float(score.expansion[p]))
+    return score
 
 
 def ala_gmom(
@@ -382,12 +370,13 @@ def ala_gmom(
     kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
     _, shape = cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
     mean = shape @ xty
-    fit = ls_solve(xtx, xty, jitter=True)
-    rbar = (a + cache.n) / (b + cache.yty - fit.quad)
+    # X'X is positive definite here: it leads the joint curvature just factored
+    quad = float(bordered_cholesky(xtx, xty, NotInvertible, "Gram block")[1])
+    rbar = (a + cache.n) / (b + cache.yty - quad)
     moment = shape + rbar * np.outer(mean, mean)
     tilt = float(cache.block_prior.log_penalty(cols, moment, prior.g, xtx))
     diag = dict(local.diagnostics)
-    diag.update(tilt=tilt, rbar=rbar, jittered=fit.jittered)
+    diag.update(tilt=tilt, rbar=rbar)
     return MarginalScore(
         float(local.log_ml + tilt), "ala-gmom", local.expansion, diag
     )
@@ -1461,47 +1450,33 @@ def ala_aft(
 
     Expands the survival log-likelihood at ``(alpha, tau) = (0, tau0)``; the
     scale prior is not Normal, so the prior density is evaluated at the
-    implied update point.
+    implied update point (``ala_plugin``).  The null model is the
+    one-parameter case.
     """
     if prior.kind != "gzellner":
         raise ValueError("survival scoring expects the block Zellner prior")
     a, b = prior.phi_prior_required()
     p = model.p_gamma
-    if p == 0:
-        log_ml = (
-            ctx.l0
-            + log_tau_prior(ctx.tau0, a, b)
-            + 0.5 * _LOG_2PI
-            - 0.5 * np.log(ctx.h_tt)
-        )
-        return MarginalScore(
-            float(log_ml), "ala", np.array([ctx.tau0]), {"tau0": ctx.tau0}
-        )
     cols = ctx.design.columns_for(model.key)
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = ctx.wgram.block(cols)
     hess[:p, p] = hess[p, :p] = -ctx.ztyw[cols]
     hess[p, p] = ctx.h_tt
-    grad = np.concatenate([-ctx.ztv[cols], [0.0]])
-    factor, sol = cho_factor_solve(
-        hess, grad, NotConcaveAtExpansion, "survival curvature"
+    grad = np.zeros(p + 1)
+    grad[:p] = -ctx.ztv[cols]
+    theta0 = np.zeros(p + 1)
+    theta0[p] = ctx.tau0
+
+    def log_prior(theta):
+        return ctx.block_prior.log_density(
+            theta[:p], cols, prior.g
+        ) + log_tau_prior(theta[p], a, b)
+
+    score = ala_plugin(
+        ctx.l0, grad, hess, log_prior, theta0, "ala", "survival curvature"
     )
-    quad = float(grad @ sol)
-    alpha_tilde = -sol[:p]
-    tau_tilde = ctx.tau0 - sol[p]
-    expansion = np.concatenate([alpha_tilde, [tau_tilde]])
-    diag = {"tau0": ctx.tau0, "tau_tilde": tau_tilde}
-    if not tau_tilde > 0.0:
-        return MarginalScore(-np.inf, "ala", expansion, diag)
-    log_ml = (
-        ctx.l0
-        + 0.5 * quad
-        + ctx.block_prior.log_density(alpha_tilde, cols, prior.g)
-        + log_tau_prior(tau_tilde, a, b)
-        + 0.5 * (p + 1) * _LOG_2PI
-        - 0.5 * chol_logdet(factor)
-    )
-    return MarginalScore(float(log_ml), "ala", expansion, diag)
+    score.diagnostics.update(tau0=ctx.tau0, tau_tilde=float(score.expansion[p]))
+    return score
 
 
 def la_aft(

@@ -8,8 +8,10 @@ package passes, up to rounding, including at infinities, NaN and poles.
 
 A score that needs only ``log det H`` and ``g' H^-1 g`` takes them from one
 Cholesky factorization of the bordered matrix ``[[H, g], [g', inf]]``
-(``bordered_cholesky``), for one matrix or a stack; ``cho_factor_solve`` is
-for the callers that need the solution itself.
+(``bordered_cholesky``), for one matrix or a stack.  ``cho_factor_solve``
+is for the callers that use the solution itself: the Newton directions and
+``ala_refined`` step by it, ``ala_general`` and ``ala_plugin`` move to the
+update it gives, and ``ala_gmom`` takes its kernel moments from it.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ def cho_factor_solve(
     tests definiteness and gives the log-determinant; the solve goes
     through ``numpy.linalg.solve``, as the stacked engines' do, which also
     rejects a singular matrix whose rounded factor has a tiny positive
-    pivot."""
+    pivot.  Its callers use the solution itself: the Newton directions,
+    ``ala_refined``, ``ala_general``, ``ala_plugin`` and ``ala_gmom``'s
+    kernel moments."""
     try:
         return np.linalg.cholesky(matrix), np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as err:

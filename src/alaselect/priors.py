@@ -133,8 +133,9 @@ class BlockPrior:
 
     def _logdet_shares(self, groups: np.ndarray) -> np.ndarray:
         """``log det A_j / p_j`` for each entry of ``groups``, factorizing
-        each group on first use.  A pivot below 1e-10 of its diagonal entry
-        (the scale of ``ls_solve``'s ridge) makes the block singular."""
+        each group on first use.  A squared pivot below 1e-10 of its
+        diagonal entry makes the block singular: on exactly dependent
+        columns rounding leaves one of order 1e-16, far below that bound."""
         shares = self._logdet_share[groups]
         if not np.isnan(shares).any():
             return shares

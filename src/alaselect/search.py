@@ -206,8 +206,6 @@ def gibbs_models(
                 active >= max_groups
             ):
                 # activation is inadmissible; the conditional is zero
-                if keep:
-                    rb_sums[j] += 0.0
                 continue
             state[j] = 1
             state_on = bytes(state)

@@ -14,7 +14,6 @@ from alaselect.data_model import (
     admissible_bits,
     build_cache,
     enumerate_models,
-    ls_solve,
     submodel_stats,
 )
 from alaselect.errors import (
@@ -249,30 +248,6 @@ class TestEnumerateModels:
         dims = {m.bits: m.p_gamma for m in models}
         assert dims[(1, 1)] == 5
         assert dims[(0, 1)] == 3
-
-
-class TestLsSolve:
-    """Positive-definite solves with optional ridge fallback."""
-
-    def test_matches_dense_solve(self, rng):
-        x = rng.normal(size=(12, 4))
-        xtx = x.T @ x
-        xty = x.T @ rng.normal(size=12)
-        sol = ls_solve(xtx, xty)
-        np.testing.assert_allclose(sol.beta, np.linalg.solve(xtx, xty), atol=1e-10)
-        np.testing.assert_allclose(sol.quad, xty @ sol.beta, atol=1e-10)
-        np.testing.assert_allclose(sol.logdet, np.linalg.slogdet(xtx)[1], atol=1e-10)
-        assert not sol.jittered
-
-    def test_singular_matrix_raises_without_jitter(self):
-        xtx = np.ones((2, 2))
-        with pytest.raises(NotInvertible):
-            ls_solve(xtx, np.ones(2))
-
-    def test_jitter_recovers_a_solution(self):
-        sol = ls_solve(np.ones((2, 2)), np.ones(2), jitter=True)
-        assert sol.jittered
-        assert np.all(np.isfinite(sol.beta))
 
 
 class TestBuildCache:

@@ -269,6 +269,28 @@ class TestUnknownDispersion:
         assert score.log_ml == -np.inf
         assert score.diagnostics["phi_tilde"] <= 0.0
 
+    def test_null_model_is_the_one_parameter_plugin_score(self, rng):
+        """With no coefficients the expansion is in phi alone, at its null
+        estimate phi0 = mean(y^2), where the score is l(phi0) + log pi(phi0)
+        + log(2 pi) / 2 - log(h) / 2 with h = n / (2 phi0^2)."""
+        design, y = self._fixed_fit_data(rng, 40, r_squared=0.35)
+        a, b = 0.4, 0.9
+        cache = build_cache(design, y, gaussian_unknown())
+        prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(a, b))
+        score = me.ala_expfam_unknown_phi(
+            design.model((0,)), cache, gaussian_unknown(), prior
+        )
+        n = y.shape[0]
+        phi0 = np.mean(y**2)
+        l0 = -0.5 * n * (np.log(2.0 * np.pi * phi0) + 1.0)
+        log_prior = stats.invgamma.logpdf(phi0, a, scale=b)
+        h = n / (2.0 * phi0**2)
+        expected = l0 + log_prior + 0.5 * np.log(2.0 * np.pi) - 0.5 * np.log(h)
+        np.testing.assert_allclose(score.log_ml, expected, rtol=1e-13)
+        np.testing.assert_allclose(score.expansion, [phi0], rtol=1e-14)
+        assert score.method == "ala"
+        assert score.diagnostics["phi_tilde"] == score.diagnostics["phi0"]
+
     def test_overwhelming_fit_breaks_joint_curvature(self, rng):
         """Explaining more than half the sum of squares makes the joint
         expansion indefinite, which must raise instead of returning a
@@ -485,6 +507,20 @@ class TestNonlocalEngines:
             dense, _ = dense_known_phi_ala(cache, gaussian(phi), prior, bits)
             np.testing.assert_allclose(fast.log_ml, dense, rtol=1e-13)
 
+    def test_dependent_columns_raise_before_the_unknown_phi_tilt(self, rng):
+        """Two identical columns make X'X singular; the joint curvature it
+        leads is factored first and raises, so the tilt's Gram solve never
+        sees a singular block."""
+        z = rng.normal(size=(50, 1))
+        design = DesignMatrix.with_singleton_groups(
+            np.hstack([z, z, rng.normal(size=(50, 1))])
+        )
+        y = 0.3 * z[:, 0] + rng.normal(size=50)
+        cache = build_cache(design, y, gaussian_unknown())
+        prior = ParamPriorSpec(kind="gmom")
+        with pytest.raises(NotConcaveAtExpansion, match=r"joint \(beta, phi\)"):
+            me.ala_gmom(design.model((1, 1, 1)), cache, gaussian_unknown(), prior)
+
     def test_monte_carlo_oracle_confirms_the_quadrature_oracle(self, rng):
         design = self._orthogonal_design(rng)
         y = design.values @ np.array([0.5, -0.4, 0.9, 0.0, 0.0]) + rng.normal(size=40)
@@ -648,6 +684,32 @@ class TestSurvivalEngines:
         )
         np.testing.assert_allclose(engine.log_ml, longhand, atol=1e-9)
         np.testing.assert_allclose(engine.diagnostics["tau_tilde"], tau_tilde, atol=1e-9)
+
+    def test_null_model_is_the_one_parameter_plugin_score(self, rng):
+        """With no coefficients the expansion is in tau alone, at tau0, where
+        the gradient vanishes: the score is l0 + log pi(tau0) + log(2 pi) / 2
+        - log(h_tt) / 2."""
+        design, data = _survival_sample(rng)
+        ctx = me.build_aft_context(design, data)
+        a, b = 0.8, 0.6
+        prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(a, b))
+        score = me.ala_aft(design.model((0, 0, 0)), ctx, prior)
+        tau0 = ctx.tau0
+        # the density of tau = phi^(-1/2) for phi inverse-gamma(a, b)
+        log_prior = (
+            np.log(2.0)
+            + a * np.log(b)
+            - gammaln(a)
+            + (2.0 * a - 1.0) * np.log(tau0)
+            - b * tau0**2
+        )
+        expected = (
+            ctx.l0 + log_prior + 0.5 * np.log(2.0 * np.pi) - 0.5 * np.log(ctx.h_tt)
+        )
+        np.testing.assert_allclose(score.log_ml, expected, rtol=1e-13)
+        np.testing.assert_array_equal(score.expansion, [tau0])
+        assert score.method == "ala"
+        assert score.diagnostics["tau_tilde"] == score.diagnostics["tau0"]
 
     def test_mode_score_sits_at_a_stationary_point(self, rng):
         design, data = _survival_sample(rng)
