@@ -225,15 +225,12 @@ def ala_expfam_known_phi(
         raise ValueError(f"unknown variant {variant!r}")
     method = "ala" if curvature is None else "ala-curvadj"
     phi = float(family.phi)
-    l0 = _loglik_at_center(cache, family, phi)
-    if model.p_gamma == 0:
-        return MarginalScore(l0, method, np.empty(0), {"phi": phi})
     cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
     bpp = cache.bpp_nu0
     rho = curvature.rho_hat if curvature is not None else 1.0
     score = ala_plugin(
-        l0,
+        _loglik_at_center(cache, family, phi),
         -(bpp / phi) * xty,
         (rho * bpp / phi) * xtx,
         lambda b: cache.block_prior.log_density(b, cols, prior.g, phi, block=xtx),
@@ -295,7 +292,6 @@ def ala_expfam_unknown_phi(
     cache: SuffStatsCache,
     family: fam.FamilySpec,
     prior: ParamPriorSpec,
-    _kernel_shift: int = 0,
 ) -> MarginalScore:
     """Zero-expansion score with the dispersion treated as a parameter.
 
@@ -304,12 +300,19 @@ def ala_expfam_unknown_phi(
     prior and the inverse-gamma dispersion prior at the implied update
     (``ala_plugin``).  The null model is the one-parameter case.
     """
+    cols = cache.design.columns_for(model.key)
+    return _unknown_phi_score(
+        cache, family, prior, cols, cache.gram.block(cols), cache.zty[cols]
+    )
+
+
+def _unknown_phi_score(cache, family, prior, cols, xtx, xty, kernel_shift=0):
+    """``ala_expfam_unknown_phi`` on the gathered ``cols``, Gram block and
+    ``Z'ytilde``, with the prior kernel of shift ``kernel_shift``."""
     a, b = prior.phi_prior_required()
     st = _unknown_phi_stats(cache, family)
     phi0 = st["phi0"]
-    p = model.p_gamma
-    cols = cache.design.columns_for(model.key)
-    xtx, xty = cache.gram.block(cols), cache.zty[cols]
+    p = cols.shape[0]
     factor = st["bpp0"] / phi0
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = factor * xtx
@@ -326,7 +329,7 @@ def ala_expfam_unknown_phi(
         if not phi > 0.0:
             return -np.inf
         return cache.block_prior.log_density(
-            theta[:p], cols, prior.g, phi, _kernel_shift, xtx
+            theta[:p], cols, prior.g, phi, kernel_shift, xtx
         ) + log_invgamma(phi, a, b)
 
     score = ala_plugin(
@@ -362,11 +365,11 @@ def ala_gmom(
     if curvature is not None:
         raise ValueError("curvature adjustment applies to known dispersion only")
     a, b = prior.phi_prior_required()
-    local = ala_expfam_unknown_phi(model, cache, family, prior, _kernel_shift=2)
-    if not np.isfinite(local.log_ml):
-        return MarginalScore(local.log_ml, "ala-gmom", local.expansion, local.diagnostics)
     cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
+    local = _unknown_phi_score(cache, family, prior, cols, xtx, xty, 2)
+    if not np.isfinite(local.log_ml):
+        return MarginalScore(local.log_ml, "ala-gmom", local.expansion, local.diagnostics)
     kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
     _, shape = cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
     mean = shape @ xty
@@ -383,10 +386,10 @@ def ala_gmom(
 
 
 # Upper bound on the doubles of one stacked computation: B * k * k for one
-# stacked solve, and the gathered columns, their pair products and the
-# n-length working arrays of one stacked Newton run (``la_known_phi_many``),
-# so that enumerating a large space never allocates more than a few tens of
-# megabytes at once.
+# stacked solve or one stacked Newton run (models padded to the largest k),
+# and the gathered columns of that run (``la_known_phi_many``) with their
+# pair products beside its n-length working arrays, so that enumerating a
+# large space never allocates more than a few tens of megabytes at once.
 _STACK_ENTRIES = 1 << 20
 
 
@@ -662,8 +665,6 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     )
 
 
-# Models per stacked Newton run of ``la_known_phi_many``.
-_LA_CHUNK = 32
 # Doubles in one working array of a stacked evaluation (live models times
 # the observations of one block), and a bound on the number of such arrays
 # alive at once: the predictor, the cumulant with its two derivatives and
@@ -687,138 +688,132 @@ def la_known_phi_many(
 
     ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
     in order, what ``la_marginal`` returns for each model, up to rounding.
-    The models of one dimension run the rule of ``_damped_newton`` as one
-    stack, in chunks of at most ``_LA_CHUNK``: each chunk gathers the union
-    of its columns once with their pairwise products, so that one
-    evaluation of all its live models is one product for the predictors,
-    one cumulant pass and two products over the gathered columns, which
-    give every gradient and every weighted Gram at once.  A chunk is split
-    until its columns and their products fit in ``_STACK_ENTRIES`` doubles
-    beside the working arrays; a chunk of one model is scored by
-    ``la_marginal``, whose weighted Gram costs less formed directly.  Each
-    model takes the iterates, evaluations and stopping decisions of the
-    one-model rule and leaves the stack when it stops.  Raises what the
-    one-model rule raises, without its iteration trace, for the first model
-    that fails in the run.
+    The models with columns, whatever their sizes, run the rule of
+    ``_damped_newton`` as one padded stack (``_la_stack``), split only
+    for memory (``_la_stacks``); a stack of one model, and the null model,
+    go to ``la_marginal``, whose weighted Gram costs less formed directly.
+    Each model takes the iterates, evaluations and stopping decisions of
+    the one-model rule.  Raises what the one-model rule raises, without
+    its iteration trace, for the first model that fails in the run.
     """
     if prior.kind != "gzellner":
         raise ValueError("mode-expansion scoring expects the block Zellner prior")
     if not family.phi_known:
         raise ValueError("dispersion must be known for this engine")
     design = cache.design
-    phi = float(family.phi)
     active = np.asarray(bits, dtype=bool)
     col_mask = active[:, design.col_group]
     p_gamma = col_mask.sum(axis=1)
     out: list[Optional[MarginalScore]] = [None] * active.shape[0]
-
-    def alone(i):
-        model = design.model(active[i])
-        out[i] = _la_known_phi(model, cache, family, prior, None, tol, max_iter)
-
-    for i in np.flatnonzero(p_gamma == 0).tolist():
-        alone(i)
-    shared = None
-    for k in np.unique(p_gamma[p_gamma > 0]).tolist():
-        for rows, union in _la_chunks(np.flatnonzero(p_gamma == k), col_mask, design.n):
-            if rows.shape[0] == 1:
-                # the one-model path has working arrays of its own
-                objective = basis = shared = None
-                alone(int(rows[0]))
-                continue
-            pos = np.nonzero(col_mask[rows][:, union])[1].reshape(rows.shape[0], k)
-            cols = union[pos]
-            block = cache.gram.block(union)
-            xtx = block[pos[:, :, None], pos[:, None, :]]
-            prec, logdet_p0 = cache.block_prior.precision(cols, prior.g, phi, block=xtx)
-            # consecutive chunks often share their union, and with it the
-            # basis; a new one is built only after the old one is released
-            if shared is None or not np.array_equal(shared, union):
-                objective = basis = None
-                basis, pair_of = _pair_basis(design.values, union)
-                shared = union
-            objective = _stacked_objective(
-                cache, family, phi, basis, pair_of, pos, prec
-            )
-            theta = np.zeros((rows.shape[0], k))
-            first = None
-            at_zero = _at_zero(cache, family, phi, cols, xtx)
-            if at_zero is not None:
-                value, grad, hess = at_zero
-                first = (np.full(rows.shape[0], value), grad, hess + prec)
-            theta, value, grad, hess, iterations, evaluations = _stacked_newton(
-                objective, theta, first, tol, max_iter
-            )
-            logdet_h, quad, _ = bordered_cholesky(
-                hess, grad, NotConcave, "curvature at the mode"
-            )
-            log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
-            for i, lm, mode, its, evals, norm in zip(
-                rows.tolist(),
-                log_ml.tolist(),
-                theta,
-                iterations.tolist(),
-                evaluations.tolist(),
-                np.max(np.abs(grad), axis=1).tolist(),
-            ):
-                out[i] = MarginalScore(
-                    lm,
-                    "la",
-                    mode,
-                    {"iterations": its, "evaluations": evals, "grad_norm": norm},
-                )
+    nulls = [(np.array([i]), None) for i in np.flatnonzero(p_gamma == 0)]
+    stacks = _la_stacks(np.flatnonzero(p_gamma), col_mask, p_gamma, design.n)
+    for rows, union in [*nulls, *stacks]:
+        if rows.shape[0] > 1:
+            mask = col_mask[rows]
+            scores = _la_stack(cache, family, prior, mask, union, tol, max_iter)
+        else:
+            # the one-model path has working arrays of its own
+            model = design.model(active[rows[0]])
+            scores = [_la_known_phi(model, cache, family, prior, None, tol, max_iter)]
+        for i, score in zip(rows.tolist(), scores):
+            out[i] = score
     return out
 
 
-def _la_chunks(members: np.ndarray, col_mask: np.ndarray, n: int):
-    """Split the models ``members`` of one size into runs of at most
-    ``_LA_CHUNK``, halving a run of several models until its columns and
-    their pair products fit in ``_STACK_ENTRIES`` doubles beside the
-    working arrays.  Yields ``(rows, union)``."""
+def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray, n: int):
+    """Split the models ``members`` into runs, halving a run of several
+    models while its columns with their pair products overflow the room
+    beside the working arrays, or its B K^2 padded curvature entries
+    overflow ``_STACK_ENTRIES``.  Yields ``(rows, union)``."""
     room = _STACK_ENTRIES - _LA_WORK * _LA_BLOCK
     lo = 0
     while lo < members.shape[0]:
-        take = min(_LA_CHUNK, members.shape[0] - lo)
+        take = members.shape[0] - lo
         while True:
             rows = members[lo : lo + take]
             union = np.flatnonzero(col_mask[rows].any(axis=0))
-            u = union.shape[0]
-            if take == 1 or n * (u + u * (u + 1) // 2) <= room:
+            u, k = union.shape[0], int(sizes[rows].max())
+            fits = n * (u + u * (u + 1) // 2) <= room and take * k * k <= _STACK_ENTRIES
+            if take == 1 or fits:
                 break
             take //= 2
         yield rows, union
         lo += take
 
 
-def _pair_basis(values: np.ndarray, union: np.ndarray):
-    """The columns ``union`` of ``values`` as the rows of a (width, n)
-    array, followed by one row per product ``x_i * x_j`` (i <= j), row
-    ``u + pair_of[i, j]``; returns the array and ``pair_of``."""
-    n, u = values.shape[0], union.shape[0]
-    basis = np.empty((u + u * (u + 1) // 2, n))
+def _la_stack(cache, family, prior, mask, union, tol, max_iter):
+    """Laplace scores of the models whose columns are the rows of the
+    (B, p) 0/1 ``mask``, all within ``union``, by one ``_stacked_newton``
+    run over the pair products of ``union``.  Each model is padded to the
+    largest size K, its own columns first; a padded coordinate has a zero
+    data column and a unit prior precision, so it stays at zero and the
+    leading block of each Cholesky factor, the Newton step, the gradient
+    test and log det H are the unpadded model's."""
+    phi = float(family.phi)
+    sizes = mask.sum(axis=1)
+    m, big, u = mask.shape[0], int(sizes.max()), union.shape[0]
+    block = cache.gram.block(union)
+    # column u of the stacked objective is the padded coordinates' zero column
+    pos = np.full((m, big), u)
+    prec, logdet_p0 = np.zeros((m, big, big)), np.empty(m)
+    value, grad, hess = np.empty(m), np.zeros((m, big)), np.zeros((m, big, big))
+    for k in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == k)
+        where = np.nonzero(mask[sel][:, union])[1].reshape(sel.shape[0], k)
+        pos[sel, :k] = where
+        xtx = block[where[:, :, None], where[:, None, :]]
+        cols = union[where]
+        prec[sel, :k, :k], logdet_p0[sel] = cache.block_prior.precision(
+            cols, prior.g, phi, block=xtx
+        )
+        prec[sel, k:, k:] = np.eye(big - k)
+        at_zero = _at_zero(cache, family, phi, cols, xtx)
+        if at_zero is not None:
+            value[sel], grad[sel, :k], hess[sel, :k, :k] = at_zero
+    first = None if at_zero is None else (value, grad, np.add(hess, prec, out=hess))
+    objective = _stacked_objective(cache, family, phi, union, pos, prec)
+    theta, value, grad, hess, iterations, evaluations = _stacked_newton(
+        objective, np.zeros((m, big)), first, tol, max_iter, sizes
+    )
+    logdet_h, quad, _ = bordered_cholesky(
+        hess, grad, NotConcave, "curvature at the mode"
+    )
+    log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
+    norms = np.max(np.abs(grad), axis=1).tolist()
+    diags = zip(iterations.tolist(), evaluations.tolist(), norms)
+    keys = ("iterations", "evaluations", "grad_norm")
+    return [
+        MarginalScore(lm, "la", mode[:k], dict(zip(keys, diag)))
+        for k, lm, mode, diag in zip(sizes.tolist(), log_ml.tolist(), theta, diags)
+    ]
+
+
+def _stacked_objective(cache, family, phi, union, pos, prec):
+    """The negative log joint of a stack of models over the design columns
+    ``union``: row r uses the columns ``union[pos[r]]`` and the prior
+    precision ``prec[r]``, and position ``u = len(union)`` is a padded
+    coordinate, which reads a zero column.  Returns
+    ``objective(live, theta)``, the value, gradient and Hessian of rows
+    ``live`` at coefficients ``theta``, as ``families.grad_hess`` and the
+    prior give them for one model.  The columns are gathered once, as the
+    first u rows of a basis whose row ``u + pair_of[i, j]`` is the product
+    of columns i <= j, so that the weighted Grams come from one product of
+    the second cumulant derivatives with the pair products.  The data pass
+    runs over blocks of observations, so that each working array holds at
+    most ``_LA_BLOCK`` doubles.
+    """
+    n, u = cache.n, union.shape[0]
+    pairs = u * (u + 1) // 2
+    basis = np.empty((u + pairs, n))
     for i, c in enumerate(union.tolist()):
-        basis[i] = values[:, c]
-    pair_of = np.empty((u, u), dtype=np.intp)
+        basis[i] = cache.design.values[:, c]
+    # a padded coordinate's pairs are the zero last column of the Grams
+    pair_of = np.full((u + 1, u + 1), pairs)
     off = 0
     for i in range(u):
         np.multiply(basis[i], basis[i:u], out=basis[u + off : 2 * u + off - i])
-        pair_of[i, i:] = pair_of[i:, i] = np.arange(off, off + u - i)
+        pair_of[i, i:u] = pair_of[i:u, i] = np.arange(off, off + u - i)
         off += u - i
-    return basis, pair_of
-
-
-def _stacked_objective(cache, family, phi, basis, pair_of, pos, prec):
-    """The negative log joint of a stack of models over the columns of a
-    ``_pair_basis``: row r uses its columns ``pos[r]`` and the prior
-    precision ``prec[r]``.  Returns ``objective(live, theta)``, the value,
-    gradient and Hessian of rows ``live`` at coefficients ``theta``, as
-    ``families.grad_hess`` and the prior give them for one model, with the
-    weighted Grams from one product of the second cumulant derivatives
-    with the pair products.  The data pass runs over blocks of
-    observations, so that each working array holds at most ``_LA_BLOCK``
-    doubles.
-    """
-    n, u = basis.shape[1], pair_of.shape[0]
     y = cache.y
     c_sum = _c_sum(cache, family, phi)
 
@@ -826,23 +821,23 @@ def _stacked_objective(cache, family, phi, basis, pair_of, pos, prec):
         m = live.shape[0]
         at = np.arange(m)[:, None]
         where = pos[live]
-        coef = np.zeros((m, u))
+        coef = np.zeros((m, u + 1))
         coef[at, where] = theta
         y_eta = np.zeros(m)
         bsum = np.zeros(m)
-        ztr = np.zeros((m, u))
-        wgram = np.zeros((m, basis.shape[0] - u))
+        ztr = np.zeros((m, u + 1))
+        wgram = np.zeros((m, pairs + 1))
         step = max(1, _LA_BLOCK // m)
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, step):
                 part = basis[:, lo : lo + step]
                 x, y_part = part[:u], y[lo : lo + step]
-                eta = coef @ x
+                eta = coef[:, :u] @ x
                 b, bp, bpp = family.cumulant(eta)
                 y_eta += eta @ y_part
                 bsum += np.sum(b, axis=1)
-                ztr += (y_part - bp) @ x.T
-                wgram += bpp @ part[u:].T
+                ztr[:, :u] += (y_part - bp) @ x.T
+                wgram[:, :pairs] += bpp @ part[u:].T
                 # freed before the next block's arrays are made
                 del eta, b, bp, bpp
             kernel = y_eta - bsum
@@ -862,16 +857,17 @@ def _stacked_objective(cache, family, phi, basis, pair_of, pos, prec):
     return objective
 
 
-def _stacked_newton(objective, theta, first, tol, max_iter):
+def _stacked_newton(objective, theta, first, tol, max_iter, sizes):
     """``_damped_newton`` on every row of a stack at once.
 
     ``objective(live, theta)`` evaluates rows ``live``; ``first`` is the
-    evaluation at the start ``theta`` when the caller has it.  Each row
-    takes the iterates, line-search evaluations and stopping decisions the
-    one-row rule takes, and leaves the stack when it stops; one evaluation
-    serves every row still searching.  Returns the final ``(theta, value,
-    grad, hess)`` with each row's accepted steps and its evaluations (the
-    start counts when it was evaluated); raises the one-row rule's error,
+    evaluation at the start ``theta`` when the caller has it; row r is
+    padded past its first ``sizes[r]`` coordinates.  Each row takes the
+    iterates, line-search evaluations and stopping decisions the one-row
+    rule takes, and leaves the stack when it stops; one evaluation serves
+    every row still searching.  Returns the final ``(theta, value, grad,
+    hess)`` with each row's accepted steps and its evaluations (the start
+    counts when it was evaluated); raises the one-row rule's error,
     without its trace, for the first row that fails.
     """
     m = theta.shape[0]
@@ -893,7 +889,7 @@ def _stacked_newton(objective, theta, first, tol, max_iter):
         spent = fresh[iterations[fresh] == max_iter]
         if spent.size:
             raise _gradient_not_met(float(grad_norm[spent[0]]), tol, max_iter, [])
-        step[fresh] = _stacked_direction(grad[fresh], hess[fresh])
+        step[fresh] = _stacked_direction(grad[fresh], hess[fresh], sizes[fresh])
         decrease = 0.5 * np.einsum("bi,bi->b", grad[fresh], step[fresh])
         fresh = fresh[~(decrease <= _slack(value[fresh]))]
         scale[fresh] = 1.0
@@ -926,14 +922,18 @@ def _stacked_newton(objective, theta, first, tol, max_iter):
     return theta, value, grad, hess, iterations, evaluations
 
 
-def _stacked_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+def _stacked_direction(grad: np.ndarray, hess: np.ndarray, sizes) -> np.ndarray:
     """``_newton_direction`` of each row: one stacked Cholesky test and
     solve, or the one-row ridge retries when a row is not positive
-    definite."""
+    definite, taken on its leading ``sizes[r]`` coordinates and zero on
+    the padded rest."""
     try:
         return cho_factor_solve(hess, grad[..., None], NotConcave)[1][..., 0]
     except NotConcave:
-        return np.array([_newton_direction(g, h) for g, h in zip(grad, hess)])
+        step = np.zeros_like(grad)
+        for row, k in enumerate(sizes.tolist()):
+            step[row, :k] = _newton_direction(grad[row, :k], hess[row, :k, :k])
+        return step
 
 
 def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):

@@ -194,6 +194,15 @@ class TestPluginVariant:
         )
         gap = plugin.log_ml((1,)) - exact.log_ml((1,))
         np.testing.assert_allclose(gap, 0.5 * np.log(1.0 + 1.0 / (g * n)), rtol=0.02)
+        # the null model is the formula's d = 0 case: no gap at all
+        null = plugin.marginal((0,))
+        assert null.log_ml == exact.log_ml((0,)) == me._loglik_at_center(
+            cache, gaussian(1.0), 1.0
+        )
+        assert null.diagnostics == {
+            "quad": 0.0, "phi": 1.0, "rho_hat": 1.0, "variant": "plugin-density"
+        }
+        assert null.expansion.shape == (0,)
 
     def test_unknown_variant_name_rejected(self, rng):
         design = make_design(rng, 10, [1])
@@ -1207,12 +1216,10 @@ class TestNewtonParity:
         ]
         + [("poisson", "zero", (3, 2, 2, 1, 1))],
     )
-    def test_batched_la_matches_the_one_model_engine(
-        self, name, center, sizes, monkeypatch
-    ):
-        """``score_many`` under ``la`` runs the models of one size as one
+    def test_batched_la_matches_the_one_model_engine(self, name, center, sizes):
+        """``score_many`` under ``la`` runs the models of every size as one
         stacked Newton; each keeps the one-model iterates, evaluations and
-        score, and one model per chunk is the one-model engine exactly."""
+        score, and a batch of one model is the one-model engine exactly."""
         design, y = _parity_data(name, sizes=sizes)
         family = _PARITY_FAMILIES[name]()
         cache = build_cache(design, y, family, center=center)
@@ -1223,27 +1230,27 @@ class TestNewtonParity:
         single = [
             me.la_marginal(design.model(row), cache, family, prior) for row in bits
         ]
-        for chunk in (me._LA_CHUNK, 1, 3):
-            monkeypatch.setattr(me, "_LA_CHUNK", chunk)
-            scorer = me.ModelScorer(cache, family, prior, method="la")
-            scores = scorer.score_many(bits)
-            for row, value, one in zip(bits, scores, single):
-                got = scorer.marginal(row)
-                np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
-                assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
-                assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
-                # equal up to the order of the n-term sums, which depends on
-                # how many models share a product
-                np.testing.assert_allclose(
-                    got.diagnostics["grad_norm"],
-                    one.diagnostics["grad_norm"],
-                    rtol=0,
-                    atol=1e-12,
-                )
-                if chunk == 1:
-                    assert value == one.log_ml
-                    assert got.diagnostics == one.diagnostics
-                    np.testing.assert_array_equal(got.expansion, one.expansion)
+        scorer = me.ModelScorer(cache, family, prior, method="la")
+        scores = scorer.score_many(bits)
+        for row, value, one in zip(bits, scores, single):
+            got = scorer.marginal(row)
+            np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
+            assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
+            assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
+            # equal up to the order of the n-term sums, which depends on
+            # how many models share a product
+            np.testing.assert_allclose(
+                got.diagnostics["grad_norm"],
+                one.diagnostics["grad_norm"],
+                rtol=0,
+                atol=1e-12,
+            )
+        for row, one in zip(bits, single):
+            alone = me.ModelScorer(cache, family, prior, method="la")
+            assert alone.score_many([row])[0] == one.log_ml
+            got = alone.marginal(row)
+            assert got.diagnostics == one.diagnostics
+            np.testing.assert_array_equal(got.expansion, one.expansion)
         for row, one in zip(bits, single):
             log_ml, mode, iterations, evaluations = reference_la(
                 design, row, y, family, 1.3
@@ -1258,8 +1265,9 @@ class TestNewtonParity:
     def test_chunks_too_wide_for_their_pair_products_split_to_single_models(
         self, monkeypatch
     ):
-        """With room for the pair products of one column only, every chunk
-        splits down to single models, which ``la_marginal`` scores."""
+        """With room for the pair products of one column only, a batch of
+        models of every size splits down to single models, which
+        ``la_marginal`` scores."""
         design, y = _parity_data("logistic")
         family = logistic()
         cache = build_cache(design, y, family)
@@ -1270,14 +1278,107 @@ class TestNewtonParity:
             me, "_STACK_ENTRIES", me._LA_WORK * me._LA_BLOCK + 2 * design.n
         )
         col_mask = bits.astype(bool)[:, design.col_group]
-        chunks = list(me._la_chunks(np.arange(len(bits)), col_mask, design.n))
-        assert [rows.size for rows, _ in chunks] == [1] * len(bits)
+        p_gamma = col_mask.sum(axis=1)
+        assert np.unique(p_gamma).tolist() == list(range(1, 9))
+        stacks = list(me._la_stacks(np.arange(len(bits)), col_mask, p_gamma, design.n))
+        assert [rows.size for rows, _ in stacks] == [1] * len(bits)
         scorer = me.ModelScorer(cache, family, prior, method="la")
         scores = scorer.score_many(bits)
         for row, value in zip(bits, scores):
             one = me.la_marginal(design.model(row), cache, family, prior)
             assert value == one.log_ml
             assert scorer.marginal(row).diagnostics == one.diagnostics
+
+    @pytest.mark.parametrize("name", ["poisson", "logistic"])
+    def test_models_of_every_size_share_one_padded_stack(self, name, monkeypatch):
+        """Models of 1 to 4 columns run as one stack padded to 4 columns:
+        each keeps its one-model iterates, evaluations and score, and its
+        padded coordinates stay exactly zero with a zero gradient."""
+        rng = np.random.default_rng(9)
+        design = make_design(rng, 300, [1, 1, 1], intercept=True)
+        y = _glm_response(rng, name, design.values @ [0.2, 0.35, -0.3, 0.0])
+        family, passes = _counting_passes(_PARITY_FAMILIES[name]())
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = admissible_bits(design.n_groups, intercept_group=0)
+        sizes = bits.sum(axis=1)
+        assert sizes.tolist() == [1, 2, 2, 3, 2, 3, 3, 4]
+        single = [
+            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+        ]
+        runs = []
+        stacked_newton = me._stacked_newton
+
+        def recording(*args):
+            runs.append(stacked_newton(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(me, "_stacked_newton", recording)
+        del passes[:]
+        scorer = me.ModelScorer(cache, family, prior, method="la")
+        scores = scorer.score_many(bits)
+        assert len(runs) == 1
+        theta, _, grad, _, iterations, evaluations = runs[0]
+        assert theta.shape == (len(bits), 4)
+        for r, (row, value, one) in enumerate(zip(bits, scores, single)):
+            k = sizes[r]
+            np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
+            assert iterations[r] == one.diagnostics["iterations"]
+            assert evaluations[r] == one.diagnostics["evaluations"]
+            assert scorer.marginal(row).expansion.shape == (k,)
+            assert (theta[r, k:] == 0.0).all()
+            assert (grad[r, k:] == 0.0).all()
+        assert len(passes) == max(evaluations)
+
+    def test_a_stack_too_big_for_its_padded_curvatures_splits(self, monkeypatch):
+        """With room for the pair products of every column but not for
+        the (B, K, K) curvatures of the whole batch, the batch is halved
+        into stacks whose curvatures fit; each model keeps its one-model
+        iterates, evaluations and score."""
+        rng = np.random.default_rng(5)
+        design = make_design(rng, 60, [1] * 7, intercept=True)
+        y = _glm_response(rng, "poisson", 0.3 * design.values[:, 1])
+        family, passes = _counting_passes(poisson())
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = admissible_bits(design.n_groups, intercept_group=0)
+        col_mask = bits.astype(bool)[:, design.col_group]
+        p_gamma = col_mask.sum(axis=1)
+        monkeypatch.setattr(me, "_LA_BLOCK", 64)
+        monkeypatch.setattr(me, "_STACK_ENTRIES", 4096)
+        room = me._STACK_ENTRIES - me._LA_WORK * me._LA_BLOCK
+        assert design.n * (8 + 8 * 9 // 2) <= room
+        assert len(bits) * 8 * 8 > me._STACK_ENTRIES
+        stacks = list(me._la_stacks(np.arange(len(bits)), col_mask, p_gamma, design.n))
+        assert len(stacks) > 1
+        order = np.concatenate([rows for rows, _ in stacks])
+        assert order.tolist() == list(range(len(bits)))
+        for rows, _ in stacks:
+            assert rows.size * p_gamma[rows].max() ** 2 <= me._STACK_ENTRIES
+        single = [
+            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+        ]
+        runs = []
+        stacked_newton = me._stacked_newton
+
+        def recording(objective, theta, *args):
+            runs.append(theta.shape)
+            return stacked_newton(objective, theta, *args)
+
+        monkeypatch.setattr(me, "_stacked_newton", recording)
+        del passes[:]
+        scorer = me.ModelScorer(cache, family, prior, method="la")
+        scores = scorer.score_many(bits)
+        assert runs == [
+            (rows.size, p_gamma[rows].max()) for rows, _ in stacks if rows.size > 1
+        ]
+        for row, value, one in zip(bits, scores, single):
+            got = scorer.marginal(row).diagnostics
+            np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
+            assert got["iterations"] == one.diagnostics["iterations"]
+            assert got["evaluations"] == one.diagnostics["evaluations"]
+        evaluations = sum(one.diagnostics["evaluations"] for one in single)
+        assert sum(passes) == evaluations * design.n
 
     @pytest.mark.parametrize("failure", ["start", "stall"])
     def test_a_failing_model_raises_the_loops_error(self, failure, monkeypatch):
@@ -1357,7 +1458,7 @@ class TestNewtonParity:
             return np.array(values), np.array(grads), np.array(hesses)
 
         theta, value, grad, hess, iterations, evaluations = me._stacked_newton(
-            stacked, np.zeros((3, 1)), None, 1e-8, 100
+            stacked, np.zeros((3, 1)), None, 1e-8, 100, np.ones(3, dtype=int)
         )
         for r, objective in enumerate(rows):
             one = me._damped_newton(objective, np.zeros(1))
@@ -1377,19 +1478,31 @@ class TestNewtonParity:
         singular = np.ones((3, 3))
         grad = rng.normal(size=(2, 3))
         hess = np.stack([definite, singular])
-        step = me._stacked_direction(grad, hess)
+        step = me._stacked_direction(grad, hess, np.array([3, 3]))
         for g, h, s in zip(grad, hess, step):
             np.testing.assert_array_equal(s, me._newton_direction(g, h))
+        # a row padded past its size takes the ridge of its own block, whose
+        # mean diagonal (2) is not the padded matrix's (1.6)
+        padded_grad = np.zeros((2, 5))
+        padded_grad[:, :3] = grad
+        padded_hess = np.tile(np.eye(5), (2, 1, 1))
+        padded_hess[:, :3, :3] = [definite, 2.0 * singular]
+        step = me._stacked_direction(padded_grad, padded_hess, np.array([3, 3]))
+        for g, h, s in zip(grad, [definite, 2.0 * singular], step):
+            np.testing.assert_array_equal(s[:3], me._newton_direction(g, h))
+            assert (s[3:] == 0.0).all()
         # the ridges grow to 1e12 times the mean diagonal, here 1/3
         hopeless = np.diag([1e20, -1e20, 1.0])
         with pytest.raises(NotConcave, match="curvature is not positive definite"):
-            me._stacked_direction(grad, np.stack([definite, hopeless]))
+            me._stacked_direction(
+                grad, np.stack([definite, hopeless]), np.array([3, 3])
+            )
 
     @pytest.mark.parametrize("name", ["poisson", "logistic"])
     def test_stacked_working_memory_stays_within_the_bound(self, name):
         """Peak memory of a stacked ``la`` batch beyond what it returns:
         8 singleton columns at n = 20 000 would take 880 000 doubles of
-        columns and pair products, so chunks are split by their unions."""
+        columns and pair products, so stacks are split by their unions."""
         rng = np.random.default_rng(12)
         n = 20_000
         design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, 8)))
@@ -1422,10 +1535,9 @@ class TestNewtonParity:
         y = _glm_response(rng, name, 0.1 * design.values.sum(axis=1))
         family = _PARITY_FAMILIES[name]()
         cache = build_cache(design, y, family)
-        basis, pair_of = me._pair_basis(design.values, np.arange(3))
         pos = np.tile(np.arange(3), (m, 1))
         objective = me._stacked_objective(
-            cache, family, 1.0, basis, pair_of, pos, np.tile(np.eye(3), (m, 1, 1))
+            cache, family, 1.0, np.arange(3), pos, np.tile(np.eye(3), (m, 1, 1))
         )
         theta = 0.1 * rng.normal(size=(m, 3))
         objective(np.arange(m), theta)
@@ -1495,13 +1607,10 @@ class TestNewtonCost:
         batch.score_many(models)
         assert batch.diagnostic_sum("evaluations") == la.diagnostic_sum("evaluations")
         assert sum(passes) == batch.diagnostic_sum("evaluations") * n
-        # one stacked evaluation per evaluation of the slowest model of a size
-        slowest: dict[int, int] = {}
-        for bits in models:
-            k = design.model(bits).p_gamma
-            evals = batch.marginal(bits).diagnostics["evaluations"]
-            slowest[k] = max(slowest.get(k, 0), evals)
-        assert len(passes) == sum(slowest.values())
+        # models of every size share one stack: one stacked evaluation per
+        # evaluation of the batch's slowest model
+        evals = [batch.marginal(bits).diagnostics["evaluations"] for bits in models]
+        assert len(passes) == max(evals)
 
     def test_rejected_first_step_still_converges_to_the_reference(self):
         """A strong Poisson effect sends the first full step from zero far

@@ -126,7 +126,7 @@ class TestCholesky:
             cho_factor_solve(singular, np.ones(2), NotConcave, "objective curvature")
         # so the stacked Newton direction takes the one-row ridge retries
         np.testing.assert_array_equal(
-            me._stacked_direction(np.ones((1, 2)), singular[None]),
+            me._stacked_direction(np.ones((1, 2)), singular[None], np.array([2])),
             me._newton_direction(np.ones(2), singular)[None],
         )
 
