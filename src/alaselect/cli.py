@@ -9,6 +9,7 @@ diffed byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import itertools
@@ -815,7 +816,29 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) as a run
+# sets them: arrays of up to 8 MiB come from the heap, and up to 16 MiB of
+# freed heap stay mapped.
+_HEAP_LIMITS = ((-3, 8 << 20), (-1, 16 << 20))
+
+
+def _reuse_heap_pages() -> None:
+    """Fix the C allocator's thresholds so that a run's working arrays
+    reuse freed heap pages.  By default glibc maps every array above a
+    threshold that it raises only when a larger mapped array is freed, and
+    returns the top of the heap to the system beyond twice that, so how
+    many pages each ``select`` maps, faults in and unmaps depends on the
+    largest array freed so far.  Elsewhere than glibc, a no-op."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    for param, value in _HEAP_LIMITS:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _reuse_heap_pages()
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

@@ -385,11 +385,11 @@ def ala_gmom(
     )
 
 
-# Upper bound on the doubles of one stacked computation: B * k * k for one
-# stacked solve or one stacked Newton run (models padded to the largest k),
-# and the gathered columns of that run (``la_known_phi_many``) with their
-# pair products beside its n-length working arrays, so that enumerating a
-# large space never allocates more than a few tens of megabytes at once.
+# Upper bound on the B * k * k entries of one stacked solve or one stacked
+# Newton run (models padded to the largest k), so that enumerating a large
+# space never allocates more than a few tens of megabytes at once.  A
+# stacked Newton run's data pass adds at most ``_LA_WORK`` arrays of
+# ``_LA_BLOCK`` doubles, whatever n.
 _STACK_ENTRIES = 1 << 20
 
 
@@ -665,15 +665,15 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     )
 
 
-# Doubles in one working array of a stacked evaluation (live models times
-# the observations of one block), and a bound on the number of such arrays
-# alive at once: the predictor, the cumulant with its two derivatives and
-# their temporaries, and the residual; a block's arrays are freed before
-# the next block's are made.  Measured with tracemalloc over the
-# evaluations of 8 singleton groups at n = 20 000: 5.31 arrays at the peak
-# for the logistic family, 3.31 for poisson.
+# Doubles in one working array of a stacked evaluation (live models, or the
+# union's columns with their pair products, times one block's observations),
+# and a bound on the arrays alive at once in one evaluation: the block's
+# columns and pair products, predictor, cumulant with two derivatives and
+# temporaries, and residual (freed before the next block's are made), and
+# the weighted Grams.  Measured (tracemalloc, n = 20 000, logistic/poisson):
+# 5.93/3.94 at 255 models on 8 singletons, 9.51/7.51 at 256 of 3 over 21.
 _LA_BLOCK = 1 << 15
-_LA_WORK = 6
+_LA_WORK = 10
 
 
 def la_known_phi_many(
@@ -688,13 +688,13 @@ def la_known_phi_many(
 
     ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
     in order, what ``la_marginal`` returns for each model, up to rounding.
-    The models with columns, whatever their sizes, run the rule of
-    ``_damped_newton`` as one padded stack (``_la_stack``), split only
-    for memory (``_la_stacks``); a stack of one model, and the null model,
-    go to ``la_marginal``, whose weighted Gram costs less formed directly.
-    Each model takes the iterates, evaluations and stopping decisions of
-    the one-model rule.  Raises what the one-model rule raises, without
-    its iteration trace, for the first model that fails in the run.
+    The models with columns run the rule of ``_damped_newton`` as padded
+    stacks (``_la_stack``, ``_la_stacks``); the null model, and each model
+    the split leaves alone, go to ``la_marginal``, whose weighted Gram
+    costs less formed directly.  Each model takes the iterates,
+    evaluations and stopping decisions of the one-model rule.  Raises
+    what the one-model rule raises, without its iteration trace, for the
+    first model that fails in the run.
     """
     if prior.kind != "gzellner":
         raise ValueError("mode-expansion scoring expects the block Zellner prior")
@@ -706,7 +706,7 @@ def la_known_phi_many(
     p_gamma = col_mask.sum(axis=1)
     out: list[Optional[MarginalScore]] = [None] * active.shape[0]
     nulls = [(np.array([i]), None) for i in np.flatnonzero(p_gamma == 0)]
-    stacks = _la_stacks(np.flatnonzero(p_gamma), col_mask, p_gamma, design.n)
+    stacks = _la_stacks(np.flatnonzero(p_gamma), col_mask, p_gamma)
     for rows, union in [*nulls, *stacks]:
         if rows.shape[0] > 1:
             mask = col_mask[rows]
@@ -720,25 +720,26 @@ def la_known_phi_many(
     return out
 
 
-def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray, n: int):
-    """Split the models ``members`` into runs, halving a run of several
-    models while its columns with their pair products overflow the room
-    beside the working arrays, or its B K^2 padded curvature entries
-    overflow ``_STACK_ENTRIES``.  Yields ``(rows, union)``."""
-    room = _STACK_ENTRIES - _LA_WORK * _LA_BLOCK
+def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray):
+    """Split the models ``members`` into in-order runs of at most
+    ``cap = _LA_BLOCK // 128`` models, halving a run while its B K^2 padded
+    curvature entries overflow ``_STACK_ENTRIES``, and into single models
+    a run whose union of u columns has u + u(u+1)/2 > cap columns and pair
+    products (u > 21), which each model of a stack pays for.  So no block
+    of a stacked evaluation is shorter than 128 observations.  Yields
+    ``(rows, union)``."""
+    cap = max(1, _LA_BLOCK // 128)
     lo = 0
     while lo < members.shape[0]:
-        take = members.shape[0] - lo
-        while True:
-            rows = members[lo : lo + take]
-            union = np.flatnonzero(col_mask[rows].any(axis=0))
-            u, k = union.shape[0], int(sizes[rows].max())
-            fits = n * (u + u * (u + 1) // 2) <= room and take * k * k <= _STACK_ENTRIES
-            if take == 1 or fits:
-                break
-            take //= 2
-        yield rows, union
-        lo += take
+        rows = members[lo : lo + cap]
+        while len(rows) > 1 and len(rows) * sizes[rows].max() ** 2 > _STACK_ENTRIES:
+            rows = rows[: len(rows) // 2]
+        union = np.flatnonzero(col_mask[rows].any(axis=0))
+        if union.shape[0] * (union.shape[0] + 3) // 2 <= cap:
+            yield rows, union
+        else:
+            yield from ((one, None) for one in rows[:, None])
+        lo += len(rows)
 
 
 def _la_stack(cache, family, prior, mask, union, tol, max_iter):
@@ -795,26 +796,21 @@ def _stacked_objective(cache, family, phi, union, pos, prec):
     coordinate, which reads a zero column.  Returns
     ``objective(live, theta)``, the value, gradient and Hessian of rows
     ``live`` at coefficients ``theta``, as ``families.grad_hess`` and the
-    prior give them for one model.  The columns are gathered once, as the
-    first u rows of a basis whose row ``u + pair_of[i, j]`` is the product
-    of columns i <= j, so that the weighted Grams come from one product of
-    the second cumulant derivatives with the pair products.  The data pass
-    runs over blocks of observations, so that each working array holds at
-    most ``_LA_BLOCK`` doubles.
+    prior give them for one model.  The data pass runs over blocks of
+    observations; each block gathers its rows of the union's columns, and
+    the products of columns i <= j (row ``u + pair_of[i, j]``), into one
+    buffer made once per evaluation, so that the weighted Grams come from
+    one product of the second cumulant derivatives with the pair products.
+    A block spans ``_LA_BLOCK // max(m, u + u(u+1)/2)`` observations for m
+    live models, so no working array holds more than ``_LA_BLOCK`` doubles.
     """
     n, u = cache.n, union.shape[0]
     pairs = u * (u + 1) // 2
-    basis = np.empty((u + pairs, n))
-    for i, c in enumerate(union.tolist()):
-        basis[i] = cache.design.values[:, c]
+    left, right = np.triu_indices(u)
     # a padded coordinate's pairs are the zero last column of the Grams
     pair_of = np.full((u + 1, u + 1), pairs)
-    off = 0
-    for i in range(u):
-        np.multiply(basis[i], basis[i:u], out=basis[u + off : 2 * u + off - i])
-        pair_of[i, i:u] = pair_of[i:u, i] = np.arange(off, off + u - i)
-        off += u - i
-    y = cache.y
+    pair_of[left, right] = pair_of[right, left] = np.arange(pairs)
+    values, y = cache.design.values, cache.y
     c_sum = _c_sum(cache, family, phi)
 
     def objective(live, theta):
@@ -827,17 +823,21 @@ def _stacked_objective(cache, family, phi, union, pos, prec):
         bsum = np.zeros(m)
         ztr = np.zeros((m, u + 1))
         wgram = np.zeros((m, pairs + 1))
-        step = max(1, _LA_BLOCK // m)
+        step = max(1, _LA_BLOCK // max(m, u + pairs))
+        part = np.empty((u + pairs, step))
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, step):
-                part = basis[:, lo : lo + step]
-                x, y_part = part[:u], y[lo : lo + step]
+                y_part = y[lo : lo + step]
+                x, prods = part[:u, : y_part.shape[0]], part[u:, : y_part.shape[0]]
+                x[...] = values[lo : lo + step, union].T
+                np.take(x, left, axis=0, out=prods, mode="clip")
+                prods *= x[right]
                 eta = coef[:, :u] @ x
                 b, bp, bpp = family.cumulant(eta)
                 y_eta += eta @ y_part
                 bsum += np.sum(b, axis=1)
                 ztr[:, :u] += (y_part - bp) @ x.T
-                wgram[:, :pairs] += bpp @ part[u:].T
+                wgram[:, :pairs] += bpp @ prods.T
                 # freed before the next block's arrays are made
                 del eta, b, bp, bpp
             kernel = y_eta - bsum

@@ -4,6 +4,7 @@ layout, determinism, error reporting, and agreement with the library."""
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -569,10 +570,13 @@ class TestConsoleEntryPoint:
     """The installed script is importable and self-describing."""
 
     def test_help_runs_in_a_subprocess(self):
+        # the child imports the package this process imported
+        src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "alaselect.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert "select" in proc.stdout
@@ -733,3 +737,34 @@ class TestImportFootprint:
             "--family", "gaussian",
         ]
         assert _fresh_interpreter(_DEFERRED_SCRIPT, argv) == [True, True]
+
+
+# Minor page faults of each round of twenty 320-KB arrays (6.4 MB) made and
+# freed, with the thresholds of a run when argv is true; 6.4 MB of fresh
+# pages is about 1600 faults.
+_HEAP_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from alaselect import cli
+if json.loads(sys.argv[1]):
+    cli._reuse_heap_pages()
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rounds = []
+for _ in range(4):
+    before = faults()
+    arrays = [np.ones(40_000) for _ in range(20)]
+    del arrays
+    rounds.append(faults() - before)
+print(json.dumps(rounds))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
+class TestHeapReuse:
+    """A run keeps its freed heap pages: with glibc's default thresholds,
+    arrays made and freed in rounds are mapped afresh each round."""
+
+    def test_freed_arrays_reuse_their_pages(self):
+        assert max(_fresh_interpreter(_HEAP_SCRIPT, True)[1:]) < 100
+        assert min(_fresh_interpreter(_HEAP_SCRIPT, False)[1:]) > 1000

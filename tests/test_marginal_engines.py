@@ -1262,32 +1262,142 @@ class TestNewtonParity:
             assert one.diagnostics["evaluations"] == evaluations - (center == "zero")
             np.testing.assert_allclose(one.expansion, mode, atol=1e-8)
 
-    def test_chunks_too_wide_for_their_pair_products_split_to_single_models(
+    def test_models_of_sizes_one_to_eight_run_as_one_stacked_newton_run(
         self, monkeypatch
     ):
-        """With room for the pair products of one column only, a batch of
-        models of every size splits down to single models, which
-        ``la_marginal`` scores."""
+        """The 128 models of 1 to 8 columns over an 8-column union run as
+        one ``_stacked_newton`` run, and each model keeps the iterates,
+        evaluations and score of ``la_marginal``."""
         design, y = _parity_data("logistic")
         family = logistic()
         cache = build_cache(design, y, family)
         cache.gram.block(np.arange(design.p))
         prior = ParamPriorSpec(kind="gzellner", g=1.3)
         bits = admissible_bits(design.n_groups, intercept_group=0)
-        monkeypatch.setattr(
-            me, "_STACK_ENTRIES", me._LA_WORK * me._LA_BLOCK + 2 * design.n
-        )
         col_mask = bits.astype(bool)[:, design.col_group]
         p_gamma = col_mask.sum(axis=1)
         assert np.unique(p_gamma).tolist() == list(range(1, 9))
-        stacks = list(me._la_stacks(np.arange(len(bits)), col_mask, p_gamma, design.n))
-        assert [rows.size for rows, _ in stacks] == [1] * len(bits)
+        stacks = list(me._la_stacks(np.arange(len(bits)), col_mask, p_gamma))
+        assert [rows.tolist() for rows, _ in stacks] == [list(range(len(bits)))]
+        runs = []
+        stacked_newton = me._stacked_newton
+
+        def recording(objective, theta, *args):
+            runs.append(theta.shape)
+            return stacked_newton(objective, theta, *args)
+
+        monkeypatch.setattr(me, "_stacked_newton", recording)
         scorer = me.ModelScorer(cache, family, prior, method="la")
         scores = scorer.score_many(bits)
+        assert runs == [(len(bits), 8)]
         for row, value in zip(bits, scores):
             one = me.la_marginal(design.model(row), cache, family, prior)
-            assert value == one.log_ml
-            assert scorer.marginal(row).diagnostics == one.diagnostics
+            got = scorer.marginal(row).diagnostics
+            np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
+            assert got["iterations"] == one.diagnostics["iterations"]
+            assert got["evaluations"] == one.diagnostics["evaluations"]
+            np.testing.assert_allclose(
+                got["grad_norm"], one.diagnostics["grad_norm"], rtol=0, atol=1e-12
+            )
+
+    def test_a_batch_over_the_model_cap_splits_into_in_order_runs(
+        self, monkeypatch
+    ):
+        """The 511 models with columns over 9 singleton groups run as
+        in-order stacks of at most ``_LA_BLOCK // 128`` (256) models,
+        each model with its one-model iterates, evaluations and score."""
+        rng = np.random.default_rng(6)
+        design = DesignMatrix.with_singleton_groups(rng.normal(size=(120, 9)))
+        y = _glm_response(rng, "poisson", 0.2 * design.values[:, :3].sum(axis=1))
+        family = poisson()
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = admissible_bits(9)
+        col_mask = bits.astype(bool)
+        p_gamma = col_mask.sum(axis=1)
+        members = np.flatnonzero(p_gamma)
+        cap = me._LA_BLOCK // 128
+        assert members.size > cap
+        stacks = list(me._la_stacks(members, col_mask, p_gamma))
+        assert [rows.size for rows, _ in stacks] == [cap, members.size - cap]
+        order = np.concatenate([rows for rows, _ in stacks])
+        assert order.tolist() == members.tolist()
+        runs = []
+        stacked_newton = me._stacked_newton
+
+        def recording(objective, theta, *args):
+            runs.append(theta.shape[0])
+            return stacked_newton(objective, theta, *args)
+
+        monkeypatch.setattr(me, "_stacked_newton", recording)
+        scores = me.la_known_phi_many(bits, cache, family, prior)
+        assert runs == [rows.size for rows, _ in stacks]
+        for row, got in zip(bits, scores):
+            one = me.la_marginal(design.model(row), cache, family, prior)
+            np.testing.assert_allclose(got.log_ml, one.log_ml, rtol=1e-10)
+            assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
+            assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
+
+    def test_a_union_too_wide_for_its_pair_products_runs_its_models_alone(
+        self, monkeypatch
+    ):
+        """A run whose union has more than ``_LA_BLOCK // 128`` columns and
+        pair products (22 columns: 22 + 253) scores each model alone with
+        ``la_marginal`` and never holds the weighted Grams of the union's
+        pairs; the same models without column 21 (a 21-column union: 21 +
+        231) run as one stack."""
+        rng = np.random.default_rng(8)
+        design = DesignMatrix.with_singleton_groups(rng.normal(size=(200, 22)))
+        y = _glm_response(rng, "poisson", 0.2 * design.values[:, :3].sum(axis=1))
+        family = poisson()
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(kind="gzellner", g=1.3)
+        bits = np.zeros((128, 22), dtype=np.uint8)
+        for r in range(128):
+            bits[r, [r % 22, (r + 1) % 22, (r + 5) % 22]] = 1
+        narrow = bits[bits[:, 21] == 0]
+        stacks = {}
+        for name, batch in [("wide", bits), ("narrow", narrow)]:
+            col_mask = batch.astype(bool)
+            p_gamma = col_mask.sum(axis=1)
+            members = np.arange(len(batch))
+            stacks[name] = list(me._la_stacks(members, col_mask, p_gamma))
+        assert [rows.tolist() for rows, _ in stacks["wide"]] == [
+            [i] for i in range(len(bits))
+        ]
+        [(rows, union)] = stacks["narrow"]
+        assert rows.tolist() == list(range(len(narrow)))
+        assert union.tolist() == list(range(21))
+        runs = []
+        stacked_newton = me._stacked_newton
+
+        def recording(objective, theta, *args):
+            runs.append(theta.shape[0])
+            return stacked_newton(objective, theta, *args)
+
+        monkeypatch.setattr(me, "_stacked_newton", recording)
+        single = [
+            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+        ]
+        tracemalloc.start()
+        try:
+            scores = me.la_known_phi_many(bits, cache, family, prior)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runs == []
+        # one stack's weighted Grams would hold 128 x (253 + 1) doubles
+        assert peak - current < 8 * len(bits) * 254
+        for got, one in zip(scores, single):
+            assert got.log_ml == one.log_ml
+            assert got.diagnostics == one.diagnostics
+        scores = me.la_known_phi_many(narrow, cache, family, prior)
+        assert runs == [len(narrow)]
+        for row, got in zip(narrow, scores):
+            one = me.la_marginal(design.model(row), cache, family, prior)
+            np.testing.assert_allclose(got.log_ml, one.log_ml, rtol=1e-10)
+            assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
+            assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
 
     @pytest.mark.parametrize("name", ["poisson", "logistic"])
     def test_models_of_every_size_share_one_padded_stack(self, name, monkeypatch):
@@ -1331,10 +1441,9 @@ class TestNewtonParity:
         assert len(passes) == max(evaluations)
 
     def test_a_stack_too_big_for_its_padded_curvatures_splits(self, monkeypatch):
-        """With room for the pair products of every column but not for
-        the (B, K, K) curvatures of the whole batch, the batch is halved
-        into stacks whose curvatures fit; each model keeps its one-model
-        iterates, evaluations and score."""
+        """Without room for the (B, K, K) curvatures of the whole batch, the
+        batch is halved into stacks whose curvatures fit; each model keeps
+        its one-model iterates, evaluations and score."""
         rng = np.random.default_rng(5)
         design = make_design(rng, 60, [1] * 7, intercept=True)
         y = _glm_response(rng, "poisson", 0.3 * design.values[:, 1])
@@ -1344,12 +1453,9 @@ class TestNewtonParity:
         bits = admissible_bits(design.n_groups, intercept_group=0)
         col_mask = bits.astype(bool)[:, design.col_group]
         p_gamma = col_mask.sum(axis=1)
-        monkeypatch.setattr(me, "_LA_BLOCK", 64)
         monkeypatch.setattr(me, "_STACK_ENTRIES", 4096)
-        room = me._STACK_ENTRIES - me._LA_WORK * me._LA_BLOCK
-        assert design.n * (8 + 8 * 9 // 2) <= room
         assert len(bits) * 8 * 8 > me._STACK_ENTRIES
-        stacks = list(me._la_stacks(np.arange(len(bits)), col_mask, p_gamma, design.n))
+        stacks = list(me._la_stacks(np.arange(len(bits)), col_mask, p_gamma))
         assert len(stacks) > 1
         order = np.concatenate([rows for rows, _ in stacks])
         assert order.tolist() == list(range(len(bits)))
@@ -1499,47 +1605,68 @@ class TestNewtonParity:
             )
 
     @pytest.mark.parametrize("name", ["poisson", "logistic"])
-    def test_stacked_working_memory_stays_within_the_bound(self, name):
-        """Peak memory of a stacked ``la`` batch beyond what it returns:
-        8 singleton columns at n = 20 000 would take 880 000 doubles of
-        columns and pair products, so stacks are split by their unions."""
-        rng = np.random.default_rng(12)
-        n = 20_000
-        design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, 8)))
-        y = _glm_response(rng, name, 0.1 * design.values.sum(axis=1))
-        family = _PARITY_FAMILIES[name]()
-        prior = ParamPriorSpec(kind="gzellner", g=1.0)
-        cache = build_cache(design, y, family)
-        bits = admissible_bits(8)
-        # the Gram fill and the cached response terms are not working arrays
-        me.ModelScorer(cache, family, prior).score_many(bits)
-        me.la_marginal(design.model(bits[1]), cache, family, prior)
-        scorer = me.ModelScorer(cache, family, prior, method="la")
-        tracemalloc.start()
-        try:
-            scorer.score_many(bits)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - current <= 8 * me._STACK_ENTRIES
-        assert scorer.n_scored == len(bits)
+    def test_stacked_working_memory_stays_within_the_bound(self, name, monkeypatch):
+        """Peak memory of a stacked ``la`` batch beyond what it returns.
+        The columns of 8 singleton groups with their pair products would
+        take 880 000 doubles at n = 20 000 and 1 760 000 at n = 40 000; the
+        data pass gathers them one block of observations at a time, so the
+        batch runs as one stack at both sizes, with the same peak."""
+        runs = []
+        stacked_newton = me._stacked_newton
+
+        def recording(objective, theta, *args):
+            runs.append(theta.shape[0])
+            return stacked_newton(objective, theta, *args)
+
+        monkeypatch.setattr(me, "_stacked_newton", recording)
+        peaks = []
+        for n in (20_000, 40_000):
+            rng = np.random.default_rng(12)
+            design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, 8)))
+            y = _glm_response(rng, name, 0.1 * design.values.sum(axis=1))
+            family = _PARITY_FAMILIES[name]()
+            prior = ParamPriorSpec(kind="gzellner", g=1.0)
+            cache = build_cache(design, y, family)
+            bits = admissible_bits(8)
+            # the Gram fill and the cached response terms are not working arrays
+            me.ModelScorer(cache, family, prior).score_many(bits)
+            me.la_marginal(design.model(bits[1]), cache, family, prior)
+            scorer = me.ModelScorer(cache, family, prior, method="la")
+            tracemalloc.start()
+            try:
+                scorer.score_many(bits)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - current)
+            assert scorer.n_scored == len(bits)
+        assert runs == [len(bits) - 1] * 2
+        assert max(peaks) <= 8 * me._STACK_ENTRIES
+        # equal up to a few small Python objects; one n-length array of
+        # doubles would add 160 000 bytes
+        assert abs(peaks[1] - peaks[0]) <= 1024
 
     @pytest.mark.parametrize("name", ["poisson", "logistic"])
-    def test_a_stacked_evaluation_holds_at_most_la_work_arrays(self, name):
-        """Peak memory of one evaluation over three blocks of observations,
-        in working arrays of one block: a block's predictor and cumulant
-        are freed before the next block's are made."""
+    @pytest.mark.parametrize("m, u", [(4, 3), (256, 21)])
+    def test_a_stacked_evaluation_holds_at_most_la_work_arrays(self, name, m, u):
+        """Peak memory of one evaluation over blocks of observations, in
+        working arrays of one block: a block's predictor and cumulant are
+        freed before the next block's are made.  At 256 models of 3
+        columns over 21 (the widest union a stack takes), the block's 252
+        columns and pair products set its length, and the weighted Grams
+        take almost two arrays."""
         rng = np.random.default_rng(12)
-        n, m = 20_000, 4
-        design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, 3)))
-        y = _glm_response(rng, name, 0.1 * design.values.sum(axis=1))
+        n = 20_000
+        design = DesignMatrix.with_singleton_groups(rng.normal(size=(n, u)))
+        y = _glm_response(rng, name, 0.1 * design.values[:, :3].sum(axis=1))
         family = _PARITY_FAMILIES[name]()
         cache = build_cache(design, y, family)
-        pos = np.tile(np.arange(3), (m, 1))
+        k = min(u, 3)
+        pos = np.array([rng.choice(u, k, replace=False) for _ in range(m)])
         objective = me._stacked_objective(
-            cache, family, 1.0, np.arange(3), pos, np.tile(np.eye(3), (m, 1, 1))
+            cache, family, 1.0, np.arange(u), pos, np.tile(np.eye(k), (m, 1, 1))
         )
-        theta = 0.1 * rng.normal(size=(m, 3))
+        theta = 0.1 * rng.normal(size=(m, k))
         objective(np.arange(m), theta)
         tracemalloc.start()
         try:
@@ -1547,7 +1674,7 @@ class TestNewtonParity:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= me._LA_WORK * 8 * m * (me._LA_BLOCK // m)
+        assert peak <= me._LA_WORK * 8 * me._LA_BLOCK
 
 
 def _counting_passes(family):
