@@ -29,7 +29,9 @@ class FamilySpec:
     kind: str
     phi_known: bool
     phi: Optional[float]
-    # (b, b', b'') at the canonical parameter u
+    # (b, b', b'') at the canonical parameter u, as new arrays; a family
+    # whose b, b' and b'' are equal (poisson) returns one array three times,
+    # which lets a stacked `la` pass take their sums from one product
     cumulant: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     c: Callable[[np.ndarray, float], np.ndarray]
     c_dphi: Callable[[np.ndarray, float], np.ndarray]

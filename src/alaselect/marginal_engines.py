@@ -665,13 +665,14 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     )
 
 
-# Doubles in one working array of a stacked evaluation (live models, or the
-# union's columns with their pair products, times one block's observations),
-# and a bound on the arrays alive at once in one evaluation: the block's
-# columns and pair products, predictor, cumulant with two derivatives and
-# temporaries, and residual (freed before the next block's are made), and
-# the weighted Grams.  Measured (tracemalloc, n = 20 000, logistic/poisson):
-# 5.93/3.94 at 255 models on 8 singletons, 9.51/7.51 at 256 of 3 over 21.
+# Doubles in one working array of a stacked evaluation (live models, or a
+# row of ones with the union's columns and their pair products, times one
+# block's observations), and a bound on the arrays alive at once in one
+# evaluation: the block's buffer, predictor, cumulant with two derivatives
+# and temporaries, and residual and product (freed before the next block's
+# are made), and the block sums.  Measured (tracemalloc, n = 20 000,
+# logistic/poisson): 5.93/3.54 at 255 models on 8 singletons, 9.51/7.68 at
+# 256 of 3 over 21.
 _LA_BLOCK = 1 << 15
 _LA_WORK = 10
 
@@ -724,10 +725,11 @@ def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray):
     """Split the models ``members`` into in-order runs of at most
     ``cap = _LA_BLOCK // 128`` models, halving a run while its B K^2 padded
     curvature entries overflow ``_STACK_ENTRIES``, and into single models
-    a run whose union of u columns has u + u(u+1)/2 > cap columns and pair
-    products (u > 21), which each model of a stack pays for.  So no block
-    of a stacked evaluation is shorter than 128 observations.  Yields
-    ``(rows, union)``."""
+    a run whose union of u columns has 1 + u + u(u+1)/2 > cap block rows
+    (ones, columns and pair products, which each model of a stack pays
+    for; u > 21, as without the ones).  So no block of a stacked
+    evaluation is shorter than 128 observations.  Yields ``(rows,
+    union)``."""
     cap = max(1, _LA_BLOCK // 128)
     lo = 0
     while lo < members.shape[0]:
@@ -735,7 +737,7 @@ def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray):
         while len(rows) > 1 and len(rows) * sizes[rows].max() ** 2 > _STACK_ENTRIES:
             rows = rows[: len(rows) // 2]
         union = np.flatnonzero(col_mask[rows].any(axis=0))
-        if union.shape[0] * (union.shape[0] + 3) // 2 <= cap:
+        if 1 + union.shape[0] * (union.shape[0] + 3) // 2 <= cap:
             yield rows, union
         else:
             yield from ((one, None) for one in rows[:, None])
@@ -797,19 +799,29 @@ def _stacked_objective(cache, family, phi, union, pos, prec):
     ``objective(live, theta)``, the value, gradient and Hessian of rows
     ``live`` at coefficients ``theta``, as ``families.grad_hess`` and the
     prior give them for one model.  The data pass runs over blocks of
-    observations; each block gathers its rows of the union's columns, and
-    the products of columns i <= j (row ``u + pair_of[i, j]``), into one
-    buffer made once per evaluation, so that the weighted Grams come from
-    one product of the second cumulant derivatives with the pair products.
-    A block spans ``_LA_BLOCK // max(m, u + u(u+1)/2)`` observations for m
-    live models, so no working array holds more than ``_LA_BLOCK`` doubles.
+    observations; each block gathers into one buffer, made once per
+    evaluation, a row of ones, its rows of the union's columns, and the
+    products of columns i <= j (row ``1 + u + pair_of[i, j]``).  A family
+    whose cumulant returns one array for b, b' and b'' (poisson) then takes
+    the sums of b, the b'x and the weighted Grams from one product per
+    block; any other takes a row sum and two products.  Either way the
+    gradient sums the residuals ``(b' - y) x``, so that its rounding is
+    that of ``families.grad_hess``, not of X'y: the one product is taken
+    of b - y, and the sums of y and of y xx' go back into the sums of b
+    and the weighted Grams at the end.  The block's x'y is summed into X'y,
+    whose product with ``coef`` is y'eta.  A block spans ``_LA_BLOCK //
+    max(m, 1 + u + u(u+1)/2)`` observations for m live models, so no
+    working array holds more than ``_LA_BLOCK`` doubles.
     """
     n, u = cache.n, union.shape[0]
     pairs = u * (u + 1) // 2
+    rows = 1 + u + pairs
     left, right = np.triu_indices(u)
-    # a padded coordinate's pairs are the zero last column of the Grams
-    pair_of = np.full((u + 1, u + 1), pairs)
-    pair_of[left, right] = pair_of[right, left] = np.arange(pairs)
+    # column 1 + j of the block sums is column j's, 1 + u + pair a pair's;
+    # a padded coordinate reads the zero last column
+    col_of = np.append(np.arange(1, u + 1), rows)
+    pair_of = np.full((u + 1, u + 1), rows)
+    pair_of[left, right] = pair_of[right, left] = np.arange(1 + u, rows)
     values, y = cache.design.values, cache.y
     c_sum = _c_sum(cache, family, phi)
 
@@ -819,36 +831,47 @@ def _stacked_objective(cache, family, phi, union, pos, prec):
         where = pos[live]
         coef = np.zeros((m, u + 1))
         coef[at, where] = theta
-        y_eta = np.zeros(m)
-        bsum = np.zeros(m)
-        ztr = np.zeros((m, u + 1))
-        wgram = np.zeros((m, pairs + 1))
-        step = max(1, _LA_BLOCK // max(m, u + pairs))
-        part = np.empty((u + pairs, step))
+        sums = np.zeros((m, rows + 1))
+        step = max(1, _LA_BLOCK // max(m, rows))
+        part = np.empty((rows, step))
+        part[0] = 1.0
+        xty = np.zeros(u + 1)
+        # y's sums of the ones and pair products, which a product of b - y
+        # leaves out of the sums of b and the weighted Grams
+        back = np.zeros(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, step):
-                y_part = y[lo : lo + step]
-                x, prods = part[:u, : y_part.shape[0]], part[u:, : y_part.shape[0]]
+                block = part[:, : min(step, n - lo)]
+                x, prods = block[1 : 1 + u], block[1 + u :]
                 x[...] = values[lo : lo + step, union].T
                 np.take(x, left, axis=0, out=prods, mode="clip")
                 prods *= x[right]
+                y_part = y[lo : lo + step]
+                y_sums = block @ y_part
+                xty[:u] += y_sums[1 : 1 + u]
                 eta = coef[:, :u] @ x
                 b, bp, bpp = family.cumulant(eta)
-                y_eta += eta @ y_part
-                bsum += np.sum(b, axis=1)
-                ztr[:, :u] += (y_part - bp) @ x.T
-                wgram[:, :pairs] += bpp @ prods.T
+                if b is bp is bpp:
+                    b -= y_part
+                    sums[:, :rows] += b @ block.T
+                    back += y_sums
+                else:
+                    sums[:, 0] += np.sum(b, axis=1)
+                    sums[:, 1 : 1 + u] += (bp - y_part) @ x.T
+                    sums[:, 1 + u : rows] += bpp @ prods.T
                 # freed before the next block's arrays are made
                 del eta, b, bp, bpp
-            kernel = y_eta - bsum
+            back[1 : 1 + u] = 0.0
+            sums[:, :rows] += back
+            kernel = coef @ xty - sums[:, 0]
         p_live = prec[live]
         ptheta = np.einsum("bij,bj->bi", p_live, theta)
         value = -(kernel / phi + c_sum) + 0.5 * np.einsum("bi,bi->b", theta, ptheta)
-        grad = -ztr[at, where] / phi + ptheta
-        h_lik = wgram[at[:, :, None], pair_of[where[:, :, None], where[:, None, :]]]
+        grad = sums[at, col_of[where]] / phi + ptheta
+        h_lik = sums[at[:, :, None], pair_of[where[:, :, None], where[:, None, :]]]
         hess = h_lik / phi + p_live
         # an overflowing cumulant gives the value inf with NaN derivatives
-        bad = ~np.isfinite(bsum)
+        bad = ~np.isfinite(sums[:, 0])
         value[bad] = np.inf
         grad[bad] = np.nan
         hess[bad] = np.nan

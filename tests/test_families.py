@@ -157,6 +157,18 @@ class TestGradHess:
         assert value == np.inf
         assert np.isnan(g).all() and np.isnan(h).all()
 
+    def test_a_cumulant_returns_one_array_only_for_equal_derivatives(self):
+        """Poisson's b, b' and b'' are all e^u: its cumulant returns one
+        array three times, which the stacked ``la`` pass reads as leave to
+        take their sums from one product.  Logistic and gaussian return
+        three distinct arrays."""
+        u = np.array([-1.0, 0.0, 2.0])
+        b, bp, bpp = poisson().cumulant(u)
+        assert b is bp is bpp
+        for family in (logistic(), gaussian(0.7)):
+            b, bp, bpp = family.cumulant(u)
+            assert b is not bp and bp is not bpp and b is not bpp
+
     def test_logistic_cumulant_is_stable_in_both_tails(self):
         u = np.array([-800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0])
         b, bp, bpp = logistic().cumulant(u)

@@ -3,6 +3,7 @@ mode-based scores, refinement, non-local tilts, survival scoring, and the
 numerical oracles they are checked against."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -1675,6 +1676,125 @@ class TestNewtonParity:
         finally:
             tracemalloc.stop()
         assert peak <= me._LA_WORK * 8 * me._LA_BLOCK
+
+    @staticmethod
+    def _objective_case(name):
+        """A stack of five models over the columns 1, 2, 4, 5 of a
+        six-column design, padded to 3: two full rows, two rows with padded
+        coordinates, and, where the family's cumulant can overflow at a
+        finite predictor, a row whose does.  Returns the cache, the family,
+        the stack's arguments and coefficients, and each row's columns."""
+        rng = np.random.default_rng(14)
+        design = DesignMatrix.with_singleton_groups(rng.normal(size=(500, 6)))
+        eta = 0.3 * design.values[:, 1] - 0.2 * design.values[:, 4]
+        y = _glm_response(rng, name, eta)
+        family = _PARITY_FAMILIES[name]()
+        cache = build_cache(design, y, family)
+        union = np.array([1, 2, 4, 5])
+        pos = np.array([[0, 1, 2], [3, 2, 0], [1, 4, 4], [2, 4, 4], [0, 3, 4]])
+        sizes = (pos < 4).sum(axis=1)
+        theta = np.where(pos < 4, 0.2 * rng.normal(size=pos.shape), 0.0)
+        overflow = {"poisson": 800.0, "gaussian": 1e200}.get(name)
+        if overflow is not None:
+            theta[4, :2] = overflow
+        prec = np.tile(np.eye(3), (5, 1, 1))
+        for r, k in enumerate(sizes):
+            a = rng.normal(size=(k, k))
+            prec[r, :k, :k] = a @ a.T + k * np.eye(k)
+        cols = [union[pos[r, :k]] for r, k in enumerate(sizes)]
+        return cache, family, (union, pos, prec), theta, cols
+
+    @pytest.mark.parametrize("name", _KNOWN_PHI)
+    def test_each_row_of_the_stacked_objective_is_its_models_joint(
+        self, name, monkeypatch
+    ):
+        """Each row of ``_stacked_objective`` is ``families.grad_hess`` on
+        that row's columns plus its prior, with zero gradient and the
+        prior's unit curvature on the padded coordinates; a row whose
+        cumulant overflows has value inf with NaN derivatives."""
+        cache, family, args, theta, cols = self._objective_case(name)
+        # blocks of 17 observations, the last one of 7
+        monkeypatch.setattr(me, "_LA_BLOCK", 256)
+        phi = float(family.phi)
+        objective = me._stacked_objective(cache, family, phi, *args)
+        value, grad, hess = objective(np.arange(len(cols)), theta)
+        prec = args[2]
+        overflowed = 0
+        for r, c in enumerate(cols):
+            k = c.shape[0]
+            z = cache.design.values[:, c]
+            lik = fam.grad_hess(family, z, cache.y, theta[r, :k], phi)
+            if not np.isfinite(lik[0]):
+                overflowed += 1
+                assert value[r] == np.inf
+                assert np.isnan(grad[r]).all() and np.isnan(hess[r]).all()
+                continue
+            want_grad, want_hess = prec[r] @ theta[r], prec[r].copy()
+            want_grad[:k] += lik[1]
+            want_hess[:k, :k] += lik[2]
+            want_value = lik[0] + 0.5 * theta[r] @ prec[r] @ theta[r]
+            np.testing.assert_allclose(value[r], want_value, rtol=1e-12)
+            np.testing.assert_allclose(grad[r], want_grad, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(hess[r], want_hess, rtol=1e-12, atol=0)
+            assert (grad[r, k:] == 0.0).all()
+        assert overflowed == (name != "logistic")
+
+    def test_a_shared_cumulant_array_and_copies_give_the_same_objective(
+        self, monkeypatch
+    ):
+        """Poisson's cumulant returns one array for b, b' and b'', which
+        the stacked pass reads through one product per block; the same
+        family returning copies takes a row sum and two products instead,
+        and gives the same value, gradient and Hessian, overflow
+        included."""
+        cache, family, args, theta, cols = self._objective_case("poisson")
+        monkeypatch.setattr(me, "_LA_BLOCK", 256)
+        live = np.arange(len(cols))
+        shared = me._stacked_objective(cache, family, 1.0, *args)(live, theta)
+        split = me._stacked_objective(cache, _apart(family), 1.0, *args)(live, theta)
+        for one, three in zip(shared, split):
+            np.testing.assert_allclose(one, three, rtol=1e-13, atol=0)
+        assert shared[0][-1] == np.inf and np.isnan(split[1][-1]).all()
+
+    @pytest.mark.parametrize("products", ["one", "three"])
+    def test_stacked_gradients_round_like_residual_sums(self, products):
+        """With counts near 50 at n = 200 000, X'y and the sums of b'x are
+        each about 1e7, while the gradient is a sum of residuals.  The
+        stacked pass sums ``(b' - y) x``, so its gradient stays within
+        eps sum |(y - b') x| of the exact sum (about 0.1 of it here).  X'y
+        less the whole sums of b'x missed that 8- to 25-fold, and taking
+        each block's x'y from its sums of b'x up to 1.9-fold.  Both the
+        one-product and the three-product pass are checked."""
+        rng = np.random.default_rng(1)
+        n = 200_000
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        beta = np.array([np.log(50.0), 0.1, -0.05, 0.02])
+        y = rng.poisson(np.exp(x @ beta)).astype(float)
+        theta = beta + 1e-3 * rng.normal(size=(4, 4))
+        family = poisson() if products == "one" else _apart(poisson())
+        cache = build_cache(DesignMatrix.with_singleton_groups(x), y, family)
+        pos = np.tile(np.arange(4), (4, 1))
+        objective = me._stacked_objective(
+            cache, family, 1.0, np.arange(4), pos, np.zeros((4, 4, 4))
+        )
+        grad = objective(np.arange(4), theta)[1]
+        for row, got in zip(theta, grad):
+            resid = y - np.exp(x @ row)
+            exact = [-math.fsum(resid * x[:, j]) for j in range(4)]
+            bound = np.finfo(float).eps * (np.abs(resid) @ np.abs(x))
+            assert (np.abs(got - exact) <= bound).all()
+
+
+def _apart(family):
+    """``family`` with its cumulant returning copies of b' and b'', so that a
+    stacked ``la`` pass takes the row sum and two products even when the
+    three derivatives are one array."""
+
+    def copies(u):
+        b, bp, bpp = family.cumulant(u)
+        return b, bp.copy(), bpp.copy()
+
+    return dataclasses.replace(family, cumulant=copies)
 
 
 def _counting_passes(family):
