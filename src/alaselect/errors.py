@@ -30,14 +30,9 @@ class NotConcave(SelectionError):
 
 
 class NoConvergence(SelectionError):
-    """Newton iteration did not reach the gradient tolerance.
-
-    ``trace`` holds the per-iteration gradient norms.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
+    """An iteration (a Newton run or a scalar root search) failed: its
+    start was not finite, a line search stalled, or it ran out of
+    iterations before reaching its tolerance."""
 
 
 class DegenerateResponse(SelectionError):

@@ -483,68 +483,12 @@ def _known_phi_stack(cache, family, prior, curvature, cols, xtx):
     ]
 
 
-def _damped_newton(
-    objective,
-    theta0: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    positive: tuple[int, ...] = (),
-    first=None,
-):
-    """Minimize a smooth convex objective by Newton steps with halving.
-
-    ``objective(theta)`` returns ``(value, grad, hess)``; ``first`` is that
-    triple at ``theta0`` when the caller already has it.  Coordinates in
-    ``positive`` are kept strictly positive by the line search.  Returns the
-    final ``(theta, value, grad, hess, trace)``; each trace entry counts the
-    objective evaluations its line search took.
-    """
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    value, grad, hess = objective(theta) if first is None else first
-    if not np.isfinite(value):
-        raise NoConvergence("objective is not finite at the start", trace=[])
-    trace = []
-    for iteration in range(max_iter):
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= tol:
-            return theta, value, grad, hess, trace
-        step = _newton_direction(grad, hess)
-        if 0.5 * float(grad @ step) <= _slack(value):
-            return theta, value, grad, hess, trace
-        scale = 1.0
-        accepted = False
-        evaluations = 0
-        for _ in range(_LINE_SEARCH_HALVINGS):
-            candidate = theta - scale * step
-            if any(candidate[i] <= 0.0 for i in positive):
-                scale *= 0.5
-                continue
-            cand_value, cand_grad, cand_hess = objective(candidate)
-            evaluations += 1
-            cand_norm = float(np.max(np.abs(cand_grad)))
-            if _accepts(value, grad_norm, cand_value, cand_norm):
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            raise NoConvergence(
-                f"line search stalled at iteration {iteration}", trace=trace
-            )
-        theta, value, grad, hess = candidate, cand_value, cand_grad, cand_hess
-        trace.append(
-            {
-                "iteration": iteration,
-                "objective": float(value),
-                "grad_norm": float(np.max(np.abs(grad))),
-                "step_scale": scale,
-                "evaluations": evaluations,
-            }
-        )
-    if float(np.max(np.abs(grad))) <= tol:
-        return theta, value, grad, hess, trace
-    raise _gradient_not_met(float(np.max(np.abs(grad))), tol, max_iter, trace)
-
-
+# The Newton rule of every ``la`` engine: a model stops once its largest
+# gradient entry is at most ``_NEWTON_TOL``, and fails after
+# ``_NEWTON_MAX_ITER`` accepted steps or ``_LINE_SEARCH_HALVINGS`` tries of
+# one line search.
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
 _LINE_SEARCH_HALVINGS = 60
 
 
@@ -566,36 +510,29 @@ def _accepts(value, grad_norm, cand_value, cand_grad_norm):
     )
 
 
-def _gradient_not_met(grad_norm, tol, max_iter, trace):
-    return NoConvergence(
-        f"gradient norm {grad_norm:.3e} above {tol:.1e} after {max_iter} iterations",
-        trace=trace,
+def _newton_one(objective, theta, first=None, positive=None):
+    """``_stacked_newton`` on one model's ``objective(theta)``, which returns
+    ``(value, grad, hess)``, as a stack of one from ``theta``; ``first`` is
+    that triple at ``theta`` when the caller has it, and coordinate
+    ``positive`` (the dispersion or scale) is kept positive.  Returns the
+    final ``(theta, value, grad, hess)`` and the diagnostics: accepted
+    steps, evaluations and the final gradient norm."""
+
+    def stacked(live, theta):
+        value, grad, hess = objective(theta[0])
+        return np.array([value]), grad[None], hess[None]
+
+    if first is not None:
+        first = (np.array([first[0]]), first[1][None], first[2][None])
+    theta, value, grad, hess, iterations, evaluations = _stacked_newton(
+        stacked, np.array([theta]), first, np.array([theta.shape[0]]), positive
     )
-
-
-def _newton_diagnostics(trace, grad, start_evaluated: bool) -> dict:
-    """Accepted Newton steps, objective evaluations that touched the data
-    (the start counts when it was not read from the cache), and the final
-    gradient norm."""
-    evaluations = int(start_evaluated) + sum(step["evaluations"] for step in trace)
-    return {
-        "iterations": len(trace),
-        "evaluations": evaluations,
-        "grad_norm": float(np.max(np.abs(grad))),
+    diagnostics = {
+        "iterations": int(iterations[0]),
+        "evaluations": int(evaluations[0]),
+        "grad_norm": float(np.max(np.abs(grad[0]))),
     }
-
-
-def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    d = grad.shape[0]
-    base = max(abs(float(np.trace(hess))) / max(d, 1), 1e-300)
-    ridge = 0.0
-    for _ in range(12):
-        shifted = hess + ridge * np.eye(d) if ridge else hess
-        try:
-            return cho_factor_solve(shifted, grad, NotConcave)[1]
-        except NotConcave:
-            ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
-    raise NotConcave("objective curvature is not positive definite")
+    return theta[0], value[0], grad[0], hess[0], diagnostics
 
 
 def la_marginal(
@@ -603,27 +540,24 @@ def la_marginal(
     cache: SuffStatsCache,
     family: fam.FamilySpec,
     prior: ParamPriorSpec,
-    start: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> MarginalScore:
     """Laplace approximation: expand at the joint posterior mode.
 
-    Runs damped Newton on the negative log joint until the gradient drops
-    below ``tol``; raises if it fails to, with the iteration trace attached.
-    Without ``start`` it begins at zero coefficients, where a zero-centered
-    cache supplies the first evaluation without a pass over the data.
-    ``la_known_phi_many`` scores many known-dispersion models with the same
-    Newton rule in stacks.
+    Runs the Newton rule (``_stacked_newton``, on this model as a stack of
+    one) on the negative log joint from zero coefficients, where a
+    zero-centered cache supplies the first evaluation without a pass over
+    the data; raises ``NoConvergence`` if the gradient does not drop below
+    ``_NEWTON_TOL``.  ``la_known_phi_many`` scores many known-dispersion
+    models with the same rule in stacks.
     """
     if prior.kind != "gzellner":
         raise ValueError("mode-expansion scoring expects the block Zellner prior")
     if family.phi_known:
-        return _la_known_phi(model, cache, family, prior, start, tol, max_iter)
-    return _la_unknown_phi(model, cache, family, prior, start, tol, max_iter)
+        return _la_known_phi(model, cache, family, prior)
+    return _la_unknown_phi(model, cache, family, prior)
 
 
-def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
+def _la_known_phi(model, cache, family, prior):
     phi = float(family.phi)
     p = model.p_gamma
     if p == 0:
@@ -647,22 +581,15 @@ def _la_known_phi(model, cache, family, prior, start, tol, max_iter):
     def objective(beta):
         return with_prior(beta, fam.grad_hess(family, Z, y, beta, phi, c_sum))
 
-    if start is None:
-        theta0 = np.zeros(p)
-        at_zero = _at_zero(cache, family, phi, cols)
-        first = None if at_zero is None else with_prior(theta0, at_zero)
-    else:
-        theta0, first = np.asarray(start, dtype=np.float64), None
-    theta, value, grad, hess, trace = _damped_newton(
-        objective, theta0, tol=tol, max_iter=max_iter, first=first
-    )
+    theta0 = np.zeros(p)
+    at_zero = _at_zero(cache, family, phi, cols)
+    first = None if at_zero is None else with_prior(theta0, at_zero)
+    theta, value, grad, hess, diagnostics = _newton_one(objective, theta0, first)
     logdet_h, quad, _ = bordered_cholesky(
         hess, grad, NotConcave, "curvature at the mode"
     )
     log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
-    return MarginalScore(
-        float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
-    )
+    return MarginalScore(float(log_ml), "la", theta, diagnostics)
 
 
 # Doubles in one working array of a stacked evaluation (live models, or a
@@ -682,20 +609,17 @@ def la_known_phi_many(
     cache: SuffStatsCache,
     family: fam.FamilySpec,
     prior: ParamPriorSpec,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> list[MarginalScore]:
     """Laplace scores of many models under a known dispersion.
 
     ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
     in order, what ``la_marginal`` returns for each model, up to rounding.
-    The models with columns run the rule of ``_damped_newton`` as padded
-    stacks (``_la_stack``, ``_la_stacks``); the null model, and each model
-    the split leaves alone, go to ``la_marginal``, whose weighted Gram
-    costs less formed directly.  Each model takes the iterates,
-    evaluations and stopping decisions of the one-model rule.  Raises
-    what the one-model rule raises, without its iteration trace, for the
-    first model that fails in the run.
+    The models with columns run ``_stacked_newton`` as padded stacks
+    (``_la_stack``, ``_la_stacks``); the null model, and each model the
+    split leaves alone, go to ``la_marginal``'s objective, whose weighted
+    Gram costs less formed directly.  Each model takes the iterates,
+    evaluations and stopping decisions it takes alone, and a batch raises
+    what ``la_marginal`` raises for the first model that fails in the run.
     """
     if prior.kind != "gzellner":
         raise ValueError("mode-expansion scoring expects the block Zellner prior")
@@ -711,11 +635,11 @@ def la_known_phi_many(
     for rows, union in [*nulls, *stacks]:
         if rows.shape[0] > 1:
             mask = col_mask[rows]
-            scores = _la_stack(cache, family, prior, mask, union, tol, max_iter)
+            scores = _la_stack(cache, family, prior, mask, union)
         else:
             # the one-model path has working arrays of its own
             model = design.model(active[rows[0]])
-            scores = [_la_known_phi(model, cache, family, prior, None, tol, max_iter)]
+            scores = [_la_known_phi(model, cache, family, prior)]
         for i, score in zip(rows.tolist(), scores):
             out[i] = score
     return out
@@ -744,7 +668,7 @@ def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray):
         lo += len(rows)
 
 
-def _la_stack(cache, family, prior, mask, union, tol, max_iter):
+def _la_stack(cache, family, prior, mask, union):
     """Laplace scores of the models whose columns are the rows of the
     (B, p) 0/1 ``mask``, all within ``union``, by one ``_stacked_newton``
     run over the pair products of ``union``.  Each model is padded to the
@@ -776,7 +700,7 @@ def _la_stack(cache, family, prior, mask, union, tol, max_iter):
     first = None if at_zero is None else (value, grad, np.add(hess, prec, out=hess))
     objective = _stacked_objective(cache, family, phi, union, pos, prec)
     theta, value, grad, hess, iterations, evaluations = _stacked_newton(
-        objective, np.zeros((m, big)), first, tol, max_iter, sizes
+        objective, np.zeros((m, big)), first, sizes
     )
     logdet_h, quad, _ = bordered_cholesky(
         hess, grad, NotConcave, "curvature at the mode"
@@ -880,86 +804,110 @@ def _stacked_objective(cache, family, phi, union, pos, prec):
     return objective
 
 
-def _stacked_newton(objective, theta, first, tol, max_iter, sizes):
-    """``_damped_newton`` on every row of a stack at once.
+def _stacked_newton(objective, theta, first, sizes, positive=None):
+    """Minimize a smooth convex objective on every row of a stack by Newton
+    steps with halving; the one Newton driver of the ``la`` engines.
 
-    ``objective(live, theta)`` evaluates rows ``live``; ``first`` is the
-    evaluation at the start ``theta`` when the caller has it; row r is
-    padded past its first ``sizes[r]`` coordinates.  Each row takes the
-    iterates, line-search evaluations and stopping decisions the one-row
-    rule takes, and leaves the stack when it stops; one evaluation serves
-    every row still searching.  Returns the final ``(theta, value, grad,
-    hess)`` with each row's accepted steps and its evaluations (the start
-    counts when it was evaluated); raises the one-row rule's error,
-    without its trace, for the first row that fails.
+    ``objective(live, theta)`` returns the value, gradient and Hessian of
+    rows ``live`` at coefficients ``theta``; ``first`` is that triple for
+    every row at the start ``theta`` when the caller has it; row r is
+    padded past its first ``sizes[r]`` coordinates.  A row stops at a point
+    whose gradient norm is at most ``_NEWTON_TOL`` or whose predicted
+    decrease is within the ``_slack``; otherwise it tries the full Newton
+    step and halves it until ``_accepts`` takes the candidate.  A trial
+    step that leaves column ``positive`` (when given) non-positive is
+    halved without an evaluation, and still counts as a try.  One
+    evaluation serves every row still searching.  Returns the final
+    ``(theta, value, grad, hess)`` with each row's accepted steps and its
+    evaluations (the start counts when it was evaluated); raises
+    ``NoConvergence`` for the first row that fails.
     """
     m = theta.shape[0]
     everyone = np.arange(m)
     value, grad, hess = objective(everyone, theta) if first is None else first
     if not np.isfinite(value).all():
-        raise NoConvergence("objective is not finite at the start", trace=[])
-    grad_norm = np.max(np.abs(grad), axis=1)
+        raise NoConvergence("objective is not finite at the start")
+    grad_norm = np.abs(grad).max(axis=1)
     iterations = np.zeros(m, dtype=np.intp)
     evaluations = np.full(m, int(first is None))
-    tries = np.zeros(m, dtype=np.intp)
     step = np.empty_like(theta)
     scale = np.ones(m)
     searching = np.zeros(m, dtype=bool)
     fresh = everyone
     while True:
-        # the stopping tests of the rows at a new point, in the one-row order
-        fresh = fresh[~(grad_norm[fresh] <= tol)]
-        spent = fresh[iterations[fresh] == max_iter]
-        if spent.size:
-            raise _gradient_not_met(float(grad_norm[spent[0]]), tol, max_iter, [])
-        step[fresh] = _stacked_direction(grad[fresh], hess[fresh], sizes[fresh])
-        decrease = 0.5 * np.einsum("bi,bi->b", grad[fresh], step[fresh])
-        fresh = fresh[~(decrease <= _slack(value[fresh]))]
-        scale[fresh] = 1.0
-        tries[fresh] = 0
-        searching[fresh] = True
-        live = np.flatnonzero(searching)
+        # the stopping tests of the rows at a new point
+        fresh = fresh[~(grad_norm[fresh] <= _NEWTON_TOL)]
+        if fresh.size:
+            spent = fresh[iterations[fresh] == _NEWTON_MAX_ITER]
+            if spent.size:
+                raise NoConvergence(
+                    f"gradient norm {grad_norm[spent[0]]:.3e} above"
+                    f" {_NEWTON_TOL:.1e} after {_NEWTON_MAX_ITER} iterations"
+                )
+            step[fresh] = _stacked_direction(grad[fresh], hess[fresh], sizes[fresh])
+            decrease = 0.5 * np.einsum("bi,bi->b", grad[fresh], step[fresh])
+            fresh = fresh[~(decrease <= _slack(value[fresh]))]
+            scale[fresh] = 1.0
+            searching[fresh] = True
+        live = searching.nonzero()[0]
         if not live.size:
             break
         candidate = theta[live] - scale[live, None] * step[live]
-        c_value, c_grad, c_hess = objective(live, candidate)
-        c_norm = np.max(np.abs(c_grad), axis=1)
-        tries[live] += 1
-        ok = _accepts(value[live], grad_norm[live], c_value, c_norm)
-        fresh = live[ok]
-        theta[fresh] = candidate[ok]
-        value[fresh] = c_value[ok]
-        grad[fresh] = c_grad[ok]
-        hess[fresh] = c_hess[ok]
-        grad_norm[fresh] = c_norm[ok]
-        iterations[fresh] += 1
-        evaluations[fresh] += tries[fresh]
-        searching[fresh] = False
-        missed = live[~ok]
+        if positive is not None:
+            inside = ~(candidate[:, positive] <= 0.0)
+            live, candidate = live[inside], candidate[inside]
+        fresh = live[:0]  # no row moves when every trial left the domain
+        if live.size:
+            c_value, c_grad, c_hess = objective(live, candidate)
+            c_norm = np.abs(c_grad).max(axis=1)
+            evaluations[live] += 1
+            ok = _accepts(value[live], grad_norm[live], c_value, c_norm)
+            fresh = live[ok]
+            theta[fresh] = candidate[ok]
+            value[fresh] = c_value[ok]
+            grad[fresh] = c_grad[ok]
+            hess[fresh] = c_hess[ok]
+            grad_norm[fresh] = c_norm[ok]
+            iterations[fresh] += 1
+            searching[fresh] = False
+        missed = searching.nonzero()[0]
         scale[missed] *= 0.5
-        stalled = missed[tries[missed] == _LINE_SEARCH_HALVINGS]
+        # a row's scale is 2^-k after k tries of its line search
+        stalled = missed[scale[missed] == 0.5**_LINE_SEARCH_HALVINGS]
         if stalled.size:
             raise NoConvergence(
-                f"line search stalled at iteration {iterations[stalled[0]]}", trace=[]
+                f"line search stalled at iteration {iterations[stalled[0]]}"
             )
     return theta, value, grad, hess, iterations, evaluations
 
 
 def _stacked_direction(grad: np.ndarray, hess: np.ndarray, sizes) -> np.ndarray:
-    """``_newton_direction`` of each row: one stacked Cholesky test and
-    solve, or the one-row ridge retries when a row is not positive
-    definite, taken on its leading ``sizes[r]`` coordinates and zero on
-    the padded rest."""
+    """The Newton step ``hess^-1 grad`` of each row: one stacked Cholesky
+    test and solve.  When a row is not positive definite, each row is
+    solved alone on its leading ``sizes[r]`` coordinates (zero on the
+    padded rest): as it is, then with a ridge of 1e-10 times its mean
+    diagonal, growing 100-fold per retry, 12 tries in all."""
     try:
         return cho_factor_solve(hess, grad[..., None], NotConcave)[1][..., 0]
     except NotConcave:
         step = np.zeros_like(grad)
         for row, k in enumerate(sizes.tolist()):
-            step[row, :k] = _newton_direction(grad[row, :k], hess[row, :k, :k])
+            g, h = grad[row, :k], hess[row, :k, :k]
+            base = max(abs(float(np.trace(h))) / k, 1e-300)
+            ridge = 0.0
+            for _ in range(12):
+                shifted = h + ridge * np.eye(k) if ridge else h
+                try:
+                    step[row, :k] = cho_factor_solve(shifted, g, NotConcave)[1]
+                    break
+                except NotConcave:
+                    ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
+            else:
+                raise NotConcave("objective curvature is not positive definite")
         return step
 
 
-def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
+def _la_unknown_phi(model, cache, family, prior):
     a, b = prior.phi_prior_required()
     p = model.p_gamma
     cols = cache.design.columns_for(model.key)
@@ -996,29 +944,22 @@ def _la_unknown_phi(model, cache, family, prior, start, tol, max_iter):
     def objective(theta):
         return with_prior(theta, fam.grad_hess(family, Z, y, theta[:p], theta[p]))
 
-    if start is None:
-        theta0 = np.concatenate([np.zeros(p), [st["phi0"]]])
-        at_zero = _at_zero(cache, family, st["phi0"], cols)
-        first = None
-        if at_zero is not None:
-            value, g_beta, h_bb = at_zero
-            grad = np.append(g_beta, st["g_phi"])
-            hess = np.empty((p + 1, p + 1))
-            hess[:p, :p] = h_bb
-            # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
-            hess[:p, p] = hess[p, :p] = -g_beta / st["phi0"]
-            hess[p, p] = st["h_pp"]
-            first = with_prior(theta0, (value, grad, hess))
-    else:
-        theta0, first = np.asarray(start, dtype=np.float64), None
-    theta, value, grad, hess, trace = _damped_newton(
-        objective, theta0, tol=tol, max_iter=max_iter, positive=(p,), first=first
-    )
+    theta0 = np.concatenate([np.zeros(p), [st["phi0"]]])
+    at_zero = _at_zero(cache, family, st["phi0"], cols)
+    first = None
+    if at_zero is not None:
+        value, g_beta, h_bb = at_zero
+        grad = np.append(g_beta, st["g_phi"])
+        hess = np.empty((p + 1, p + 1))
+        hess[:p, :p] = h_bb
+        # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
+        hess[:p, p] = hess[p, :p] = -g_beta / st["phi0"]
+        hess[p, p] = st["h_pp"]
+        first = with_prior(theta0, (value, grad, hess))
+    theta, value, grad, hess, diagnostics = _newton_one(objective, theta0, first, p)
     factor = cholesky(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
-    return MarginalScore(
-        float(log_ml), "la", theta, _newton_diagnostics(trace, grad, first is None)
-    )
+    return MarginalScore(float(log_ml), "la", theta, diagnostics)
 
 
 def ala_refined(
@@ -1506,10 +1447,10 @@ def la_aft(
     model: ModelId,
     ctx: AftContext,
     prior: ParamPriorSpec,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> MarginalScore:
-    """Mode-expansion survival score via damped Newton on the log joint."""
+    """Mode-expansion survival score: the Newton rule (``_stacked_newton``,
+    on this model as a stack of one) on the negative log joint from
+    ``(0, tau0)``."""
     if prior.kind != "gzellner":
         raise ValueError("survival scoring expects the block Zellner prior")
     a, b = prior.phi_prior_required()
@@ -1541,14 +1482,10 @@ def la_aft(
         return value, grad, hess
 
     theta0 = np.concatenate([np.zeros(p), [ctx.tau0]])
-    theta, value, grad, hess, trace = _damped_newton(
-        objective, theta0, tol=tol, max_iter=max_iter, positive=(p,)
-    )
+    theta, value, grad, hess, diagnostics = _newton_one(objective, theta0, positive=p)
     factor = cholesky(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
-    return MarginalScore(
-        float(log_ml), "la", theta, _newton_diagnostics(trace, grad, True)
-    )
+    return MarginalScore(float(log_ml), "la", theta, diagnostics)
 
 
 # ---------------------------------------------------------------------------

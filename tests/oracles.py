@@ -315,6 +315,24 @@ def _reference_damped_newton(objective, theta0, tol=1e-8, max_iter=100, positive
     raise AssertionError("reference Newton did not converge")
 
 
+def reference_newton_direction(grad, hess):
+    """The Newton step ``hess^-1 grad`` of one model with the engines' ridge
+    retries: when ``hess`` has no Cholesky factor or ``numpy.linalg.solve``
+    finds it singular, retry with 1e-10 times its mean diagonal added, then
+    100 times more at each retry, 12 tries in all."""
+    d = grad.shape[0]
+    base = max(abs(float(np.trace(hess))) / d, 1e-300)
+    ridge = 0.0
+    for _ in range(12):
+        shifted = hess + ridge * np.eye(d) if ridge else hess
+        try:
+            np.linalg.cholesky(shifted)
+            return np.linalg.solve(shifted, grad)
+        except np.linalg.LinAlgError:
+            ridge = 1e-10 * base if ridge == 0.0 else 100.0 * ridge
+    raise AssertionError("no ridge makes the curvature positive definite")
+
+
 def block_zellner_precision(design, bits, g, shift=0):
     """Dispersion-free block Zellner precision over the active columns,
     ``((p_j + shift) / (g n)) Z_j' Z_j`` per group, and its log determinant;
