@@ -17,7 +17,6 @@ from .data_model import (
     ModelId,
     SuffStatsCache,
     build_cache,
-    enumerate_models,
 )
 from .errors import (
     DegenerateResponse,
@@ -85,7 +84,6 @@ __all__ = [
     "ToleranceNotMet",
     "build_aft_context",
     "build_cache",
-    "enumerate_models",
     "enumerate_posterior",
     "exact_gaussian_marginal",
     "exact_gmom_blockdiag",

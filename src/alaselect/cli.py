@@ -38,7 +38,7 @@ from .errors import (
     SelectionError,
     ToleranceNotMet,
 )
-from .priors import ModelPriorSpec, ParamPriorSpec
+from .priors import ModelPriorSpec, ParamPriorSpec, model_key
 from .search import (
     enumerate_posterior,
     gibbs_models,
@@ -497,10 +497,10 @@ def run_simstudy(args) -> int:
             )
             t0 = time.perf_counter()
             summary = enumerate_posterior(scorer)
-            per_model = (time.perf_counter() - t0) / len(summary.models)
+            per_model = (time.perf_counter() - t0) / summary.bits.shape[0]
             active = np.array(sim.active_groups)
             inactive = np.setdiff1d(np.arange(10), active)
-            truth = tuple(int(j in sim.active_groups) for j in range(10))
+            truth = model_key([j in sim.active_groups for j in range(10)])
             row = {
                 "replicate": rep,
                 "incl_active": float(np.mean(summary.inclusion[active])),
@@ -602,7 +602,7 @@ def run_simstudy(args) -> int:
                     "incl_linear_x1": float(summary.inclusion[0]),
                     "incl_spline_x2": float(summary.inclusion[p_cov + 1]),
                     "max_inactive_incl": float(np.max(summary.inclusion[inactive])),
-                    "seconds_per_model": elapsed / max(len(summary.models), 1),
+                    "seconds_per_model": elapsed / max(summary.bits.shape[0], 1),
                 }
             )
         agg_keys = header[1:]

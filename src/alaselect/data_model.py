@@ -10,7 +10,7 @@ sub-model statistics does not grow with the sample size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -113,10 +113,6 @@ class ModelId:
     key: bytes
     size: int
     p_gamma: int
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.key)
 
     @property
     def active_groups(self) -> tuple[int, ...]:
@@ -369,21 +365,3 @@ def admissible_bits(
         chunks.append(bits[ok])
     return np.concatenate(chunks)
 
-
-def enumerate_models(
-    j: int,
-    constraints: Optional[ConstraintSet] = None,
-    *,
-    sizes: Optional[Sequence[int]] = None,
-    intercept_group: Optional[int] = None,
-    limit: int = ENUMERATION_LIMIT,
-) -> Iterator[ModelId]:
-    """Yield every constraint-satisfying model in lexicographic bit order,
-    as the ``ModelId`` of each row of ``admissible_bits``; ``sizes`` holds
-    the column count of each group (default: one each)."""
-    bits = admissible_bits(j, constraints, intercept_group, limit=limit)
-    sizes = np.ones(j, dtype=np.intp) if sizes is None else np.asarray(sizes)
-    counts = np.count_nonzero(bits, axis=1).tolist()
-    dims = (bits @ sizes).tolist()
-    for row, size, p_gamma in zip(bits, counts, dims):
-        yield ModelId(row.tobytes(), size, p_gamma)

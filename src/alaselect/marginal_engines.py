@@ -1492,17 +1492,6 @@ def la_aft(
 # the scorer used by the search routines
 
 
-def _parse_method(method: str) -> tuple[str, Optional[int]]:
-    if method.startswith("ala-refined"):
-        inner = method[len("ala-refined") :]
-        if inner.startswith("(") and inner.endswith(")"):
-            return "ala-refined", int(inner[1:-1])
-        if inner == "":
-            return "ala-refined", None
-        raise ValueError(f"cannot parse method {method!r}")
-    return method, None
-
-
 # Each engine takes the scorer and one ModelId; a batched engine takes the
 # scorer and a (B, J) bit matrix.
 
@@ -1608,9 +1597,11 @@ class ModelScorer:
     survival data (see ``AftScorer``).  The engine is chosen once, here,
     from ``_ENGINES``; a combination that no engine scores, or a model
     prior whose group count or intercept group differs from the design's,
-    raises ``ValueError``.  ``log_score`` adds the unnormalized model prior
-    to the marginal score, which is what the enumeration and Gibbs routines
-    need.
+    raises ``ValueError``.  ``refine_steps`` is the number of likelihood
+    Newton steps ``method="ala-refined"`` takes before its expansion; the
+    other methods ignore it.  ``log_score`` adds the unnormalized model
+    prior to the marginal score, which is what the enumeration and Gibbs
+    routines need.
     """
 
     def __init__(
@@ -1629,12 +1620,11 @@ class ModelScorer:
             != (design.n_groups, design.intercept_group)
         ):
             raise ValueError("the model prior's groups differ from the design's")
-        name, parsed_k = _parse_method(method)
         if isinstance(cache, AftContext):
-            key = ("aft", name, prior.kind, False)
+            key = ("aft", method, prior.kind, False)
         else:
             kind = "gaussian" if family.kind == "gaussian" else "expfam"
-            key = (kind, name, prior.kind, family.phi_known)
+            key = (kind, method, prior.kind, family.phi_known)
         entry = _ENGINES.get(key)
         if entry is None:
             raise ValueError(_unsupported(*key[:3]))
@@ -1645,11 +1635,11 @@ class ModelScorer:
         self.family = family
         self.prior = prior
         self.model_prior = model_prior
-        self.method = name
-        self.refine_steps = parsed_k if parsed_k is not None else refine_steps
+        self.method = method
+        self.refine_steps = refine_steps
         self.variant = variant
         self.curvature: Optional[CurvatureContext] = None
-        if name == "ala-curvadj":
+        if method == "ala-curvadj":
             self.curvature = curvature_context(cache, family)
         self._memo: dict[bytes, MarginalScore] = {}
 

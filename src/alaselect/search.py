@@ -24,49 +24,45 @@ from .priors import model_key
 class PosteriorSummary:
     """Posterior over a model support plus per-group inclusion estimates.
 
-    ``models`` lists the support as bit tuples and ``bits`` holds the same
-    models as a (B, J) ``uint8`` matrix, built from ``models`` when not
-    given.  ``inclusion`` holds the primary estimate (conditional averages
-    when the support was sampled); ``inclusion_raw`` the plain sampling
-    frequencies, when available.
+    ``bits`` holds the support as a (B, J) ``uint8`` 0/1 matrix, one model
+    per row; any rectangular 0/1 sequence given is stored as one.
+    ``inclusion`` holds the primary estimate (conditional averages when the
+    support was sampled); ``inclusion_raw`` the plain sampling frequencies,
+    when available.
     """
 
-    models: list[tuple[int, ...]]
+    bits: np.ndarray
     log_scores: np.ndarray
     probabilities: np.ndarray
     inclusion: np.ndarray
     inclusion_raw: Optional[np.ndarray] = None
     samples: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
-    bits: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.bits is None:
-            self.bits = np.asarray(self.models, dtype=np.uint8)
+        self.bits = np.asarray(self.bits, dtype=np.uint8)
 
-    def top(self, k: int = 10) -> list[tuple[tuple[int, ...], float]]:
+    def top(self, k: int = 10) -> list[tuple[bytes, float]]:
+        """The ``k`` most probable models as ``(model_key, probability)``
+        pairs, in descending probability."""
         order = np.argsort(-self.probabilities)[:k]
-        return [(self.models[i], float(self.probabilities[i])) for i in order]
-
-    def probability_of(self, bits) -> float:
-        key = tuple(bits)
-        for model, prob in zip(self.models, self.probabilities):
-            if model == key:
-                return float(prob)
-        return 0.0
+        return [(self.bits[i].tobytes(), float(self.probabilities[i])) for i in order]
 
 
 @dataclass
 class ImportanceReport:
     """Reweighting of a sampled support to the exact restricted posterior.
 
-    ``weights`` are per-draw ratios of target to proposal probability, both
-    renormalized over the sampled support.  ``ess`` is the effective sample
-    size implied by their spread across draws; ``degenerate`` flags a
-    single model carrying more than half of the total model weight.
+    ``bits`` holds the distinct sampled models as a (B, J) ``uint8`` 0/1
+    matrix; ``probabilities`` and ``frequencies`` hold each row's target
+    probability and draw frequency.  ``weights`` are per-draw ratios of
+    target to proposal probability, both renormalized over the sampled
+    support.  ``ess`` is the effective sample size implied by their spread
+    across draws; ``degenerate`` flags a single model carrying more than
+    half of the total model weight.
     """
 
-    models: list[tuple[int, ...]]
+    bits: np.ndarray
     probabilities: np.ndarray
     frequencies: np.ndarray
     inclusion: np.ndarray
@@ -86,10 +82,6 @@ def _normalize(log_scores: np.ndarray) -> np.ndarray:
 
 def _inclusion_from(bits: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return bits.astype(np.float64).T @ probs
-
-
-def _as_tuples(bits: np.ndarray) -> list[tuple[int, ...]]:
-    return list(map(tuple, bits.tolist()))
 
 
 def _distinct_rows(samples: np.ndarray):
@@ -132,12 +124,11 @@ def enumerate_posterior(
     log_scores = scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(
-        models=_as_tuples(bits),
+        bits=bits,
         log_scores=log_scores,
         probabilities=probs,
         inclusion=_inclusion_from(bits, probs),
         diagnostics={"n_models": bits.shape[0]},
-        bits=bits,
     )
 
 
@@ -186,7 +177,7 @@ def gibbs_models(
     rb_sums = np.zeros(j_groups)
     raw_sums = np.zeros(j_groups)
     kept = 0
-    samples = np.empty((max(n_scans - burn, 0), j_groups), dtype=np.int8)
+    samples = np.empty((max(n_scans - burn, 0), j_groups), dtype=np.uint8)
     violations = 0
     for scan in range(n_scans):
         keep = scan >= burn
@@ -231,7 +222,7 @@ def gibbs_models(
     log_scores = scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(
-        models=_as_tuples(bits),
+        bits=bits,
         log_scores=log_scores,
         probabilities=probs,
         inclusion=rb_sums / kept,
@@ -244,7 +235,6 @@ def gibbs_models(
             "n_visited": bits.shape[0],
             "constraint_violations": violations,
         },
-        bits=bits,
     )
 
 
@@ -288,7 +278,7 @@ def importance_reweight(
         weights = np.exp(log_w[draw_rows])
         max_weight = float(np.exp(np.max(log_w)))
     return ImportanceReport(
-        models=_as_tuples(bits),
+        bits=bits,
         probabilities=np.exp(log_target),
         frequencies=freqs,
         inclusion=_inclusion_from(bits, np.exp(log_target)),
@@ -351,7 +341,7 @@ def screen_then_refine(
     log_scores = refine_scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(
-        models=_as_tuples(bits),
+        bits=bits,
         log_scores=log_scores,
         probabilities=probs,
         inclusion=_inclusion_from(bits, probs),
@@ -360,5 +350,4 @@ def screen_then_refine(
             "screen_inclusion": first.inclusion,
             "n_models": bits.shape[0],
         },
-        bits=bits,
     )

@@ -17,10 +17,10 @@ from alaselect import simdesigns
 from alaselect.data_model import (
     ConstraintSet,
     DesignMatrix,
+    admissible_bits,
     build_cache,
-    enumerate_models,
 )
-from alaselect.priors import ModelPriorSpec, ParamPriorSpec
+from alaselect.priors import ModelPriorSpec, ParamPriorSpec, model_key
 from alaselect.search import (
     enumerate_posterior,
     gibbs_models,
@@ -537,8 +537,8 @@ def test_c09_gibbs_frequencies_match_the_enumerated_posterior():
     )
     enumerated = enumerate_posterior(scorer)
     sampled = gibbs_models(scorer, n_scans=10_000, seed=3)
-    enum_probs = dict(zip(enumerated.models, enumerated.probabilities))
-    freqs = dict(zip(sampled.models, sampled.probabilities))
+    enum_probs = dict(zip(map(model_key, enumerated.bits), enumerated.probabilities))
+    freqs = dict(zip(map(model_key, sampled.bits), sampled.probabilities))
     keys = set(enum_probs) | set(freqs)
     tv = 0.5 * sum(abs(enum_probs.get(k, 0.0) - freqs.get(k, 0.0)) for k in keys)
     incl_gap = float(np.max(np.abs(sampled.inclusion - enumerated.inclusion)))
@@ -624,15 +624,8 @@ def test_c11_reweighting_diagnostics_separate_the_two_designs():
         la = engines.ModelScorer(
             cache, fam.poisson(), ParamPriorSpec(), model_prior, method="la"
         )
-        support = np.array(
-            [
-                m.bits
-                for m in enumerate_models(
-                    sim.design.n_groups,
-                    sim.constraints,
-                    intercept_group=sim.design.intercept_group,
-                )
-            ]
+        support = admissible_bits(
+            sim.design.n_groups, sim.constraints, sim.design.intercept_group
         )
         report = importance_reweight(la, support, proposal_scorer=ala)
         degenerate += report.degenerate
@@ -691,9 +684,9 @@ def test_c13_constrained_gibbs_matches_the_enumerated_posterior():
     enumerated = enumerate_posterior(scorer)
     assert 0.2 < enumerated.inclusion[0] < 0.9
     sampled = gibbs_models(scorer, n_scans=20_000, seed=4, constraints=constraints)
-    enum_probs = dict(zip(enumerated.models, enumerated.probabilities))
+    enum_probs = dict(zip(map(model_key, enumerated.bits), enumerated.probabilities))
     keys, counts = np.unique(sampled.samples, axis=0, return_counts=True)
-    freqs = {tuple(int(b) for b in key): c / counts.sum() for key, c in zip(keys, counts)}
+    freqs = {model_key(key): c / counts.sum() for key, c in zip(keys, counts)}
     tv = 0.5 * sum(
         abs(enum_probs.get(k, 0.0) - freqs.get(k, 0.0))
         for k in set(enum_probs) | set(freqs)

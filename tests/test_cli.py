@@ -595,11 +595,10 @@ class TestModelsFile:
         probabilities[[5, 6]] = 0.0
         probabilities[7] = 5e-324
         summary = PosteriorSummary(
-            models=[tuple(row) for row in bits.tolist()],
+            bits=bits,
             log_scores=log_scores,
             probabilities=probabilities,
             inclusion=bits.T @ probabilities,
-            bits=bits,
         )
         cli._write_summary_files(tmp_path, summary, {})
         reference = tmp_path / "reference.csv"

@@ -13,7 +13,6 @@ from alaselect.data_model import (
     Gram,
     admissible_bits,
     build_cache,
-    enumerate_models,
     submodel_stats,
 )
 from alaselect.errors import (
@@ -185,12 +184,12 @@ class TestEnumerateModels:
         sizes = data.draw(
             st.lists(st.integers(1, 3), min_size=n_groups, max_size=n_groups)
         )
-        models = list(
-            enumerate_models(
-                n_groups, constraints, sizes=sizes, intercept_group=intercept
-            )
+        stops = np.cumsum(sizes).tolist()
+        design = DesignMatrix(
+            np.zeros((1, stops[-1])), tuple(zip([0] + stops[:-1], stops)), intercept
         )
-        assert [m.bits for m in models] == expected
+        models = [design.model(row) for row in bits]
+        assert [m.key for m in models] == [bytes(b) for b in expected]
         assert [m.size for m in models] == [sum(b) for b in expected]
         assert [m.p_gamma for m in models] == [
             sum(s for s, b in zip(sizes, bits) if b) for bits in expected
@@ -209,7 +208,7 @@ class TestEnumerateModels:
         ] == reference_models(n_groups, constraints, intercept, among)
 
     def test_order_is_lexicographic_in_the_bits(self):
-        bits = [m.bits for m in enumerate_models(3)]
+        bits = [tuple(row) for row in admissible_bits(3).tolist()]
         assert bits == [
             (0, 0, 0),
             (0, 0, 1),
@@ -223,11 +222,11 @@ class TestEnumerateModels:
 
     def test_refuses_spaces_beyond_the_limit(self):
         with pytest.raises(RefuseEnumeration):
-            list(enumerate_models(ENUMERATION_LIMIT + 1))
+            admissible_bits(ENUMERATION_LIMIT + 1)
 
     def test_constraints_filter_the_list(self):
         cs = ConstraintSet(3, ((1, 0),))
-        bits = [m.bits for m in enumerate_models(3, cs)]
+        bits = [tuple(row) for row in admissible_bits(3, cs).tolist()]
         assert (0, 1, 0) not in bits
         assert (0, 1, 1) not in bits
         assert (1, 1, 0) in bits
@@ -235,19 +234,19 @@ class TestEnumerateModels:
 
     def test_size_cap_limits_model_size(self):
         cs = ConstraintSet(1)
-        bits = [m.bits for m in enumerate_models(3, cs)]
+        bits = [tuple(row) for row in admissible_bits(3, cs).tolist()]
         assert sorted(bits) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_intercept_group_is_always_active(self):
-        bits = [m.bits for m in enumerate_models(3, intercept_group=0)]
+        bits = admissible_bits(3, intercept_group=0)
         assert all(b[0] == 1 for b in bits)
         assert len(bits) == 4
 
     def test_sizes_feed_model_dimensions(self):
-        models = list(enumerate_models(2, sizes=(2, 3)))
-        dims = {m.bits: m.p_gamma for m in models}
-        assert dims[(1, 1)] == 5
-        assert dims[(0, 1)] == 3
+        design = DesignMatrix(np.zeros((1, 5)), ((0, 2), (2, 5)))
+        dims = {m.key: m.p_gamma for m in map(design.model, admissible_bits(2))}
+        assert dims[bytes((1, 1))] == 5
+        assert dims[bytes((0, 1))] == 3
 
 
 class TestBuildCache:

@@ -20,7 +20,6 @@ from alaselect.data_model import (
     DesignMatrix,
     admissible_bits,
     build_cache,
-    enumerate_models,
     submodel_stats,
 )
 from alaselect.errors import (
@@ -946,15 +945,11 @@ class TestScoreMany:
             )
             for _ in range(2)
         ]
-        admissible = [
-            m.bits
-            for m in enumerate_models(
-                design.n_groups,
-                model_prior.constraints,
-                sizes=design.group_sizes,
-                intercept_group=design.intercept_group,
+        admissible = list(
+            admissible_bits(
+                design.n_groups, model_prior.constraints, design.intercept_group
             )
-        ]
+        )
         models = [admissible[i % len(admissible)] for i in case["picks"]]
         return scorers, admissible[: case["warm"]] + models
 
@@ -1016,12 +1011,7 @@ class TestScoreMany:
     def test_single_group_enumeration_touches_no_cross_group_pair(self, rng):
         design = make_design(rng, 50, [1, 2, 3])
         y = rng.normal(size=50)
-        models = [
-            m.bits
-            for m in enumerate_models(
-                3, ConstraintSet(max_groups=1), sizes=design.group_sizes
-            )
-        ]
+        models = admissible_bits(3, ConstraintSet(max_groups=1))
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         loop = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
         batch = me.ModelScorer(build_cache(design, y, gaussian(1.0)), gaussian(1.0), prior)
@@ -1075,7 +1065,7 @@ class TestScoreMany:
         [
             # known-dispersion la is batched (TestNewtonParity)
             ("la", gaussian_unknown(), "exact-normal"),
-            ("ala-refined(2)", logistic(), "exact-normal"),
+            ("ala-refined", logistic(), "exact-normal"),
             ("ala", logistic(), "plugin-density"),
             ("ala", gaussian_unknown(), "exact-normal"),
             ("exact-gaussian", gaussian(1.0), "exact-normal"),
@@ -1090,9 +1080,11 @@ class TestScoreMany:
         y = _glm_response(rng, kind, eta)
         cache = build_cache(design, y, family)
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
-        models = [m.bits for m in enumerate_models(3)] + [(1, 1, 0)]
+        models = [*admissible_bits(3), (1, 1, 0)]
         scorers = [
-            me.ModelScorer(cache, family, prior, method=method, variant=variant)
+            me.ModelScorer(
+                cache, family, prior, method=method, refine_steps=2, variant=variant
+            )
             for _ in range(2)
         ]
         looped = [scorers[0].log_score(bits) for bits in models]
@@ -1102,7 +1094,7 @@ class TestScoreMany:
         design, data = _survival_sample(rng)
         ctx = me.build_aft_context(design, data)
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
-        models = [m.bits for m in enumerate_models(3)]
+        models = admissible_bits(3)
         for method in ("ala", "la"):
             loop, batch = (me.AftScorer(ctx, prior, method=method) for _ in range(2))
             looped = [loop.log_score(bits) for bits in models]
@@ -1924,7 +1916,7 @@ class TestNewtonCost:
         prior = ParamPriorSpec(kind="gzellner", g=1.3)
         screen = me.ModelScorer(cache, family, prior)
         la = me.ModelScorer(cache, family, prior, method="la")
-        models = [m.bits for m in enumerate_models(5, intercept_group=0)]
+        models = admissible_bits(5, intercept_group=0)
         screen.score_many(models)
         assert not passes
         for bits in models:
@@ -1996,7 +1988,7 @@ class TestBenchmarkHooks:
         scorer.log_score((1, 0, 0))
         # one column of p = 4 entries
         assert cache.gram.dot_count == 4
-        models = [m.bits for m in enumerate_models(3)]
+        models = admissible_bits(3)
         scorer.score_many(models)
         assert cache.gram.dot_count == 4 * 4
         for method in ("ala", "la"):
@@ -2051,7 +2043,7 @@ class TestBenchmarkHooks:
         assert ctx.wgram.dot_count == 0
         scorer.log_score((0, 1, 0))
         assert ctx.wgram.dot_count == 3
-        models = [m.bits for m in enumerate_models(3)]
+        models = admissible_bits(3)
         scorer.score_many(models)
         assert ctx.wgram.dot_count == 3 * 3
         me.AftScorer(ctx, prior, model_prior).score_many(models)
@@ -2139,17 +2131,14 @@ class TestEngineTable:
         scorer = me.ModelScorer(stats, family, prior, method=method)
         assert scorer.method == method
         design = stats.design
-        for model in enumerate_models(
-            design.n_groups,
-            sizes=design.group_sizes,
-            intercept_group=design.intercept_group,
-        ):
+        for bits in admissible_bits(design.n_groups, None, design.intercept_group):
+            model = design.model(bits)
             got = scorer.marginal(model)
             if _known_phi_ala(key):
                 rho = 1.0
                 if method == "ala-curvadj":
                     rho = me.curvature_context(stats, family).rho_hat
-                want, beta = dense_known_phi_ala(stats, family, prior, model.bits, rho)
+                want, beta = dense_known_phi_ala(stats, family, prior, bits, rho)
                 np.testing.assert_allclose(got.log_ml, want, rtol=1e-13)
                 np.testing.assert_allclose(got.expansion, beta, rtol=1e-10, atol=1e-14)
                 name = "ala-gmom" if prior_kind == "gmom" else "ala"

@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from alaselect import cli
 from alaselect.data_model import ConstraintSet, DesignMatrix, build_cache
 from alaselect.errors import RefuseEnumeration
 from alaselect.families import gaussian, logistic
 from alaselect.marginal_engines import ModelScorer
-from alaselect.priors import ModelPriorSpec, ParamPriorSpec
+from alaselect.priors import ModelPriorSpec, ParamPriorSpec, model_key
 from alaselect.search import (
     PosteriorSummary,
     enumerate_posterior,
@@ -37,12 +38,12 @@ class _FakeScorer:
 
     def __init__(self, design, table, constraints=None):
         self.design = design
-        self.table = table
+        self.table = {model_key(bits): score for bits, score in table.items()}
         self.model_prior = None
         self.constraints = constraints
 
     def log_score(self, bits):
-        return self.table[tuple(getattr(bits, "bits", bits))]
+        return self.table[model_key(bits)]
 
     def score_many(self, models):
         return np.array([self.log_score(m) for m in models])
@@ -68,7 +69,7 @@ class TestEnumeratePosterior:
         reference = np.array(
             [
                 conjugate_known_phi_log_ml(design, bits, y, 1.0, 1.0)
-                for bits in summary.models
+                for bits in summary.bits
             ]
         )
         ref_probs = np.exp(reference - logsumexp(reference))
@@ -79,7 +80,7 @@ class TestEnumeratePosterior:
         summary = enumerate_posterior(scorer)
         for j in range(4):
             direct = sum(
-                p for bits, p in zip(summary.models, summary.probabilities) if bits[j]
+                p for bits, p in zip(summary.bits, summary.probabilities) if bits[j]
             )
             np.testing.assert_allclose(summary.inclusion[j], direct, atol=1e-12)
 
@@ -92,8 +93,9 @@ class TestEnumeratePosterior:
         cache = build_cache(design, y, gaussian(1.0))
         scorer = ModelScorer(cache, gaussian(1.0), ParamPriorSpec(kind="gzellner", g=1.0))
         summary = enumerate_posterior(scorer)
+        mass = dict(summary.top(4))
         np.testing.assert_allclose(
-            summary.probability_of((1, 0)), summary.probability_of((0, 1)), atol=1e-12
+            mass[model_key((1, 0))], mass[model_key((0, 1))], atol=1e-12
         )
         np.testing.assert_allclose(
             summary.inclusion[0], summary.inclusion[1], atol=1e-12
@@ -105,15 +107,15 @@ class TestEnumeratePosterior:
         cache = build_cache(design, y, gaussian(1.0))
         scorer = ModelScorer(cache, gaussian(1.0), ParamPriorSpec(kind="gzellner", g=1.0))
         summary = enumerate_posterior(scorer)
-        assert summary.models == [(1,)]
+        assert summary.bits.tolist() == [[1]]
         np.testing.assert_allclose(summary.probabilities, [1.0], atol=0)
 
     def test_constraints_shrink_the_enumerated_space(self, rng):
         _, _, scorer = _gaussian_scorer(rng)
         constraints = ConstraintSet(4, ((1, 0),))
         summary = enumerate_posterior(scorer, constraints=constraints)
-        assert all(constraints.satisfied_by(b) for b in summary.models)
-        assert len(summary.models) == 12
+        assert all(constraints.satisfied_by(b) for b in summary.bits)
+        assert summary.bits.shape == (12, 4)
 
     def test_model_prior_reweights_the_posterior(self, rng):
         design, y, _ = _gaussian_scorer(rng)
@@ -154,7 +156,7 @@ class TestEnumeratePosterior:
             table[bits] = scores[idx]
             idx += 1
         summary = enumerate_posterior(_FakeScorer(design, table))
-        bits_mat = np.array(summary.models, dtype=float)
+        bits_mat = summary.bits.astype(float)
         np.testing.assert_allclose(
             summary.inclusion, bits_mat.T @ summary.probabilities, atol=1e-12
         )
@@ -169,7 +171,7 @@ class TestGibbs:
         b = gibbs_models(scorer, n_scans=300, seed=11)
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_allclose(a.inclusion, b.inclusion, atol=0)
-        assert a.models == b.models
+        np.testing.assert_array_equal(a.bits, b.bits)
 
     def test_different_seeds_differ(self, rng):
         _, _, scorer = _gaussian_scorer(rng, seed_beta=[0.5, 0.0, -0.4, 0.0])
@@ -202,7 +204,7 @@ class TestGibbs:
         total = sum(counts.values())
         tv = total_variation(
             list(counts), np.array([c / total for c in counts.values()]),
-            exact.models, exact.probabilities,
+            exact.bits, exact.probabilities,
         )
         assert tv < 0.08
 
@@ -210,6 +212,7 @@ class TestGibbs:
         _, _, scorer = _gaussian_scorer(rng)
         chain = gibbs_models(scorer, n_scans=50, seed=0, burn_frac=0.2)
         assert chain.samples.shape == (40, 4)
+        assert chain.samples.dtype == np.uint8
         assert chain.diagnostics["burn_scans"] == 10
 
     def test_size_cap_is_never_violated(self, rng):
@@ -274,7 +277,7 @@ class TestImportanceReweight:
         _, _, scorer = _gaussian_scorer(rng, seed_beta=[0.7, 0.0, 0.0, 0.0])
         chain = gibbs_models(scorer, n_scans=150, seed=4)
         report = importance_reweight(scorer, chain.samples)
-        logs = np.array([scorer.log_score(m) for m in report.models])
+        logs = np.array([scorer.log_score(m) for m in report.bits])
         np.testing.assert_allclose(
             report.probabilities, np.exp(logs - logsumexp(logs)), atol=1e-12
         )
@@ -338,7 +341,7 @@ class TestScreenThenRefine:
         cheap = ModelScorer(cache, logistic(), prior, method="ala")
         precise = ModelScorer(cache, logistic(), prior, method="la")
         staged = screen_then_refine(cheap, precise, threshold=0.3)
-        for bits, log_score in zip(staged.models, staged.log_scores):
+        for bits, log_score in zip(staged.bits, staged.log_scores):
             np.testing.assert_allclose(log_score, precise.log_score(bits), atol=1e-12)
 
     def test_parents_of_survivors_are_pulled_back_in(self, rng):
@@ -356,7 +359,7 @@ class TestScreenThenRefine:
         kept = staged.diagnostics["kept_groups"]
         if 1 in kept:
             assert 0 in kept
-        assert all(constraints.satisfied_by(b) for b in staged.models)
+        assert all(constraints.satisfied_by(b) for b in staged.bits)
 
     def test_warns_when_everything_is_screened_out(self, rng):
         design = make_design(rng, 80, [1, 1], intercept=True)
@@ -365,7 +368,7 @@ class TestScreenThenRefine:
         scorer = ModelScorer(cache, gaussian(1.0), ParamPriorSpec(kind="gzellner", g=1.0))
         with pytest.warns(UserWarning, match="screening removed every candidate"):
             staged = screen_then_refine(scorer, scorer, threshold=1.01)
-        assert staged.models == [(1, 0, 0)]
+        assert staged.bits.tolist() == [[1, 0, 0]]
         np.testing.assert_allclose(staged.probabilities, [1.0], atol=0)
 
     @settings(max_examples=60, deadline=None)
@@ -388,7 +391,7 @@ class TestScreenThenRefine:
             staged = screen_then_refine(scorer, scorer, threshold, constraints)
         kept = staged.diagnostics["kept_groups"]
         expected = reference_models(n_groups, constraints, intercept, kept)
-        assert staged.models == expected
+        assert staged.bits.dtype == np.uint8
         assert [tuple(row) for row in staged.bits.tolist()] == expected
 
     def test_summary_top_orders_by_probability(self, rng):
@@ -398,6 +401,27 @@ class TestScreenThenRefine:
         probs = [p for _, p in top]
         assert probs == sorted(probs, reverse=True)
         assert top[0][1] == summary.probabilities.max()
+        assert probs == sorted(summary.probabilities.tolist(), reverse=True)[:3]
+        mass = {row.tobytes(): p for row, p in zip(summary.bits, summary.probabilities)}
+        for key, prob in top:
+            assert type(key) is bytes and len(key) == 4
+            assert mass[key] == prob
+
+    def test_a_positional_summary_of_bit_tuples_is_written_as_its_matrix(
+        self, tmp_path
+    ):
+        """A summary built positionally from a list of bit tuples holds
+        them as a (B, J) ``uint8`` matrix, which the CLI writes out."""
+        models = [(1, 0, 1), (0, 1, 1)]
+        scores = np.array([-1.0, -2.0])
+        probs = np.exp(scores - logsumexp(scores))
+        inclusion = np.asarray(models, dtype=float).T @ probs
+        summary = PosteriorSummary(models, scores, probs, inclusion)
+        assert summary.bits.dtype == np.uint8
+        assert summary.bits.tolist() == [[1, 0, 1], [0, 1, 1]]
+        cli._write_summary_files(tmp_path, summary, {})
+        rows = (tmp_path / "models.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows] == ["model", "101", "011"]
 
 
 class TestOneCopyOfTheConstraints:
@@ -459,20 +483,20 @@ class TestBatchedScoringInSearch:
 
         scorer, reference = fresh(), fresh()
         summary = enumerate_posterior(scorer)
-        looped = [reference.log_score(m) for m in summary.models]
+        looped = [reference.log_score(m) for m in summary.bits]
         np.testing.assert_allclose(summary.log_scores, looped, rtol=1e-10, atol=0)
         assert scorer.cache.gram.dot_count == reference.cache.gram.dot_count
 
         sampled = gibbs_models(fresh(), n_scans=30, seed=seed % 1000)
-        looped = [reference.log_score(m) for m in sampled.models]
+        looped = [reference.log_score(m) for m in sampled.bits]
         np.testing.assert_allclose(sampled.log_scores, looped, rtol=1e-10, atol=0)
 
         staged = screen_then_refine(fresh(), fresh(), threshold=0.0)
-        looped = [reference.log_score(m) for m in staged.models]
+        looped = [reference.log_score(m) for m in staged.bits]
         np.testing.assert_allclose(staged.log_scores, looped, rtol=1e-10, atol=0)
 
         report = importance_reweight(fresh(), sampled.samples, proposal_scorer=fresh())
-        looped = np.array([reference.log_score(m) for m in report.models])
+        looped = np.array([reference.log_score(m) for m in report.bits])
         np.testing.assert_allclose(
             report.probabilities, np.exp(looped - logsumexp(looped)), rtol=1e-9
         )
