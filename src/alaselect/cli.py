@@ -86,7 +86,19 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]], list[int]]:
             raise ParseError(
                 f"{path}:{line}: expected {width} cells, found {len(row)}"
             )
-    return [h.strip() for h in header], rows, lines
+    return _column_names(path, header), rows, lines
+
+
+def _column_names(path: str, header: list[str]) -> list[str]:
+    """The stripped cells of a header row; a name given twice raises
+    ``ParseError``."""
+    names = [h.strip() for h in header]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"{path}: column {name!r} appears twice in the header")
+        seen.add(name)
+    return names
 
 
 def _loadtxt_table(path: str) -> Optional[tuple[list[str], np.ndarray]]:
@@ -111,7 +123,7 @@ def _loadtxt_table(path: str) -> Optional[tuple[list[str], np.ndarray]]:
         return None
     if table.shape[0] == 0 or table.shape[1] != len(header):
         return None
-    return [h.strip() for h in header], table
+    return _column_names(path, header), table
 
 
 def _numeric_table(

@@ -2,9 +2,9 @@
 shared sufficient-statistics cache.
 
 The cache stores the shifted response cross-products ``Z^T ytilde`` and a
-dense ``Z^T Z`` whose columns are computed the first time any model touches
-them and then served from memory, so the per-model cost of assembling
-sub-model statistics does not grow with the sample size.
+dense ``Z^T Z``, both computed in ``build_cache``'s one pass over the data,
+so the per-model cost of assembling sub-model statistics does not grow with
+the sample size.
 """
 
 from __future__ import annotations
@@ -191,38 +191,28 @@ def _find_cycle(requires) -> Optional[list[int]]:
 
 
 class Gram:
-    """Dense cross-product matrix ``X'X`` of a design's columns, filled one
-    column at a time on first touch.
+    """Dense cross-product matrix ``X'X`` of a design's columns, computed
+    once, as one product, when the ``Gram`` is built.
 
-    The first read of a column fills that column and its row with
-    ``X' X[:, c]``, keeping the entries that an earlier fill computed, so
-    every entry is computed once, never changes afterwards, and
-    ``block(cols)`` is an exactly symmetric gather.  ``dot_count`` counts
-    the entries computed, p per column filled.  The array takes p * p * 8
-    bytes (800 B at p = 10, 320 KB at p = 200, 3.2 GB at p = 20000); that is
-    the limit on p, as there is no second store.
+    numpy runs ``X.T @ X`` as one symmetric rank-k update, so the store is
+    exactly symmetric and every entry has one rounding, whatever order
+    models read it in.  ``block(cols)`` gathers the block over one column
+    list, or over each row of a (B, k) stack of them.  ``dot_count`` is the
+    number of entries computed, p * p.  The array takes p * p * 8 bytes
+    (800 B at p = 10, 320 KB at p = 200, 3.2 GB at p = 20000); that is the
+    limit on p, as there is no second store.
     """
 
     def __init__(self, matrix: np.ndarray):
-        self._matrix = matrix
-        p = matrix.shape[1]
-        self._dense = np.zeros((p, p))
-        self._filled = np.zeros(p, dtype=bool)
-        self.dot_count = 0
+        # a strided view would take numpy's loop without BLAS, whose two
+        # triangles can round differently
+        matrix = np.ascontiguousarray(matrix)
+        self._dense = matrix.T @ matrix
+        self.dot_count = self._dense.size
 
-    def block(self, cols: np.ndarray) -> np.ndarray:
+    def block(self, cols) -> np.ndarray:
         cols = np.asarray(cols, dtype=np.intp)
-        if not self._filled[cols].all():
-            new = np.unique(cols[~self._filled[cols]])
-            fresh = self._matrix.T @ self._matrix[:, new]
-            fresh[self._filled] = self._dense[np.ix_(self._filled, new)]
-            inner = fresh[new]
-            fresh[new] = 0.5 * (inner + inner.T)
-            self._dense[:, new] = fresh
-            self._dense[new] = fresh.T
-            self._filled[new] = True
-            self.dot_count += fresh.size
-        return self._dense[cols[:, None], cols]
+        return self._dense[cols[..., :, None], cols[..., None, :]]
 
 
 @dataclass
@@ -316,10 +306,8 @@ def build_cache(
 
 
 def submodel_stats(cache: SuffStatsCache, model: ModelId):
-    """Dense ``(Z_g^T Z_g, Z_g^T ytilde)`` for the active columns of one model.
-
-    Untouched Gram entries are computed and memoized during assembly.
-    """
+    """Dense ``(Z_g^T Z_g, Z_g^T ytilde)`` for the active columns of one
+    model, gathered from the cache."""
     cols = cache.design.columns_for(model.key)
     xtx = cache.gram.block(cols)
     xty = cache.zty[cols]

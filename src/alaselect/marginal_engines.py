@@ -3,8 +3,8 @@
 The default engine integrates a quadratic expansion of the log-likelihood
 against a Normal coefficient prior in closed form.  Expanded at the
 posterior mode this is the Laplace approximation; expanded at zero it gives
-a fast score whose per-model cost, once the touched column pairs are
-cached, does not grow with the sample size.  Product-moment priors reuse
+a fast score whose per-model cost, read from the cached cross products,
+does not grow with the sample size.  Product-moment priors reuse
 the Normal-kernel score and multiply in the posterior expectation of the
 penalty.  Exact Gaussian formulas, numerical quadrature, and a Monte Carlo
 route are provided as references.
@@ -108,13 +108,10 @@ def _loglik_at_center(cache: SuffStatsCache, family: fam.FamilySpec, phi: float)
     return _cache_scalar(cache, ("l0", family.kind, phi), compute)
 
 
-def _at_zero(
-    cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols, block=None
-):
+def _at_zero(cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols):
     """Negative log-likelihood, gradient and Hessian at beta = 0, read from
     the cache: ``-l(0)``, ``-(b''(0)/phi) Z'ytilde`` and ``(b''(0)/phi) Z'Z``.
-    ``cols`` may be a (B, k) stack of column lists when ``block`` holds
-    their (B, k, k) Gram blocks.
+    ``cols`` may be a (B, k) stack of column lists.
 
     None unless the cache is centered at zero for this family's cumulant.
     """
@@ -124,7 +121,7 @@ def _at_zero(
     return (
         -_loglik_at_center(cache, family, phi),
         -w * cache.zty[cols],
-        w * (cache.gram.block(cols) if block is None else block),
+        w * cache.gram.block(cols),
     )
 
 
@@ -403,9 +400,7 @@ def ala_known_phi_many(
     """What ``ala_expfam_known_phi`` (exact Normal integral) or ``ala_gmom``
     returns for each row of the (B, J) ``uint8`` 0/1 matrix ``bits``, in
     order.  The models of one dimension are scored as stacks of at most
-    ``_STACK_ENTRIES`` Gram entries (``_known_phi_stack``), each gathered
-    from one Gram block over its columns, so the Gram fills the columns
-    that scoring the models one at a time fills."""
+    ``_STACK_ENTRIES`` Gram entries (``_known_phi_stack``)."""
     if not family.phi_known:
         raise ValueError("dispersion must be known for this engine")
     col_mask = np.asarray(bits, dtype=bool)[:, cache.design.col_group]
@@ -416,12 +411,8 @@ def ala_known_phi_many(
         step = max(1, _STACK_ENTRIES // max(k * k, 1))
         for lo in range(0, members.shape[0], step):
             rows = members[lo : lo + step]
-            mask = col_mask[rows]
-            union = np.flatnonzero(mask.any(axis=0))
-            block = cache.gram.block(union)
-            pos = np.nonzero(mask[:, union])[1].reshape(rows.shape[0], k)
-            xtx = block[pos[:, :, None], pos[:, None, :]]
-            scores = _known_phi_stack(cache, family, prior, curvature, union[pos], xtx)
+            cols = np.nonzero(col_mask[rows])[1].reshape(rows.shape[0], k)
+            scores = _known_phi_stack(cache, family, prior, curvature, cols)
             for i, score in zip(rows.tolist(), scores):
                 out[i] = score
     return out
@@ -429,29 +420,29 @@ def ala_known_phi_many(
 
 def _known_phi_one(model, cache, family, prior, curvature):
     """The known-dispersion zero-expansion score of one model: a stack of
-    one, with its Gram block read directly."""
+    one."""
     cols = cache.design.columns_for(model.key)
-    xtx = cache.gram.block(cols)
-    return _known_phi_stack(cache, family, prior, curvature, cols[None], xtx[None])[0]
+    return _known_phi_stack(cache, family, prior, curvature, cols[None])[0]
 
 
-def _known_phi_stack(cache, family, prior, curvature, cols, xtx):
+def _known_phi_stack(cache, family, prior, curvature, cols):
     """The one known-dispersion ``ala`` engine: zero-expansion scores of
-    the models with (B, k) columns ``cols`` and (B, k, k) Gram blocks
-    ``xtx``, under the block Zellner prior, or under the product-moment
-    prior with the log posterior expectation of its penalty (the tilt).
-    ``log det H`` and ``g' H^-1 g`` come from one stacked bordered Cholesky
-    factorization.  The tilt's posterior moments and the expansion come
-    from one stacked inverse of the factor; the block Zellner expansion,
-    which no score needs, from one triangular solve when it is read.  A
-    model's score depends on its own block alone, not on its stack.  Raises
-    ``NotConcaveAtExpansion`` when a joint curvature is not positive
-    definite and ``NotInvertible`` when a group's Gram block is singular."""
+    the models with (B, k) columns ``cols``, under the block Zellner prior,
+    or under the product-moment prior with the log posterior expectation of
+    its penalty (the tilt).  ``log det H`` and ``g' H^-1 g`` come from one
+    stacked bordered Cholesky factorization.  The tilt's posterior moments
+    and the expansion come from one stacked inverse of the factor; the
+    block Zellner expansion, which no score needs, from one triangular
+    solve when it is read.  A model's score depends on its own block alone,
+    not on its stack.  Raises ``NotConcaveAtExpansion`` when a joint
+    curvature is not positive definite and ``NotInvertible`` when a
+    group's Gram block is singular."""
     gmom = prior.kind == "gmom"
     method = ("ala-gmom" if gmom else "ala") + ("" if curvature is None else "-curvadj")
     phi = float(family.phi)
     w = cache.bpp_nu0 / phi
     rho = curvature.rho_hat if curvature is not None else 1.0
+    xtx = cache.gram.block(cols)
     prec, logdet_p0 = cache.block_prior.precision(
         cols, prior.g, phi, 2 if gmom else 0, xtx
     )
@@ -679,7 +670,6 @@ def _la_stack(cache, family, prior, mask, union):
     phi = float(family.phi)
     sizes = mask.sum(axis=1)
     m, big, u = mask.shape[0], int(sizes.max()), union.shape[0]
-    block = cache.gram.block(union)
     # column u of the stacked objective is the padded coordinates' zero column
     pos = np.full((m, big), u)
     prec, logdet_p0 = np.zeros((m, big, big)), np.empty(m)
@@ -688,13 +678,12 @@ def _la_stack(cache, family, prior, mask, union):
         sel = np.flatnonzero(sizes == k)
         where = np.nonzero(mask[sel][:, union])[1].reshape(sel.shape[0], k)
         pos[sel, :k] = where
-        xtx = block[where[:, :, None], where[:, None, :]]
         cols = union[where]
         prec[sel, :k, :k], logdet_p0[sel] = cache.block_prior.precision(
-            cols, prior.g, phi, block=xtx
+            cols, prior.g, phi
         )
         prec[sel, k:, k:] = np.eye(big - k)
-        at_zero = _at_zero(cache, family, phi, cols, xtx)
+        at_zero = _at_zero(cache, family, phi, cols)
         if at_zero is not None:
             value[sel], grad[sel, :k], hess[sel, :k, :k] = at_zero
     first = None if at_zero is None else (value, grad, np.add(hess, prec, out=hess))
@@ -1393,13 +1382,12 @@ def build_aft_context(design: DesignMatrix, data: fam.SurvivalData) -> AftContex
         - 0.5 * tau0**2 * float(yo @ yo)
         + float(np.sum(log_ndtr(-tau0 * yc)))
     )
-    weighted = design.values * np.sqrt(weights)[:, None]
     return AftContext(
         design=design,
         data=data,
         tau0=tau0,
         l0=float(l0),
-        wgram=Gram(weighted),
+        wgram=Gram(design.values * np.sqrt(weights)[:, None]),
         block_prior=BlockPrior(design, Gram(design.values)),
         ztv=design.values.T @ v,
         ztyw=design.values.T @ (y * weights),
@@ -1599,9 +1587,9 @@ class ModelScorer:
     prior whose group count or intercept group differs from the design's,
     raises ``ValueError``.  ``refine_steps`` is the number of likelihood
     Newton steps ``method="ala-refined"`` takes before its expansion; the
-    other methods ignore it.  ``log_score`` adds the unnormalized model
-    prior to the marginal score, which is what the enumeration and Gibbs
-    routines need.
+    other methods ignore it, and a negative count raises ``ValueError``.
+    ``log_score`` adds the unnormalized model prior to the marginal score,
+    which is what the enumeration and Gibbs routines need.
     """
 
     def __init__(
@@ -1620,6 +1608,8 @@ class ModelScorer:
             != (design.n_groups, design.intercept_group)
         ):
             raise ValueError("the model prior's groups differ from the design's")
+        if refine_steps < 0:
+            raise ValueError(f"refine_steps must be >= 0, got {refine_steps}")
         if isinstance(cache, AftContext):
             key = ("aft", method, prior.kind, False)
         else:

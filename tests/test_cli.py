@@ -218,6 +218,18 @@ class TestSelectCommand:
             assert not (model_str[1] == "1" and model_str[0] == "0")
         assert len(rows) == 6
 
+    def test_a_negative_refine_step_count_is_a_usage_error(
+        self, gaussian_files, tmp_path, capsys
+    ):
+        data, groups, _, _ = gaussian_files
+        rc = _select(
+            data, groups, tmp_path / "r", "--method", "ala-refined",
+            "--refine-steps", "-3",
+        )
+        assert rc == 2
+        assert "refine_steps" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "models.csv").exists()
+
     def test_screening_requires_enumeration(self, gaussian_files, tmp_path, capsys):
         data, groups, _, _ = gaussian_files
         rc = _select(data, groups, tmp_path / "r", "--family", "gaussian",
@@ -345,6 +357,28 @@ class TestIngestErrors:
         rc = _select(data, groups, tmp_path / "r")
         assert rc == 2
         assert "data columns without a group: x2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["2.0", "2_0"], ids=["loadtxt", "csv-reader"])
+    def test_a_duplicated_data_column_is_rejected(self, tmp_path, capsys, cell):
+        """A header that names a column twice fails in ``select`` and in
+        ``expand``, whichever reader parses the file."""
+        data, groups = tmp_path / "d.csv", tmp_path / "g.csv"
+        _write_csv(
+            data, ["y", "x1", "x1"], [["1.0", cell, "3.0"], ["0.5", "1.0", "4.0"]]
+        )
+        _write_csv(groups, ["column", "group"], [["x1", "0"]])
+        assert _select(data, groups, tmp_path / "r") == 2
+        assert "column 'x1' appears twice" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "models.csv").exists()
+        rc = main([
+            "expand", "--data", str(data), "--response", "y",
+            "--out-data", str(tmp_path / "e.csv"),
+            "--out-groups", str(tmp_path / "eg.csv"),
+            "--out-constraints", str(tmp_path / "ec.csv"),
+        ])
+        assert rc == 2
+        assert "column 'x1' appears twice" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_missing_response_column(self, gaussian_files, tmp_path, capsys):
         data, groups, _, _ = gaussian_files

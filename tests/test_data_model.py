@@ -82,44 +82,44 @@ class TestDesignMatrix:
 
 
 class TestGram:
-    """Columns are computed once, on first touch, and reassembled from
-    memory as exactly symmetric blocks."""
+    """``X'X`` is computed once, when the ``Gram`` is built, and read back
+    as exactly symmetric blocks of one column list or of a stack of them."""
 
     def test_block_matches_dense_product(self, rng):
-        # the wide fill is one matrix product whose two triangles can differ
-        # in rounding; the stored block must still be exactly symmetric
+        # the wide product's two triangles could differ in rounding, the more
+        # so for a strided view of the data; the stored block must still be
+        # exactly symmetric
         for shape, cols in (((11, 5), [0, 2, 4]), ((10_000, 50), range(50))):
-            x = rng.normal(size=shape)
-            cols = np.array(cols)
-            block = Gram(x).block(cols)
-            np.testing.assert_allclose(
-                block, x[:, cols].T @ x[:, cols], rtol=1e-12, atol=1e-12
-            )
-            np.testing.assert_array_equal(block, block.T)
+            for x in (rng.normal(size=shape), rng.normal(size=shape)[:, ::-1]):
+                cols = np.array(cols)
+                block = Gram(x).block(cols)
+                np.testing.assert_allclose(
+                    block, x[:, cols].T @ x[:, cols], rtol=1e-12, atol=1e-12
+                )
+                np.testing.assert_array_equal(block, block.T)
 
     def test_entries_are_never_recomputed(self, rng):
         x = rng.normal(size=(7, 4))
         gram = Gram(x)
+        # the whole product, p * p = 16 entries, computed at construction
+        assert gram.dot_count == 4 * 4
         first = gram.block(np.array([0, 1]))
-        # one column fill computes p = 4 entries
-        assert gram.dot_count == 2 * 4
         gram.block(np.array([1, 0]))
-        assert gram.dot_count == 2 * 4
         wider = gram.block(np.array([0, 1, 2]))
-        # the superset fills column 2 only, and leaves the filled entries as
-        # they were
-        assert gram.dot_count == 3 * 4
+        stacked = gram.block(np.array([[0, 1], [2, 3]]))
+        assert gram.dot_count == 4 * 4
+        # one store: a superset's block and a stack hold the same entries
         np.testing.assert_array_equal(wider[:2, :2], first)
+        np.testing.assert_array_equal(stacked[0], first)
+        np.testing.assert_array_equal(stacked[1], gram.block(np.array([2, 3])))
 
     def test_filled_entries_never_change(self, rng):
-        """Entries between two column fills keep the values of the first
-        fill; a wide fill after a one-column fill rounds many of them
-        differently."""
+        """Every entry keeps the rounding of the one wide product, whatever
+        block was read before it."""
         x = rng.normal(size=(10_000, 50))
         gram = Gram(x)
         gram.block(np.array([0]))
-        column = (x.T @ x[:, [0]])[1:, 0]
-        np.testing.assert_array_equal(gram.block(np.arange(50))[1:, 0], column)
+        np.testing.assert_array_equal(gram.block(np.arange(50)), x.T @ x)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -131,8 +131,8 @@ class TestGram:
     )
     def test_any_subset_matches_dense(self, touches):
         """Every column list, in any touch order and with repeats, reproduces
-        the dense Gram slice; blocks are exactly symmetric and each touched
-        column is filled once."""
+        the dense Gram slice as an exactly symmetric block, bitwise the
+        block a fresh store gives; no read computes an entry."""
         x = np.random.default_rng(3).normal(size=(9, 6))
         gram = Gram(x)
         for cols in touches:
@@ -142,8 +142,8 @@ class TestGram:
                 block, x[:, cols].T @ x[:, cols], rtol=0, atol=1e-12
             )
             np.testing.assert_array_equal(block, block.T)
-        touched = set().union(*map(set, touches))
-        assert gram.dot_count == 6 * len(touched)
+            np.testing.assert_array_equal(block, Gram(x).block(cols))
+        assert gram.dot_count == 6 * 6
 
 
 class TestConstraintSet:

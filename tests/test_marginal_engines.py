@@ -18,6 +18,7 @@ import alaselect.marginal_engines as me
 from alaselect.data_model import (
     ConstraintSet,
     DesignMatrix,
+    Gram,
     admissible_bits,
     build_cache,
     submodel_stats,
@@ -39,6 +40,7 @@ from alaselect.families import (
     poisson,
 )
 from alaselect.priors import ModelPriorSpec, ParamPriorSpec, log_model_prior_unnorm
+from alaselect.search import enumerate_posterior, gibbs_models
 
 from tests.oracles import (
     block_zellner_precision,
@@ -859,6 +861,17 @@ class TestScorers:
         with pytest.raises(ValueError, match=message):
             me.ModelScorer(stats, family, prior, method=method)
 
+    def test_a_negative_refine_step_count_fails_at_construction(self, rng):
+        """No step count below zero means anything; zero steps is the
+        zero expansion."""
+        design = make_design(rng, 40, [1], intercept=True)
+        y = (rng.random(40) < 0.5).astype(np.float64)
+        cache = build_cache(design, y, logistic())
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+        with pytest.raises(ValueError, match="refine_steps"):
+            me.ModelScorer(cache, logistic(), prior, method="ala-refined", refine_steps=-3)
+        me.ModelScorer(cache, logistic(), prior, method="ala-refined", refine_steps=0)
+
     def test_refined_method_string_carries_the_step_count(self, rng):
         design = make_design(rng, 40, [1], intercept=True)
         y = (rng.random(40) < 0.5).astype(np.float64)
@@ -982,19 +995,23 @@ class TestScoreMany:
     @pytest.mark.parametrize("kind", ["gzellner", "gmom"])
     @pytest.mark.parametrize("method", ["ala", "ala-curvadj"])
     def test_a_score_does_not_depend_on_its_batch(self, rng, kind, method):
-        """Once the Gram is filled, a model's score is bitwise the same
-        scored alone, in a batch, or in a reordered batch."""
+        """A model's score is bitwise the same scored alone, in a batch, or
+        in a reordered batch, each on a cache of its own."""
         design = make_design(rng, 80, [1, 2, 1, 3, 1, 2], intercept=True)
         eta = design.values @ rng.normal(scale=0.3, size=design.p)
         y = _glm_response(rng, "logistic", eta)
         center = "intercept-mle" if method == "ala-curvadj" else "zero"
-        cache = build_cache(design, y, logistic(), center=center)
-        cache.gram.block(np.arange(design.p))
         prior = ParamPriorSpec(kind=kind, g=1.0)
         models = admissible_bits(design.n_groups, intercept_group=0)
         order = rng.permutation(models.shape[0])
         scorers = [
-            me.ModelScorer(cache, logistic(), prior, method=method) for _ in range(3)
+            me.ModelScorer(
+                build_cache(design, y, logistic(), center=center),
+                logistic(),
+                prior,
+                method=method,
+            )
+            for _ in range(3)
         ]
         for row in models:
             scorers[0].log_score(row)
@@ -1007,6 +1024,38 @@ class TestScoreMany:
                 assert other.log_ml == one.log_ml
                 np.testing.assert_array_equal(other.expansion, one.expansion)
                 assert other.diagnostics == one.diagnostics
+
+    def test_a_score_does_not_depend_on_the_gram_read_order(self):
+        """Every Gram entry has one rounding: two stores of one matrix give
+        bitwise-equal blocks whatever was read first, and a Poisson ``la``
+        score on a fresh cache equals the score on a cache whose blocks
+        were read before it, column 0 and then all, or one column at a
+        time."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(10_000, 50))
+        first, second = Gram(x), Gram(x)
+        first.block(np.array([0]))
+        np.testing.assert_array_equal(
+            first.block(np.arange(50)), second.block(np.arange(50))
+        )
+        design = DesignMatrix.with_singleton_groups(x)
+        beta = np.zeros(50)
+        beta[:5] = 0.05
+        y = _glm_response(rng, "poisson", x @ beta)
+        models = np.zeros((20, 50), dtype=np.uint8)
+        for row in models:
+            row[rng.choice(50, size=5, replace=False)] = 1
+        prior = ParamPriorSpec(kind="gzellner", g=1.0)
+
+        def la_scores(reads):
+            cache = build_cache(design, y, poisson())
+            for cols in reads:
+                cache.gram.block(np.array(cols))
+            return me.ModelScorer(cache, poisson(), prior, method="la").score_many(models)
+
+        fresh = la_scores([])
+        for reads in ([[0], range(50)], [[j] for j in rng.permutation(50)]):
+            np.testing.assert_array_equal(la_scores(reads), fresh)
 
     def test_single_group_enumeration_touches_no_cross_group_pair(self, rng):
         design = make_design(rng, 50, [1, 2, 3])
@@ -1977,26 +2026,34 @@ class TestBenchmarkHooks:
     """The names the benchmark's tracer and workloads use: the Gram fill
     counters of both contexts and the two scorers' constructors."""
 
-    def test_regression_gram_counts_first_touch_fills(self, rng):
+    def test_regression_gram_is_computed_by_the_data_pass(self, rng):
+        """``build_cache`` computes all p * p entries of X'X; no block read,
+        score or search computes another."""
         design = make_design(rng, 40, [1, 2, 1])
         family = gaussian(1.0)
         cache = build_cache(design, rng.normal(size=40), family)
         prior = ParamPriorSpec()
         model_prior = ModelPriorSpec(n_groups=3, p_total=4)
         scorer = me.ModelScorer(cache, family, prior, model_prior, method="ala")
-        assert cache.gram.dot_count == 0
+        assert cache.gram.dot_count == 4 * 4
+        block = cache.gram.block(np.arange(4))
+        np.testing.assert_allclose(
+            block, design.values.T @ design.values, rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_array_equal(block, block.T)
         scorer.log_score((1, 0, 0))
-        # one column of p = 4 entries
-        assert cache.gram.dot_count == 4
         models = admissible_bits(3)
         scorer.score_many(models)
-        assert cache.gram.dot_count == 4 * 4
         for method in ("ala", "la"):
             warmed = me.ModelScorer(cache, family, prior, model_prior, method=method)
             for bits in models:
                 warmed.log_score(bits)
             warmed.score_many(models)
+            enumerate_posterior(warmed)
+            gibbs_models(warmed, n_scans=5, seed=1)
         assert cache.gram.dot_count == 4 * 4
+        # one store, shared by the cache's block prior
+        assert cache.block_prior.gram is cache.gram
 
     def test_bit_matrix_scoring_makes_one_log_score_call_per_row(
         self, rng, monkeypatch
@@ -2034,20 +2091,22 @@ class TestBenchmarkHooks:
         looped = [log_score(reference, tuple(row)) for row in bits.tolist()]
         np.testing.assert_allclose(scores, looped, rtol=1e-12, atol=0)
 
-    def test_survival_gram_counts_first_touch_fills(self, rng):
+    def test_survival_gram_is_computed_by_the_context(self, rng):
+        """``build_aft_context`` computes all p * p entries of the weighted
+        Gram; no score or search computes another."""
         design, data = _survival_sample(rng)
         ctx = me.build_aft_context(design, data)
         prior = ParamPriorSpec()
         model_prior = ModelPriorSpec(n_groups=3, p_total=3)
         scorer = me.AftScorer(ctx, prior, model_prior)
-        assert ctx.wgram.dot_count == 0
+        assert ctx.wgram.dot_count == 3 * 3
         scorer.log_score((0, 1, 0))
-        assert ctx.wgram.dot_count == 3
         models = admissible_bits(3)
         scorer.score_many(models)
-        assert ctx.wgram.dot_count == 3 * 3
         me.AftScorer(ctx, prior, model_prior).score_many(models)
+        gibbs_models(scorer, n_scans=5, seed=1)
         assert ctx.wgram.dot_count == 3 * 3
+        assert ctx.block_prior.gram.dot_count == 3 * 3
 
     def test_survival_scorer_is_one_traced_model_scorer(self, rng):
         """The tracer wraps ``log_score`` where a scorer class defines it:
