@@ -261,7 +261,8 @@ def ingest(
                 requires=tuple(requires),
             )
         except ValueError as exc:
-            raise ParseError(f"{constraints_path}: {exc}") from exc
+            where = "" if constraints_path is None else f"{constraints_path}: "
+            raise ParseError(f"{where}{exc}") from exc
     if ev is not None:
         return design, fam.SurvivalData(log_time=y, observed=ev), constraints
     return design, y, constraints
@@ -332,8 +333,6 @@ def _write_summary_files(out: Path, summary, meta: dict) -> None:
 
 def run_select(args) -> int:
     t_start = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     design, response, constraints = ingest(
         args.data,
         args.groups,
@@ -395,6 +394,10 @@ def run_select(args) -> int:
     if args.screen_threshold is not None:
         if args.search != "enumerate":
             raise ParseError("screening requires --search enumerate")
+        if not np.isfinite(args.screen_threshold):
+            raise ParseError(
+                f"--screen-threshold {args.screen_threshold} is not finite"
+            )
         # survivors are rescored by the mode expansion where the prior has one
         refine_method = "la" if prior.kind == "gzellner" else "ala"
         refine = engines.ModelScorer(stats, family, prior, model_prior, refine_method)
@@ -423,11 +426,15 @@ def run_select(args) -> int:
         meta["la_newton_evaluations"] = int(
             sum(s.diagnostic_sum("evaluations") for s in la_scorers)
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_summary_files(out, summary, meta)
     return 0
 
 
 def run_expand(args) -> int:
+    if args.spline_dim < 1:
+        raise ParseError(f"--spline-dim must be at least 1, got {args.spline_dim}")
     parsed = _loadtxt_table(args.data)
     if parsed is None:
         header, rows, lines = _read_table(args.data)
@@ -643,6 +650,8 @@ def run_simstudy(args) -> int:
 
 
 def run_oracle(args) -> int:
+    if set(args.model) - set("01"):
+        raise ParseError(f"--model {args.model!r} holds a bit other than 0 or 1")
     design, response, _ = ingest(
         args.data,
         args.groups,

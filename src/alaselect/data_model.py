@@ -135,6 +135,8 @@ class ConstraintSet:
     _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.max_groups < 0:
+            raise ValueError(f"max_groups must be >= 0, got {self.max_groups}")
         object.__setattr__(
             self, "requires", tuple((int(a), int(b)) for a, b in self.requires)
         )

@@ -197,46 +197,6 @@ def ala_plugin(
     return MarginalScore(float(log_ml), method, theta_tilde, {"quad": quad})
 
 
-def ala_expfam_known_phi(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    curvature: Optional[CurvatureContext] = None,
-    variant: str = "exact-normal",
-) -> MarginalScore:
-    """Zero-expansion score for known dispersion under the block Zellner prior.
-
-    The default variant integrates the Normal prior in closed form against
-    the quadratic expansion.  ``variant="plugin-density"`` instead evaluates
-    the prior density at the implied update and keeps only the likelihood
-    curvature in the volume term.
-    """
-    if prior.kind != "gzellner":
-        raise ValueError("this engine expects the block Zellner prior")
-    if not family.phi_known:
-        raise ValueError("dispersion must be known for this engine")
-    if variant == "exact-normal":
-        return _known_phi_one(model, cache, family, prior, curvature)
-    if variant != "plugin-density":
-        raise ValueError(f"unknown variant {variant!r}")
-    method = "ala" if curvature is None else "ala-curvadj"
-    phi = float(family.phi)
-    cols = cache.design.columns_for(model.key)
-    xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    bpp = cache.bpp_nu0
-    rho = curvature.rho_hat if curvature is not None else 1.0
-    score = ala_plugin(
-        _loglik_at_center(cache, family, phi),
-        -(bpp / phi) * xty,
-        (rho * bpp / phi) * xtx,
-        lambda b: cache.block_prior.log_density(b, cols, prior.g, phi, block=xtx),
-        method=method,
-    )
-    score.diagnostics.update(phi=phi, rho_hat=rho, variant=variant)
-    return score
-
-
 def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> CurvatureContext:
     """Ratio of observed response variance to the model-implied variance at
     the intercept-only fit.
@@ -284,31 +244,20 @@ def _unknown_phi_stats(cache: SuffStatsCache, family: fam.FamilySpec) -> dict:
     return _cache_scalar(cache, ("unknown-phi", family.kind), compute)
 
 
-def ala_expfam_unknown_phi(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-) -> MarginalScore:
+def _unknown_phi_score(model, cache, family, prior, kernel_shift=0):
     """Zero-expansion score with the dispersion treated as a parameter.
 
     Expands the log-likelihood jointly in ``(beta, phi)`` at ``(0, phi0)``
     where phi0 maximizes the null likelihood, then evaluates the coefficient
-    prior and the inverse-gamma dispersion prior at the implied update
-    (``ala_plugin``).  The null model is the one-parameter case.
+    prior kernel of shift ``kernel_shift`` and the inverse-gamma dispersion
+    prior at the implied update (``ala_plugin``).  The null model is the
+    one-parameter case.
     """
-    cols = cache.design.columns_for(model.key)
-    return _unknown_phi_score(
-        cache, family, prior, cols, cache.gram.block(cols), cache.zty[cols]
-    )
-
-
-def _unknown_phi_score(cache, family, prior, cols, xtx, xty, kernel_shift=0):
-    """``ala_expfam_unknown_phi`` on the gathered ``cols``, Gram block and
-    ``Z'ytilde``, with the prior kernel of shift ``kernel_shift``."""
     a, b = prior.phi_prior_required()
     st = _unknown_phi_stats(cache, family)
     phi0 = st["phi0"]
+    cols = cache.design.columns_for(model.key)
+    xtx, xty = cache.gram.block(cols), cache.zty[cols]
     p = cols.shape[0]
     factor = st["bpp0"] / phi0
     hess = np.empty((p + 1, p + 1))
@@ -341,32 +290,24 @@ def ala_gmom(
     cache: SuffStatsCache,
     family: fam.FamilySpec,
     prior: ParamPriorSpec,
-    curvature: Optional[CurvatureContext] = None,
 ) -> MarginalScore:
-    """Zero-expansion score under the block product-moment prior.
+    """Zero-expansion score of the gaussian family with an unknown
+    dispersion under the block product-moment prior.
 
-    Scores the Normal kernel in closed form, then adds the log posterior
-    expectation of the penalty computed from the kernel-posterior moments.
+    Scores the Normal kernel as ``_unknown_phi_score`` does, then adds the
+    log posterior expectation of the penalty computed from the exact
+    kernel-posterior moments.  The null model, which has no penalty, is the
+    kernel score alone.
     """
-    if prior.kind != "gmom":
-        raise ValueError("this engine expects the product-moment prior")
-    if family.phi_known:
-        return _known_phi_one(model, cache, family, prior, curvature)
+    local = _unknown_phi_score(model, cache, family, prior, 2)
     if model.p_gamma == 0:
-        return ala_expfam_unknown_phi(model, cache, family, prior)
-    if family.kind != "gaussian":
-        raise ValueError(
-            "unknown dispersion with the product-moment prior is supported "
-            "for the gaussian family only"
-        )
-    if curvature is not None:
-        raise ValueError("curvature adjustment applies to known dispersion only")
+        return local
+    local.method = "ala-gmom"
+    if not np.isfinite(local.log_ml):
+        return local
     a, b = prior.phi_prior_required()
     cols = cache.design.columns_for(model.key)
     xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    local = _unknown_phi_score(cache, family, prior, cols, xtx, xty, 2)
-    if not np.isfinite(local.log_ml):
-        return MarginalScore(local.log_ml, "ala-gmom", local.expansion, local.diagnostics)
     kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
     _, shape = cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
     mean = shape @ xty
@@ -375,11 +316,9 @@ def ala_gmom(
     rbar = (a + cache.n) / (b + cache.yty - quad)
     moment = shape + rbar * np.outer(mean, mean)
     tilt = float(cache.block_prior.log_penalty(cols, moment, prior.g, xtx))
-    diag = dict(local.diagnostics)
-    diag.update(tilt=tilt, rbar=rbar)
-    return MarginalScore(
-        float(local.log_ml + tilt), "ala-gmom", local.expansion, diag
-    )
+    local.log_ml += tilt
+    local.diagnostics.update(tilt=tilt, rbar=rbar)
+    return local
 
 
 # Upper bound on the B * k * k entries of one stacked solve or one stacked
@@ -397,12 +336,10 @@ def ala_known_phi_many(
     prior: ParamPriorSpec,
     curvature: Optional[CurvatureContext] = None,
 ) -> list[MarginalScore]:
-    """What ``ala_expfam_known_phi`` (exact Normal integral) or ``ala_gmom``
-    returns for each row of the (B, J) ``uint8`` 0/1 matrix ``bits``, in
-    order.  The models of one dimension are scored as stacks of at most
-    ``_STACK_ENTRIES`` Gram entries (``_known_phi_stack``)."""
-    if not family.phi_known:
-        raise ValueError("dispersion must be known for this engine")
+    """What ``_known_phi_one`` returns for each row of the (B, J) ``uint8``
+    0/1 matrix ``bits``, in order.  The models of one dimension are scored
+    as stacks of at most ``_STACK_ENTRIES`` Gram entries
+    (``_known_phi_stack``)."""
     col_mask = np.asarray(bits, dtype=bool)[:, cache.design.col_group]
     p_gamma = col_mask.sum(axis=1)
     out: list[Optional[MarginalScore]] = [None] * col_mask.shape[0]
@@ -419,8 +356,9 @@ def ala_known_phi_many(
 
 
 def _known_phi_one(model, cache, family, prior, curvature):
-    """The known-dispersion zero-expansion score of one model: a stack of
-    one."""
+    """The known-dispersion zero-expansion score of one model, under either
+    prior, with the Hessian inflated by ``curvature`` when given: a stack
+    of one."""
     cols = cache.design.columns_for(model.key)
     return _known_phi_stack(cache, family, prior, curvature, cols[None])[0]
 
@@ -526,29 +464,17 @@ def _newton_one(objective, theta, first=None, positive=None):
     return theta[0], value[0], grad[0], hess[0], diagnostics
 
 
-def la_marginal(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-) -> MarginalScore:
-    """Laplace approximation: expand at the joint posterior mode.
+def _la_known_phi(model, cache, family, prior):
+    """Laplace approximation under a known dispersion and the block
+    Zellner prior: expand at the posterior mode.
 
     Runs the Newton rule (``_stacked_newton``, on this model as a stack of
     one) on the negative log joint from zero coefficients, where a
     zero-centered cache supplies the first evaluation without a pass over
     the data; raises ``NoConvergence`` if the gradient does not drop below
-    ``_NEWTON_TOL``.  ``la_known_phi_many`` scores many known-dispersion
-    models with the same rule in stacks.
+    ``_NEWTON_TOL``.  ``la_known_phi_many`` scores many models with the
+    same rule in stacks.
     """
-    if prior.kind != "gzellner":
-        raise ValueError("mode-expansion scoring expects the block Zellner prior")
-    if family.phi_known:
-        return _la_known_phi(model, cache, family, prior)
-    return _la_unknown_phi(model, cache, family, prior)
-
-
-def _la_known_phi(model, cache, family, prior):
     phi = float(family.phi)
     p = model.p_gamma
     if p == 0:
@@ -604,18 +530,14 @@ def la_known_phi_many(
     """Laplace scores of many models under a known dispersion.
 
     ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
-    in order, what ``la_marginal`` returns for each model, up to rounding.
-    The models with columns run ``_stacked_newton`` as padded stacks
-    (``_la_stack``, ``_la_stacks``); the null model, and each model the
-    split leaves alone, go to ``la_marginal``'s objective, whose weighted
-    Gram costs less formed directly.  Each model takes the iterates,
-    evaluations and stopping decisions it takes alone, and a batch raises
-    what ``la_marginal`` raises for the first model that fails in the run.
+    in order, what ``_la_known_phi`` returns for each model, up to
+    rounding.  The models with columns run ``_stacked_newton`` as padded
+    stacks (``_la_stack``, ``_la_stacks``); the null model, and each model
+    the split leaves alone, go to ``_la_known_phi``, whose weighted Gram
+    costs less formed directly.  Each model takes the iterates, evaluations
+    and stopping decisions it takes alone, and a batch raises what
+    ``_la_known_phi`` raises for the first model that fails in the run.
     """
-    if prior.kind != "gzellner":
-        raise ValueError("mode-expansion scoring expects the block Zellner prior")
-    if not family.phi_known:
-        raise ValueError("dispersion must be known for this engine")
     design = cache.design
     active = np.asarray(bits, dtype=bool)
     col_mask = active[:, design.col_group]
@@ -897,6 +819,9 @@ def _stacked_direction(grad: np.ndarray, hess: np.ndarray, sizes) -> np.ndarray:
 
 
 def _la_unknown_phi(model, cache, family, prior):
+    """Laplace approximation with the dispersion treated as a parameter,
+    under the block Zellner and inverse-gamma priors: the Newton rule on
+    the negative log joint in ``(beta, phi)`` from ``(0, phi0)``."""
     a, b = prior.phi_prior_required()
     p = model.p_gamma
     cols = cache.design.columns_for(model.key)
@@ -958,7 +883,8 @@ def ala_refined(
     prior: ParamPriorSpec,
     k: int = 1,
 ) -> MarginalScore:
-    """Zero-expansion score after ``k`` Newton steps on the log-likelihood.
+    """Zero-expansion score after ``k`` Newton steps on the log-likelihood,
+    under a known dispersion and the block Zellner prior.
 
     The expansion point is moved toward the maximum-likelihood estimate
     before applying the closed-form Normal-prior integral; ``k = 0`` is the
@@ -966,10 +892,6 @@ def ala_refined(
     ``k`` steps take ``k`` passes over the data.  A non-finite step stops
     the refinement early and is reported in the diagnostics.
     """
-    if prior.kind != "gzellner":
-        raise ValueError("refined scoring expects the block Zellner prior")
-    if not family.phi_known:
-        raise ValueError("refined scoring expects a known dispersion")
     if cache.nu0 != 0.0:
         raise ValueError("refined scoring expects zero centering")
     phi = float(family.phi)
@@ -1398,15 +1320,14 @@ def build_aft_context(design: DesignMatrix, data: fam.SurvivalData) -> AftContex
 def ala_aft(
     model: ModelId, ctx: AftContext, prior: ParamPriorSpec
 ) -> MarginalScore:
-    """Zero-expansion survival score with the prior density at the update.
+    """Zero-expansion survival score under the block Zellner prior, with
+    the prior density at the update.
 
     Expands the survival log-likelihood at ``(alpha, tau) = (0, tau0)``; the
     scale prior is not Normal, so the prior density is evaluated at the
     implied update point (``ala_plugin``).  The null model is the
     one-parameter case.
     """
-    if prior.kind != "gzellner":
-        raise ValueError("survival scoring expects the block Zellner prior")
     a, b = prior.phi_prior_required()
     p = model.p_gamma
     cols = ctx.design.columns_for(model.key)
@@ -1436,11 +1357,9 @@ def la_aft(
     ctx: AftContext,
     prior: ParamPriorSpec,
 ) -> MarginalScore:
-    """Mode-expansion survival score: the Newton rule (``_stacked_newton``,
-    on this model as a stack of one) on the negative log joint from
-    ``(0, tau0)``."""
-    if prior.kind != "gzellner":
-        raise ValueError("survival scoring expects the block Zellner prior")
+    """Mode-expansion survival score under the block Zellner prior: the
+    Newton rule (``_stacked_newton``, on this model as a stack of one) on
+    the negative log joint from ``(0, tau0)``."""
     a, b = prior.phi_prior_required()
     p = model.p_gamma
     cols = ctx.design.columns_for(model.key)
@@ -1480,32 +1399,23 @@ def la_aft(
 # the scorer used by the search routines
 
 
-# Each engine takes the scorer and one ModelId; a batched engine takes the
-# scorer and a (B, J) bit matrix.
+# Each row of ``_ENGINES`` names the one engine function that scores its
+# models, through an adapter that passes it the scorer's statistics: an
+# engine adapter takes the scorer and one ModelId, a batched one the scorer
+# and a (B, J) bit matrix.
+
+
+def _on_stats(engine):
+    """The adapter of an ``engine(model, cache, family, prior)``."""
+    return lambda s, m: engine(m, s.cache, s.family, s.prior)
 
 
 def _ala_known_phi(s, m):
-    return ala_expfam_known_phi(m, s.cache, s.family, s.prior, s.curvature, s.variant)
-
-
-def _ala_unknown_phi(s, m):
-    return ala_expfam_unknown_phi(m, s.cache, s.family, s.prior)
-
-
-def _ala_gmom(s, m):
-    return ala_gmom(m, s.cache, s.family, s.prior, s.curvature)
+    return _known_phi_one(m, s.cache, s.family, s.prior, s.curvature)
 
 
 def _ala_refined(s, m):
     return ala_refined(m, s.cache, s.family, s.prior, k=s.refine_steps)
-
-
-def _la(s, m):
-    return la_marginal(m, s.cache, s.family, s.prior)
-
-
-def _exact_gaussian(s, m):
-    return exact_gaussian_marginal(m, s.cache, s.family, s.prior)
 
 
 def _ala_aft(s, m):
@@ -1530,10 +1440,10 @@ def _la_many(s, bits):
 _ENGINES = {
     ("expfam", "ala", "gzellner", True): (_ala_known_phi, _ala_many),
     ("expfam", "ala-curvadj", "gzellner", True): (_ala_known_phi, _ala_many),
-    ("expfam", "ala", "gmom", True): (_ala_gmom, _ala_many),
-    ("expfam", "ala-curvadj", "gmom", True): (_ala_gmom, _ala_many),
+    ("expfam", "ala", "gmom", True): (_ala_known_phi, _ala_many),
+    ("expfam", "ala-curvadj", "gmom", True): (_ala_known_phi, _ala_many),
     ("expfam", "ala-refined", "gzellner", True): (_ala_refined, None),
-    ("expfam", "la", "gzellner", True): (_la, _la_many),
+    ("expfam", "la", "gzellner", True): (_on_stats(_la_known_phi), _la_many),
 }
 # The gaussian family has every engine of the others, its unknown-dispersion
 # form, and two engines that need a quadratic log-likelihood: the conjugate
@@ -1542,13 +1452,17 @@ _ENGINES = {
 _ENGINES.update({("gaussian", *key[1:]): entry for key, entry in _ENGINES.items()})
 _ENGINES.update(
     {
-        ("gaussian", "ala", "gzellner", False): (_ala_unknown_phi, None),
-        ("gaussian", "ala", "gmom", False): (_ala_gmom, None),
-        ("gaussian", "la", "gzellner", False): (_la, None),
-        ("gaussian", "la", "gmom", True): (_ala_gmom, None),
-        ("gaussian", "la", "gmom", False): (_ala_gmom, None),
-        ("gaussian", "exact-gaussian", "gzellner", True): (_exact_gaussian, None),
-        ("gaussian", "exact-gaussian", "gzellner", False): (_exact_gaussian, None),
+        ("gaussian", "ala", "gzellner", False): (_on_stats(_unknown_phi_score), None),
+        ("gaussian", "ala", "gmom", False): (_on_stats(ala_gmom), None),
+        ("gaussian", "la", "gzellner", False): (_on_stats(_la_unknown_phi), None),
+        ("gaussian", "la", "gmom", True): (_ala_known_phi, None),
+        ("gaussian", "la", "gmom", False): (_on_stats(ala_gmom), None),
+        ("gaussian", "exact-gaussian", "gzellner", True): (
+            _on_stats(exact_gaussian_marginal), None
+        ),
+        ("gaussian", "exact-gaussian", "gzellner", False): (
+            _on_stats(exact_gaussian_marginal), None
+        ),
         ("aft", "ala", "gzellner", False): (_ala_aft, None),
         ("aft", "la", "gzellner", False): (_la_aft, None),
     }
@@ -1583,13 +1497,15 @@ class ModelScorer:
     ``cache`` holds the per-dataset statistics: a ``SuffStatsCache`` for
     the regression families, or an ``AftContext`` with ``family=None`` for
     survival data (see ``AftScorer``).  The engine is chosen once, here,
-    from ``_ENGINES``; a combination that no engine scores, or a model
-    prior whose group count or intercept group differs from the design's,
-    raises ``ValueError``.  ``refine_steps`` is the number of likelihood
-    Newton steps ``method="ala-refined"`` takes before its expansion; the
-    other methods ignore it, and a negative count raises ``ValueError``.
-    ``log_score`` adds the unnormalized model prior to the marginal score,
-    which is what the enumeration and Gibbs routines need.
+    from ``_ENGINES``, the one dispatch: each engine scores only the
+    combinations whose rows name it, and checks none of them again.  A
+    combination that no engine scores, or a model prior whose group count
+    or intercept group differs from the design's, raises ``ValueError``.
+    ``refine_steps`` is the number of likelihood Newton steps
+    ``method="ala-refined"`` takes before its expansion; the other methods
+    ignore it, and a negative count raises ``ValueError``.  ``log_score``
+    adds the unnormalized model prior to the marginal score, which is what
+    the enumeration and Gibbs routines need.
     """
 
     def __init__(
@@ -1600,7 +1516,6 @@ class ModelScorer:
         model_prior: Optional[ModelPriorSpec] = None,
         method: str = "ala",
         refine_steps: int = 1,
-        variant: str = "exact-normal",
     ):
         design = cache.design
         if model_prior is not None and (
@@ -1618,16 +1533,13 @@ class ModelScorer:
         entry = _ENGINES.get(key)
         if entry is None:
             raise ValueError(_unsupported(*key[:3]))
-        self._engine, many = entry
-        # the batched kernel integrates the Normal prior exactly
-        self._many = many if variant == "exact-normal" else None
+        self._engine, self._many = entry
         self.cache = cache
         self.family = family
         self.prior = prior
         self.model_prior = model_prior
         self.method = method
         self.refine_steps = refine_steps
-        self.variant = variant
         self.curvature: Optional[CurvatureContext] = None
         if method == "ala-curvadj":
             self.curvature = curvature_context(cache, family)
@@ -1663,11 +1575,11 @@ class ModelScorer:
         of models in any form ``log_score`` takes.  Where the engine has a
         batched form, the models not yet memoized are scored in one batch
         straight from their bit matrix: known-dispersion ``ala``/
-        ``ala-curvadj`` with the exact Normal integral by stacked
-        bordered factorizations (``ala_known_phi_many``, whose stack
-        scores a lone model too), and known-dispersion ``la`` by stacked
-        Newton runs (``la_known_phi_many``); other methods score one
-        model at a time.  Either way every model then passes
+        ``ala-curvadj`` by stacked bordered factorizations
+        (``ala_known_phi_many``, whose stack scores a lone model too), and
+        known-dispersion ``la`` by stacked Newton runs
+        (``la_known_phi_many``); other methods score one model at a
+        time.  Either way every model then passes
         through one ``log_score`` call.  When the batch fails, the models
         are rescored one at a time, so the error comes from the same first
         model as the loop's.

@@ -115,12 +115,15 @@ def enumerate_posterior(
     constraints: Optional[ConstraintSet] = None,
     limit: int = ENUMERATION_LIMIT,
 ) -> PosteriorSummary:
-    """Score every admissible model and normalize exactly."""
+    """Score every admissible model and normalize exactly; raises
+    ``ValueError`` when no model is admissible."""
     design = scorer.design
     constraints = _resolve_constraints(scorer, constraints)
     bits = admissible_bits(
         design.n_groups, constraints, design.intercept_group, limit=limit
     )
+    if not bits.shape[0]:
+        raise ValueError("no model is admissible under the constraints")
     log_scores = scorer.score_many(bits)
     probs = _normalize(log_scores)
     return PosteriorSummary(

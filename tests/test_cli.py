@@ -237,6 +237,18 @@ class TestSelectCommand:
         assert rc == 2
         assert "enumerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_a_non_finite_screen_threshold_is_a_usage_error(
+        self, gaussian_files, tmp_path, capsys, threshold
+    ):
+        """No inclusion reaches a NaN threshold, which would pass for a
+        screen that keeps the null model only."""
+        data, groups, _, _ = gaussian_files
+        rc = _select(data, groups, tmp_path / "r", "--screen-threshold", threshold)
+        assert rc == 2
+        assert f"--screen-threshold {threshold} is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_curvature_adjustment_records_the_variance_ratio(self, tmp_path):
         rng = np.random.default_rng(4)
         n = 120
@@ -370,6 +382,7 @@ class TestIngestErrors:
         assert _select(data, groups, tmp_path / "r") == 2
         assert "column 'x1' appears twice" in capsys.readouterr().err
         assert not (tmp_path / "r" / "models.csv").exists()
+        assert not (tmp_path / "r").exists()
         rc = main([
             "expand", "--data", str(data), "--response", "y",
             "--out-data", str(tmp_path / "e.csv"),
@@ -379,6 +392,28 @@ class TestIngestErrors:
         assert rc == 2
         assert "column 'x1' appears twice" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+    def test_a_negative_group_cap_is_rejected(self, gaussian_files, tmp_path, capsys):
+        data, groups, _, _ = gaussian_files
+        rc = _select(data, groups, tmp_path / "r", "--max-groups", "-1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: max_groups must be >= 0, got -1" in err
+        assert "None" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_a_cap_that_admits_no_model_is_rejected(
+        self, gaussian_files, tmp_path, capsys
+    ):
+        """With group 0 forced into every model, a cap of zero groups
+        admits none."""
+        data, groups, _, _ = gaussian_files
+        rc = _select(
+            data, groups, tmp_path / "r", "--max-groups", "0", "--intercept-group", "0"
+        )
+        assert rc == 2
+        assert "no model is admissible" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_response_column(self, gaussian_files, tmp_path, capsys):
         data, groups, _, _ = gaussian_files
@@ -524,6 +559,20 @@ class TestExpandCommand:
             assert not (bits[2] and not bits[0])
             assert not (bits[3] and not bits[1])
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_a_spline_dimension_below_one_is_rejected(self, tmp_path, capsys, dim):
+        data = tmp_path / "raw.csv"
+        _write_csv(data, ["y", "u"], [["1.0", "0.5"], ["2.0", "1.5"], ["0.0", "-1"]])
+        rc = main([
+            "expand", "--data", str(data), "--response", "y", "--spline-dim", dim,
+            "--out-data", str(tmp_path / "e.csv"),
+            "--out-groups", str(tmp_path / "eg.csv"),
+            "--out-constraints", str(tmp_path / "ec.csv"),
+        ])
+        assert rc == 2
+        assert f"--spline-dim must be at least 1, got {dim}" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
 
 class TestSimstudyCommand:
     """Canned simulation designs run end to end."""
@@ -575,6 +624,24 @@ class TestOracleCommand:
         np.testing.assert_allclose(payload["log_ml"], expected, atol=1e-8)
         printed = json.loads(capsys.readouterr().out)
         assert printed == payload
+
+    @pytest.mark.parametrize("model", ["102", "1x1"])
+    def test_a_model_bit_other_than_0_or_1_is_rejected(
+        self, gaussian_files, tmp_path, capsys, model
+    ):
+        """Read as nonzero-means-active, ``102`` would score model ``101``
+        under the name ``102``."""
+        data, groups, _, _ = gaussian_files
+        out = tmp_path / "oracle.json"
+        rc = main([
+            "oracle", "--data", str(data), "--groups", str(groups),
+            "--response", "y", "--model", model, "--family", "gaussian",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--model {model!r} holds a bit other than 0 or 1" in err
+        assert not out.exists()
 
     def test_quadrature_oracle_needs_one_column(self, gaussian_files, tmp_path, capsys):
         data, groups, _, _ = gaussian_files

@@ -4,6 +4,7 @@ numerical oracles they are checked against."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,12 @@ from tests.oracles import (
     reference_refined_expansion,
     zero_expansion_unknown_phi_log_ml,
 )
+
+
+def _marginal(cache, family, prior, bits, method="ala"):
+    """One model's score from a fresh scorer: what the engine that the
+    scorer's ``_ENGINES`` row names returns."""
+    return me.ModelScorer(cache, family, prior, method=method).marginal(bits)
 
 
 class TestGeneralBackbone:
@@ -153,7 +160,7 @@ class TestKnownDispersionExactness:
         phi = 0.8
         cache = build_cache(design, y, gaussian(phi))
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
-        score = me.ala_expfam_known_phi(design.model((0,)), cache, gaussian(phi), prior)
+        score = _marginal(cache, gaussian(phi), prior, (0,))
         np.testing.assert_allclose(
             score.log_ml,
             stats.norm.logpdf(y, scale=np.sqrt(phi)).sum(),
@@ -187,35 +194,35 @@ class TestPluginVariant:
     posterior precision ratio."""
 
     def test_gap_matches_the_precision_ratio(self, rng):
-        n, g = 1000, 1.0
+        n, g, phi = 1000, 1.0, 1.0
         design = make_design(rng, n, [1])
         y = rng.normal(size=n)
-        cache = build_cache(design, y, gaussian(1.0))
+        cache = build_cache(design, y, gaussian(phi))
         prior = ParamPriorSpec(kind="gzellner", g=g)
-        exact = me.ModelScorer(cache, gaussian(1.0), prior, method="ala")
-        plugin = me.ModelScorer(
-            cache, gaussian(1.0), prior, method="ala", variant="plugin-density"
-        )
-        gap = plugin.log_ml((1,)) - exact.log_ml((1,))
+        exact = me.ModelScorer(cache, gaussian(phi), prior, method="ala")
+        w = cache.bpp_nu0 / phi
+
+        def plugin(bits):
+            # the known-dispersion expansion at zero, with the prior density
+            # evaluated at the update
+            cols = design.columns_for(bits)
+            xtx = cache.gram.block(cols)
+            return me.ala_plugin(
+                me._loglik_at_center(cache, gaussian(phi), phi),
+                -w * cache.zty[cols],
+                w * xtx,
+                lambda b: cache.block_prior.log_density(b, cols, g, phi, block=xtx),
+            )
+
+        gap = plugin((1,)).log_ml - exact.log_ml((1,))
         np.testing.assert_allclose(gap, 0.5 * np.log(1.0 + 1.0 / (g * n)), rtol=0.02)
         # the null model is the formula's d = 0 case: no gap at all
-        null = plugin.marginal((0,))
+        null = plugin((0,))
         assert null.log_ml == exact.log_ml((0,)) == me._loglik_at_center(
-            cache, gaussian(1.0), 1.0
+            cache, gaussian(phi), phi
         )
-        assert null.diagnostics == {
-            "quad": 0.0, "phi": 1.0, "rho_hat": 1.0, "variant": "plugin-density"
-        }
+        assert null.diagnostics == {"quad": 0.0}
         assert null.expansion.shape == (0,)
-
-    def test_unknown_variant_name_rejected(self, rng):
-        design = make_design(rng, 10, [1])
-        cache = build_cache(design, rng.normal(size=10), gaussian(1.0))
-        prior = ParamPriorSpec(kind="gzellner", g=1.0)
-        with pytest.raises(ValueError):
-            me.ala_expfam_known_phi(
-                design.model((1,)), cache, gaussian(1.0), prior, variant="bogus"
-            )
 
 
 class TestUnknownDispersion:
@@ -235,9 +242,7 @@ class TestUnknownDispersion:
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gzellner", g=g, phi_prior=(a, b))
         for bits in [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]:
-            score = me.ala_expfam_unknown_phi(
-                design.model(bits), cache, gaussian_unknown(), prior
-            )
+            score = _marginal(cache, gaussian_unknown(), prior, bits)
             reference, phi_tilde = zero_expansion_unknown_phi_log_ml(
                 design, bits, y, g, a, b
             )
@@ -253,9 +258,7 @@ class TestUnknownDispersion:
         design, y = self._moderate_data(rng)
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
-        score = me.ala_expfam_unknown_phi(
-            design.model((1, 0, 0, 0)), cache, gaussian_unknown(), prior
-        )
+        score = _marginal(cache, gaussian_unknown(), prior, (1, 0, 0, 0))
         np.testing.assert_allclose(score.diagnostics["phi0"], np.mean(y**2), atol=1e-12)
 
     def _fixed_fit_data(self, rng, n, r_squared):
@@ -276,9 +279,7 @@ class TestUnknownDispersion:
         design, y = self._fixed_fit_data(rng, 40, r_squared=0.35)
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
-        score = me.ala_expfam_unknown_phi(
-            design.model((1,)), cache, gaussian_unknown(), prior
-        )
+        score = _marginal(cache, gaussian_unknown(), prior, (1,))
         assert score.log_ml == -np.inf
         assert score.diagnostics["phi_tilde"] <= 0.0
 
@@ -290,9 +291,7 @@ class TestUnknownDispersion:
         a, b = 0.4, 0.9
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(a, b))
-        score = me.ala_expfam_unknown_phi(
-            design.model((0,)), cache, gaussian_unknown(), prior
-        )
+        score = _marginal(cache, gaussian_unknown(), prior, (0,))
         n = y.shape[0]
         phi0 = np.mean(y**2)
         l0 = -0.5 * n * (np.log(2.0 * np.pi * phi0) + 1.0)
@@ -312,9 +311,7 @@ class TestUnknownDispersion:
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
         with pytest.raises(NotConcaveAtExpansion):
-            me.ala_expfam_unknown_phi(
-                design.model((1,)), cache, gaussian_unknown(), prior
-            )
+            _marginal(cache, gaussian_unknown(), prior, (1,))
 
     def test_mode_score_converges_to_the_conjugate_marginal(self, rng):
         """The mode-based score is exact in the coefficients and a Laplace
@@ -327,7 +324,7 @@ class TestUnknownDispersion:
             cache = build_cache(design, y, gaussian_unknown())
             prior = ParamPriorSpec(kind="gzellner", g=g, phi_prior=(a, b))
             bits = (1, 1, 0, 1)
-            la = me.la_marginal(design.model(bits), cache, gaussian_unknown(), prior)
+            la = _marginal(cache, gaussian_unknown(), prior, bits, "la")
             exact = conjugate_unknown_phi_log_ml(design, bits, y, g, a, b)
             errors[n] = abs(la.log_ml - exact)
         assert errors[480] < errors[120]
@@ -371,10 +368,8 @@ class TestCurvatureAdjustment:
         ctx = me.curvature_context(cache, poisson())
         assert ctx.rho_hat > 1.0
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
-        plain = me.ala_expfam_known_phi(design.model((1, 1)), cache, poisson(), prior)
-        adjusted = me.ala_expfam_known_phi(
-            design.model((1, 1)), cache, poisson(), prior, curvature=ctx
-        )
+        plain = _marginal(cache, poisson(), prior, (1, 1))
+        adjusted = _marginal(cache, poisson(), prior, (1, 1), "ala-curvadj")
         assert plain.log_ml != adjusted.log_ml
         assert adjusted.method == "ala-curvadj"
         np.testing.assert_allclose(adjusted.diagnostics["rho_hat"], ctx.rho_hat)
@@ -429,7 +424,7 @@ class TestRefinedExpansion:
         cache = build_cache(design, y, logistic())
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         bits = (1, 1, 0)
-        plain = me.ala_expfam_known_phi(design.model(bits), cache, logistic(), prior)
+        plain = _marginal(cache, logistic(), prior, bits)
         refined = me.ala_refined(design.model(bits), cache, logistic(), prior, k=0)
         np.testing.assert_allclose(refined.log_ml, plain.log_ml, atol=1e-12)
 
@@ -472,7 +467,7 @@ class TestRefinedExpansion:
 
             truth = me.quadrature_oracle(integrand)
             model = design.model((1,))
-            plain = me.ala_expfam_known_phi(model, cache, logistic(), prior)
+            plain = _marginal(cache, logistic(), prior, model)
             refined = me.ala_refined(model, cache, logistic(), prior, k=1)
             if abs(refined.log_ml - truth) < abs(plain.log_ml - truth):
                 wins += 1
@@ -486,8 +481,8 @@ class TestRefinedExpansion:
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         bits = (1, 1, 0)
         model = design.model(bits)
-        plain = me.ala_expfam_known_phi(model, cache, logistic(), prior)
-        la = me.la_marginal(model, cache, logistic(), prior)
+        plain = _marginal(cache, logistic(), prior, model)
+        la = _marginal(cache, logistic(), prior, model, "la")
         refined = me.ala_refined(model, cache, logistic(), prior, k=8)
         # refinement expands at the maximum-likelihood point, which sits
         # near but not exactly at the posterior mode, so the two scores
@@ -514,7 +509,7 @@ class TestNonlocalEngines:
         cache = build_cache(design, y, gaussian(phi))
         prior = ParamPriorSpec(kind="gmom", g=1.0)
         for bits in [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1)]:
-            fast = me.ala_gmom(design.model(bits), cache, gaussian(phi), prior)
+            fast = _marginal(cache, gaussian(phi), prior, bits)
             slow = me.exact_gmom_blockdiag(design.model(bits), cache, gaussian(phi), prior)
             np.testing.assert_allclose(fast.log_ml, slow.log_ml, atol=1e-8)
             dense, _ = dense_known_phi_ala(cache, gaussian(phi), prior, bits)
@@ -570,8 +565,8 @@ class TestNonlocalEngines:
         gz = ParamPriorSpec(kind="gzellner", g=1.0)
         gm = ParamPriorSpec(kind="gmom", g=1.0)
         bits = (0, 0, 0)
-        a = me.ala_gmom(design.model(bits), cache, gaussian(1.0), gm)
-        b = me.ala_expfam_known_phi(design.model(bits), cache, gaussian(1.0), gz)
+        a = _marginal(cache, gaussian(1.0), gm, bits)
+        b = _marginal(cache, gaussian(1.0), gz, bits)
         assert a.diagnostics["tilt"] == 0.0
         for score, prior in ((a, gm), (b, gz)):
             dense, _ = dense_known_phi_ala(cache, gaussian(1.0), prior, bits)
@@ -579,14 +574,17 @@ class TestNonlocalEngines:
 
     def test_unknown_dispersion_route_only_for_gaussian(self, rng):
         """Non-Gaussian families with a free dispersion cannot take the
-        non-local route and must be rejected, not silently mis-scored."""
+        non-local route and must be rejected, not silently mis-scored: the
+        engine table has no row for them."""
         design = make_design(rng, 30, [1])
         y = rng.poisson(1.0, size=30).astype(np.float64)
         cache = build_cache(design, y, poisson())
         prior = ParamPriorSpec(kind="gmom", g=1.0, phi_prior=(0.01, 0.01))
         fake_unknown = dataclasses.replace(poisson(), phi_known=False)
-        with pytest.raises(ValueError):
-            me.ala_gmom(design.model((1,)), cache, fake_unknown, prior)
+        message = me._unsupported("expfam", "ala", "gmom")
+        assert message == "method 'ala' is unavailable for this prior"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            me.ModelScorer(cache, fake_unknown, prior)
 
     def test_gaussian_unknown_dispersion_route_is_tight_near_the_null(self, rng):
         """With unknown dispersion the zero expansion is approximate; its
@@ -1110,19 +1108,16 @@ class TestScoreMany:
         assert scorer.n_scored <= 1
 
     @pytest.mark.parametrize(
-        "method, family, variant",
+        "method, family",
         [
             # known-dispersion la is batched (TestNewtonParity)
-            ("la", gaussian_unknown(), "exact-normal"),
-            ("ala-refined", logistic(), "exact-normal"),
-            ("ala", logistic(), "plugin-density"),
-            ("ala", gaussian_unknown(), "exact-normal"),
-            ("exact-gaussian", gaussian(1.0), "exact-normal"),
+            ("la", gaussian_unknown()),
+            ("ala-refined", logistic()),
+            ("ala", gaussian_unknown()),
+            ("exact-gaussian", gaussian(1.0)),
         ],
     )
-    def test_other_methods_return_exactly_the_loops_values(
-        self, rng, method, family, variant
-    ):
+    def test_other_methods_return_exactly_the_loops_values(self, rng, method, family):
         design = make_design(rng, 50, [1, 2, 1])
         eta = design.values @ np.array([0.6, 0.0, -0.4, 0.3])
         kind = "logistic" if family.kind == "logistic" else "gaussian"
@@ -1131,9 +1126,7 @@ class TestScoreMany:
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
         models = [*admissible_bits(3), (1, 1, 0)]
         scorers = [
-            me.ModelScorer(
-                cache, family, prior, method=method, refine_steps=2, variant=variant
-            )
+            me.ModelScorer(cache, family, prior, method=method, refine_steps=2)
             for _ in range(2)
         ]
         looped = [scorers[0].log_score(bits) for bits in models]
@@ -1163,15 +1156,13 @@ class TestScalingBehavior:
         cache = build_cache(design, y, gaussian(1.0))
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         bits = (1, 1)
-        score = me.ala_expfam_known_phi(design.model(bits), cache, gaussian(1.0), prior)
+        score = _marginal(cache, gaussian(1.0), prior, bits)
 
         # rotate the raw data by an orthogonal matrix: Z'Z, Z'y, y'y survive
         q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
         design_rot = DesignMatrix(q @ design.values, design.groups)
         cache_rot = build_cache(design_rot, q @ y, gaussian(1.0))
-        score_rot = me.ala_expfam_known_phi(
-            design_rot.model(bits), cache_rot, gaussian(1.0), prior
-        )
+        score_rot = _marginal(cache_rot, gaussian(1.0), prior, bits)
         np.testing.assert_allclose(score.log_ml, score_rot.log_ml, atol=1e-8)
 
 
@@ -1221,7 +1212,7 @@ class TestNewtonParity:
         phi_prior = None if family.phi_known else (0.5, 0.7)
         prior = ParamPriorSpec(kind="gzellner", g=1.3, phi_prior=phi_prior)
         for bits in _PARITY_MODELS:
-            score = me.la_marginal(design.model(bits), cache, family, prior)
+            score = _marginal(cache, family, prior, bits, "la")
             log_ml, mode, iterations, _ = reference_la(
                 design, bits, y, family, 1.3, phi_prior
             )
@@ -1272,7 +1263,7 @@ class TestNewtonParity:
         prior = ParamPriorSpec(kind="gzellner", g=1.3)
         bits = admissible_bits(design.n_groups, intercept_group=0)
         single = [
-            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+            _marginal(cache, family, prior, row, "la") for row in bits
         ]
         scorer = me.ModelScorer(cache, family, prior, method="la")
         scores = scorer.score_many(bits)
@@ -1311,7 +1302,7 @@ class TestNewtonParity:
     ):
         """The 128 models of 1 to 8 columns over an 8-column union run as
         one ``_stacked_newton`` run, and each model keeps the iterates,
-        evaluations and score of ``la_marginal``."""
+        evaluations and score of ``_la_known_phi``."""
         design, y = _parity_data("logistic")
         family = logistic()
         cache = build_cache(design, y, family)
@@ -1335,7 +1326,7 @@ class TestNewtonParity:
         scores = scorer.score_many(bits)
         assert runs == [(len(bits), 8)]
         for row, value in zip(bits, scores):
-            one = me.la_marginal(design.model(row), cache, family, prior)
+            one = _marginal(cache, family, prior, row, "la")
             got = scorer.marginal(row).diagnostics
             np.testing.assert_allclose(value, one.log_ml, rtol=1e-10)
             assert got["iterations"] == one.diagnostics["iterations"]
@@ -1377,7 +1368,7 @@ class TestNewtonParity:
         scores = me.la_known_phi_many(bits, cache, family, prior)
         assert runs == [rows.size for rows, _ in stacks]
         for row, got in zip(bits, scores):
-            one = me.la_marginal(design.model(row), cache, family, prior)
+            one = _marginal(cache, family, prior, row, "la")
             np.testing.assert_allclose(got.log_ml, one.log_ml, rtol=1e-10)
             assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
             assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
@@ -1387,7 +1378,7 @@ class TestNewtonParity:
     ):
         """A run whose union has more than ``_LA_BLOCK // 128`` columns and
         pair products (22 columns: 22 + 253) scores each model alone with
-        ``la_marginal``'s objective, never as a ``_la_stack``, and never
+        ``_la_known_phi``, never as a ``_la_stack``, and never
         holds the weighted Grams of the union's pairs; the same models
         without column 21 (a 21-column union: 21 + 231) run as one stack."""
         rng = np.random.default_rng(8)
@@ -1421,7 +1412,7 @@ class TestNewtonParity:
 
         monkeypatch.setattr(me, "_la_stack", recording)
         single = [
-            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+            _marginal(cache, family, prior, row, "la") for row in bits
         ]
         tracemalloc.start()
         try:
@@ -1438,7 +1429,7 @@ class TestNewtonParity:
         scores = me.la_known_phi_many(narrow, cache, family, prior)
         assert runs == [len(narrow)]
         for row, got in zip(narrow, scores):
-            one = me.la_marginal(design.model(row), cache, family, prior)
+            one = _marginal(cache, family, prior, row, "la")
             np.testing.assert_allclose(got.log_ml, one.log_ml, rtol=1e-10)
             assert got.diagnostics["iterations"] == one.diagnostics["iterations"]
             assert got.diagnostics["evaluations"] == one.diagnostics["evaluations"]
@@ -1458,7 +1449,7 @@ class TestNewtonParity:
         sizes = bits.sum(axis=1)
         assert sizes.tolist() == [1, 2, 2, 3, 2, 3, 3, 4]
         single = [
-            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+            _marginal(cache, family, prior, row, "la") for row in bits
         ]
         runs = []
         stacked_newton = me._stacked_newton
@@ -1506,7 +1497,7 @@ class TestNewtonParity:
         for rows, _ in stacks:
             assert rows.size * p_gamma[rows].max() ** 2 <= me._STACK_ENTRIES
         single = [
-            me.la_marginal(design.model(row), cache, family, prior) for row in bits
+            _marginal(cache, family, prior, row, "la") for row in bits
         ]
         runs = []
         stacked_newton = me._stacked_newton
@@ -1550,7 +1541,7 @@ class TestNewtonParity:
             start = -me._loglik_at_center(cache, family, 1.0)
             gains = []
             for row in bits:
-                mode = me.la_marginal(design.model(row), cache, family, prior).expansion
+                mode = _marginal(cache, family, prior, row, "la").expansion
                 cols = design.columns_for(row)
                 prec, _ = block_zellner_precision(design, row, 1.3)
                 value = -fam.loglik(family, design.values[:, cols] @ mode, y)
@@ -1687,13 +1678,13 @@ class TestNewtonParity:
         cache = build_cache(design, y, family)
         prior = ParamPriorSpec(kind="gzellner", g=1.3)
         bits = (1, 1, 1, 1, 1)
-        assert me.la_marginal(design.model(bits), cache, family, prior).diagnostics[
+        assert _marginal(cache, family, prior, bits, "la").diagnostics[
             "iterations"
         ] > 1
         monkeypatch.setattr(me, "_NEWTON_MAX_ITER", 1)
         pattern = r"gradient norm \S+ above 1\.0e-08 after 1 iterations"
         with pytest.raises(NoConvergence, match=pattern) as alone:
-            me.la_marginal(design.model(bits), cache, family, prior)
+            _marginal(cache, family, prior, bits, "la")
         with pytest.raises(NoConvergence, match=pattern) as batched:
             me.la_known_phi_many(
                 np.array([bits, (1, 1, 0, 1, 0)], dtype=np.uint8), cache, family, prior
@@ -1701,12 +1692,12 @@ class TestNewtonParity:
         assert str(batched.value) == str(alone.value)
         converging = design.model((1, 1, 0, 0, 0))
         monkeypatch.setattr(me, "_NEWTON_MAX_ITER", 5)
-        score = me.la_marginal(converging, cache, family, prior)
+        score = _marginal(cache, family, prior, converging, "la")
         assert score.diagnostics["iterations"] == 5
         assert score.diagnostics["grad_norm"] <= me._NEWTON_TOL
         monkeypatch.setattr(me, "_NEWTON_MAX_ITER", 4)
         with pytest.raises(NoConvergence, match="after 4 iterations"):
-            me.la_marginal(converging, cache, family, prior)
+            _marginal(cache, family, prior, converging, "la")
 
     def test_stacked_direction_takes_the_ridge_retries_row_by_row(self):
         rng = np.random.default_rng(3)
@@ -1762,7 +1753,7 @@ class TestNewtonParity:
             bits = admissible_bits(8)
             # the Gram fill and the cached response terms are not working arrays
             me.ModelScorer(cache, family, prior).score_many(bits)
-            me.la_marginal(design.model(bits[1]), cache, family, prior)
+            _marginal(cache, family, prior, bits[1], "la")
             scorer = me.ModelScorer(cache, family, prior, method="la")
             tracemalloc.start()
             try:
@@ -2001,7 +1992,7 @@ class TestNewtonCost:
         cache = build_cache(design, y, family)
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         bits = (1, 1, 0)
-        score = me.la_marginal(design.model(bits), cache, family, prior)
+        score = _marginal(cache, family, prior, bits, "la")
         diag = score.diagnostics
         assert diag["evaluations"] > diag["iterations"]
         assert sum(passes) == diag["evaluations"] * n
@@ -2147,19 +2138,18 @@ def _engine_stats(kind, phi_known, method, seed=5):
 
 
 def _engine_reference(key, model, stats, family, prior):
-    """What the engine function a table entry stands for returns."""
-    kind, method, prior_kind, _ = key
+    """What the engine function a table entry names returns."""
+    kind, method, prior_kind, phi_known = key
     if kind == "aft":
         engine = me.ala_aft if method == "ala" else me.la_aft
         return engine(model, stats, prior)
     if prior_kind == "gmom":
         # the mode expansion of the gaussian family is its zero expansion
         return me.ala_gmom(model, stats, family, prior)
-    if method == "ala":
-        return me.ala_expfam_unknown_phi(model, stats, family, prior)
     engines = {
+        "ala": me._unknown_phi_score,
         "ala-refined": me.ala_refined,
-        "la": me.la_marginal,
+        "la": me._la_known_phi if phi_known else me._la_unknown_phi,
         "exact-gaussian": me.exact_gaussian_marginal,
     }
     return engines[method](model, stats, family, prior)

@@ -1,6 +1,7 @@
 """The package keeps no helper without a caller: every module-level private
 function or class of ``src/alaselect`` is referenced somewhere in the
-package outside its own definition."""
+package outside its own definition, and so is every public one of
+``marginal_engines`` that ``alaselect.__all__`` does not list."""
 
 import ast
 from pathlib import Path
@@ -10,11 +11,13 @@ import alaselect
 _PACKAGE = Path(alaselect.__file__).parent
 
 
-def _unreferenced(sources: dict[str, str]) -> list[str]:
+def _unreferenced(sources: dict[str, str], public=(), exported=()) -> list[str]:
     """``module.name`` of each module-level ``_private`` function or class
-    in ``sources`` (module name -> source text) that no other top-level
-    statement of any module names, as a ``Name``, an ``Attribute`` or an
-    import alias.  Docstrings and comments do not count."""
+    in ``sources`` (module name -> source text), and of each public one of
+    the modules ``public`` whose name ``exported`` does not hold, that no
+    other top-level statement of any module names, as a ``Name``, an
+    ``Attribute`` or an import alias.  Docstrings and comments do not
+    count."""
     defined, used_by = [], []
     for module, text in sources.items():
         for node in ast.parse(text).body:
@@ -28,10 +31,10 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
                     names.add(sub.name)
             used_by.append((node, names))
             kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            if (
-                isinstance(node, kinds)
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
+            if not isinstance(node, kinds) or node.name.startswith("__"):
+                continue
+            if node.name.startswith("_") or (
+                module in public and node.name not in exported
             ):
                 defined.append((module, node))
     return [
@@ -65,3 +68,34 @@ def test_a_leftover_helper_is_caught():
         "    return _newton_diagnostics(trace[1:]) if trace else {}\n"
     )
     assert _unreferenced(sources) == ["marginal_engines._newton_diagnostics"]
+
+
+def test_every_public_engine_is_called_or_exported():
+    """Each engine is reached through the scorer's engine table, another
+    engine or the command line, or is part of the package's interface: no
+    second way to a score grows beside the table."""
+    sources = _package_sources()
+    public = [
+        node.name
+        for node in ast.parse(sources["marginal_engines"]).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    assert len(public) > 15
+    assert _unreferenced(sources, ("marginal_engines",), alaselect.__all__) == []
+
+
+def test_a_leftover_public_engine_is_caught():
+    """A public engine that only delegates to a table engine, and that
+    nothing calls or exports, is a leftover dispatch layer."""
+    sources = _package_sources()
+    sources["marginal_engines"] += (
+        "\n\ndef la_marginal(model, cache, family, prior):\n"
+        '    """Unused; ``la_marginal`` in prose is no call."""\n'
+        "    return _la_known_phi(model, cache, family, prior)\n"
+    )
+    found = _unreferenced(sources, ("marginal_engines",), alaselect.__all__)
+    assert found == ["marginal_engines.la_marginal"]
+    # listed in the package's interface, it is no leftover
+    exported = [*alaselect.__all__, "la_marginal"]
+    assert _unreferenced(sources, ("marginal_engines",), exported) == []
