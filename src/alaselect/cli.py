@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -665,18 +666,18 @@ def run_oracle(args) -> int:
     family = _make_family(args)
     cache = build_cache(design, response, family, center="zero")
     if args.oracle == "exact-gaussian":
-        score = engines.exact_gaussian_marginal(model, cache, family, prior)
+        log_ml = engines.exact_gaussian_marginal(model, cache, family, prior).log_ml
     elif args.oracle == "gmom-quadrature":
-        score = engines.exact_gmom_blockdiag(model, cache, family, prior)
+        log_ml = engines.exact_gmom_blockdiag(model, cache, family, prior).log_ml
     elif args.oracle == "gmom-mc":
-        score = engines.exact_gmom_mc(
+        log_ml = engines.exact_gmom_mc(
             model,
             cache,
             family,
             prior,
             n_draws=args.mc_draws,
             rng=np.random.default_rng(args.seed),
-        )
+        ).log_ml
     elif args.oracle == "quadrature":
         if model.p_gamma != 1:
             raise ParseError("the quadrature oracle handles single-column models")
@@ -697,13 +698,12 @@ def run_oracle(args) -> int:
             return vals
 
         log_ml = engines.quadrature_oracle(log_integrand)
-        score = engines.MarginalScore(log_ml, "quadrature", np.empty(0), {})
     else:
         raise ParseError(f"unknown oracle {args.oracle!r}")
     payload = {
         "model": "".join(map(str, bits)),
         "oracle": args.oracle,
-        "log_ml": score.log_ml,
+        "log_ml": log_ml,
         "version": __version__,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -738,7 +738,10 @@ def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a web of
+    reference cycles, which only the cyclic garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="alaselect",
         description="Bayesian model selection with fast approximate marginals",
@@ -860,20 +863,15 @@ def _reuse_heap_pages() -> None:
 
 def main(argv=None) -> int:
     _reuse_heap_pages()
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SelectionError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 10
+        return next((c for k, c in _EXIT_CODES if isinstance(exc, k)), 10)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

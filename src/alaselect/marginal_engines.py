@@ -51,28 +51,14 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class MarginalScore:
-    """One model's log marginal likelihood with how it was obtained.
-
-    An engine may give, in place of the expansion point, the factor of
-    ``bordered_cholesky`` for the curvature H and gradient g at zero; the
-    first read of ``expansion`` then solves for the point ``-H^-1 g``, so
-    that a point nothing reads is never solved for.
-    """
+    """One model's log marginal likelihood with how it was obtained: the
+    method, the expansion point and the engine's diagnostics.  A scorer
+    builds one only when ``ModelScorer.marginal`` asks for it."""
 
     log_ml: float
     method: str
-    _expansion: Optional[np.ndarray]
+    expansion: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    _factor: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def expansion(self) -> np.ndarray:
-        if self._expansion is None:
-            k = self._factor.shape[0] - 1
-            upper = self._factor[:k, :k].T
-            self._expansion = -np.linalg.solve(upper, self._factor[k, :k])
-            self._factor = None
-        return self._expansion
 
 
 @dataclass(frozen=True)
@@ -335,48 +321,38 @@ def ala_known_phi_many(
     family: fam.FamilySpec,
     prior: ParamPriorSpec,
     curvature: Optional[CurvatureContext] = None,
-) -> list[MarginalScore]:
-    """What ``_known_phi_one`` returns for each row of the (B, J) ``uint8``
-    0/1 matrix ``bits``, in order.  The models of one dimension are scored
-    as stacks of at most ``_STACK_ENTRIES`` Gram entries
-    (``_known_phi_stack``)."""
-    col_mask = np.asarray(bits, dtype=bool)[:, cache.design.col_group]
+) -> np.ndarray:
+    """The log marginal likelihoods of the rows of the (B, J) ``uint8`` 0/1
+    matrix ``bits``, as a (B,) array, bitwise the lone scores.  The models of
+    one dimension are scored as stacks of at most ``_STACK_ENTRIES`` Gram
+    entries (``_known_phi_stack``), written by row index."""
+    col_mask = bits.view(bool)[:, cache.design.col_group]
     p_gamma = col_mask.sum(axis=1)
-    out: list[Optional[MarginalScore]] = [None] * col_mask.shape[0]
-    for k in np.unique(p_gamma).tolist():
+    out = np.empty(col_mask.shape[0])
+    for k in sorted(set(p_gamma.tolist())):
         members = np.flatnonzero(p_gamma == k)
         step = max(1, _STACK_ENTRIES // max(k * k, 1))
         for lo in range(0, members.shape[0], step):
             rows = members[lo : lo + step]
             cols = np.nonzero(col_mask[rows])[1].reshape(rows.shape[0], k)
-            scores = _known_phi_stack(cache, family, prior, curvature, cols)
-            for i, score in zip(rows.tolist(), scores):
-                out[i] = score
+            out[rows] = _known_phi_stack(cache, family, prior, curvature, cols)[0]
     return out
 
 
-def _known_phi_one(model, cache, family, prior, curvature):
-    """The known-dispersion zero-expansion score of one model, under either
-    prior, with the Hessian inflated by ``curvature`` when given: a stack
-    of one."""
-    cols = cache.design.columns_for(model.key)
-    return _known_phi_stack(cache, family, prior, curvature, cols[None])[0]
-
-
-def _known_phi_stack(cache, family, prior, curvature, cols):
+def _known_phi_stack(cache, family, prior, curvature, cols, expand=False):
     """The one known-dispersion ``ala`` engine: zero-expansion scores of
     the models with (B, k) columns ``cols``, under the block Zellner prior,
     or under the product-moment prior with the log posterior expectation of
     its penalty (the tilt).  ``log det H`` and ``g' H^-1 g`` come from one
-    stacked bordered Cholesky factorization.  The tilt's posterior moments
-    and the expansion come from one stacked inverse of the factor; the
-    block Zellner expansion, which no score needs, from one triangular
-    solve when it is read.  A model's score depends on its own block alone,
-    not on its stack.  Raises ``NotConcaveAtExpansion`` when a joint
-    curvature is not positive definite and ``NotInvertible`` when a
-    group's Gram block is singular."""
+    stacked bordered Cholesky factorization; the tilt's posterior moments
+    and the expansion ``-H^-1 g`` from one stacked back substitution, which
+    the block Zellner score runs only to ``expand``.  Returns arrays, each
+    row depending on its model's block alone: the (B,) log marginal
+    likelihoods, ``{"tilt": ...}`` or ``{"quad": g' H^-1 g}``, and the (B, k)
+    expansions or None.  Raises ``NotConcaveAtExpansion`` when a joint
+    curvature is not positive definite and ``NotInvertible`` when a group's
+    Gram block is singular."""
     gmom = prior.kind == "gmom"
-    method = ("ala-gmom" if gmom else "ala") + ("" if curvature is None else "-curvadj")
     phi = float(family.phi)
     w = cache.bpp_nu0 / phi
     rho = curvature.rho_hat if curvature is not None else 1.0
@@ -390,26 +366,24 @@ def _known_phi_stack(cache, family, prior, curvature, cols):
         NotConcaveAtExpansion,
         "joint curvature",
     )
-    k = cols.shape[1]
     l0 = _loglik_at_center(cache, family, phi)
-    rows = zip(logdet_p0.tolist(), logdet_h.tolist(), quad.tolist())
-    score = [l0 + 0.5 * lp - 0.5 * lh + 0.5 * q for lp, lh, q in rows]
-    if gmom:
-        # with its corner set to 1, the factor's transpose [[L', L^-1 g],
-        # [0, 1]] has the inverse [[L^-T, beta], [0, 1]], beta = -H^-1 g the
-        # expansion; its first k rows R give H^-1 + beta beta' = R R'
-        factor[:, k, k] = 1.0
-        head = np.linalg.inv(factor.transpose(0, 2, 1))[:, :k]
-        moment = head @ head.transpose(0, 2, 1) / phi
-        tilt = cache.block_prior.log_penalty(cols, moment, prior.g, xtx).tolist()
-        return [
-            MarginalScore(s + t, method, b, {"tilt": t, "phi": phi, "rho_hat": rho})
-            for s, t, b in zip(score, tilt, head[:, :, k])
-        ]
-    return [
-        MarginalScore(s, method, None, {"phi": phi, "rho_hat": rho, "quad": q}, f)
-        for s, q, f in zip(score, quad.tolist(), factor)
-    ]
+    log_ml = l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
+    if not (gmom or expand):
+        return log_ml, {"quad": quad}, None
+    # with its corner set to 1, the factor's transpose [[L', L^-1 g], [0, 1]]
+    # has the inverse [[L^-T, beta], [0, 1]], beta = -H^-1 g; its first k rows
+    # R, found from the last up, give H^-1 + beta beta' = R R'
+    k = cols.shape[1]
+    factor[:, k, k] = 1.0
+    head = np.broadcast_to(np.eye(k + 1), factor.shape).copy()
+    for i in range(k - 1, -1, -1):
+        head[:, i] -= np.einsum("bl,blc->bc", factor[:, i + 1 :, i], head[:, i + 1 :])
+        head[:, i] /= factor[:, i, i, None]
+    if not gmom:
+        return log_ml, {"quad": quad}, head[:, :k, k]
+    moment = head[:, :k] @ head[:, :k].transpose(0, 2, 1) / phi
+    tilt = cache.block_prior.log_penalty(cols, moment, prior.g, xtx)
+    return log_ml + tilt, {"tilt": tilt}, head[:, :k, k]
 
 
 # The Newton rule of every ``la`` engine: a model stops once its largest
@@ -1401,8 +1375,9 @@ def la_aft(
 
 # Each row of ``_ENGINES`` names the one engine function that scores its
 # models, through an adapter that passes it the scorer's statistics: an
-# engine adapter takes the scorer and one ModelId, a batched one the scorer
-# and a (B, J) bit matrix.
+# engine adapter takes the scorer and one ModelId; a batched one the scorer
+# and a (B, J) bit matrix, and returns its log marginal likelihoods, with the
+# MarginalScores when its engine builds them anyway (``la``) or None.
 
 
 def _on_stats(engine):
@@ -1411,7 +1386,17 @@ def _on_stats(engine):
 
 
 def _ala_known_phi(s, m):
-    return _known_phi_one(m, s.cache, s.family, s.prior, s.curvature)
+    """The known-dispersion ``ala`` score of one model: a stack of one."""
+    cols = s.cache.design.columns_for(m.key)[None]
+    log_ml, extra, beta = _known_phi_stack(
+        s.cache, s.family, s.prior, s.curvature, cols, expand=True
+    )
+    method, rho = "ala-gmom" if s.prior.kind == "gmom" else "ala", 1.0
+    if s.curvature is not None:
+        method, rho = method + "-curvadj", s.curvature.rho_hat
+    diagnostics = {"phi": float(s.family.phi), "rho_hat": rho}
+    diagnostics.update((name, float(value[0])) for name, value in extra.items())
+    return MarginalScore(float(log_ml[0]), method, beta[0], diagnostics)
 
 
 def _ala_refined(s, m):
@@ -1427,11 +1412,13 @@ def _la_aft(s, m):
 
 
 def _ala_many(s, bits):
-    return ala_known_phi_many(bits, s.cache, s.family, s.prior, s.curvature)
+    log_ml = ala_known_phi_many(bits, s.cache, s.family, s.prior, s.curvature)
+    return log_ml.tolist(), None
 
 
 def _la_many(s, bits):
-    return la_known_phi_many(bits, s.cache, s.family, s.prior)
+    scores = la_known_phi_many(bits, s.cache, s.family, s.prior)
+    return [score.log_ml for score in scores], scores
 
 
 # (statistics, method, prior kind, dispersion known) -> (engine, batched
@@ -1455,7 +1442,7 @@ _ENGINES.update(
         ("gaussian", "ala", "gzellner", False): (_on_stats(_unknown_phi_score), None),
         ("gaussian", "ala", "gmom", False): (_on_stats(ala_gmom), None),
         ("gaussian", "la", "gzellner", False): (_on_stats(_la_unknown_phi), None),
-        ("gaussian", "la", "gmom", True): (_ala_known_phi, None),
+        ("gaussian", "la", "gmom", True): (_ala_known_phi, _ala_many),
         ("gaussian", "la", "gmom", False): (_on_stats(ala_gmom), None),
         ("gaussian", "exact-gaussian", "gzellner", True): (
             _on_stats(exact_gaussian_marginal), None
@@ -1469,7 +1456,7 @@ _ENGINES.update(
 )
 
 
-def _unsupported(kind: str, method: str, prior_kind: str) -> str:
+def _unsupported(kind: str, method: str, prior_kind: str, phi_known: bool) -> str:
     """Why no entry of ``_ENGINES`` scores this combination."""
     if kind == "aft":
         if method in ("ala", "la"):
@@ -1477,6 +1464,8 @@ def _unsupported(kind: str, method: str, prior_kind: str) -> str:
         return f"unknown survival method {method!r}"
     if method == "ala-curvadj":
         return "curvature adjustment needs a known dispersion"
+    if kind == "expfam" and not phi_known and method in ("ala", "la"):
+        return "an unknown dispersion is supported for the gaussian family only"
     if prior_kind == "gmom":
         if method == "la":
             return (
@@ -1532,7 +1521,7 @@ class ModelScorer:
             key = (kind, method, prior.kind, family.phi_known)
         entry = _ENGINES.get(key)
         if entry is None:
-            raise ValueError(_unsupported(*key[:3]))
+            raise ValueError(_unsupported(*key))
         self._engine, self._many = entry
         self.cache = cache
         self.family = family
@@ -1543,27 +1532,35 @@ class ModelScorer:
         self.curvature: Optional[CurvatureContext] = None
         if method == "ala-curvadj":
             self.curvature = curvature_context(cache, family)
-        self._memo: dict[bytes, MarginalScore] = {}
+        self._memo: dict[bytes, float] = {}
+        self._scores: dict[bytes, MarginalScore] = {}
 
     @property
     def design(self) -> DesignMatrix:
         return self.cache.design
 
     def marginal(self, bits) -> MarginalScore:
-        """The memoized score of one model, given as a key (see
-        ``model_key``), a ``ModelId`` or a bit sequence."""
+        """The score of one model (a key, a ``ModelId`` or bits), memoized;
+        built on request by scoring it alone, which a batch gives bitwise."""
         key = model_key(bits)
-        found = self._memo.get(key)
+        found = self._scores.get(key)
         if found is None:
-            found = self._memo[key] = self._engine(self, self.cache.design.model(key))
+            found = self._scores[key] = self._engine(self, self.design.model(key))
+            self._memo.setdefault(key, found.log_ml)
         return found
 
     def log_ml(self, bits) -> float:
-        return self.marginal(bits).log_ml
+        """Memoized; a batched engine scores a miss as a batch of one."""
+        key = model_key(bits)
+        value = self._memo.get(key)
+        if value is None:
+            self._fill([key])
+            value = self._memo.get(key)
+        return self.marginal(key).log_ml if value is None else value
 
     def log_score(self, bits) -> float:
         key = model_key(bits)
-        value = self.marginal(key).log_ml
+        value = self.log_ml(key)
         if self.model_prior is not None:
             value += log_model_prior_unnorm(key, self.model_prior)
         return float(value)
@@ -1574,15 +1571,15 @@ class ModelScorer:
         ``models`` is a (B, J) 0/1 matrix, one model per row, or a sequence
         of models in any form ``log_score`` takes.  Where the engine has a
         batched form, the models not yet memoized are scored in one batch
-        straight from their bit matrix: known-dispersion ``ala``/
-        ``ala-curvadj`` by stacked bordered factorizations
-        (``ala_known_phi_many``, whose stack scores a lone model too), and
-        known-dispersion ``la`` by stacked Newton runs
-        (``la_known_phi_many``); other methods score one model at a
-        time.  Either way every model then passes
-        through one ``log_score`` call.  When the batch fails, the models
-        are rescored one at a time, so the error comes from the same first
-        model as the loop's.
+        straight from their bit matrix, and their log marginal likelihoods
+        enter the memo in one ``dict.update``: known-dispersion ``ala``/
+        ``ala-curvadj`` from the arrays of stacked bordered factorizations
+        (``ala_known_phi_many``), with no ``MarginalScore`` built until
+        ``marginal`` asks, and known-dispersion ``la`` by stacked Newton
+        runs (``la_known_phi_many``); other methods score one model at a
+        time.  Either way every model then passes through one ``log_score``
+        call; after a failing batch, each scores alone, so the error is the
+        first failing model's, as in a loop.
         """
         n_groups = self.design.n_groups
         if isinstance(models, np.ndarray):
@@ -1592,34 +1589,38 @@ class ModelScorer:
             keys = bits.view(f"V{n_groups}").ravel().tolist()
         else:
             keys = [model_key(m) for m in models]
-        if self._many is not None:
-            todo = [key for key in dict.fromkeys(keys) if key not in self._memo]
-            batch = np.frombuffer(b"".join(todo), dtype=np.uint8)
-            intercept = self.design.intercept_group
-            # malformed keys, and models without the intercept group, are
-            # left to log_score, which raises on the first of them
-            if (
-                todo
-                and all(len(key) == n_groups for key in todo)
-                and batch.max() <= 1
-                and (intercept is None or batch[intercept::n_groups].all())
-            ):
-                try:
-                    scores = self._many(self, batch.reshape(len(todo), n_groups))
-                except (np.linalg.LinAlgError, SelectionError):
-                    pass
-                else:
-                    self._memo.update(zip(todo, scores))
+        self._fill([key for key in dict.fromkeys(keys) if key not in self._memo])
         return np.array([self.log_score(key) for key in keys], dtype=np.float64)
+
+    def _fill(self, todo: list[bytes]) -> None:
+        """Memoize ``todo`` by one batch; a malformed key, a model without the
+        intercept group or a failing batch is left to ``marginal`` to raise."""
+        n_groups, intercept = self.design.n_groups, self.design.intercept_group
+        batch = np.frombuffer(b"".join(todo), dtype=np.uint8)
+        if not (
+            self._many is not None
+            and todo
+            and all(len(key) == n_groups for key in todo)
+            and batch.max() <= 1
+            and (intercept is None or batch[intercept::n_groups].all())
+        ):
+            return
+        try:
+            log_ml, scores = self._many(self, batch.reshape(len(todo), n_groups))
+        except (np.linalg.LinAlgError, SelectionError):
+            return
+        self._memo.update(zip(todo, log_ml))
+        self._scores.update(zip(todo, scores or ()))
 
     @property
     def n_scored(self) -> int:
-        """Distinct models whose marginal this scorer has computed."""
+        """Distinct models whose log marginal likelihood this scorer has computed."""
         return len(self._memo)
 
     def diagnostic_sum(self, key: str) -> float:
-        """Sum of one per-model diagnostic over the models scored so far."""
-        return sum(score.diagnostics.get(key, 0) for score in self._memo.values())
+        """Sum of one per-model diagnostic over the models scored so far,
+        building each score ``marginal`` has not built yet."""
+        return sum(self.marginal(m).diagnostics.get(key, 0) for m in list(self._memo))
 
 
 def AftScorer(

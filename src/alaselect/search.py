@@ -166,14 +166,14 @@ def gibbs_models(
         children[parent].append(child)
     intercept = design.intercept_group
     # the state is one key, edited in place, and its active-group count
-    if init is None:
-        state = bytearray(j_groups)
-        if intercept is not None:
-            state[intercept] = 1
-    else:
-        state = bytearray(model_key(init))
-        if constraints is not None and not constraints.satisfied_by(bytes(state)):
-            raise ValueError("initial model violates the constraints")
+    state = bytearray(j_groups if init is None else model_key(init))
+    if init is None and intercept is not None:
+        state[intercept] = 1
+    if constraints is not None and not constraints.satisfied_by(bytes(state)):
+        if init is None and state.count(1) > max_groups:
+            # the default start is the smallest model, so the cap admits none
+            raise ValueError("no model is admissible under the constraints")
+        raise ValueError("initial model violates the constraints")
     active = state.count(1)
     rng = np.random.Generator(np.random.Philox(seed))
     burn = int(np.ceil(burn_frac * n_scans))

@@ -2,6 +2,7 @@
 layout, determinism, error reporting, and agreement with the library."""
 
 import csv
+import gc
 import json
 import os
 import platform
@@ -95,6 +96,25 @@ class TestSelectCommand:
         probs = np.array([float(r[2]) for r in rows])
         np.testing.assert_allclose(probs, np.exp(logs - logsumexp(logs)), atol=1e-12)
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
+
+    def test_a_run_in_process_leaves_no_parser_behind(self, gaussian_files, tmp_path):
+        """Repeated in-process ``select`` runs, as the benchmark makes, build
+        the parser, a web of reference cycles, once: no run leaves one for
+        the cyclic collector to find."""
+        data, groups, _, _ = gaussian_files
+        assert _select(data, groups, tmp_path / "warm", "--family", "gaussian") == 0
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert _select(data, groups, tmp_path / "run", "--family", "gaussian") == 0
+            gc.collect()
+            modules = {type(obj).__module__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert "argparse" not in modules
 
     def test_inclusion_file_is_consistent_with_the_model_table(
         self, gaussian_files, tmp_path
@@ -413,6 +433,22 @@ class TestIngestErrors:
         )
         assert rc == 2
         assert "no model is admissible" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_a_gibbs_run_over_no_admissible_model_is_rejected(
+        self, gaussian_files, tmp_path, capsys
+    ):
+        """Gibbs gives enumeration's usage error when its intercept-only
+        start breaks the cap, not a scoring error from that start."""
+        data, groups, _, _ = gaussian_files
+        rc = _select(
+            data, groups, tmp_path / "r", "--search", "gibbs",
+            "--max-groups", "0", "--intercept-group", "0",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: no model is admissible under the constraints" in err
+        assert "violates" not in err
         assert not (tmp_path / "r").exists()
 
     def test_missing_response_column(self, gaussian_files, tmp_path, capsys):

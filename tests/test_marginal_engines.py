@@ -581,8 +581,8 @@ class TestNonlocalEngines:
         cache = build_cache(design, y, poisson())
         prior = ParamPriorSpec(kind="gmom", g=1.0, phi_prior=(0.01, 0.01))
         fake_unknown = dataclasses.replace(poisson(), phi_known=False)
-        message = me._unsupported("expfam", "ala", "gmom")
-        assert message == "method 'ala' is unavailable for this prior"
+        message = me._unsupported("expfam", "ala", "gmom", False)
+        assert message == "an unknown dispersion is supported for the gaussian family only"
         with pytest.raises(ValueError, match=re.escape(message)):
             me.ModelScorer(cache, fake_unknown, prior)
 
@@ -1022,6 +1022,59 @@ class TestScoreMany:
                 assert other.log_ml == one.log_ml
                 np.testing.assert_array_equal(other.expansion, one.expansion)
                 assert other.diagnostics == one.diagnostics
+
+    @pytest.mark.parametrize(
+        "family, kind, method",
+        [
+            ("logistic", "gzellner", "ala"),
+            ("logistic", "gzellner", "ala-curvadj"),
+            ("logistic", "gmom", "ala"),
+            ("logistic", "gmom", "ala-curvadj"),
+            ("gaussian", "gmom", "la"),
+        ],
+    )
+    def test_a_known_dispersion_ala_batch_builds_no_score_until_asked(
+        self, rng, monkeypatch, family, kind, method
+    ):
+        """A known-dispersion ``ala`` batch memoizes its log marginal
+        likelihoods from the stack's arrays and builds no ``MarginalScore``;
+        ``marginal`` afterwards gives, bitwise, the log marginal likelihood,
+        method, expansion and diagnostics of the model scored alone."""
+        design = make_design(rng, 80, [1, 2, 1, 3, 1], intercept=True)
+        eta = design.values @ rng.normal(scale=0.3, size=design.p)
+        y = _glm_response(rng, family, eta)
+        center = "intercept-mle" if method == "ala-curvadj" else "zero"
+        prior = ParamPriorSpec(kind=kind, g=1.0)
+        scorers = [
+            me.ModelScorer(
+                build_cache(design, y, _FAMILIES[family](), center=center),
+                _FAMILIES[family](),
+                prior,
+                method=method,
+            )
+            for _ in range(2)
+        ]
+        batch, alone = scorers
+        models = admissible_bits(design.n_groups, intercept_group=0)
+        built = []
+
+        class Counted(me.MarginalScore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(me, "MarginalScore", Counted)
+        scores = batch.score_many(models)
+        assert built == []
+        assert batch.n_scored == len(models)
+        for row, value in zip(models, scores):
+            got, want = batch.marginal(row), alone.marginal(row)
+            assert value == got.log_ml == want.log_ml == alone.log_score(row)
+            assert got.method == want.method
+            np.testing.assert_array_equal(got.expansion, want.expansion)
+            assert got.expansion.shape == (design.model(row).p_gamma,)
+            assert got.diagnostics == want.diagnostics
+        assert len(built) == 2 * len(models)
 
     def test_a_score_does_not_depend_on_the_gram_read_order(self):
         """Every Gram entry has one rounding: two stores of one matrix give

@@ -99,3 +99,16 @@ def test_a_leftover_public_engine_is_caught():
     # listed in the package's interface, it is no leftover
     exported = [*alaselect.__all__, "la_marginal"]
     assert _unreferenced(sources, ("marginal_engines",), exported) == []
+
+
+def test_every_known_dispersion_ala_row_scores_batches_by_its_stack():
+    """Each engine-table row scored by the known-dispersion ``ala`` engine,
+    the gaussian family's product-moment mode expansion included, scores a
+    batch by that engine's stacked form, not one model at a time."""
+    from alaselect import marginal_engines as me
+
+    rows = {key: many for key, (one, many) in me._ENGINES.items()
+            if one is me._ala_known_phi}
+    assert ("gaussian", "la", "gmom", True) in rows
+    assert len(rows) == 9
+    assert {key for key, many in rows.items() if many is not me._ala_many} == set()
