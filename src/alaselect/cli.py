@@ -846,13 +846,16 @@ def make_parser() -> argparse.ArgumentParser:
 _HEAP_LIMITS = ((-3, 8 << 20), (-1, 16 << 20))
 
 
+@functools.cache
 def _reuse_heap_pages() -> None:
     """Fix the C allocator's thresholds so that a run's working arrays
     reuse freed heap pages.  By default glibc maps every array above a
     threshold that it raises only when a larger mapped array is freed, and
     returns the top of the heap to the system beyond twice that, so how
     many pages each ``select`` maps, faults in and unmaps depends on the
-    largest array freed so far.  Elsewhere than glibc, a no-op."""
+    largest array freed so far.  Elsewhere than glibc, a no-op.  Runs once
+    per process: a ``ctypes`` library handle is a web of reference cycles,
+    which each lookup would leave to the cyclic collector."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

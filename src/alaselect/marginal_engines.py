@@ -13,6 +13,7 @@ route are provided as references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -149,40 +150,6 @@ def ala_general(
     return MarginalScore(float(log_ml), method, theta0 - shift, {"quad": quad})
 
 
-def ala_plugin(
-    loglik0: float,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    log_prior: Callable[[np.ndarray], float],
-    theta0: Optional[np.ndarray] = None,
-    method: str = "ala-plugin",
-    what: str = "likelihood curvature",
-) -> MarginalScore:
-    """Quadratic-expansion score with the prior density evaluated at the
-    implied update point.
-
-    Works for any prior density; pays for the generality with an extra
-    ``(d/2) log 2 pi - 0.5 log det H`` volume term from the likelihood
-    curvature alone.  ``what`` names H in the ``NotConcaveAtExpansion``
-    raised when it is not positive definite.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    d = grad.shape[0]
-    if theta0 is None:
-        theta0 = np.zeros(d)
-    factor, shift = cho_factor_solve(hess, grad, NotConcaveAtExpansion, what)
-    theta_tilde = theta0 - shift
-    quad = float(grad @ shift)
-    log_ml = (
-        loglik0
-        + 0.5 * quad
-        + log_prior(theta_tilde)
-        + 0.5 * d * _LOG_2PI
-        - 0.5 * chol_logdet(factor)
-    )
-    return MarginalScore(float(log_ml), method, theta_tilde, {"quad": quad})
-
-
 def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> CurvatureContext:
     """Ratio of observed response variance to the model-implied variance at
     the intercept-only fit.
@@ -230,83 +197,6 @@ def _unknown_phi_stats(cache: SuffStatsCache, family: fam.FamilySpec) -> dict:
     return _cache_scalar(cache, ("unknown-phi", family.kind), compute)
 
 
-def _unknown_phi_score(model, cache, family, prior, kernel_shift=0):
-    """Zero-expansion score with the dispersion treated as a parameter.
-
-    Expands the log-likelihood jointly in ``(beta, phi)`` at ``(0, phi0)``
-    where phi0 maximizes the null likelihood, then evaluates the coefficient
-    prior kernel of shift ``kernel_shift`` and the inverse-gamma dispersion
-    prior at the implied update (``ala_plugin``).  The null model is the
-    one-parameter case.
-    """
-    a, b = prior.phi_prior_required()
-    st = _unknown_phi_stats(cache, family)
-    phi0 = st["phi0"]
-    cols = cache.design.columns_for(model.key)
-    xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    p = cols.shape[0]
-    factor = st["bpp0"] / phi0
-    hess = np.empty((p + 1, p + 1))
-    hess[:p, :p] = factor * xtx
-    hess[:p, p] = hess[p, :p] = factor * xty / phi0
-    hess[p, p] = st["h_pp"]
-    grad = np.zeros(p + 1)
-    grad[:p] = -factor * xty
-    theta0 = np.zeros(p + 1)
-    theta0[p] = phi0
-
-    def log_prior(theta):
-        phi = theta[p]
-        # the prior precision takes the log of phi
-        if not phi > 0.0:
-            return -np.inf
-        return cache.block_prior.log_density(
-            theta[:p], cols, prior.g, phi, kernel_shift, xtx
-        ) + log_invgamma(phi, a, b)
-
-    score = ala_plugin(
-        st["l0"], grad, hess, log_prior, theta0, "ala", "joint (beta, phi) curvature"
-    )
-    score.diagnostics.update(phi0=phi0, phi_tilde=float(score.expansion[p]))
-    return score
-
-
-def ala_gmom(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-) -> MarginalScore:
-    """Zero-expansion score of the gaussian family with an unknown
-    dispersion under the block product-moment prior.
-
-    Scores the Normal kernel as ``_unknown_phi_score`` does, then adds the
-    log posterior expectation of the penalty computed from the exact
-    kernel-posterior moments.  The null model, which has no penalty, is the
-    kernel score alone.
-    """
-    local = _unknown_phi_score(model, cache, family, prior, 2)
-    if model.p_gamma == 0:
-        return local
-    local.method = "ala-gmom"
-    if not np.isfinite(local.log_ml):
-        return local
-    a, b = prior.phi_prior_required()
-    cols = cache.design.columns_for(model.key)
-    xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
-    _, shape = cho_factor_solve(xtx + kernel, np.eye(model.p_gamma))
-    mean = shape @ xty
-    # X'X is positive definite here: it leads the joint curvature just factored
-    quad = float(bordered_cholesky(xtx, xty, NotInvertible, "Gram block")[1])
-    rbar = (a + cache.n) / (b + cache.yty - quad)
-    moment = shape + rbar * np.outer(mean, mean)
-    tilt = float(cache.block_prior.log_penalty(cols, moment, prior.g, xtx))
-    local.log_ml += tilt
-    local.diagnostics.update(tilt=tilt, rbar=rbar)
-    return local
-
-
 # Upper bound on the B * k * k entries of one stacked solve or one stacked
 # Newton run (models padded to the largest k), so that enumerating a large
 # space never allocates more than a few tens of megabytes at once.  A
@@ -315,47 +205,54 @@ def ala_gmom(
 _STACK_ENTRIES = 1 << 20
 
 
-def ala_known_phi_many(
-    bits: np.ndarray,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    curvature: Optional[CurvatureContext] = None,
-) -> np.ndarray:
-    """The log marginal likelihoods of the rows of the (B, J) ``uint8`` 0/1
-    matrix ``bits``, as a (B,) array, bitwise the lone scores.  The models of
-    one dimension are scored as stacks of at most ``_STACK_ENTRIES`` Gram
-    entries (``_known_phi_stack``), written by row index."""
-    col_mask = bits.view(bool)[:, cache.design.col_group]
-    p_gamma = col_mask.sum(axis=1)
-    out = np.empty(col_mask.shape[0])
-    for k in sorted(set(p_gamma.tolist())):
-        members = np.flatnonzero(p_gamma == k)
-        step = max(1, _STACK_ENTRIES // max(k * k, 1))
-        for lo in range(0, members.shape[0], step):
-            rows = members[lo : lo + step]
-            cols = np.nonzero(col_mask[rows])[1].reshape(rows.shape[0], k)
-            out[rows] = _known_phi_stack(cache, family, prior, curvature, cols)[0]
-    return out
+def _stacked(stack):
+    """The row engine of ``stack(scorer, cols, records)``, which scores the
+    models whose (B, k) column lists are ``cols``: the rows of a (B, J)
+    ``uint8`` 0/1 matrix are split by dimension into stacks of at most
+    ``_STACK_ENTRIES`` Gram entries, and each stack's log marginal
+    likelihoods, and its ``MarginalScore``s for ``records``, are written by
+    row index.  A stack's rows depend on their own models alone, so a model
+    scores bitwise the same in any batch."""
+
+    def engine(s, bits, records):
+        col_mask = bits.view(bool)[:, s.design.col_group]
+        if col_mask.shape[0] == 1:
+            # a lone model, the miss of a search step
+            return stack(s, np.flatnonzero(col_mask[0])[None], records)
+        p_gamma = col_mask.sum(axis=1)
+        log_ml = np.empty(col_mask.shape[0])
+        scores = [None] * col_mask.shape[0] if records else None
+        for k in sorted(set(p_gamma.tolist())):
+            members = np.flatnonzero(p_gamma == k)
+            step = max(1, _STACK_ENTRIES // max(k * k, 1))
+            for lo in range(0, members.shape[0], step):
+                rows = members[lo : lo + step]
+                cols = np.nonzero(col_mask[rows])[1].reshape(rows.shape[0], k)
+                log_ml[rows], made = stack(s, cols, records)
+                for i, score in zip(rows.tolist(), made or ()):
+                    scores[i] = score
+        return log_ml, scores
+
+    return engine
 
 
-def _known_phi_stack(cache, family, prior, curvature, cols, expand=False):
-    """The one known-dispersion ``ala`` engine: zero-expansion scores of
-    the models with (B, k) columns ``cols``, under the block Zellner prior,
-    or under the product-moment prior with the log posterior expectation of
-    its penalty (the tilt).  ``log det H`` and ``g' H^-1 g`` come from one
-    stacked bordered Cholesky factorization; the tilt's posterior moments
-    and the expansion ``-H^-1 g`` from one stacked back substitution, which
-    the block Zellner score runs only to ``expand``.  Returns arrays, each
-    row depending on its model's block alone: the (B,) log marginal
-    likelihoods, ``{"tilt": ...}`` or ``{"quad": g' H^-1 g}``, and the (B, k)
-    expansions or None.  Raises ``NotConcaveAtExpansion`` when a joint
-    curvature is not positive definite and ``NotInvertible`` when a group's
-    Gram block is singular."""
+@_stacked
+def _known_phi_ala(s, cols, records):
+    """The known-dispersion ``ala`` engine: zero-expansion scores under the
+    block Zellner prior, or under the product-moment prior with the log
+    posterior expectation of its penalty (the tilt), the likelihood
+    curvature scaled by the scorer's curvature adjustment when it has one.
+    ``log det H`` and ``g' H^-1 g`` come from one stacked bordered Cholesky
+    factorization; the tilt's posterior moments and the expansion
+    ``-H^-1 g`` from one stacked back substitution, which the block Zellner
+    score runs only for ``records``.  Raises ``NotConcaveAtExpansion`` when
+    a joint curvature is not positive definite and ``NotInvertible`` when a
+    group's Gram block is singular."""
+    cache, prior = s.cache, s.prior
     gmom = prior.kind == "gmom"
-    phi = float(family.phi)
+    phi = float(s.family.phi)
     w = cache.bpp_nu0 / phi
-    rho = curvature.rho_hat if curvature is not None else 1.0
+    rho = s.curvature.rho_hat if s.curvature is not None else 1.0
     xtx = cache.gram.block(cols)
     prec, logdet_p0 = cache.block_prior.precision(
         cols, prior.g, phi, 2 if gmom else 0, xtx
@@ -366,10 +263,10 @@ def _known_phi_stack(cache, family, prior, curvature, cols, expand=False):
         NotConcaveAtExpansion,
         "joint curvature",
     )
-    l0 = _loglik_at_center(cache, family, phi)
+    l0 = _loglik_at_center(cache, s.family, phi)
     log_ml = l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
-    if not (gmom or expand):
-        return log_ml, {"quad": quad}, None
+    if not (gmom or records):
+        return log_ml, None
     # with its corner set to 1, the factor's transpose [[L', L^-1 g], [0, 1]]
     # has the inverse [[L^-T, beta], [0, 1]], beta = -H^-1 g; its first k rows
     # R, found from the last up, give H^-1 + beta beta' = R R'
@@ -379,11 +276,112 @@ def _known_phi_stack(cache, family, prior, curvature, cols, expand=False):
     for i in range(k - 1, -1, -1):
         head[:, i] -= np.einsum("bl,blc->bc", factor[:, i + 1 :, i], head[:, i + 1 :])
         head[:, i] /= factor[:, i, i, None]
-    if not gmom:
-        return log_ml, {"quad": quad}, head[:, :k, k]
-    moment = head[:, :k] @ head[:, :k].transpose(0, 2, 1) / phi
-    tilt = cache.block_prior.log_penalty(cols, moment, prior.g, xtx)
-    return log_ml + tilt, {"tilt": tilt}, head[:, :k, k]
+    name, extra = "quad", quad
+    if gmom:
+        moment = head[:, :k] @ head[:, :k].transpose(0, 2, 1) / phi
+        extra = cache.block_prior.log_penalty(cols, moment, prior.g, xtx)
+        name, log_ml = "tilt", log_ml + extra
+    if not records:
+        return log_ml, None
+    method = "ala-gmom" if gmom else "ala"
+    if s.curvature is not None:
+        method += "-curvadj"
+    rows = zip(log_ml.tolist(), head[:, :k, k], extra.tolist())
+    return log_ml, [
+        MarginalScore(lm, method, beta, {"phi": phi, "rho_hat": rho, name: value})
+        for lm, beta, value in rows
+    ]
+
+
+@_stacked
+def _scale_plugin(s, cols, records):
+    """The zero expansion with the scale as a parameter, the prior density
+    evaluated at the implied update (the plug-in score, which takes any
+    prior density): the gaussian dispersion phi, expanded at ``(0, phi0)``,
+    or the survival scale tau, at ``(0, tau0)``, where the null likelihood
+    peaks.  The likelihood curvature bordered by the scale's row is factored
+    and solved once per stack; the coefficient prior (block Zellner, or the
+    product-moment kernel) and the scale's prior (inverse-gamma phi, or the
+    tau it induces) are evaluated at the update, where a scale at or below
+    zero scores -inf.  The volume term ``((k+1)/2) log 2 pi - log det H / 2``
+    comes from the likelihood curvature alone.  Under the product-moment
+    prior a finite score with coefficients adds ``_gmom_tilt``.  The null
+    model is the one-parameter case.  Raises ``NotConcaveAtExpansion`` when
+    a curvature is not positive definite."""
+    m, k = cols.shape
+    a, b = s.prior.phi_prior_required()
+    shift = 2 if s.prior.kind == "gmom" else 0
+    hess = np.empty((m, k + 1, k + 1))
+    grad = np.zeros((m, k + 1))
+    if isinstance(s.cache, AftContext):
+        ctx = s.cache
+        l0, scale0, names = ctx.l0, ctx.tau0, ("tau0", "tau_tilde")
+        hess[:, :k, :k] = ctx.wgram.block(cols)
+        hess[:, :k, k] = hess[:, k, :k] = -ctx.ztyw[cols]
+        hess[:, k, k] = ctx.h_tt
+        grad[:, :k] = -ctx.ztv[cols]
+        # the coefficient prior, free of tau, gathers its unweighted Gram
+        what, log_scale, xtx = "survival curvature", log_tau_prior, None
+    else:
+        st = _unknown_phi_stats(s.cache, s.family)
+        l0, scale0, names = st["l0"], st["phi0"], ("phi0", "phi_tilde")
+        xtx, xty = s.cache.gram.block(cols), s.cache.zty[cols]
+        factor = st["bpp0"] / scale0
+        hess[:, :k, :k] = factor * xtx
+        hess[:, :k, k] = hess[:, k, :k] = factor * xty / scale0
+        hess[:, k, k] = st["h_pp"]
+        grad[:, :k] = -factor * xty
+        what, log_scale = "joint (beta, phi) curvature", log_invgamma
+    chol, step = cho_factor_solve(hess, grad[..., None], NotConcaveAtExpansion, what)
+    step = step[..., 0]
+    quad = np.einsum("bi,bi->b", grad, step)
+    theta = -step
+    theta[:, k] += scale0
+    scale = theta[:, k]
+    # the gaussian coefficient prior scales with phi; a stand-in replaces
+    # a phi at or below zero, whose prior density is zero
+    phi = 1.0 if xtx is None else np.where(scale > 0.0, scale, 1.0)[:, None]
+    log_prior = s.cache.block_prior.log_density(
+        theta[:, :k], cols, s.prior.g, phi, shift, xtx
+    ) + log_scale(scale, a, b)
+    log_ml = (
+        l0 + 0.5 * quad + log_prior + 0.5 * (k + 1) * _LOG_2PI - 0.5 * chol_logdet(chol)
+    )
+    method, tilted = "ala", np.empty(0, dtype=np.intp)
+    if shift and k:
+        method, tilted = "ala-gmom", np.flatnonzero(np.isfinite(log_ml))
+        if tilted.size:
+            tilt, rbar = _gmom_tilt(s, cols[tilted], xtx[tilted], xty[tilted])
+            log_ml[tilted] += tilt
+    if not records:
+        return log_ml, None
+    rows = zip(log_ml.tolist(), theta, quad.tolist(), scale.tolist())
+    scores = [
+        MarginalScore(lm, method, th, {"quad": q, names[0]: scale0, names[1]: sc})
+        for lm, th, q, sc in rows
+    ]
+    if tilted.size:
+        for r, t, rb in zip(tilted.tolist(), tilt.tolist(), rbar.tolist()):
+            scores[r].diagnostics.update(tilt=t, rbar=rb)
+    return log_ml, scores
+
+
+def _gmom_tilt(s, cols, xtx, xty):
+    """The log posterior expectation of the product-moment penalty of the
+    gaussian family with an unknown dispersion, from the exact moments of
+    the kernel posterior, and the posterior mean ``rbar`` of 1/phi they
+    use, for a stack of models whose joint curvature is positive
+    definite."""
+    a, b = s.prior.phi_prior_required()
+    m, k = cols.shape
+    kernel, _ = s.cache.block_prior.precision(cols, s.prior.g, 1.0, 2, xtx)
+    _, shape = cho_factor_solve(xtx + kernel, np.broadcast_to(np.eye(k), (m, k, k)))
+    mean = (shape @ xty[..., None])[..., 0]
+    # X'X is positive definite here: it leads the joint curvature factored
+    quad = bordered_cholesky(xtx, xty, NotInvertible, "Gram block")[1]
+    rbar = (a + s.cache.n) / (b + s.cache.yty - quad)
+    moment = shape + rbar[:, None, None] * (mean[:, :, None] * mean[:, None, :])
+    return s.cache.block_prior.log_penalty(cols, moment, s.prior.g, xtx), rbar
 
 
 # The Newton rule of every ``la`` engine: a model stops once its largest
@@ -495,23 +493,19 @@ _LA_BLOCK = 1 << 15
 _LA_WORK = 10
 
 
-def la_known_phi_many(
-    bits: np.ndarray,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-) -> list[MarginalScore]:
-    """Laplace scores of many models under a known dispersion.
-
-    ``bits`` is a (B, J) ``uint8`` 0/1 matrix, one model per row.  Returns,
-    in order, what ``_la_known_phi`` returns for each model, up to
-    rounding.  The models with columns run ``_stacked_newton`` as padded
-    stacks (``_la_stack``, ``_la_stacks``); the null model, and each model
-    the split leaves alone, go to ``_la_known_phi``, whose weighted Gram
-    costs less formed directly.  Each model takes the iterates, evaluations
-    and stopping decisions it takes alone, and a batch raises what
-    ``_la_known_phi`` raises for the first model that fails in the run.
+def la_known_phi_many(s, bits: np.ndarray, records: bool):
+    """The known-dispersion ``la`` engine: Laplace scores of the rows of the
+    (B, J) ``uint8`` 0/1 matrix ``bits``, as the (B,) log marginal
+    likelihoods and the ``MarginalScore``s, which it builds whatever
+    ``records`` asks.  The models with columns run ``_stacked_newton`` as
+    padded stacks (``_la_stack``, ``_la_stacks``); the null model, and each
+    model the split leaves alone, go to ``_la_known_phi``, whose weighted
+    Gram costs less formed directly.  Each model takes the iterates,
+    evaluations and stopping decisions it takes alone, up to rounding, and
+    a batch raises what ``_la_known_phi`` raises for the first model that
+    fails in the run.
     """
+    cache, family, prior = s.cache, s.family, s.prior
     design = cache.design
     active = np.asarray(bits, dtype=bool)
     col_mask = active[:, design.col_group]
@@ -529,7 +523,7 @@ def la_known_phi_many(
             scores = [_la_known_phi(model, cache, family, prior)]
         for i, score in zip(rows.tolist(), scores):
             out[i] = score
-    return out
+    return np.array([score.log_ml for score in out]), out
 
 
 def _la_stacks(members: np.ndarray, col_mask: np.ndarray, sizes: np.ndarray):
@@ -792,10 +786,11 @@ def _stacked_direction(grad: np.ndarray, hess: np.ndarray, sizes) -> np.ndarray:
         return step
 
 
-def _la_unknown_phi(model, cache, family, prior):
+def _la_unknown_phi(s, model):
     """Laplace approximation with the dispersion treated as a parameter,
     under the block Zellner and inverse-gamma priors: the Newton rule on
     the negative log joint in ``(beta, phi)`` from ``(0, phi0)``."""
+    cache, family, prior = s.cache, s.family, s.prior
     a, b = prior.phi_prior_required()
     p = model.p_gamma
     cols = cache.design.columns_for(model.key)
@@ -850,15 +845,9 @@ def _la_unknown_phi(model, cache, family, prior):
     return MarginalScore(float(log_ml), "la", theta, diagnostics)
 
 
-def ala_refined(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    k: int = 1,
-) -> MarginalScore:
-    """Zero-expansion score after ``k`` Newton steps on the log-likelihood,
-    under a known dispersion and the block Zellner prior.
+def ala_refined(s, model: ModelId) -> MarginalScore:
+    """Zero-expansion score after ``k = s.refine_steps`` Newton steps on the
+    log-likelihood, under a known dispersion and the block Zellner prior.
 
     The expansion point is moved toward the maximum-likelihood estimate
     before applying the closed-form Normal-prior integral; ``k = 0`` is the
@@ -866,6 +855,7 @@ def ala_refined(
     ``k`` steps take ``k`` passes over the data.  A non-finite step stops
     the refinement early and is reported in the diagnostics.
     """
+    cache, family, prior, k = s.cache, s.family, s.prior, s.refine_steps
     if cache.nu0 != 0.0:
         raise ValueError("refined scoring expects zero centering")
     phi = float(family.phi)
@@ -915,6 +905,46 @@ def ala_refined(
     return score
 
 
+@_stacked
+def _exact_gaussian(s, cols, records):
+    """The exact gaussian marginal likelihood under the block Zellner prior,
+    from X'X, X'y and y'y of the raw response, so at either centring.
+    ``exact_gaussian_marginal`` integrates the coefficients into the n x n
+    covariance ``phi C``, ``C = I + Z P^-1 Z'`` with P the prior precision
+    at unit dispersion; with ``H = Z'Z + P``, the matrix determinant lemma
+    gives ``log det C = log det H - log det P`` and Woodbury's identity
+    ``y'C^-1 y = y'y - y'Z H^-1 Z'y``, both from one stacked bordered
+    Cholesky factorization.  The dispersion is known or inverse-gamma."""
+    cache, n = s.cache, s.cache.n
+    xty, yty = _cache_scalar(
+        cache, "raw", lambda: (cache.design.values.T @ cache.y, float(cache.y @ cache.y))
+    )
+    xtx = cache.gram.block(cols)
+    prec, logdet_p = cache.block_prior.precision(cols, s.prior.g, 1.0, 0, xtx)
+    logdet_h, fit, _ = bordered_cholesky(
+        xtx + prec, xty[cols], NotInvertible, "posterior precision"
+    )
+    logdet, quad = logdet_h - logdet_p, yty - fit
+    if s.family.phi_known:
+        phi = float(s.family.phi)
+        log_ml = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
+    else:
+        a, b = s.prior.phi_prior_required()
+        log_ml = (
+            -0.5 * n * _LOG_2PI
+            - 0.5 * logdet
+            + a * np.log(b)
+            - gammaln(a)
+            + gammaln(a + 0.5 * n)
+            - (a + 0.5 * n) * np.log(b + 0.5 * quad)
+        )
+    if not records:
+        return log_ml, None
+    return log_ml, [
+        MarginalScore(lm, "exact-gaussian", np.empty(0), {}) for lm in log_ml.tolist()
+    ]
+
+
 def exact_gaussian_marginal(
     model: ModelId,
     cache: SuffStatsCache,
@@ -927,7 +957,8 @@ def exact_gaussian_marginal(
     Marginalizes the coefficients analytically: y is Normal with covariance
     ``phi (I + sum_j (g n / p_j) Z_j A_j^{-1} Z_j')``.  With unknown
     dispersion the inverse-gamma prior integrates to a multivariate-t form.
-    Cost grows with n cubed; intended as a reference, not a search engine.
+    Cost grows with n cubed: the reference of the scorer's closed form
+    (``_exact_gaussian``), and what ``alaselect oracle`` runs.
     """
     if family.kind != "gaussian":
         raise ValueError("exact marginal is available for the gaussian family")
@@ -1291,49 +1322,11 @@ def build_aft_context(design: DesignMatrix, data: fam.SurvivalData) -> AftContex
     )
 
 
-def ala_aft(
-    model: ModelId, ctx: AftContext, prior: ParamPriorSpec
-) -> MarginalScore:
-    """Zero-expansion survival score under the block Zellner prior, with
-    the prior density at the update.
-
-    Expands the survival log-likelihood at ``(alpha, tau) = (0, tau0)``; the
-    scale prior is not Normal, so the prior density is evaluated at the
-    implied update point (``ala_plugin``).  The null model is the
-    one-parameter case.
-    """
-    a, b = prior.phi_prior_required()
-    p = model.p_gamma
-    cols = ctx.design.columns_for(model.key)
-    hess = np.empty((p + 1, p + 1))
-    hess[:p, :p] = ctx.wgram.block(cols)
-    hess[:p, p] = hess[p, :p] = -ctx.ztyw[cols]
-    hess[p, p] = ctx.h_tt
-    grad = np.zeros(p + 1)
-    grad[:p] = -ctx.ztv[cols]
-    theta0 = np.zeros(p + 1)
-    theta0[p] = ctx.tau0
-
-    def log_prior(theta):
-        return ctx.block_prior.log_density(
-            theta[:p], cols, prior.g
-        ) + log_tau_prior(theta[p], a, b)
-
-    score = ala_plugin(
-        ctx.l0, grad, hess, log_prior, theta0, "ala", "survival curvature"
-    )
-    score.diagnostics.update(tau0=ctx.tau0, tau_tilde=float(score.expansion[p]))
-    return score
-
-
-def la_aft(
-    model: ModelId,
-    ctx: AftContext,
-    prior: ParamPriorSpec,
-) -> MarginalScore:
+def la_aft(s, model: ModelId) -> MarginalScore:
     """Mode-expansion survival score under the block Zellner prior: the
     Newton rule (``_stacked_newton``, on this model as a stack of one) on
     the negative log joint from ``(0, tau0)``."""
+    ctx, prior = s.cache, s.prior
     a, b = prior.phi_prior_required()
     p = model.p_gamma
     cols = ctx.design.columns_for(model.key)
@@ -1373,64 +1366,32 @@ def la_aft(
 # the scorer used by the search routines
 
 
-# Each row of ``_ENGINES`` names the one engine function that scores its
-# models, through an adapter that passes it the scorer's statistics: an
-# engine adapter takes the scorer and one ModelId; a batched one the scorer
-# and a (B, J) bit matrix, and returns its log marginal likelihoods, with the
-# MarginalScores when its engine builds them anyway (``la``) or None.
+# Each row of ``_ENGINES`` names the one engine that scores its models,
+# ``engine(scorer, bits, records)``: it scores the rows of the (B, J)
+# ``uint8`` 0/1 matrix ``bits`` and returns their (B,) log marginal
+# likelihoods, with their MarginalScores when ``records`` asks for them or
+# when it builds them anyway (``la``), else None.  A lone model is a batch
+# of one.
 
 
-def _on_stats(engine):
-    """The adapter of an ``engine(model, cache, family, prior)``."""
-    return lambda s, m: engine(m, s.cache, s.family, s.prior)
+def _model_by_model(lone, s, bits, records):
+    """The engine of a row whose Newton objective has no stacked form yet:
+    ``lone(scorer, model)`` scores each model alone, MarginalScore
+    included."""
+    scores = [lone(s, s.design.model(row)) for row in bits]
+    return np.array([score.log_ml for score in scores]), scores
 
 
-def _ala_known_phi(s, m):
-    """The known-dispersion ``ala`` score of one model: a stack of one."""
-    cols = s.cache.design.columns_for(m.key)[None]
-    log_ml, extra, beta = _known_phi_stack(
-        s.cache, s.family, s.prior, s.curvature, cols, expand=True
-    )
-    method, rho = "ala-gmom" if s.prior.kind == "gmom" else "ala", 1.0
-    if s.curvature is not None:
-        method, rho = method + "-curvadj", s.curvature.rho_hat
-    diagnostics = {"phi": float(s.family.phi), "rho_hat": rho}
-    diagnostics.update((name, float(value[0])) for name, value in extra.items())
-    return MarginalScore(float(log_ml[0]), method, beta[0], diagnostics)
-
-
-def _ala_refined(s, m):
-    return ala_refined(m, s.cache, s.family, s.prior, k=s.refine_steps)
-
-
-def _ala_aft(s, m):
-    return ala_aft(m, s.cache, s.prior)
-
-
-def _la_aft(s, m):
-    return la_aft(m, s.cache, s.prior)
-
-
-def _ala_many(s, bits):
-    log_ml = ala_known_phi_many(bits, s.cache, s.family, s.prior, s.curvature)
-    return log_ml.tolist(), None
-
-
-def _la_many(s, bits):
-    scores = la_known_phi_many(bits, s.cache, s.family, s.prior)
-    return [score.log_ml for score in scores], scores
-
-
-# (statistics, method, prior kind, dispersion known) -> (engine, batched
-# engine or None).  The statistics are "expfam" for the exponential families
-# other than the gaussian, "gaussian", and "aft" for survival data.
+# (statistics, method, prior kind, dispersion known) -> engine.  The
+# statistics are "expfam" for the exponential families other than the
+# gaussian, "gaussian", and "aft" for survival data.
 _ENGINES = {
-    ("expfam", "ala", "gzellner", True): (_ala_known_phi, _ala_many),
-    ("expfam", "ala-curvadj", "gzellner", True): (_ala_known_phi, _ala_many),
-    ("expfam", "ala", "gmom", True): (_ala_known_phi, _ala_many),
-    ("expfam", "ala-curvadj", "gmom", True): (_ala_known_phi, _ala_many),
-    ("expfam", "ala-refined", "gzellner", True): (_ala_refined, None),
-    ("expfam", "la", "gzellner", True): (_on_stats(_la_known_phi), _la_many),
+    ("expfam", "ala", "gzellner", True): _known_phi_ala,
+    ("expfam", "ala-curvadj", "gzellner", True): _known_phi_ala,
+    ("expfam", "ala", "gmom", True): _known_phi_ala,
+    ("expfam", "ala-curvadj", "gmom", True): _known_phi_ala,
+    ("expfam", "ala-refined", "gzellner", True): partial(_model_by_model, ala_refined),
+    ("expfam", "la", "gzellner", True): la_known_phi_many,
 }
 # The gaussian family has every engine of the others, its unknown-dispersion
 # form, and two engines that need a quadratic log-likelihood: the conjugate
@@ -1439,19 +1400,15 @@ _ENGINES = {
 _ENGINES.update({("gaussian", *key[1:]): entry for key, entry in _ENGINES.items()})
 _ENGINES.update(
     {
-        ("gaussian", "ala", "gzellner", False): (_on_stats(_unknown_phi_score), None),
-        ("gaussian", "ala", "gmom", False): (_on_stats(ala_gmom), None),
-        ("gaussian", "la", "gzellner", False): (_on_stats(_la_unknown_phi), None),
-        ("gaussian", "la", "gmom", True): (_ala_known_phi, _ala_many),
-        ("gaussian", "la", "gmom", False): (_on_stats(ala_gmom), None),
-        ("gaussian", "exact-gaussian", "gzellner", True): (
-            _on_stats(exact_gaussian_marginal), None
-        ),
-        ("gaussian", "exact-gaussian", "gzellner", False): (
-            _on_stats(exact_gaussian_marginal), None
-        ),
-        ("aft", "ala", "gzellner", False): (_ala_aft, None),
-        ("aft", "la", "gzellner", False): (_la_aft, None),
+        ("gaussian", "ala", "gzellner", False): _scale_plugin,
+        ("gaussian", "ala", "gmom", False): _scale_plugin,
+        ("gaussian", "la", "gzellner", False): partial(_model_by_model, _la_unknown_phi),
+        ("gaussian", "la", "gmom", True): _known_phi_ala,
+        ("gaussian", "la", "gmom", False): _scale_plugin,
+        ("gaussian", "exact-gaussian", "gzellner", True): _exact_gaussian,
+        ("gaussian", "exact-gaussian", "gzellner", False): _exact_gaussian,
+        ("aft", "ala", "gzellner", False): _scale_plugin,
+        ("aft", "la", "gzellner", False): partial(_model_by_model, la_aft),
     }
 )
 
@@ -1487,7 +1444,8 @@ class ModelScorer:
     the regression families, or an ``AftContext`` with ``family=None`` for
     survival data (see ``AftScorer``).  The engine is chosen once, here,
     from ``_ENGINES``, the one dispatch: each engine scores only the
-    combinations whose rows name it, and checks none of them again.  A
+    combinations whose rows name it, and checks none of them again.  It
+    scores a batch of models, and a lone model as a batch of one.  A
     combination that no engine scores, or a model prior whose group count
     or intercept group differs from the design's, raises ``ValueError``.
     ``refine_steps`` is the number of likelihood Newton steps
@@ -1519,10 +1477,9 @@ class ModelScorer:
         else:
             kind = "gaussian" if family.kind == "gaussian" else "expfam"
             key = (kind, method, prior.kind, family.phi_known)
-        entry = _ENGINES.get(key)
-        if entry is None:
+        self._engine = _ENGINES.get(key)
+        if self._engine is None:
             raise ValueError(_unsupported(*key))
-        self._engine, self._many = entry
         self.cache = cache
         self.family = family
         self.prior = prior
@@ -1541,16 +1498,21 @@ class ModelScorer:
 
     def marginal(self, bits) -> MarginalScore:
         """The score of one model (a key, a ``ModelId`` or bits), memoized;
-        built on request by scoring it alone, which a batch gives bitwise."""
+        built on request by the engine from a batch of one, whose log
+        marginal likelihood any batch gives bitwise.  A malformed key or a
+        model without the intercept group raises what
+        ``DesignMatrix.model`` raises."""
         key = model_key(bits)
         found = self._scores.get(key)
         if found is None:
-            found = self._scores[key] = self._engine(self, self.design.model(key))
+            self.design.model(key)
+            bits = np.frombuffer(key, dtype=np.uint8)[None]
+            found = self._scores[key] = self._engine(self, bits, True)[1][0]
             self._memo.setdefault(key, found.log_ml)
         return found
 
     def log_ml(self, bits) -> float:
-        """Memoized; a batched engine scores a miss as a batch of one."""
+        """Memoized; the engine scores a miss as a batch of one."""
         key = model_key(bits)
         value = self._memo.get(key)
         if value is None:
@@ -1569,17 +1531,17 @@ class ModelScorer:
         """``[log_score(m) for m in models]`` as an array, filling the memo.
 
         ``models`` is a (B, J) 0/1 matrix, one model per row, or a sequence
-        of models in any form ``log_score`` takes.  Where the engine has a
-        batched form, the models not yet memoized are scored in one batch
-        straight from their bit matrix, and their log marginal likelihoods
-        enter the memo in one ``dict.update``: known-dispersion ``ala``/
-        ``ala-curvadj`` from the arrays of stacked bordered factorizations
-        (``ala_known_phi_many``), with no ``MarginalScore`` built until
-        ``marginal`` asks, and known-dispersion ``la`` by stacked Newton
-        runs (``la_known_phi_many``); other methods score one model at a
-        time.  Either way every model then passes through one ``log_score``
-        call; after a failing batch, each scores alone, so the error is the
-        first failing model's, as in a loop.
+        of models in any form ``log_score`` takes.  The models not yet
+        memoized are scored by the engine in one batch straight from their
+        bit matrix, and their log marginal likelihoods enter the memo in one
+        ``dict.update``.  The ``ala`` rows and ``exact-gaussian`` score
+        stacks of one dimension from one stacked factorization each, with no
+        ``MarginalScore`` built until ``marginal`` asks; known-dispersion
+        ``la`` runs stacked Newton (``la_known_phi_many``); ``ala-refined``
+        and the ``la`` rows with a scale parameter score one model at a time
+        (``_model_by_model``).  Every model then passes through one
+        ``log_score`` call; after a failing batch, each scores alone, so the
+        error is the first failing model's, as in a loop.
         """
         n_groups = self.design.n_groups
         if isinstance(models, np.ndarray):
@@ -1598,19 +1560,22 @@ class ModelScorer:
         n_groups, intercept = self.design.n_groups, self.design.intercept_group
         batch = np.frombuffer(b"".join(todo), dtype=np.uint8)
         if not (
-            self._many is not None
-            and todo
+            todo
             and all(len(key) == n_groups for key in todo)
             and batch.max() <= 1
             and (intercept is None or batch[intercept::n_groups].all())
         ):
             return
         try:
-            log_ml, scores = self._many(self, batch.reshape(len(todo), n_groups))
+            log_ml, scores = self._engine(self, batch.reshape(len(todo), n_groups), False)
         except (np.linalg.LinAlgError, SelectionError):
             return
-        self._memo.update(zip(todo, log_ml))
-        self._scores.update(zip(todo, scores or ()))
+        if scores is None:
+            self._memo.update(zip(todo, log_ml.tolist()))
+        else:
+            # one float per model, shared with its record
+            self._memo.update((key, score.log_ml) for key, score in zip(todo, scores))
+            self._scores.update(zip(todo, scores))
 
     @property
     def n_scored(self) -> int:
@@ -1630,6 +1595,6 @@ def AftScorer(
     method: str = "ala",
 ) -> ModelScorer:
     """``ModelScorer`` for survival models: ``method="ala"`` expands at
-    ``(0, tau0)`` (``ala_aft``), ``"la"`` at the posterior mode
+    ``(0, tau0)`` (``_scale_plugin``), ``"la"`` at the posterior mode
     (``la_aft``)."""
     return ModelScorer(ctx, None, prior, model_prior, method)

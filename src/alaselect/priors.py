@@ -106,10 +106,13 @@ class BlockPrior:
         logdet = (np.log(coef) + self._logdet_shares(groups)).sum(axis=-1)
         return prec, logdet
 
-    def log_density(self, beta, cols, g, phi=1.0, shift=0, block=None) -> float:
-        """Log density at ``beta``, one coefficient per column of ``cols``."""
+    def log_density(self, beta, cols, g, phi=1.0, shift=0, block=None):
+        """Log density at ``beta``, one coefficient per column of ``cols``;
+        for a stack, one value per model, and ``phi`` may hold one
+        dispersion per model as a (B, 1) array."""
         prec, logdet = self.precision(cols, g, phi, shift, block)
-        return float(-0.5 * (len(cols) * _LOG_2PI - logdet + beta @ prec @ beta))
+        quad = np.einsum("...i,...ij,...j->...", beta, prec, beta)
+        return -0.5 * (cols.shape[-1] * _LOG_2PI - logdet + quad)
 
     def log_penalty(self, cols, moment, g, block=None):
         """``sum_j log((p_j + 2) / (n p_j g) tr(A_j M_jj))`` for a second
@@ -150,23 +153,28 @@ class BlockPrior:
         return self._logdet_share[groups]
 
 
-def log_invgamma(x: float, a: float, b: float) -> float:
-    if not x > 0.0:
-        return -np.inf
-    return a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(x) - b / x
+def log_invgamma(x, a: float, b: float):
+    """Log density of the inverse-gamma(a, b) at ``x``, elementwise; -inf
+    at or below zero."""
+    inside = np.asarray(x) > 0.0
+    x = np.where(inside, x, 1.0)
+    value = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(x) - b / x
+    return np.where(inside, value, -np.inf)[()]
 
 
-def log_tau_prior(tau: float, a: float, b: float) -> float:
-    """Log density of ``tau = phi**-0.5`` when phi is inverse-gamma(a, b)."""
-    if not tau > 0.0:
-        return -np.inf
-    return (
+def log_tau_prior(tau, a: float, b: float):
+    """Log density of ``tau = phi**-0.5`` when phi is inverse-gamma(a, b),
+    elementwise; -inf at or below zero."""
+    inside = np.asarray(tau) > 0.0
+    tau = np.where(inside, tau, 1.0)
+    value = (
         np.log(2.0)
         + a * np.log(b)
         - gammaln(a)
         + (2.0 * a - 1.0) * np.log(tau)
         - b * tau * tau
     )
+    return np.where(inside, value, -np.inf)[()]
 
 
 @dataclass(frozen=True)

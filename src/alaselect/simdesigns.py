@@ -101,63 +101,6 @@ def nested_models(p: int):
     return out
 
 
-def logistic_intercept_is(rng: np.random.Generator, n: int = 1000) -> SimulatedData:
-    """Logistic design with a large intercept and two weak signals.
-
-    Column 0 is a constant-one column treated as an ordinary group (not
-    forced), which makes the restricted posterior concentrate on few models
-    and stresses the reweighting diagnostics.
-    """
-    from scipy.special import expit
-
-    p = 10
-    x = np.empty((n, p))
-    x[:, 0] = 1.0
-    x[:, 1:] = equicorr_draw(rng, n, p - 1)
-    beta = np.zeros(p)
-    beta[0], beta[-2], beta[-1] = 2.0, 0.5, 1.0
-    y = (rng.random(n) < expit(x @ beta)).astype(np.float64)
-    return SimulatedData(
-        design=DesignMatrix.with_singleton_groups(x),
-        response=y,
-        active_groups=(0, p - 2, p - 1),
-    )
-
-
-def poisson_quadratic_is(rng: np.random.Generator, n: int = 1000) -> SimulatedData:
-    """Poisson design with five covariates, their squares, and a forced
-    intercept column; the truth touches only two linear terms."""
-    base = equicorr_draw(rng, n, 5)
-    x = np.hstack([base, base**2, np.ones((n, 1))])
-    beta = np.zeros(11)
-    beta[3], beta[4] = 0.5, 1.0
-    y = rng.poisson(np.exp(x @ beta)).astype(np.float64)
-    return SimulatedData(
-        design=DesignMatrix.with_singleton_groups(x, intercept_group=10),
-        response=y,
-        active_groups=(3, 4),
-    )
-
-
-def mixture_screen(rng: np.random.Generator, n: int, p: int = 8) -> SimulatedData:
-    """Bernoulli responses from an equal mixture of two logistic models whose
-    supports both lie in the first two covariates."""
-    from scipy.special import expit
-
-    x = equicorr_draw(rng, n, p)
-    b1 = np.zeros(p)
-    b2 = np.zeros(p)
-    b1[0], b1[1] = 1.0, 0.5
-    b2[0], b2[1] = -0.5, 1.0
-    prob = 0.5 * expit(x @ b1) + 0.5 * expit(x @ b2)
-    y = (rng.random(n) < prob).astype(np.float64)
-    return SimulatedData(
-        design=DesignMatrix.with_singleton_groups(x),
-        response=y,
-        active_groups=(0, 1),
-    )
-
-
 def aft_scenario(
     rng: np.random.Generator, n: int, scenario: int, n_covariates: int = 10
 ) -> tuple[np.ndarray, SurvivalData, dict]:

@@ -98,11 +98,12 @@ def group_columns(design, j):
     return design.values[:, start:stop]
 
 
-def active_prior_cov(design, bits, g, phi=1.0):
+def active_prior_cov(design, bits, g, phi=1.0, shift=0):
     """Block-diagonal group-Zellner covariance over the active columns.
 
-    Group j gets covariance phi * g * n / p_j times the inverse of its own
-    raw Gram block, independent of which other groups are active.
+    Group j gets covariance phi * g * n / (p_j + shift) times the inverse of
+    its own raw Gram block, independent of which other groups are active;
+    shift 2 gives the kernel of the product-moment prior.
     """
     n = design.n
     blocks = []
@@ -111,7 +112,7 @@ def active_prior_cov(design, bits, g, phi=1.0):
             continue
         z = group_columns(design, j)
         p_j = z.shape[1]
-        blocks.append(phi * g * n / p_j * np.linalg.inv(z.T @ z))
+        blocks.append(phi * g * n / (p_j + shift) * np.linalg.inv(z.T @ z))
     if not blocks:
         return np.zeros((0, 0))
     dim = sum(b.shape[0] for b in blocks)
@@ -124,10 +125,10 @@ def active_prior_cov(design, bits, g, phi=1.0):
     return cov
 
 
-def gzellner_logpdf(design, bits, beta, g, phi=1.0):
+def gzellner_logpdf(design, bits, beta, g, phi=1.0, shift=0):
     """Log density of the block Normal prior at a stacked coefficient
     vector over the active columns."""
-    cov = active_prior_cov(design, bits, g, phi)
+    cov = active_prior_cov(design, bits, g, phi, shift)
     if cov.shape[0] == 0:
         return 0.0
     return float(stats.multivariate_normal.logpdf(beta, mean=np.zeros(cov.shape[0]), cov=cov))
@@ -176,7 +177,7 @@ def conjugate_unknown_phi_log_ml(design, bits, y, g, a, b):
 # ----------------------------------------------------------------------
 
 
-def zero_expansion_unknown_phi_log_ml(design, bits, y, g, a, b):
+def zero_expansion_unknown_phi_log_ml(design, bits, y, g, a, b, kind="gzellner"):
     """Scalar-algebra reference for the Gaussian unknown-dispersion score
     expanded at zero coefficients and the null dispersion estimate.
 
@@ -184,7 +185,15 @@ def zero_expansion_unknown_phi_log_ml(design, bits, y, g, a, b):
     ``np.linalg.LinAlgError`` style failures only for degenerate designs;
     the explained sum of squares must stay below half the total sum of
     squares for the joint expansion to have positive-definite curvature.
+    Under the product-moment prior (``kind="gmom"``) the Normal kernel
+    takes the place of the block Zellner prior, and a finite score with
+    coefficients adds the log posterior expectation of the penalty: the
+    kernel posterior of beta is Normal with mean ``m = S Z'y`` and
+    covariance ``phi S``, ``S = (Z'Z + K)^-1`` for the kernel's precision K
+    at unit dispersion, and the second moment taken is
+    ``S + rbar m m'``, ``rbar = (a + n) / (b + y'y - y'Z (Z'Z)^-1 Z'y)``.
     """
+    shift = 2 if kind == "gmom" else 0
     y = np.asarray(y, dtype=np.float64)
     n = y.size
     phi0 = float(np.mean(y**2))
@@ -219,12 +228,86 @@ def zero_expansion_unknown_phi_log_ml(design, bits, y, g, a, b):
     score = (
         l0
         + 0.5 * quad
-        + gzellner_logpdf(design, bits, beta_tilde, g, phi_tilde)
+        + gzellner_logpdf(design, bits, beta_tilde, g, phi_tilde, shift)
         + stats.invgamma.logpdf(phi_tilde, a, scale=b)
         + 0.5 * (p + 1) * np.log(2.0 * np.pi)
         - 0.5 * logdet_h
     )
+    if shift:
+        kernel, _ = block_zellner_precision(design, bits, g, shift)
+        cov = np.linalg.inv(gram + kernel)
+        mean = cov @ u
+        rbar = (a + n) / (b + float(y @ y) - q)
+        moment = cov + rbar * np.outer(mean, mean)
+        at = 0
+        for j, on in enumerate(bits):
+            if on:
+                zj = group_columns(design, j)
+                p_j = zj.shape[1]
+                m_jj = moment[at : at + p_j, at : at + p_j]
+                at += p_j
+                score += np.log((p_j + 2) / (n * p_j * g) * np.trace(zj.T @ zj @ m_jj))
     return score, phi_tilde
+
+
+def plugin_log_ml(loglik0, grad, hess, log_prior, theta0):
+    """The plug-in score of a quadratic expansion at ``theta0``, by
+    ``numpy.linalg.solve`` and ``slogdet``: with ``grad`` and ``hess`` the
+    derivatives of the negative log-likelihood there and ``d`` its
+    dimension, ``loglik0 + g'H^-1 g / 2 + log_prior(update)
+    + (d/2) log 2 pi - log det H / 2`` at the update
+    ``theta0 - H^-1 g``.  Returns ``(log_ml, update, g'H^-1 g)``."""
+    step = np.linalg.solve(hess, grad)
+    update = theta0 - step
+    quad = float(grad @ step)
+    log_ml = (
+        loglik0
+        + 0.5 * quad
+        + log_prior(update)
+        + 0.5 * grad.shape[0] * np.log(2.0 * np.pi)
+        - 0.5 * np.linalg.slogdet(hess)[1]
+    )
+    return log_ml, update, quad
+
+
+def zero_expansion_aft_log_ml(design, data, bits, tau0, g, a, b):
+    """Dense reference for the survival score expanded at
+    ``(alpha, tau) = (0, tau0)``: the plug-in score (``plugin_log_ml``) of
+    the censored Gaussian log-likelihood, whose derivatives come from
+    scipy's normal density and distribution function, with the block
+    Zellner prior of alpha and the prior of tau induced by an
+    inverse-gamma(a, b) ``phi = tau^-2`` at the update (-inf at a tau at
+    or below zero).  Returns ``(log_ml, tau_tilde)``."""
+    cols = design.columns_for(bits)
+    z = design.values[:, cols]
+    y, obs = data.log_time, data.observed.astype(bool)
+    p = cols.size
+    # a censored term log Phi(-r) at r = tau y has derivative -m in r and
+    # second derivative -m (m - r), m = phi(r) / Phi(-r); an observed one
+    # log tau + log phi(r) has r and -1 (its tau derivative adds 1 / tau)
+    r = tau0 * y
+    m = np.exp(stats.norm.logpdf(r) - stats.norm.logcdf(-r))
+    first = np.where(obs, r, m)
+    second = np.where(obs, 1.0, m * (m - r))
+    grad = np.empty(p + 1)
+    grad[:p] = -(z.T @ first)
+    grad[p] = -(obs.sum() / tau0 - first @ y)
+    hess = np.empty((p + 1, p + 1))
+    hess[:p, :p] = (z * second[:, None]).T @ z
+    hess[:p, p] = hess[p, :p] = -(z.T @ (second * y))
+    hess[p, p] = obs.sum() / tau0**2 + second @ (y * y)
+    theta0 = np.append(np.zeros(p), tau0)
+
+    def log_prior(theta):
+        tau = theta[p]
+        if not tau > 0.0:
+            return -np.inf
+        log_tau = stats.invgamma.logpdf(tau**-2, a, scale=b) + np.log(2.0 * tau**-3)
+        return gzellner_logpdf(design, bits, theta[:p], g) + log_tau
+
+    loglik0 = aft_loglik_np(z, y, obs, np.zeros(p), tau0)
+    log_ml, update, _ = plugin_log_ml(loglik0, grad, hess, log_prior, theta0)
+    return log_ml, update[p]
 
 
 # ----------------------------------------------------------------------

@@ -584,6 +584,59 @@ def test_c10_dependency_chain_is_never_violated_across_many_scans():
     assert stored_bad == 0
 
 
+def _logistic_intercept_is(rng, n=1000):
+    """Logistic design with a large intercept and two weak signals.
+
+    Column 0 is a constant-one column treated as an ordinary group (not
+    forced), which makes the restricted posterior concentrate on few models
+    and stresses the reweighting diagnostics.
+    """
+    p = 10
+    x = np.empty((n, p))
+    x[:, 0] = 1.0
+    x[:, 1:] = simdesigns.equicorr_draw(rng, n, p - 1)
+    beta = np.zeros(p)
+    beta[0], beta[-2], beta[-1] = 2.0, 0.5, 1.0
+    y = (rng.random(n) < expit(x @ beta)).astype(np.float64)
+    return simdesigns.SimulatedData(
+        design=DesignMatrix.with_singleton_groups(x),
+        response=y,
+        active_groups=(0, p - 2, p - 1),
+    )
+
+
+def _poisson_quadratic_is(rng, n=1000):
+    """Poisson design with five covariates, their squares, and a forced
+    intercept column; the truth touches only two linear terms."""
+    base = simdesigns.equicorr_draw(rng, n, 5)
+    x = np.hstack([base, base**2, np.ones((n, 1))])
+    beta = np.zeros(11)
+    beta[3], beta[4] = 0.5, 1.0
+    y = rng.poisson(np.exp(x @ beta)).astype(np.float64)
+    return simdesigns.SimulatedData(
+        design=DesignMatrix.with_singleton_groups(x, intercept_group=10),
+        response=y,
+        active_groups=(3, 4),
+    )
+
+
+def _mixture_screen(rng, n, p=8):
+    """Bernoulli responses from an equal mixture of two logistic models whose
+    supports both lie in the first two covariates."""
+    x = simdesigns.equicorr_draw(rng, n, p)
+    b1 = np.zeros(p)
+    b2 = np.zeros(p)
+    b1[0], b1[1] = 1.0, 0.5
+    b2[0], b2[1] = -0.5, 1.0
+    prob = 0.5 * expit(x @ b1) + 0.5 * expit(x @ b2)
+    y = (rng.random(n) < prob).astype(np.float64)
+    return simdesigns.SimulatedData(
+        design=DesignMatrix.with_singleton_groups(x),
+        response=y,
+        active_groups=(0, 1),
+    )
+
+
 def test_c11_reweighting_diagnostics_separate_the_two_designs():
     """Reweighting zero-expansion results to the mode-expansion posterior:
     the logistic design keeps an effective sample size above ten percent
@@ -594,7 +647,7 @@ def test_c11_reweighting_diagnostics_separate_the_two_designs():
     for rep in range(10):
         seed = 9100 + rep
         rng = np.random.default_rng(seed)
-        sim = simdesigns.logistic_intercept_is(rng, 1000)
+        sim = _logistic_intercept_is(rng, 1000)
         cache = build_cache(sim.design, sim.response, fam.logistic(), center="zero")
         model_prior = ModelPriorSpec(
             n_groups=sim.design.n_groups,
@@ -615,7 +668,7 @@ def test_c11_reweighting_diagnostics_separate_the_two_designs():
     degenerate = 0
     for rep in range(10):
         rng = np.random.default_rng(9400 + rep)
-        sim = simdesigns.poisson_quadratic_is(rng, 1000)
+        sim = _poisson_quadratic_is(rng, 1000)
         cache = build_cache(sim.design, sim.response, fam.poisson(), center="zero")
         model_prior = ModelPriorSpec(
             n_groups=sim.design.n_groups,
@@ -648,7 +701,7 @@ def test_c12_mixture_response_keeps_out_of_support_inclusions_low():
     vals = []
     for rep in range(50):
         rng = np.random.default_rng(12000 + rep)
-        sim = simdesigns.mixture_screen(rng, 5000)
+        sim = _mixture_screen(rng, 5000)
         cache = build_cache(sim.design, sim.response, fam.logistic(), center="zero")
         scorer = engines.ModelScorer(
             cache,

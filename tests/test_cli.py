@@ -99,8 +99,9 @@ class TestSelectCommand:
 
     def test_a_run_in_process_leaves_no_parser_behind(self, gaussian_files, tmp_path):
         """Repeated in-process ``select`` runs, as the benchmark makes, build
-        the parser, a web of reference cycles, once: no run leaves one for
-        the cyclic collector to find."""
+        the parser and look up the allocator's ``mallopt``, webs of
+        reference cycles, once: no run leaves one for the cyclic collector
+        to find."""
         data, groups, _, _ = gaussian_files
         assert _select(data, groups, tmp_path / "warm", "--family", "gaussian") == 0
         gc.collect()
@@ -114,7 +115,7 @@ class TestSelectCommand:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
-        assert "argparse" not in modules
+        assert not modules & {"argparse", "ctypes", "_ctypes"}
 
     def test_inclusion_file_is_consistent_with_the_model_table(
         self, gaussian_files, tmp_path
@@ -835,6 +836,8 @@ class TestImportFootprint:
         )
         poisson = self._files(tmp_path, "poisson", {"y": rng.poisson(np.exp(eta))}, x)
         gaussian = self._files(tmp_path, "gaussian", {"y": eta + rng.normal(size=n)}, x)
+        # a weak signal, so that every zero expansion with unknown phi exists
+        weak = self._files(tmp_path, "weak", {"y": 0.2 * eta + rng.normal(size=n)}, x)
         out = ["--out", str(tmp_path / "out")]
         runs = [
             ["select", *logistic, "--response", "y", "--family", "logistic", *out],
@@ -845,6 +848,9 @@ class TestImportFootprint:
             ["select", *logistic, "--response", "y", "--family", "logistic",
              "--search", "gibbs", "--n-scans", "50", *out],
             ["select", *gaussian, "--response", "y", "--family", "gaussian", *out],
+            ["select", *gaussian, "--response", "y", "--family", "gaussian",
+             "--method", "exact-gaussian", *out],
+            ["select", *weak, "--response", "y", "--family", "gaussian-unknown", *out],
         ]
         imported, loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
         assert imported == [] and loaded == []

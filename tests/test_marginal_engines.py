@@ -3,6 +3,7 @@ mode-based scores, refinement, non-local tilts, survival scoring, and the
 numerical oracles they are checked against."""
 
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -41,6 +42,7 @@ from alaselect.families import (
     poisson,
 )
 from alaselect.priors import ModelPriorSpec, ParamPriorSpec, log_model_prior_unnorm
+from alaselect import simdesigns
 from alaselect.search import enumerate_posterior, gibbs_models
 
 from tests.oracles import (
@@ -51,17 +53,25 @@ from tests.oracles import (
     logistic_loglik_np,
     make_design,
     _reference_damped_newton,
+    plugin_log_ml,
     reference_la,
     reference_newton_direction,
     reference_refined_expansion,
+    zero_expansion_aft_log_ml,
     zero_expansion_unknown_phi_log_ml,
 )
 
 
-def _marginal(cache, family, prior, bits, method="ala"):
+def _marginal(cache, family, prior, bits, method="ala", refine_steps=1):
     """One model's score from a fresh scorer: what the engine that the
     scorer's ``_ENGINES`` row names returns."""
-    return me.ModelScorer(cache, family, prior, method=method).marginal(bits)
+    scorer = me.ModelScorer(cache, family, prior, method=method, refine_steps=refine_steps)
+    return scorer.marginal(bits)
+
+
+def _aft_marginal(ctx, prior, bits, method="ala"):
+    """One survival model's score from a fresh scorer."""
+    return me.AftScorer(ctx, prior, method=method).marginal(bits)
 
 
 class TestGeneralBackbone:
@@ -154,6 +164,24 @@ class TestKnownDispersionExactness:
                 atol=1e-9,
             )
 
+    @pytest.mark.parametrize("family", [gaussian(0.7), gaussian_unknown()], ids=str)
+    @pytest.mark.parametrize("center", ["zero", "intercept-mle"])
+    def test_exact_scorer_matches_the_n_by_n_oracle(self, rng, family, center):
+        """The scorer's closed form, from X'X, X'y and y'y of the raw
+        response, is the n x n covariance route on every model, at either
+        centring of the cache."""
+        design = make_design(rng, 80, [1, 2, 1, 3], intercept=True)
+        y = design.values @ rng.normal(scale=0.4, size=design.p) + rng.normal(size=80)
+        cache = build_cache(design, y, family, center=center)
+        prior = ParamPriorSpec(kind="gzellner", g=1.4, phi_prior=(0.5, 0.7))
+        models = admissible_bits(design.n_groups, intercept_group=0)
+        scorer = me.ModelScorer(cache, family, prior, method="exact-gaussian")
+        oracle = [
+            me.exact_gaussian_marginal(design.model(bits), cache, family, prior).log_ml
+            for bits in models
+        ]
+        np.testing.assert_allclose(scorer.score_many(models), oracle, rtol=0, atol=1e-10)
+
     def test_null_model_is_the_plain_likelihood(self, rng):
         design = make_design(rng, 25, [1])
         y = rng.normal(size=25)
@@ -207,22 +235,23 @@ class TestPluginVariant:
             # evaluated at the update
             cols = design.columns_for(bits)
             xtx = cache.gram.block(cols)
-            return me.ala_plugin(
+            return plugin_log_ml(
                 me._loglik_at_center(cache, gaussian(phi), phi),
                 -w * cache.zty[cols],
                 w * xtx,
                 lambda b: cache.block_prior.log_density(b, cols, g, phi, block=xtx),
+                np.zeros(cols.size),
             )
 
-        gap = plugin((1,)).log_ml - exact.log_ml((1,))
+        gap = plugin((1,))[0] - exact.log_ml((1,))
         np.testing.assert_allclose(gap, 0.5 * np.log(1.0 + 1.0 / (g * n)), rtol=0.02)
         # the null model is the formula's d = 0 case: no gap at all
-        null = plugin((0,))
-        assert null.log_ml == exact.log_ml((0,)) == me._loglik_at_center(
+        log_ml, update, quad = plugin((0,))
+        assert log_ml == exact.log_ml((0,)) == me._loglik_at_center(
             cache, gaussian(phi), phi
         )
-        assert null.diagnostics == {"quad": 0.0}
-        assert null.expansion.shape == (0,)
+        assert quad == 0.0
+        assert update.shape == (0,)
 
 
 class TestUnknownDispersion:
@@ -310,7 +339,7 @@ class TestUnknownDispersion:
         design, y = self._fixed_fit_data(rng, 40, r_squared=0.8)
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
-        with pytest.raises(NotConcaveAtExpansion):
+        with pytest.raises(NotConcaveAtExpansion, match=r"joint \(beta, phi\) curvature"):
             _marginal(cache, gaussian_unknown(), prior, (1,))
 
     def test_mode_score_converges_to_the_conjugate_marginal(self, rng):
@@ -425,7 +454,7 @@ class TestRefinedExpansion:
         prior = ParamPriorSpec(kind="gzellner", g=1.0)
         bits = (1, 1, 0)
         plain = _marginal(cache, logistic(), prior, bits)
-        refined = me.ala_refined(design.model(bits), cache, logistic(), prior, k=0)
+        refined = _marginal(cache, logistic(), prior, bits, "ala-refined", 0)
         np.testing.assert_allclose(refined.log_ml, plain.log_ml, atol=1e-12)
 
     def test_any_step_count_is_exact_for_gaussian(self, rng):
@@ -439,7 +468,7 @@ class TestRefinedExpansion:
         bits = (1, 1)
         reference = conjugate_known_phi_log_ml(design, bits, y, g, phi)
         for k in (0, 1, 3):
-            refined = me.ala_refined(design.model(bits), cache, gaussian(phi), prior, k=k)
+            refined = _marginal(cache, gaussian(phi), prior, bits, "ala-refined", k)
             np.testing.assert_allclose(refined.log_ml, reference, atol=1e-8)
 
     def test_one_step_improves_on_the_zero_expansion_for_logistic(self, rng):
@@ -468,7 +497,7 @@ class TestRefinedExpansion:
             truth = me.quadrature_oracle(integrand)
             model = design.model((1,))
             plain = _marginal(cache, logistic(), prior, model)
-            refined = me.ala_refined(model, cache, logistic(), prior, k=1)
+            refined = _marginal(cache, logistic(), prior, model, "ala-refined", 1)
             if abs(refined.log_ml - truth) < abs(plain.log_ml - truth):
                 wins += 1
         assert wins >= 0.8 * reps
@@ -483,7 +512,7 @@ class TestRefinedExpansion:
         model = design.model(bits)
         plain = _marginal(cache, logistic(), prior, model)
         la = _marginal(cache, logistic(), prior, model, "la")
-        refined = me.ala_refined(model, cache, logistic(), prior, k=8)
+        refined = _marginal(cache, logistic(), prior, model, "ala-refined", 8)
         # refinement expands at the maximum-likelihood point, which sits
         # near but not exactly at the posterior mode, so the two scores
         # agree to a small residual rather than exactly
@@ -527,7 +556,7 @@ class TestNonlocalEngines:
         cache = build_cache(design, y, gaussian_unknown())
         prior = ParamPriorSpec(kind="gmom")
         with pytest.raises(NotConcaveAtExpansion, match=r"joint \(beta, phi\)"):
-            me.ala_gmom(design.model((1, 1, 1)), cache, gaussian_unknown(), prior)
+            _marginal(cache, gaussian_unknown(), prior, (1, 1, 1))
 
     def test_monte_carlo_oracle_confirms_the_quadrature_oracle(self, rng):
         design = self._orthogonal_design(rng)
@@ -599,7 +628,7 @@ class TestNonlocalEngines:
             y = design.values @ beta + local.normal(size=80)
             cache = build_cache(design, y, gaussian_unknown())
             bits = (1, 1, 0)
-            score = me.ala_gmom(design.model(bits), cache, gaussian_unknown(), prior)
+            score = _marginal(cache, gaussian_unknown(), prior, bits)
             assert np.isfinite(score.log_ml)
             mc = me.exact_gmom_mc(
                 design.model(bits),
@@ -653,48 +682,16 @@ class TestSurvivalEngines:
         ctx = me.build_aft_context(design, data)
         g, (a, b) = 1.3, (0.8, 0.6)
         prior = ParamPriorSpec(kind="gzellner", g=g, phi_prior=(a, b))
-        bits = (1, 0, 1)
-        model = design.model(bits)
-        engine = me.ala_aft(model, ctx, prior)
-
-        cols = design.columns_for(bits)
-        z = design.values[:, cols]
-        p = cols.size
-        ll0, grad, hess = aft_loglik_grad_hess(z, data, np.zeros(p), ctx.tau0)
-        h_neg = -hess
-        g_neg = -grad
-        theta0 = np.concatenate([np.zeros(p), [ctx.tau0]])
-        step = np.linalg.solve(h_neg, g_neg)
-        theta_tilde = theta0 - step
-        quad = g_neg @ np.linalg.solve(h_neg, g_neg)
-        log_prior = 0.0
-        at = 0
-        for j in model.active_groups:
-            zj = design.values[:, design.groups[j][0] : design.groups[j][1]]
-            pj = zj.shape[1]
-            cov = design.n * g / pj * np.linalg.inv(zj.T @ zj)
-            log_prior += stats.multivariate_normal.logpdf(
-                theta_tilde[at : at + pj], np.zeros(pj), cov
+        for bits in admissible_bits(3):
+            engine = _aft_marginal(ctx, prior, bits)
+            longhand, tau_tilde = zero_expansion_aft_log_ml(
+                design, data, bits, ctx.tau0, g, a, b
             )
-            at += pj
-        tau_tilde = theta_tilde[-1]
-        log_prior += (
-            np.log(2.0)
-            + a * np.log(b)
-            - gammaln(a)
-            + (2.0 * a - 1.0) * np.log(tau_tilde)
-            - b * tau_tilde**2
-        )
-        sign, logdet = np.linalg.slogdet(h_neg)
-        longhand = (
-            ll0
-            + 0.5 * quad
-            + log_prior
-            + 0.5 * (p + 1) * np.log(2.0 * np.pi)
-            - 0.5 * logdet
-        )
-        np.testing.assert_allclose(engine.log_ml, longhand, atol=1e-9)
-        np.testing.assert_allclose(engine.diagnostics["tau_tilde"], tau_tilde, atol=1e-9)
+            np.testing.assert_allclose(engine.log_ml, longhand, atol=1e-9)
+            np.testing.assert_allclose(
+                engine.diagnostics["tau_tilde"], tau_tilde, atol=1e-9
+            )
+            assert engine.expansion[-1] == engine.diagnostics["tau_tilde"]
 
     def test_null_model_is_the_one_parameter_plugin_score(self, rng):
         """With no coefficients the expansion is in tau alone, at tau0, where
@@ -704,7 +701,7 @@ class TestSurvivalEngines:
         ctx = me.build_aft_context(design, data)
         a, b = 0.8, 0.6
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(a, b))
-        score = me.ala_aft(design.model((0, 0, 0)), ctx, prior)
+        score = _aft_marginal(ctx, prior, (0, 0, 0))
         tau0 = ctx.tau0
         # the density of tau = phi^(-1/2) for phi inverse-gamma(a, b)
         log_prior = (
@@ -726,7 +723,7 @@ class TestSurvivalEngines:
         design, data = _survival_sample(rng)
         ctx = me.build_aft_context(design, data)
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.8, 0.6))
-        score = me.la_aft(design.model((1, 1, 0)), ctx, prior)
+        score = _aft_marginal(ctx, prior, (1, 1, 0), "la")
         # convergence is declared on the objective decrement, so the
         # gradient is small but not driven to machine precision
         assert score.diagnostics["grad_norm"] < 1e-4
@@ -737,16 +734,16 @@ class TestSurvivalEngines:
         ctx = me.build_aft_context(design, data)
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
         for bits in [(1, 0, 0), (1, 1, 1)]:
-            a = me.ala_aft(design.model(bits), ctx, prior)
-            b = me.la_aft(design.model(bits), ctx, prior)
+            a = _aft_marginal(ctx, prior, bits)
+            b = _aft_marginal(ctx, prior, bits, "la")
             assert abs(a.log_ml - b.log_ml) < 2.0
 
     def test_null_model_scores_are_finite(self, rng):
         design, data = _survival_sample(rng)
         ctx = me.build_aft_context(design, data)
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
-        a = me.ala_aft(design.model((0, 0, 0)), ctx, prior)
-        b = me.la_aft(design.model((0, 0, 0)), ctx, prior)
+        a = _aft_marginal(ctx, prior, (0, 0, 0))
+        b = _aft_marginal(ctx, prior, (0, 0, 0), "la")
         assert np.isfinite(a.log_ml) and np.isfinite(b.log_ml)
         assert abs(a.log_ml - b.log_ml) < 1.0
 
@@ -878,10 +875,17 @@ class TestScorers:
         scorer = me.ModelScorer(
             cache, logistic(), prior, method="ala-refined", refine_steps=2
         )
-        direct = me.ala_refined(design.model((1, 1)), cache, logistic(), prior, k=2)
-        np.testing.assert_allclose(
-            scorer.log_ml((1, 1)), direct.log_ml, atol=1e-12
+        score = scorer.marginal((1, 1))
+        assert score.method == "ala-refined(2)"
+        assert score.diagnostics["steps_taken"] == 2
+        beta, loglik, grad, hess = reference_refined_expansion(
+            design, (1, 1), y, logistic(), 2
         )
+        prec, logdet = block_zellner_precision(design, (1, 1), 1.0)
+        reference = me.ala_general(
+            loglik, grad, hess, prec, theta0=beta, prior_logdet=logdet
+        )
+        np.testing.assert_allclose(score.log_ml, reference.log_ml, rtol=1e-10)
 
     def test_survival_scorer_memoizes_and_scores(self, rng):
         design, data = _survival_sample(rng)
@@ -889,8 +893,10 @@ class TestScorers:
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
         scorer = me.AftScorer(ctx, prior)
         assert scorer.marginal((1, 0, 0)) is scorer.marginal((1, 0, 0))
-        direct = me.ala_aft(design.model((1, 0, 0)), ctx, prior)
-        np.testing.assert_allclose(scorer.log_ml((1, 0, 0)), direct.log_ml, atol=1e-12)
+        direct, _ = zero_expansion_aft_log_ml(
+            design, data, (1, 0, 0), ctx.tau0, 1.0, 0.01, 0.01
+        )
+        np.testing.assert_allclose(scorer.log_ml((1, 0, 0)), direct, atol=1e-9)
 
 
 _FAMILIES = {"logistic": logistic, "poisson": poisson, "gaussian": gaussian}
@@ -1196,6 +1202,61 @@ class TestScoreMany:
             np.testing.assert_array_equal(batch.score_many(models), looped)
             assert batch.n_scored == len(models)
 
+    def test_a_failing_stack_raises_the_loops_error(self):
+        """On ``gmom_accuracy(n=500)``, seed 0, 320 of the 1024
+        gaussian-unknown ``ala`` models have an indefinite joint curvature:
+        a batch raises the error of the loop's first failing model, with its
+        message, and memoizes the models the loop scored before it."""
+        sim = simdesigns.gmom_accuracy(np.random.default_rng(0), 500)
+        cache = build_cache(sim.design, sim.response, gaussian_unknown())
+        models = admissible_bits(sim.design.n_groups)
+        loop, batch, alone = (
+            me.ModelScorer(cache, gaussian_unknown(), ParamPriorSpec()) for _ in range(3)
+        )
+        failing = 0
+        for row in models:
+            try:
+                alone.log_score(row)
+            except NotConcaveAtExpansion:
+                failing += 1
+        assert (failing, len(models)) == (320, 1024)
+        with pytest.raises(SelectionError) as looped:
+            for row in models:
+                loop.log_score(row)
+        with pytest.raises(SelectionError) as batched:
+            batch.score_many(models)
+        assert type(batched.value) is type(looped.value) is NotConcaveAtExpansion
+        assert str(batched.value) == str(looped.value)
+        assert batch.n_scored == loop.n_scored > 0
+
+    def test_a_survival_update_at_a_negative_scale_scores_minus_infinity(self):
+        """One observed failure far before the censoring time, and a
+        covariate that sets it apart, move the update's tau below zero: the
+        model and its supersets score -inf in a batch as in a loop, and the
+        record names the update."""
+        rng = np.random.default_rng(0)
+        lead = np.append(-2.2, -0.45 + 0.2 * rng.normal(size=40))
+        z = np.column_stack([rng.normal(size=41), lead])
+        observed = np.arange(41) == 0
+        data = SurvivalData(np.append(-2.8, np.full(40, -0.09)), observed)
+        ctx = me.build_aft_context(DesignMatrix.with_singleton_groups(z), data)
+        prior = ParamPriorSpec()
+        models = admissible_bits(2)
+        loop, batch = (me.AftScorer(ctx, prior) for _ in range(2))
+        looped = [loop.log_score(bits) for bits in models]
+        np.testing.assert_array_equal(batch.score_many(models), looped)
+        assert batch.n_scored == loop.n_scored == 4
+        assert np.isneginf(looped).tolist() == [False, True, False, True]
+        for bits in models[1::2]:
+            score = batch.marginal(bits)
+            assert score.log_ml == -np.inf
+            assert score.diagnostics["tau_tilde"] <= 0.0 < score.diagnostics["tau0"]
+            want, tau_tilde = zero_expansion_aft_log_ml(
+                ctx.design, data, bits, ctx.tau0, 1.0, *prior.phi_prior
+            )
+            assert want == -np.inf
+            np.testing.assert_allclose(score.diagnostics["tau_tilde"], tau_tilde, rtol=1e-10)
+
 
 class TestScalingBehavior:
     """Per-model scoring cost must not grow with the sample size once the
@@ -1290,7 +1351,7 @@ class TestNewtonParity:
                 loglik, grad, hess, prec / phi, theta0=beta,
                 prior_logdet=logdet - beta.size * np.log(phi),
             )
-            score = me.ala_refined(design.model(bits), cache, family, prior, k=k)
+            score = _marginal(cache, family, prior, bits, "ala-refined", k)
             np.testing.assert_allclose(score.log_ml, reference.log_ml, rtol=1e-10)
             np.testing.assert_allclose(score.expansion, reference.expansion, atol=1e-8)
             assert score.diagnostics["steps_taken"] == k
@@ -1418,7 +1479,8 @@ class TestNewtonParity:
             return stacked_newton(objective, theta, *args)
 
         monkeypatch.setattr(me, "_stacked_newton", recording)
-        scores = me.la_known_phi_many(bits, cache, family, prior)
+        la = me.ModelScorer(cache, family, prior, method="la")
+        _, scores = me.la_known_phi_many(la, bits, False)
         assert runs == [rows.size for rows, _ in stacks]
         for row, got in zip(bits, scores):
             one = _marginal(cache, family, prior, row, "la")
@@ -1467,9 +1529,10 @@ class TestNewtonParity:
         single = [
             _marginal(cache, family, prior, row, "la") for row in bits
         ]
+        la = me.ModelScorer(cache, family, prior, method="la")
         tracemalloc.start()
         try:
-            scores = me.la_known_phi_many(bits, cache, family, prior)
+            _, scores = me.la_known_phi_many(la, bits, False)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1479,7 +1542,7 @@ class TestNewtonParity:
         for got, one in zip(scores, single):
             assert got.log_ml == one.log_ml
             assert got.diagnostics == one.diagnostics
-        scores = me.la_known_phi_many(narrow, cache, family, prior)
+        _, scores = me.la_known_phi_many(la, narrow, False)
         assert runs == [len(narrow)]
         for row, got in zip(narrow, scores):
             one = _marginal(cache, family, prior, row, "la")
@@ -1740,7 +1803,9 @@ class TestNewtonParity:
             _marginal(cache, family, prior, bits, "la")
         with pytest.raises(NoConvergence, match=pattern) as batched:
             me.la_known_phi_many(
-                np.array([bits, (1, 1, 0, 1, 0)], dtype=np.uint8), cache, family, prior
+                me.ModelScorer(cache, family, prior, method="la"),
+                np.array([bits, (1, 1, 0, 1, 0)], dtype=np.uint8),
+                False,
             )
         assert str(batched.value) == str(alone.value)
         converging = design.model((1, 1, 0, 0, 0))
@@ -2190,43 +2255,51 @@ def _engine_stats(kind, phi_known, method, seed=5):
     return build_cache(design, y, family, center=center), family
 
 
-def _engine_reference(key, model, stats, family, prior):
-    """What the engine function a table entry names returns."""
+def _engine_reference(key, scorer, bits):
+    """``(log_ml, method, rtol, expansion)`` that a table row's engine must
+    give one model, from a reference of ``tests/oracles.py`` (``expansion``
+    None where it gives none); a row scored model by model gives what its
+    lone engine gives, bitwise, which the Newton tests check against their
+    references."""
     kind, method, prior_kind, phi_known = key
+    stats, family, prior = scorer.cache, scorer.family, scorer.prior
+    design = stats.design
+    engine = me._ENGINES[key]
+    if isinstance(engine, functools.partial):
+        lone = engine.args[0](scorer, design.model(bits))
+        return lone.log_ml, lone.method, 0.0, lone.expansion
     if kind == "aft":
-        engine = me.ala_aft if method == "ala" else me.la_aft
-        return engine(model, stats, prior)
-    if prior_kind == "gmom":
-        # the mode expansion of the gaussian family is its zero expansion
-        return me.ala_gmom(model, stats, family, prior)
-    engines = {
-        "ala": me._unknown_phi_score,
-        "ala-refined": me.ala_refined,
-        "la": me._la_known_phi if phi_known else me._la_unknown_phi,
-        "exact-gaussian": me.exact_gaussian_marginal,
-    }
-    return engines[method](model, stats, family, prior)
-
-
-def _known_phi_ala(key):
-    """Whether a table entry is scored by the known-dispersion ``ala``
-    engine, which the mode expansion of the gaussian family under the
-    product-moment prior shares."""
-    kind, method, prior_kind, phi_known = key
-    return (
-        kind != "aft"
-        and phi_known
-        and (method in ("ala", "ala-curvadj") or prior_kind == "gmom")
+        a, b = prior.phi_prior
+        want, _ = zero_expansion_aft_log_ml(
+            design, stats.data, bits, stats.tau0, prior.g, a, b
+        )
+        return want, "ala", 1e-12, None
+    if method == "exact-gaussian":
+        want = me.exact_gaussian_marginal(design.model(bits), stats, family, prior)
+        return want.log_ml, "exact-gaussian", 1e-12, None
+    if method == "la" and prior_kind == "gzellner":
+        want, mode, _, _ = reference_la(design, bits, stats.y, family, prior.g)
+        return want, "la", 1e-10, mode
+    if phi_known:
+        rho = scorer.curvature.rho_hat if scorer.curvature is not None else 1.0
+        want, beta = dense_known_phi_ala(stats, family, prior, bits, rho)
+        name = "ala-gmom" if prior_kind == "gmom" else "ala"
+        suffix = "-curvadj" if method == "ala-curvadj" else ""
+        return want, name + suffix, 1e-13, beta
+    a, b = prior.phi_prior
+    want, _ = zero_expansion_unknown_phi_log_ml(
+        design, bits, stats.y, prior.g, a, b, prior_kind
     )
+    name = "ala-gmom" if prior_kind == "gmom" and design.model(bits).p_gamma else "ala"
+    return want, name, 1e-12, None
 
 
 class TestEngineTable:
-    """Every entry of the scorer's engine table scores each model exactly as
-    the engine function it stands for; the entries of the known-dispersion
-    ``ala`` engine score it as the dense per-model reference does."""
+    """Every row of the scorer's engine table scores each model as its
+    reference does, and a batch exactly as the loop of its models does."""
 
     @pytest.mark.parametrize("key", sorted(me._ENGINES), ids=str)
-    def test_scorer_returns_the_engine_value(self, key):
+    def test_scorer_returns_the_reference_value(self, key):
         kind, method, prior_kind, phi_known = key
         stats, family = _engine_stats(kind, phi_known, method)
         prior = ParamPriorSpec(kind=prior_kind)
@@ -2234,20 +2307,35 @@ class TestEngineTable:
         assert scorer.method == method
         design = stats.design
         for bits in admissible_bits(design.n_groups, None, design.intercept_group):
-            model = design.model(bits)
-            got = scorer.marginal(model)
-            if _known_phi_ala(key):
-                rho = 1.0
-                if method == "ala-curvadj":
-                    rho = me.curvature_context(stats, family).rho_hat
-                want, beta = dense_known_phi_ala(stats, family, prior, bits, rho)
-                np.testing.assert_allclose(got.log_ml, want, rtol=1e-13)
-                np.testing.assert_allclose(got.expansion, beta, rtol=1e-10, atol=1e-14)
-                name = "ala-gmom" if prior_kind == "gmom" else "ala"
-                suffix = "-curvadj" if method == "ala-curvadj" else ""
-                assert got.method == name + suffix
-                continue
-            want = _engine_reference(key, model, stats, family, prior)
-            assert got.log_ml == want.log_ml
-            assert got.method == want.method
-            np.testing.assert_array_equal(got.expansion, want.expansion)
+            got = scorer.marginal(bits)
+            want, name, rtol, expansion = _engine_reference(key, scorer, bits)
+            np.testing.assert_allclose(got.log_ml, want, rtol=rtol, atol=0)
+            assert got.method == name
+            if rtol == 0.0:
+                np.testing.assert_array_equal(got.expansion, expansion)
+            elif expansion is not None:
+                np.testing.assert_allclose(got.expansion, expansion, rtol=1e-10, atol=1e-8)
+
+    @pytest.mark.parametrize("key", sorted(me._ENGINES), ids=str)
+    def test_a_batch_scores_as_the_loop(self, key):
+        """``score_many`` returns a loop of ``log_score``'s values bitwise
+        (known-dispersion ``la`` within 1e-10: its stacked Newton sums the
+        data pass in another order), and ``marginal`` then gives each
+        batch value bitwise."""
+        kind, method, prior_kind, phi_known = key
+        stats, family = _engine_stats(kind, phi_known, method)
+        prior = ParamPriorSpec(kind=prior_kind)
+        loop, batch = (
+            me.ModelScorer(stats, family, prior, method=method) for _ in range(2)
+        )
+        design = stats.design
+        models = admissible_bits(design.n_groups, None, design.intercept_group)
+        looped = [loop.log_score(bits) for bits in models]
+        batched = batch.score_many(models)
+        if method == "la" and phi_known and prior_kind == "gzellner":
+            np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=0)
+        else:
+            np.testing.assert_array_equal(batched, looped)
+        assert batch.n_scored == loop.n_scored == len(models)
+        for bits, value in zip(models, batched):
+            assert batch.marginal(bits).log_ml == value

@@ -109,8 +109,6 @@ class TestCholesky:
         grad = np.ones(2)
         with pytest.raises(NotConcaveAtExpansion, match="joint curvature"):
             me.ala_general(0.0, grad, _INDEFINITE, np.eye(2))
-        with pytest.raises(NotConcaveAtExpansion, match="likelihood curvature"):
-            me.ala_plugin(0.0, grad, _INDEFINITE, lambda b: 0.0)
         with pytest.raises(NotInvertible, match="prior precision"):
             me.ala_general(0.0, grad, np.eye(2), _INDEFINITE)
         with pytest.raises(NotConcave, match="curvature at the mode"):

@@ -81,7 +81,7 @@ def test_every_public_engine_is_called_or_exported():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     ]
-    assert len(public) > 15
+    assert len(public) > 10
     assert _unreferenced(sources, ("marginal_engines",), alaselect.__all__) == []
 
 
@@ -101,14 +101,28 @@ def test_a_leftover_public_engine_is_caught():
     assert _unreferenced(sources, ("marginal_engines",), exported) == []
 
 
-def test_every_known_dispersion_ala_row_scores_batches_by_its_stack():
-    """Each engine-table row scored by the known-dispersion ``ala`` engine,
-    the gaussian family's product-moment mode expansion included, scores a
-    batch by that engine's stacked form, not one model at a time."""
+def test_every_engine_row_names_one_engine():
+    """Each engine-table row names one engine, which scores a batch; only
+    the four rows whose Newton objective has no stacked form yet score
+    model by model, through the one loop adapter."""
+    from functools import partial
+
     from alaselect import marginal_engines as me
 
-    rows = {key: many for key, (one, many) in me._ENGINES.items()
-            if one is me._ala_known_phi}
-    assert ("gaussian", "la", "gmom", True) in rows
-    assert len(rows) == 9
-    assert {key for key, many in rows.items() if many is not me._ala_many} == set()
+    assert len(me._ENGINES) == 21
+    assert all(callable(engine) for engine in me._ENGINES.values())
+    looped = {
+        key
+        for key, engine in me._ENGINES.items()
+        if isinstance(engine, partial) and engine.func is me._model_by_model
+    }
+    assert looped == {
+        ("expfam", "ala-refined", "gzellner", True),
+        ("gaussian", "ala-refined", "gzellner", True),
+        ("gaussian", "la", "gzellner", False),
+        ("aft", "la", "gzellner", False),
+    }
+    stacked = {engine for key, engine in me._ENGINES.items() if key not in looped}
+    assert stacked == {
+        me._known_phi_ala, me._scale_plugin, me._exact_gaussian, me.la_known_phi_many
+    }
