@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateResponse, InvalidModel, RefuseEnumeration
-from .priors import KEY_DIGITS, BlockPrior, model_key
+from .priors import KEY_DIGITS, BlockPrior, admissible, model_key
 
 ENUMERATION_LIMIT = 25
 # masks expanded into bits per pass of ``admissible_bits``, so that a large
@@ -345,13 +345,6 @@ def admissible_bits(
         masks = np.arange(start, min(start + _MASK_CHUNK, 1 << width))
         bits = np.zeros((masks.shape[0], n_groups), dtype=np.uint8)
         bits[:, among] = (masks[:, None] >> shifts) & 1
-        ok = np.ones(masks.shape[0], dtype=bool)
-        if intercept_group is not None:
-            ok &= bits[:, intercept_group] == 1
-        if constraints is not None:
-            child, parent = constraints._pairs
-            ok &= np.count_nonzero(bits, axis=1) <= constraints.max_groups
-            ok &= np.all(bits[:, child] <= bits[:, parent], axis=1)
-        chunks.append(bits[ok])
+        chunks.append(bits[admissible(bits, constraints, intercept_group)])
     return np.concatenate(chunks)
 

@@ -220,16 +220,20 @@ def _stacked(stack):
             # a lone model, the miss of a search step
             return stack(s, np.flatnonzero(col_mask[0])[None], records)
         p_gamma = col_mask.sum(axis=1)
+        # one pass: the rows by dimension, in order within one, and their columns
+        order = np.argsort(p_gamma, kind="stable")
+        flat = np.nonzero(col_mask[order])[1]
         log_ml = np.empty(col_mask.shape[0])
         scores = [None] * col_mask.shape[0] if records else None
-        for k in sorted(set(p_gamma.tolist())):
-            members = np.flatnonzero(p_gamma == k)
+        first = at = 0
+        for k, count in enumerate(np.bincount(p_gamma).tolist()):
+            rows, cols = order[first : first + count], flat[at : at + count * k]
+            cols, first, at = cols.reshape(count, k), first + count, at + count * k
             step = max(1, _STACK_ENTRIES // max(k * k, 1))
-            for lo in range(0, members.shape[0], step):
-                rows = members[lo : lo + step]
-                cols = np.nonzero(col_mask[rows])[1].reshape(rows.shape[0], k)
-                log_ml[rows], made = stack(s, cols, records)
-                for i, score in zip(rows.tolist(), made or ()):
+            for lo in range(0, count, step):
+                chunk = rows[lo : lo + step]
+                log_ml[chunk], made = stack(s, cols[lo : lo + step], records)
+                for i, score in zip(chunk.tolist(), made or ()):
                     scores[i] = score
         return log_ml, scores
 
@@ -1516,32 +1520,37 @@ class ModelScorer:
         key = model_key(bits)
         value = self._memo.get(key)
         if value is None:
-            self._fill([key])
+            if len(key) == self.design.n_groups and not key.translate(None, b"\x00\x01"):
+                self._fill(np.frombuffer(key, dtype=np.uint8)[None], [key])
             value = self._memo.get(key)
         return self.marginal(key).log_ml if value is None else value
 
     def log_score(self, bits) -> float:
+        """``log_ml`` plus the model prior, each read from its memo first."""
         key = model_key(bits)
-        value = self.log_ml(key)
+        value = self._memo.get(key)
+        if value is None:
+            value = self.log_ml(key)
         if self.model_prior is not None:
             value += log_model_prior_unnorm(key, self.model_prior)
         return float(value)
 
     def score_many(self, models) -> np.ndarray:
-        """``[log_score(m) for m in models]`` as an array, filling the memo.
+        """``[log_score(m) for m in models]`` as an array, filling the memos.
 
         ``models`` is a (B, J) 0/1 matrix, one model per row, or a sequence
-        of models in any form ``log_score`` takes.  The models not yet
-        memoized are scored by the engine in one batch straight from their
-        bit matrix, and their log marginal likelihoods enter the memo in one
-        ``dict.update``.  The ``ala`` rows and ``exact-gaussian`` score
-        stacks of one dimension from one stacked factorization each, with no
-        ``MarginalScore`` built until ``marginal`` asks; known-dispersion
-        ``la`` runs stacked Newton (``la_known_phi_many``); ``ala-refined``
-        and the ``la`` rows with a scale parameter score one model at a time
-        (``_model_by_model``).  Every model then passes through one
-        ``log_score`` call; after a failing batch, each scores alone, so the
-        error is the first failing model's, as in a loop.
+        of models in any form ``log_score`` takes.  The rows not yet
+        memoized are scored by the engine in one batch straight from the bit
+        matrix, and their log marginal likelihoods enter the memo in one
+        ``dict.update``, as the prior's masses do.  The ``ala`` rows and
+        ``exact-gaussian`` score stacks of one dimension from one stacked
+        factorization each, with no ``MarginalScore`` built until
+        ``marginal`` asks; known-dispersion ``la`` runs stacked Newton
+        (``la_known_phi_many``); ``ala-refined`` and the ``la`` rows with a
+        scale parameter score one model at a time (``_model_by_model``).
+        Each model's one ``log_score`` call is then two memo hits; after a
+        failing batch, each scores alone, so the error is the first failing
+        model's, as in a loop.
         """
         n_groups = self.design.n_groups
         if isinstance(models, np.ndarray):
@@ -1551,31 +1560,35 @@ class ModelScorer:
             keys = bits.view(f"V{n_groups}").ravel().tolist()
         else:
             keys = [model_key(m) for m in models]
-        self._fill([key for key in dict.fromkeys(keys) if key not in self._memo])
+            joined = np.frombuffer(b"".join(keys), dtype=np.uint8)
+            ok = all(len(key) == n_groups for key in keys) and joined.max(initial=0) <= 1
+            bits = joined.reshape(len(keys), n_groups) if ok else None
+        if bits is not None:  # else a malformed key raises at its row
+            self._fill(bits, keys)
+            if self.model_prior is not None:
+                self.model_prior.remember(bits, keys)
         return np.array([self.log_score(key) for key in keys], dtype=np.float64)
 
-    def _fill(self, todo: list[bytes]) -> None:
-        """Memoize ``todo`` by one batch; a malformed key, a model without the
-        intercept group or a failing batch is left to ``marginal`` to raise."""
-        n_groups, intercept = self.design.n_groups, self.design.intercept_group
-        batch = np.frombuffer(b"".join(todo), dtype=np.uint8)
-        if not (
-            todo
-            and all(len(key) == n_groups for key in todo)
-            and batch.max() <= 1
-            and (intercept is None or batch[intercept::n_groups].all())
-        ):
+    def _fill(self, bits: np.ndarray, keys: list[bytes]) -> None:
+        """Memoize the models of the 0/1 rows ``bits`` (keys ``keys``) not yet
+        memoized, each once, by one batch; a model without the intercept
+        group or a failing batch is left to ``marginal`` to raise."""
+        todo = {key: i for i, key in enumerate(keys) if key not in self._memo}
+        intercept = self.design.intercept_group
+        if not todo or (intercept is not None and not bits[:, intercept].all()):
             return
+        keys = list(todo)
+        bits = bits if len(keys) == bits.shape[0] else bits[list(todo.values())]
         try:
-            log_ml, scores = self._engine(self, batch.reshape(len(todo), n_groups), False)
+            log_ml, scores = self._engine(self, bits, False)
         except (np.linalg.LinAlgError, SelectionError):
             return
         if scores is None:
-            self._memo.update(zip(todo, log_ml.tolist()))
+            self._memo.update(zip(keys, log_ml.tolist()))
         else:
             # one float per model, shared with its record
-            self._memo.update((key, score.log_ml) for key, score in zip(todo, scores))
-            self._scores.update(zip(todo, scores))
+            self._memo.update((key, score.log_ml) for key, score in zip(keys, scores))
+            self._scores.update(zip(keys, scores))
 
     @property
     def n_scored(self) -> int:

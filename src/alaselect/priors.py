@@ -11,6 +11,7 @@ zero, which removes prior mass from near-null coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -81,8 +82,9 @@ class BlockPrior:
     columns ``cols`` (whole groups in group order, as
     ``DesignMatrix.columns_for`` gives them), or a (B, k) stack of such
     column lists, and optionally the Gram block over them when the caller
-    has already gathered it.  ``log det A_j`` is computed once per group; a
-    group whose columns are linearly dependent raises ``NotInvertible``.
+    has already gathered it.  ``log det A_j`` is computed once per group,
+    by one Cholesky per group size; linearly dependent columns raise
+    ``NotInvertible``, naming the first such group in ascending order.
     """
 
     def __init__(self, design: DesignMatrix, gram: Gram):
@@ -135,21 +137,30 @@ class BlockPrior:
         return np.sum(logs / sizes, axis=-1)
 
     def _logdet_shares(self, groups: np.ndarray) -> np.ndarray:
-        """``log det A_j / p_j`` for each entry of ``groups``, factorizing
-        each group on first use.  A squared pivot below 1e-10 of its
-        diagonal entry makes the block singular: on exactly dependent
-        columns rounding leaves one of order 1e-16, far below that bound."""
+        """``log det A_j / p_j`` for each entry of ``groups``, factorizing the
+        groups on first use, one stack per group size.  A squared pivot
+        below 1e-10 of its diagonal entry makes the block singular: exactly
+        dependent columns leave one of order 1e-16 after rounding."""
         shares = self._logdet_share[groups]
         if not np.isnan(shares).any():
             return shares
-        for j in np.unique(groups[np.isnan(shares)]):
-            start, stop = self.design.groups[j]
-            block = self.gram.block(np.arange(start, stop))
+        todo = np.unique(groups[np.isnan(shares)])
+        for p in np.unique(self.sizes[todo]).tolist():
+            members = todo[self.sizes[todo] == p]
+            cols = np.flatnonzero(np.isin(self.design.col_group, members))
+            blocks = self.gram.block(cols.reshape(-1, p))
+            try:
+                pivots = np.diagonal(np.linalg.cholesky(blocks), 0, 1, 2) ** 2
+            except np.linalg.LinAlgError:
+                continue
+            fine = np.all(pivots >= 1e-10 * np.diagonal(blocks, 0, 1, 2), axis=1)
+            self._logdet_share[members[fine]] = np.log(pivots[fine]).sum(axis=1) / p
+        for j in todo[np.isnan(self._logdet_share[todo])].tolist():
+            # a stack failed: the first failing group names the error
+            block = self.gram.block(np.flatnonzero(self.design.col_group == j))
             factor = cholesky(block, NotInvertible, f"group {j} Gram block")
-            pivots = np.diag(factor) ** 2
-            if np.any(pivots < 1e-10 * np.diag(block)):
+            if np.any(np.diag(factor) ** 2 < 1e-10 * np.diag(block)):
                 raise NotInvertible(f"group {j} Gram block is singular")
-            self._logdet_share[j] = float(np.sum(np.log(pivots))) / (stop - start)
         return self._logdet_share[groups]
 
 
@@ -177,6 +188,19 @@ def log_tau_prior(tau, a: float, b: float):
     return np.where(inside, value, -np.inf)[()]
 
 
+def admissible(bits: np.ndarray, constraints, intercept_group) -> np.ndarray:
+    """Which rows of a (B, J) 0/1 ``uint8`` matrix hold the intercept group,
+    at most ``max_groups`` groups (the intercept counted) and each ``requires`` pair."""
+    ok = np.ones(bits.shape[0], dtype=bool)
+    if intercept_group is not None:
+        ok &= bits[:, intercept_group] == 1
+    if constraints is not None:
+        child, parent = constraints._pairs
+        ok &= np.count_nonzero(bits, axis=1) <= constraints.max_groups
+        ok &= np.all(bits[:, child] <= bits[:, parent], axis=1)
+    return ok
+
+
 @dataclass(frozen=True)
 class ModelPriorSpec:
     """Complexity prior over group-inclusion vectors.
@@ -187,7 +211,8 @@ class ModelPriorSpec:
     the uniform-on-size (beta-binomial 1, 1) prior.  The mass depends on k
     alone, so ``log_mass[k]`` holds it for every k, computed once; a model
     costs one count of its key, plus the checks of ``check``, the first
-    time it is seen, and one lookup of its key after that.
+    time it is seen, and one lookup of its key after that.  ``remember``
+    memoizes a batch's admissible models at once, from one row sum.
     """
 
     n_groups: int
@@ -230,6 +255,14 @@ class ModelPriorSpec:
             raise InvalidModel(
                 f"model {key.translate(KEY_DIGITS).decode()} violates constraints"
             )
+
+    def remember(self, bits: np.ndarray, keys: list) -> None:
+        """Memoize the masses of the admissible rows of a (B, J) 0/1 matrix,
+        whose keys are ``keys``; the other rows are left to raise."""
+        ok = admissible(bits, self.constraints, self.intercept_group)
+        free = np.count_nonzero(bits, axis=1) - (self.intercept_group is not None)
+        masses = self.log_mass[free[ok]].tolist()
+        self._seen.update(zip(compress(keys, ok.tolist()), masses))
 
 
 def log_model_prior_unnorm(bits, spec: ModelPriorSpec) -> float:

@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import comb, gammaln, logsumexp
 
-from alaselect.data_model import ConstraintSet, DesignMatrix, Gram, build_cache
+from alaselect.data_model import (
+    ConstraintSet,
+    DesignMatrix,
+    Gram,
+    admissible_bits,
+    build_cache,
+)
 from alaselect.errors import InvalidModel, NotInvertible
-from alaselect.families import gaussian
+from alaselect.families import gaussian, logistic
 from alaselect.marginal_engines import ModelScorer
 from alaselect.priors import (
     BlockPrior,
@@ -146,6 +152,100 @@ class TestBlockPrior:
         np.testing.assert_allclose(
             logdet, 2 * np.log(2 / n) + np.linalg.slogdet(z.T @ z)[1], rtol=1e-8
         )
+
+
+def _group_errors(design, gram):
+    """The error of factorizing each group's Gram block alone, one entry
+    per group, None for a group that factorizes."""
+    errors = []
+    for j, (start, stop) in enumerate(design.groups):
+        block = gram.block(np.arange(start, stop))
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            errors.append(f"group {j} Gram block is not positive definite")
+            continue
+        singular = np.any(np.diag(factor) ** 2 < 1e-10 * np.diag(block))
+        errors.append(f"group {j} Gram block is singular" if singular else None)
+    return errors
+
+
+def _with_columns(rng, n, groups):
+    """A design of the given groups, each a list of column kinds: "x" a
+    fresh Gaussian column, "copy" a copy of the group's previous column,
+    "zero" a column of zeros."""
+    cols, bounds = [], []
+    for kinds in groups:
+        start = len(cols)
+        for kind in kinds:
+            if kind == "x":
+                cols.append(rng.normal(size=n))
+            else:
+                cols.append(cols[-1].copy() if kind == "copy" else np.zeros(n))
+        bounds.append((start, len(cols)))
+    return DesignMatrix(np.column_stack(cols), tuple(bounds))
+
+
+class TestGroupFactorizations:
+    """``log det A_j`` comes from one stacked Cholesky per group size; every
+    share and every error is the one a group-by-group pass gives."""
+
+    def test_stacked_shares_equal_each_groups_own(self, rng):
+        # sizes past 8 reach the pairwise branch of numpy's sums
+        design = make_design(rng, 60, [1, 2, 3, 2, 1, 3, 9, 12, 9], intercept=True)
+        gram = Gram(design.values)
+        stacked = BlockPrior(design, gram)
+        stacked.precision(np.arange(design.p), 1.0)
+        alone = BlockPrior(design, gram)
+        for j, (start, stop) in enumerate(design.groups):
+            alone.precision(np.arange(start, stop), 1.0)
+            block = gram.block(np.arange(start, stop))
+            pivots = np.diag(np.linalg.cholesky(block)) ** 2
+            share = float(np.sum(np.log(pivots))) / (stop - start)
+            assert stacked._logdet_share[j] == share
+            assert alone._logdet_share[j] == share
+
+    @pytest.mark.parametrize(
+        "groups, first",
+        [
+            # a non-definite group in the size-2 stack, a singular one of size 3
+            ([["x", "x"], ["x", "zero"], ["x"], ["x", "x", "copy"]], 1),
+            # the size-1 stack, factorized first, fails after group 0 does
+            ([["x", "x", "copy"], ["zero"], ["x", "x"]], 0),
+            # two failing groups in one stack
+            ([["x"], ["x", "copy"], ["x", "x"], ["zero", "x"]], 1),
+        ],
+    )
+    def test_the_first_failing_group_names_the_error(self, rng, groups, first):
+        design = _with_columns(rng, 40, groups)
+        gram = Gram(design.values)
+        errors = _group_errors(design, gram)
+        expected = next(error for error in errors if error is not None)
+        assert expected.startswith(f"group {first} ")
+        prior = BlockPrior(design, gram)
+        for _ in range(2):
+            with pytest.raises(NotInvertible, match=f"^{expected}$"):
+                prior.precision(np.arange(design.p), 1.0)
+        # each group alone scores, or raises its own error
+        for (start, stop), error in zip(design.groups, errors):
+            cols = np.arange(start, stop)
+            if error is None:
+                assert np.isfinite(prior.precision(cols, 1.0)[1])
+            else:
+                with pytest.raises(NotInvertible, match=f"^{error}$"):
+                    prior.precision(cols, 1.0)
+
+    def test_a_singular_group_no_model_reads_raises_nothing(self, rng):
+        design = _with_columns(rng, 80, [["x"], ["x", "x"], ["x", "copy"], ["x"]])
+        y = (rng.random(80) < 0.5).astype(float)
+        cache = build_cache(design, y, logistic())
+        scorer = ModelScorer(cache, logistic(), ParamPriorSpec())
+        bits = admissible_bits(4, among=[0, 1, 3])
+        scores = scorer.score_many(bits)
+        assert np.all(np.isfinite(scores))
+        assert np.isnan(cache.block_prior._logdet_share[2])
+        with pytest.raises(NotInvertible, match="^group 2 Gram block is "):
+            scorer.log_score((0, 0, 1, 0))
 
 
 class TestGroupNormalPrior:
@@ -435,6 +535,66 @@ class TestModelPrior:
                 InvalidModel, match="^bit vector length does not match the group count$"
             ):
                 log_model_prior_unnorm(form, spec)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_a_batch_memoizes_each_admissible_models_mass(self, c):
+        """``remember`` stores, for each admissible row, bitwise the mass
+        one key's lookup gives, and leaves every other row to that lookup,
+        which raises its own message: an inactive intercept group, a size
+        past the cap (the intercept counted) or an unmet ``requires``
+        pair."""
+        constraints = ConstraintSet(4, ((2, 1), (5, 3), (5, 4)))
+        kwargs = dict(
+            n_groups=6, p_total=9, c_exponent=c, constraints=constraints,
+            intercept_group=0,
+        )
+        spec = ModelPriorSpec(**kwargs)
+        bits = np.array(
+            [[(m >> (5 - j)) & 1 for j in range(6)] for m in range(64)], dtype=np.uint8
+        )
+        keys = [row.tobytes() for row in bits]
+        spec.remember(bits, keys)
+        admitted = 0
+        for key in keys:
+            alone = ModelPriorSpec(**kwargs)
+            try:
+                mass = log_model_prior_unnorm(key, alone)
+            except InvalidModel as err:
+                assert key not in spec._seen
+                with pytest.raises(InvalidModel, match=f"^{err}$"):
+                    log_model_prior_unnorm(key, spec)
+                continue
+            admitted += 1
+            assert spec._seen[key] == mass
+            assert log_model_prior_unnorm(key, spec) == mass
+        # the rows admissible_bits enumerates, and no others
+        assert admitted == len(spec._seen) == len(admissible_bits(6, constraints, 0))
+
+    def test_an_inadmissible_row_of_a_batch_raises_its_own_message(self, rng):
+        """A batch scored from a bit matrix raises, at a row the constraints
+        reject, the message that row's own ``log_score`` raises."""
+        design = make_design(rng, 30, [1, 1, 1, 1], intercept=True)
+        family = gaussian(1.0)
+        cache = build_cache(design, rng.normal(size=30), family)
+        spec = ModelPriorSpec(
+            n_groups=5,
+            p_total=design.p,
+            constraints=ConstraintSet(3, ((2, 1),)),
+            intercept_group=0,
+        )
+        good = admissible_bits(5, spec.constraints, 0)
+        for bad, message in [
+            ((1, 0, 1, 0, 0), "model 10100 violates constraints"),
+            ((1, 1, 1, 1, 0), "model 11110 violates constraints"),
+            ((0, 1, 0, 0, 0), "intercept group must be active in every model"),
+        ]:
+            alone = ModelScorer(cache, family, ParamPriorSpec(), spec)
+            with pytest.raises(InvalidModel, match=f"^{message}$"):
+                alone.log_score(bad)
+            batch = np.insert(good, 3, bad, axis=0)
+            scorer = ModelScorer(cache, family, ParamPriorSpec(), spec)
+            with pytest.raises(InvalidModel, match=f"^{message}$"):
+                scorer.score_many(batch)
 
     def test_param_prior_requires_dispersion_parameters_when_asked(self):
         prior = ParamPriorSpec(kind="gzellner", g=1.0, phi_prior=(0.01, 0.01))
