@@ -213,25 +213,17 @@ def grad_hess(
 
 
 def phi0_mle(family: FamilySpec, y: np.ndarray, nu0: float = 0.0) -> float:
-    """Dispersion maximizing the likelihood with the predictor pinned at nu0."""
+    """Dispersion maximizing the likelihood with the predictor pinned at nu0:
+    the mean square of ``y - nu0`` for the gaussian, the one family whose
+    dispersion may be unknown; any other unknown one raises ``ValueError``."""
     if family.phi_known:
         return float(family.phi)
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if family.kind == "gaussian":
-        phi0 = float(np.mean((y - nu0) ** 2))
-        if not phi0 > 0.0:
-            raise DegenerateResponse("response has no variation around nu0")
-        return phi0
-    kernel = float(nu0 * np.sum(y) - n * family.cumulant(nu0)[0])
-
-    def score(phi):
-        return -kernel / phi**2 + float(np.sum(family.c_dphi(y, phi)))
-
-    def dscore(phi):
-        return 2.0 * kernel / phi**3 + float(np.sum(family.c_dphi2(y, phi)))
-
-    return _bracket_newton(score, dscore, 1e-10, 1e10, x0=1.0)
+    if family.kind != "gaussian":
+        raise ValueError("an unknown dispersion is supported for the gaussian family only")
+    phi0 = float(np.mean((np.asarray(y, dtype=np.float64) - nu0) ** 2))
+    if not phi0 > 0.0:
+        raise DegenerateResponse("response has no variation around nu0")
+    return phi0
 
 
 def _bracket_newton(

@@ -13,7 +13,6 @@ route are provided as references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,20 +125,23 @@ def ala_general(
 
     ``grad`` and ``hess`` are derivatives of the negative log-likelihood at
     ``theta0``.  Exact whenever the log-likelihood is quadratic; at the
-    posterior mode it reproduces the Laplace approximation.
+    posterior mode it reproduces the Laplace approximation.  For a (B, d)
+    stack of gradients, with the Hessians, precisions, points and constants
+    of its B models, the score holds one entry per model in ``log_ml``, the
+    rows of ``expansion`` and ``quad``.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    d = grad.shape[0]
     if theta0 is None:
-        theta0 = np.zeros(d)
+        theta0 = np.zeros_like(grad)
     if prior_logdet is None:
         prior_logdet = chol_logdet(
             cholesky(prior_precision, NotInvertible, "prior precision")
         )
-    g_joint = grad + prior_precision @ theta0
-    factor, shift = cho_factor_solve(hess + prior_precision, g_joint)
-    quad = float(g_joint @ shift)
-    quad_prior = float(theta0 @ prior_precision @ theta0)
+    g_joint = grad + (prior_precision @ theta0[..., None])[..., 0]
+    factor, shift = cho_factor_solve(hess + prior_precision, g_joint[..., None])
+    shift = shift[..., 0]
+    quad = (g_joint[..., None, :] @ shift[..., None])[..., 0, 0]
+    quad_prior = (theta0[..., None, :] @ prior_precision @ theta0[..., None])[..., 0, 0]
     log_ml = (
         loglik0
         - 0.5 * quad_prior
@@ -147,7 +149,9 @@ def ala_general(
         - 0.5 * chol_logdet(factor)
         + 0.5 * quad
     )
-    return MarginalScore(float(log_ml), method, theta0 - shift, {"quad": quad})
+    if grad.ndim == 1:
+        log_ml, quad = float(log_ml), float(quad)
+    return MarginalScore(log_ml, method, theta0 - shift, {"quad": quad})
 
 
 def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> CurvatureContext:
@@ -210,9 +214,10 @@ def _stacked(stack):
     models whose (B, k) column lists are ``cols``: the rows of a (B, J)
     ``uint8`` 0/1 matrix are split by dimension into stacks of at most
     ``_STACK_ENTRIES`` Gram entries, and each stack's log marginal
-    likelihoods, and its ``MarginalScore``s for ``records``, are written by
-    row index.  A stack's rows depend on their own models alone, so a model
-    scores bitwise the same in any batch."""
+    likelihoods, and its ``MarginalScore``s when it builds them (for
+    ``records`` or always), are written by row index.  A stack's rows
+    depend on their own models alone, so a model scores bitwise the same in
+    any batch."""
 
     def engine(s, bits, records):
         col_mask = bits.view(bool)[:, s.design.col_group]
@@ -223,8 +228,7 @@ def _stacked(stack):
         # one pass: the rows by dimension, in order within one, and their columns
         order = np.argsort(p_gamma, kind="stable")
         flat = np.nonzero(col_mask[order])[1]
-        log_ml = np.empty(col_mask.shape[0])
-        scores = [None] * col_mask.shape[0] if records else None
+        log_ml, scores, made = np.empty(col_mask.shape[0]), [None] * len(order), None
         first = at = 0
         for k, count in enumerate(np.bincount(p_gamma).tolist()):
             rows, cols = order[first : first + count], flat[at : at + count * k]
@@ -235,7 +239,7 @@ def _stacked(stack):
                 log_ml[chunk], made = stack(s, cols[lo : lo + step], records)
                 for i, score in zip(chunk.tolist(), made or ()):
                     scores[i] = score
-        return log_ml, scores
+        return log_ml, scores if made else None
 
     return engine
 
@@ -415,74 +419,93 @@ def _accepts(value, grad_norm, cand_value, cand_grad_norm):
     )
 
 
-def _newton_one(objective, theta, first=None, positive=None):
-    """``_stacked_newton`` on one model's ``objective(theta)``, which returns
-    ``(value, grad, hess)``, as a stack of one from ``theta``; ``first`` is
-    that triple at ``theta`` when the caller has it, and coordinate
-    ``positive`` (the dispersion or scale) is kept positive.  Returns the
-    final ``(theta, value, grad, hess)`` and the diagnostics: accepted
+def _gathered(stack):
+    """The ``_stacked`` engine of ``stack(scorer, cols, zs, records)``, which
+    evaluates model r of a stack alone, on its gathered design columns
+    ``zs[r]``, and returns ``MarginalScore``s when it builds them.
+    A stack runs as runs of rows whose columns hold at most ``_LA_BLOCK //
+    2`` doubles (one model at least), each gathered once, so that a run and
+    one model's evaluation fit in one block whatever the stack's size."""
+
+    def run(s, cols, records):
+        values = s.design.values
+        step = max(1, _LA_BLOCK // max(2 * values.shape[0] * cols.shape[1], 1))
+        if cols.shape[0] <= step:
+            return stack(s, cols, [values[:, c] for c in cols], records)
+        runs = [cols[lo : lo + step] for lo in range(0, cols.shape[0], step)]
+        made = [stack(s, run, [values[:, c] for c in run], records) for run in runs]
+        scores = None if made[0][1] is None else [r for _, got in made for r in got]
+        return np.concatenate([log_ml for log_ml, _ in made]), scores
+
+    return _stacked(run)
+
+
+def _triples(triples):
+    """The stacked ``(value, grad, hess)`` of one such triple per model; a
+    lone model's arrays are viewed as a stack of one."""
+    value, grad, hess = zip(*triples)
+    if len(value) == 1:
+        return np.array(value), grad[0][None], hess[0][None]
+    return np.array(value), np.array(grad), np.array(hess)
+
+
+def _newton_rows(joint, zs, theta, lik=None, positive=None):
+    """One ``_stacked_newton`` run on a stack of models of one size, each
+    evaluated alone: ``joint(r, zs[r], theta, lik)`` is model r's negative
+    log joint with its gradient and Hessian at ``theta``, from its design
+    columns ``zs[r]`` or from its likelihood's triple ``lik``.  ``lik`` is
+    the stack's likelihood at the start ``theta`` (one value, one gradient
+    and Hessian per model) when the caller has it; coordinate ``positive``
+    (the dispersion or scale) is kept positive.  Returns the final
+    ``(theta, value, grad, hess)`` and each model's diagnostics: accepted
     steps, evaluations and the final gradient norm."""
 
-    def stacked(live, theta):
-        value, grad, hess = objective(theta[0])
-        return np.array([value]), grad[None], hess[None]
+    def objective(live, theta):
+        return _triples(joint(r, zs[r], t) for r, t in zip(live.tolist(), theta))
 
-    if first is not None:
-        first = (np.array([first[0]]), first[1][None], first[2][None])
-    theta, value, grad, hess, iterations, evaluations = _stacked_newton(
-        stacked, np.array([theta]), first, np.array([theta.shape[0]]), positive
-    )
-    diagnostics = {
-        "iterations": int(iterations[0]),
-        "evaluations": int(evaluations[0]),
-        "grad_norm": float(np.max(np.abs(grad[0]))),
-    }
-    return theta[0], value[0], grad[0], hess[0], diagnostics
+    if lik is not None:
+        value, grad, hess = lik
+        rows = enumerate(zip(theta, grad, hess))
+        lik = _triples(joint(r, None, t, (value, g, h)) for r, (t, g, h) in rows)
+    sizes = np.full(theta.shape[0], theta.shape[1])
+    theta, value, grad, hess, its, evals = _stacked_newton(objective, theta, lik, sizes, positive)
+    keys, norms = ("iterations", "evaluations", "grad_norm"), np.abs(grad).max(axis=1)
+    rows = zip(its.tolist(), evals.tolist(), norms.tolist())
+    return theta, value, grad, hess, [dict(zip(keys, row)) for row in rows]
 
 
-def _la_known_phi(model, cache, family, prior):
-    """Laplace approximation under a known dispersion and the block
-    Zellner prior: expand at the posterior mode.
-
-    Runs the Newton rule (``_stacked_newton``, on this model as a stack of
-    one) on the negative log joint from zero coefficients, where a
-    zero-centered cache supplies the first evaluation without a pass over
-    the data; raises ``NoConvergence`` if the gradient does not drop below
-    ``_NEWTON_TOL``.  ``la_known_phi_many`` scores many models with the
-    same rule in stacks.
-    """
+@_gathered
+def _la_known_phi(s, cols, zs, records):
+    """Laplace scores under a known dispersion and the block Zellner prior:
+    each model expanded at its posterior mode, found by the Newton rule on
+    its negative log joint from zero coefficients, where a zero-centered
+    cache supplies the first evaluation without a pass over the data.  The
+    null model scores its likelihood at zero.  Raises ``NoConvergence`` if
+    a gradient does not drop below ``_NEWTON_TOL``."""
+    cache, family = s.cache, s.family
     phi = float(family.phi)
-    p = model.p_gamma
+    m, p = cols.shape
     if p == 0:
-        return MarginalScore(
-            _loglik_at_center(cache, family, phi),
-            "la",
-            np.empty(0),
-            {"iterations": 0, "evaluations": 0},
-        )
-    cols = cache.design.columns_for(model.key)
-    Z = cache.design.values[:, cols]
-    y = cache.y
-    c_sum = _c_sum(cache, family, phi)
-    prec, logdet_p0 = cache.block_prior.precision(cols, prior.g, phi)
+        l0 = _loglik_at_center(cache, family, phi)
+        return np.full(m, l0), [
+            MarginalScore(l0, "la", np.empty(0), {"iterations": 0, "evaluations": 0})
+            for _ in range(m)
+        ]
+    y, c_sum = cache.y, _c_sum(cache, family, phi)
+    prec, logdet_p0 = cache.block_prior.precision(cols, s.prior.g, phi)
 
-    def with_prior(beta, lik):
-        value, g, h = lik
-        pb = prec @ beta
-        return value + 0.5 * float(beta @ pb), g + pb, h + prec
+    def joint(r, z, beta, lik=None):
+        value, g, h = fam.grad_hess(family, z, y, beta, phi, c_sum) if lik is None else lik
+        prec_r = prec[r]
+        pb = prec_r @ beta
+        return value + 0.5 * float(beta @ pb), g + pb, h + prec_r
 
-    def objective(beta):
-        return with_prior(beta, fam.grad_hess(family, Z, y, beta, phi, c_sum))
-
-    theta0 = np.zeros(p)
     at_zero = _at_zero(cache, family, phi, cols)
-    first = None if at_zero is None else with_prior(theta0, at_zero)
-    theta, value, grad, hess, diagnostics = _newton_one(objective, theta0, first)
-    logdet_h, quad, _ = bordered_cholesky(
-        hess, grad, NotConcave, "curvature at the mode"
-    )
+    theta, value, grad, hess, diagnostics = _newton_rows(joint, zs, np.zeros((m, p)), at_zero)
+    logdet_h, quad, _ = bordered_cholesky(hess, grad, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
-    return MarginalScore(float(log_ml), "la", theta, diagnostics)
+    rows = zip(log_ml.tolist(), theta, diagnostics)
+    return log_ml, [MarginalScore(lm, "la", mode, diag) for lm, mode, diag in rows]
 
 
 # Doubles in one working array of a stacked evaluation (live models, or a
@@ -502,30 +525,27 @@ def la_known_phi_many(s, bits: np.ndarray, records: bool):
     (B, J) ``uint8`` 0/1 matrix ``bits``, as the (B,) log marginal
     likelihoods and the ``MarginalScore``s, which it builds whatever
     ``records`` asks.  The models with columns run ``_stacked_newton`` as
-    padded stacks (``_la_stack``, ``_la_stacks``); the null model, and each
-    model the split leaves alone, go to ``_la_known_phi``, whose weighted
-    Gram costs less formed directly.  Each model takes the iterates,
-    evaluations and stopping decisions it takes alone, up to rounding, and
-    a batch raises what ``_la_known_phi`` raises for the first model that
-    fails in the run.
+    padded stacks over the pair products of their union (``_la_stack``,
+    ``_la_stacks``); the null model, and each model the split leaves alone,
+    go in one batch to ``_la_known_phi``, which evaluates each model on its
+    own columns.  Each model takes the iterates, evaluations and stopping
+    decisions it takes alone, up to rounding, and a batch raises what its
+    first failing stack raises.
     """
-    cache, family, prior = s.cache, s.family, s.prior
-    design = cache.design
-    active = np.asarray(bits, dtype=bool)
-    col_mask = active[:, design.col_group]
+    col_mask = bits.view(bool)[:, s.design.col_group]
     p_gamma = col_mask.sum(axis=1)
-    out: list[Optional[MarginalScore]] = [None] * active.shape[0]
-    nulls = [(np.array([i]), None) for i in np.flatnonzero(p_gamma == 0)]
-    stacks = _la_stacks(np.flatnonzero(p_gamma), col_mask, p_gamma)
-    for rows, union in [*nulls, *stacks]:
+    out: list[Optional[MarginalScore]] = [None] * bits.shape[0]
+    alone = [np.flatnonzero(p_gamma == 0)]
+    for rows, union in _la_stacks(np.flatnonzero(p_gamma), col_mask, p_gamma):
         if rows.shape[0] > 1:
-            mask = col_mask[rows]
-            scores = _la_stack(cache, family, prior, mask, union)
+            scores = _la_stack(s.cache, s.family, s.prior, col_mask[rows], union)
+            for i, score in zip(rows.tolist(), scores):
+                out[i] = score
         else:
-            # the one-model path has working arrays of its own
-            model = design.model(active[rows[0]])
-            scores = [_la_known_phi(model, cache, family, prior)]
-        for i, score in zip(rows.tolist(), scores):
+            alone.append(rows)
+    alone = np.concatenate(alone)
+    if alone.size:
+        for i, score in zip(alone.tolist(), _la_known_phi(s, bits[alone], True)[1]):
             out[i] = score
     return np.array([score.log_ml for score in out]), out
 
@@ -727,8 +747,10 @@ def _stacked_newton(objective, theta, first, sizes, positive=None):
                     f"gradient norm {grad_norm[spent[0]]:.3e} above"
                     f" {_NEWTON_TOL:.1e} after {_NEWTON_MAX_ITER} iterations"
                 )
-            step[fresh] = _stacked_direction(grad[fresh], hess[fresh], sizes[fresh])
-            decrease = 0.5 * np.einsum("bi,bi->b", grad[fresh], step[fresh])
+            g_fresh = grad[fresh]
+            direction = _stacked_direction(g_fresh, hess[fresh], sizes[fresh])
+            step[fresh] = direction
+            decrease = 0.5 * np.einsum("bi,bi->b", g_fresh, direction)
             fresh = fresh[~(decrease <= _slack(value[fresh]))]
             scale[fresh] = 1.0
             searching[fresh] = True
@@ -745,22 +767,23 @@ def _stacked_newton(objective, theta, first, sizes, positive=None):
             c_norm = np.abs(c_grad).max(axis=1)
             evaluations[live] += 1
             ok = _accepts(value[live], grad_norm[live], c_value, c_norm)
-            fresh = live[ok]
-            theta[fresh] = candidate[ok]
-            value[fresh] = c_value[ok]
-            grad[fresh] = c_grad[ok]
-            hess[fresh] = c_hess[ok]
-            grad_norm[fresh] = c_norm[ok]
-            iterations[fresh] += 1
-            searching[fresh] = False
+            if not ok.all():
+                moved = (live, candidate, c_value, c_grad, c_hess, c_norm)
+                live, candidate, c_value, c_grad, c_hess, c_norm = (a[ok] for a in moved)
+            theta[live], value[live], grad[live] = candidate, c_value, c_grad
+            hess[live], grad_norm[live] = c_hess, c_norm
+            iterations[live] += 1
+            searching[live] = False
+            fresh = live
         missed = searching.nonzero()[0]
-        scale[missed] *= 0.5
-        # a row's scale is 2^-k after k tries of its line search
-        stalled = missed[scale[missed] == 0.5**_LINE_SEARCH_HALVINGS]
-        if stalled.size:
-            raise NoConvergence(
-                f"line search stalled at iteration {iterations[stalled[0]]}"
-            )
+        if missed.size:
+            scale[missed] *= 0.5
+            # a row's scale is 2^-k after k tries of its line search
+            stalled = missed[scale[missed] == 0.5**_LINE_SEARCH_HALVINGS]
+            if stalled.size:
+                raise NoConvergence(
+                    f"line search stalled at iteration {iterations[stalled[0]]}"
+                )
     return theta, value, grad, hess, iterations, evaluations
 
 
@@ -790,123 +813,145 @@ def _stacked_direction(grad: np.ndarray, hess: np.ndarray, sizes) -> np.ndarray:
         return step
 
 
-def _la_unknown_phi(s, model):
-    """Laplace approximation with the dispersion treated as a parameter,
-    under the block Zellner and inverse-gamma priors: the Newton rule on
-    the negative log joint in ``(beta, phi)`` from ``(0, phi0)``."""
-    cache, family, prior = s.cache, s.family, s.prior
-    a, b = prior.phi_prior_required()
-    p = model.p_gamma
-    cols = cache.design.columns_for(model.key)
-    Z = cache.design.values[:, cols]
-    y = cache.y
-    st = _unknown_phi_stats(cache, family)
-    # phi-free prior precision and its constants
-    prec_bar, logdet_bar = cache.block_prior.precision(cols, prior.g)
-    prior_const = 0.5 * p * _LOG_2PI - 0.5 * logdet_bar - a * np.log(b) + gammaln(a)
+@_gathered
+def _la_with_scale(s, cols, zs, records):
+    """Laplace scores with the scale as a parameter, in column k, under the
+    block Zellner prior: the Newton rule on each model's negative log joint
+    from where the null likelihood peaks, in ``(beta, phi)`` from
+    ``(0, phi0)`` for the gaussian dispersion phi with its inverse-gamma
+    prior, or in ``(alpha, tau)`` from ``(0, tau0)`` for the survival scale
+    tau with the prior that phi's induces.  A survival model whose observed
+    events cannot identify its coefficients raises ``NotConcave`` first."""
+    a, b = s.prior.phi_prior_required()
+    m, p = cols.shape
+    aft = isinstance(s.cache, AftContext)
+    for z in zs if aft else ():
+        fam.aft_concavity_check(z, s.cache.data)
+    # the scale-free coefficient prior's precision and its constants
+    prec, logdet = s.cache.block_prior.precision(cols, s.prior.g)
+    if aft:
+        const = -a * np.log(b) + gammaln(a) - np.log(2.0) + 0.5 * (p * _LOG_2PI - logdet)
+        scale0, lik = s.cache.tau0, None
 
-    def with_prior(theta, lik):
-        beta, phi = theta[:p], theta[p]
-        value, grad, hess = lik
-        pb = prec_bar @ beta
-        quad = float(beta @ pb)
-        value = (
-            value
-            + 0.5 * p * np.log(phi)
-            + 0.5 * quad / phi
-            + (a + 1.0) * np.log(phi)
-            + b / phi
-            + prior_const
-        )
-        grad = grad.copy()
-        grad[:p] += pb / phi
-        grad[p] += 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
-        hess = hess.copy()
-        hess[:p, :p] += prec_bar / phi
-        hess[:p, p] -= pb / phi**2
-        hess[p, :p] -= pb / phi**2
-        hess[p, p] += -0.5 * p / phi**2 + quad / phi**3 - (a + 1.0) / phi**2 + 2.0 * b / phi**3
-        return value, grad, hess
+        def joint(r, z, theta):
+            alpha, tau = theta[:p], theta[p]
+            ll, g_ll, h_ll = fam.aft_loglik_grad_hess(z, s.cache.data, alpha, tau)
+            value = -ll + 0.5 * float(alpha @ prec[r] @ alpha)
+            value = value - (2.0 * a - 1.0) * np.log(tau) + b * tau * tau + const[r]
+            grad, hess = -g_ll, -h_ll
+            grad[:p] += prec[r] @ alpha
+            grad[p] += -(2.0 * a - 1.0) / tau + 2.0 * b * tau
+            hess[:p, :p] += prec[r]
+            hess[p, p] += (2.0 * a - 1.0) / tau**2 + 2.0 * b
+            return value, grad, hess
 
-    def objective(theta):
-        return with_prior(theta, fam.grad_hess(family, Z, y, theta[:p], theta[p]))
+    else:
+        const = 0.5 * p * _LOG_2PI - 0.5 * logdet - a * np.log(b) + gammaln(a)
+        st, y = _unknown_phi_stats(s.cache, s.family), s.cache.y
+        scale0, lik = st["phi0"], _at_zero(s.cache, s.family, st["phi0"], cols)
+        if lik is not None:
+            value, g_beta, h_bb = lik
+            hess = np.empty((m, p + 1, p + 1))
+            hess[:, :p, :p] = h_bb
+            # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
+            hess[:, :p, p] = hess[:, p, :p] = -g_beta / scale0
+            hess[:, p, p] = st["h_pp"]
+            lik = value, np.column_stack([g_beta, np.full(m, st["g_phi"])]), hess
 
-    theta0 = np.concatenate([np.zeros(p), [st["phi0"]]])
-    at_zero = _at_zero(cache, family, st["phi0"], cols)
-    first = None
-    if at_zero is not None:
-        value, g_beta, h_bb = at_zero
-        grad = np.append(g_beta, st["g_phi"])
-        hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = h_bb
-        # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
-        hess[:p, p] = hess[p, :p] = -g_beta / st["phi0"]
-        hess[p, p] = st["h_pp"]
-        first = with_prior(theta0, (value, grad, hess))
-    theta, value, grad, hess, diagnostics = _newton_one(objective, theta0, first, p)
+        def joint(r, z, theta, lik=None):
+            beta, phi = theta[:p], theta[p]
+            if lik is None:
+                lik = fam.grad_hess(s.family, z, y, beta, phi)
+            pb = prec[r] @ beta
+            quad = float(beta @ pb)
+            value = lik[0] + 0.5 * p * np.log(phi) + 0.5 * quad / phi
+            value = value + (a + 1.0) * np.log(phi) + b / phi + const[r]
+            grad, hess = lik[1].copy(), lik[2].copy()
+            grad[:p] += pb / phi
+            grad[p] += 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
+            hess[:p, :p] += prec[r] / phi
+            hess[:p, p] -= pb / phi**2
+            hess[p, :p] -= pb / phi**2
+            hess[p, p] += -0.5 * p / phi**2 + quad / phi**3 - (a + 1.0) / phi**2 + 2.0 * b / phi**3
+            return value, grad, hess
+
+    theta0 = np.zeros((m, p + 1))
+    theta0[:, p] = scale0
+    theta, value, _, hess, diagnostics = _newton_rows(joint, zs, theta0, lik, p)
     factor = cholesky(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
-    return MarginalScore(float(log_ml), "la", theta, diagnostics)
+    rows = zip(log_ml.tolist(), theta, diagnostics)
+    return log_ml, [MarginalScore(lm, "la", mode, diag) for lm, mode, diag in rows]
 
 
-def ala_refined(s, model: ModelId) -> MarginalScore:
-    """Zero-expansion score after ``k = s.refine_steps`` Newton steps on the
+@_gathered
+def _ala_refined(s, cols, zs, records):
+    """Zero-expansion scores after ``k = s.refine_steps`` Newton steps on the
     log-likelihood, under a known dispersion and the block Zellner prior.
 
-    The expansion point is moved toward the maximum-likelihood estimate
-    before applying the closed-form Normal-prior integral; ``k = 0`` is the
-    plain zero expansion.  The derivatives at zero come from the cache, so
-    ``k`` steps take ``k`` passes over the data.  A non-finite step stops
-    the refinement early and is reported in the diagnostics.
+    Each model's expansion point moves toward its maximum-likelihood
+    estimate by plain Newton steps on its own likelihood, the stack's
+    models stepping together, before the closed-form Normal-prior integral
+    (``ala_general``, once per stack); ``k = 0`` is the plain zero
+    expansion.  The derivatives at zero come from the cache, so ``k``
+    steps take ``k`` passes over the data.  A model whose curvature is lost
+    or whose step is not finite stops early, noted in its diagnostics.
     """
-    cache, family, prior, k = s.cache, s.family, s.prior, s.refine_steps
+    cache, family, k = s.cache, s.family, s.refine_steps
     if cache.nu0 != 0.0:
         raise ValueError("refined scoring expects zero centering")
-    phi = float(family.phi)
-    p = model.p_gamma
+    phi, (m, p), method = float(family.phi), cols.shape, f"ala-refined({k})"
     if p == 0:
-        return MarginalScore(
-            _loglik_at_center(cache, family, phi),
-            f"ala-refined({k})",
-            np.empty(0),
-            {"steps_taken": 0},
-        )
-    cols = cache.design.columns_for(model.key)
-    Z = cache.design.values[:, cols]
-    y = cache.y
-    c_sum = _c_sum(cache, family, phi)
-    beta = np.zeros(p)
+        l0 = _loglik_at_center(cache, family, phi)
+        return np.full(m, l0), [
+            MarginalScore(l0, method, np.empty(0), {"steps_taken": 0}) for _ in range(m)
+        ]
+    y, c_sum = cache.y, _c_sum(cache, family, phi)
+    beta, live, steps, notes = np.zeros((m, p)), list(range(m)), [0] * m, [None] * m
     lik = _at_zero(cache, family, phi, cols)
-    value, grad, hess = (
-        lik if lik is not None else fam.grad_hess(family, Z, y, beta, phi, c_sum)
+    value, grad, hess = (np.full(m, lik[0]), *lik[1:]) if lik else _triples(
+        fam.grad_hess(family, z, y, b, phi, c_sum) for z, b in zip(zs, beta)
     )
-    steps = 0
-    note = None
     for _ in range(k):
+        # a view of the stack while every model moves
+        at = slice(None) if len(live) == m else live
         try:
-            sol = cho_factor_solve(hess, grad)[1]
+            sol = cho_factor_solve(hess[at], grad[at, :, None])[1][..., 0]
         except NotConcaveAtExpansion:
-            note = "curvature lost during refinement"
-            break
-        candidate = beta - sol
-        if not np.all(np.isfinite(candidate)):
-            note = "refinement step diverged"
-            break
-        beta = candidate
-        steps += 1
-        value, grad, hess = fam.grad_hess(family, Z, y, beta, phi, c_sum)
-    diag = {"steps_taken": steps}
-    if note:
-        diag["note"] = note
-    if not np.isfinite(value):
-        return MarginalScore(-np.inf, f"ala-refined({k})", beta, diag)
-    prec, logdet_p0 = cache.block_prior.precision(cols, prior.g, phi)
-    score = ala_general(
-        -value, grad, hess, prec, theta0=beta, prior_logdet=logdet_p0,
-        method=f"ala-refined({k})",
-    )
-    score.diagnostics.update(diag)
-    return score
+            # some model lost its curvature: each solves alone
+            sol = np.full((len(live), p), np.nan)
+            for i, r in enumerate(live):
+                try:
+                    sol[i] = cho_factor_solve(hess[r], grad[r])[1]
+                except NotConcaveAtExpansion:
+                    notes[r] = "curvature lost during refinement"
+        moved = []
+        for r, candidate in zip(live, beta[at] - sol):
+            if not np.isfinite(candidate).all():
+                notes[r] = notes[r] or "refinement step diverged"
+                continue
+            beta[r], steps[r] = candidate, steps[r] + 1
+            lik = fam.grad_hess(family, zs[r], y, candidate, phi, c_sum)
+            value[r], grad[r], hess[r] = lik
+            moved.append(r)
+        live = moved
+    log_ml, finite, quads = np.full(m, -np.inf), np.isfinite(value), iter(())
+    at = slice(None) if finite.all() else np.flatnonzero(finite)
+    if finite.any():
+        prec, logdet_p0 = cache.block_prior.precision(cols[at], s.prior.g, phi)
+        score = ala_general(-value[at], grad[at], hess[at], prec, beta[at], logdet_p0)
+        log_ml[at], beta[at] = score.log_ml, score.expansion
+        quads = iter(score.diagnostics["quad"].tolist())
+    if not records:
+        return log_ml, None
+    scores = []
+    for lm, b, fit, n, note in zip(log_ml.tolist(), beta, finite.tolist(), steps, notes):
+        diag = {"quad": next(quads)} if fit else {}
+        diag["steps_taken"] = n
+        if note:
+            diag["note"] = note
+        scores.append(MarginalScore(lm, method, b, diag))
+    return log_ml, scores
 
 
 @_stacked
@@ -1326,46 +1371,6 @@ def build_aft_context(design: DesignMatrix, data: fam.SurvivalData) -> AftContex
     )
 
 
-def la_aft(s, model: ModelId) -> MarginalScore:
-    """Mode-expansion survival score under the block Zellner prior: the
-    Newton rule (``_stacked_newton``, on this model as a stack of one) on
-    the negative log joint from ``(0, tau0)``."""
-    ctx, prior = s.cache, s.prior
-    a, b = prior.phi_prior_required()
-    p = model.p_gamma
-    cols = ctx.design.columns_for(model.key)
-    Z = ctx.design.values[:, cols]
-    fam.aft_concavity_check(Z, ctx.data)
-    prec, logdet = ctx.block_prior.precision(cols, prior.g)
-    prior_const = (
-        -a * np.log(b) + gammaln(a) - np.log(2.0) + 0.5 * (p * _LOG_2PI - logdet)
-    )
-
-    def objective(theta):
-        alpha, tau = theta[:p], theta[p]
-        ll, g_ll, h_ll = fam.aft_loglik_grad_hess(Z, ctx.data, alpha, tau)
-        value = (
-            -ll
-            + 0.5 * float(alpha @ prec @ alpha)
-            - (2.0 * a - 1.0) * np.log(tau)
-            + b * tau * tau
-            + prior_const
-        )
-        grad = -g_ll
-        grad[:p] += prec @ alpha
-        grad[p] += -(2.0 * a - 1.0) / tau + 2.0 * b * tau
-        hess = -h_ll
-        hess[:p, :p] += prec
-        hess[p, p] += (2.0 * a - 1.0) / tau**2 + 2.0 * b
-        return value, grad, hess
-
-    theta0 = np.concatenate([np.zeros(p), [ctx.tau0]])
-    theta, value, grad, hess, diagnostics = _newton_one(objective, theta0, positive=p)
-    factor = cholesky(hess, NotConcave, "curvature at the mode")
-    log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
-    return MarginalScore(float(log_ml), "la", theta, diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # the scorer used by the search routines
 
@@ -1374,18 +1379,9 @@ def la_aft(s, model: ModelId) -> MarginalScore:
 # ``engine(scorer, bits, records)``: it scores the rows of the (B, J)
 # ``uint8`` 0/1 matrix ``bits`` and returns their (B,) log marginal
 # likelihoods, with their MarginalScores when ``records`` asks for them or
-# when it builds them anyway (``la``), else None.  A lone model is a batch
-# of one.
-
-
-def _model_by_model(lone, s, bits, records):
-    """The engine of a row whose Newton objective has no stacked form yet:
-    ``lone(scorer, model)`` scores each model alone, MarginalScore
-    included."""
-    scores = [lone(s, s.design.model(row)) for row in bits]
-    return np.array([score.log_ml for score in scores]), scores
-
-
+# when it builds them anyway (the ``la`` rows), else None.  A lone model is
+# a batch of one.
+#
 # (statistics, method, prior kind, dispersion known) -> engine.  The
 # statistics are "expfam" for the exponential families other than the
 # gaussian, "gaussian", and "aft" for survival data.
@@ -1394,7 +1390,7 @@ _ENGINES = {
     ("expfam", "ala-curvadj", "gzellner", True): _known_phi_ala,
     ("expfam", "ala", "gmom", True): _known_phi_ala,
     ("expfam", "ala-curvadj", "gmom", True): _known_phi_ala,
-    ("expfam", "ala-refined", "gzellner", True): partial(_model_by_model, ala_refined),
+    ("expfam", "ala-refined", "gzellner", True): _ala_refined,
     ("expfam", "la", "gzellner", True): la_known_phi_many,
 }
 # The gaussian family has every engine of the others, its unknown-dispersion
@@ -1406,13 +1402,13 @@ _ENGINES.update(
     {
         ("gaussian", "ala", "gzellner", False): _scale_plugin,
         ("gaussian", "ala", "gmom", False): _scale_plugin,
-        ("gaussian", "la", "gzellner", False): partial(_model_by_model, _la_unknown_phi),
+        ("gaussian", "la", "gzellner", False): _la_with_scale,
         ("gaussian", "la", "gmom", True): _known_phi_ala,
         ("gaussian", "la", "gmom", False): _scale_plugin,
         ("gaussian", "exact-gaussian", "gzellner", True): _exact_gaussian,
         ("gaussian", "exact-gaussian", "gzellner", False): _exact_gaussian,
         ("aft", "ala", "gzellner", False): _scale_plugin,
-        ("aft", "la", "gzellner", False): partial(_model_by_model, la_aft),
+        ("aft", "la", "gzellner", False): _la_with_scale,
     }
 )
 
@@ -1545,9 +1541,9 @@ class ModelScorer:
         ``dict.update``, as the prior's masses do.  The ``ala`` rows and
         ``exact-gaussian`` score stacks of one dimension from one stacked
         factorization each, with no ``MarginalScore`` built until
-        ``marginal`` asks; known-dispersion ``la`` runs stacked Newton
-        (``la_known_phi_many``); ``ala-refined`` and the ``la`` rows with a
-        scale parameter score one model at a time (``_model_by_model``).
+        ``marginal`` asks; the ``la`` rows score each stack by one Newton
+        run and keep its ``MarginalScore``s, and ``ala-refined`` by k plain
+        steps.
         Each model's one ``log_score`` call is then two memo hits; after a
         failing batch, each scores alone, so the error is the first failing
         model's, as in a loop.
@@ -1609,5 +1605,5 @@ def AftScorer(
 ) -> ModelScorer:
     """``ModelScorer`` for survival models: ``method="ala"`` expands at
     ``(0, tau0)`` (``_scale_plugin``), ``"la"`` at the posterior mode
-    (``la_aft``)."""
+    (``_la_with_scale``)."""
     return ModelScorer(ctx, None, prior, model_prior, method)

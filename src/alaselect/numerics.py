@@ -10,9 +10,9 @@ A score that needs only ``log det H`` and ``g' H^-1 g`` takes them from one
 Cholesky factorization of the bordered matrix ``[[H, g], [g', inf]]``
 (``bordered_cholesky``), for one matrix or a stack.  ``cho_factor_solve``
 is for the callers that use the solution itself: the Newton directions and
-``ala_refined`` step by it, ``ala_general`` and the scale-bordered plug-in
-stack move to the update it gives, and that stack's product-moment tilt
-takes its kernel moments from it.
+the refined expansion's plain steps move by it, ``ala_general`` and the
+scale-bordered plug-in stack move to the update it gives, and that
+stack's product-moment tilt takes its kernel moments from it.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ def cho_factor_solve(
     definite.  The factorization tests definiteness and gives the
     log-determinant; the solve goes through ``numpy.linalg.solve``, which
     also rejects a singular matrix whose rounded factor has a tiny positive
-    pivot.  Its callers use the solution itself: the Newton directions,
-    ``ala_refined``, ``ala_general``, and the scale-bordered plug-in stack
-    (``_scale_plugin``) with its product-moment kernel moments."""
+    pivot.  Its callers use the solution itself: the Newton directions, the
+    refined expansion's steps (``_ala_refined``), ``ala_general``, and the
+    scale-bordered plug-in stack (``_scale_plugin``) with its
+    product-moment kernel moments."""
     try:
         return np.linalg.cholesky(matrix), np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as err:

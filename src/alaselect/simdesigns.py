@@ -64,23 +64,9 @@ def poisson_trend(rng: np.random.Generator, n: int, p: int = 10) -> SimulatedDat
     )
 
 
-def gmom_accuracy(
-    rng: np.random.Generator, n: int = 50, p: int = 10, correlated: bool = False
-) -> SimulatedData:
-    """Gaussian data with four active coefficients for accuracy studies.
-
-    With ``correlated=True`` the covariate covariance is the correlation
-    matrix of W'W for a square standard-Normal W, which produces strong and
-    uneven dependence.
-    """
-    if correlated:
-        w = rng.standard_normal((p, p))
-        gram = w.T @ w
-        d = np.sqrt(np.diag(gram))
-        cov = gram / np.outer(d, d)
-        x = rng.standard_normal((n, p)) @ np.linalg.cholesky(cov).T
-    else:
-        x = rng.standard_normal((n, p))
+def gmom_accuracy(rng: np.random.Generator, n: int = 50, p: int = 10) -> SimulatedData:
+    """Gaussian data with four active coefficients for accuracy studies."""
+    x = rng.standard_normal((n, p))
     beta = np.zeros(p)
     beta[:4] = (0.4, 0.6, 1.2, 0.8)
     y = x @ beta + rng.standard_normal(n)

@@ -4,9 +4,10 @@ Everything in this module is assembled from plain numpy linear algebra and
 scipy distribution functions, sharing no code paths with the package
 itself.  Agreement between these references and the library is therefore a
 genuine two-route check, not a tautology.  The one exception is the Newton
-reference at the end, which checks the engines' bookkeeping rather than the
-family algebra: it calls the package's ``loglik`` and ``grad_hess``, whose
-derivatives the acceptance tests check against finite differences.  The
+references at the end, which check the engines' bookkeeping rather than the
+family algebra: they call the package's ``loglik``, ``grad_hess`` and
+``aft_loglik_grad_hess``, whose derivatives the acceptance tests check
+against finite differences.  The
 dense ``ala`` reference takes the same statistics from the package: the
 log-likelihood at the centre (``loglik``) and the cache's ``b''(nu0)`` and
 shifted response.  The two prior densities at the end are the package's
@@ -534,6 +535,44 @@ def reference_la(design, bits, y, family, g, phi_prior=None):
         return value, grad, hess
 
     theta0 = np.append(np.zeros(p), fam.phi0_mle(family, y))
+    theta, value, grad, hess, its, evals = _reference_damped_newton(
+        objective, theta0, positive=(p,)
+    )
+    log_ml = -value + 0.5 * (p + 1) * np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(hess)[1]
+    return log_ml, theta, its, evals
+
+
+def reference_la_aft(design, data, bits, g, a, b):
+    """Laplace approximation of one survival model under the block Zellner
+    prior on alpha and the scale prior that an inverse-gamma(a, b) phi
+    induces on ``tau = phi**-0.5``, started at ``(0, tau0)``: the value
+    from ``aft_loglik_np`` and scipy densities, the derivatives from the
+    package's ``aft_loglik_grad_hess``.  Returns ``(log_ml, mode,
+    iterations, evaluations)``."""
+    cols = design.columns_for(bits)
+    z = design.values[:, cols]
+    p = cols.size
+    prec, _ = block_zellner_precision(design, bits, g)
+
+    def objective(theta):
+        alpha, tau = theta[:p], theta[p]
+        _, g_ll, h_ll = fam.aft_loglik_grad_hess(z, data, alpha, tau)
+        # the density of tau from that of phi = tau**-2, |dphi/dtau| = 2 tau**-3
+        log_tau = stats.invgamma.logpdf(tau**-2.0, a, scale=b) + np.log(2.0 / tau**3)
+        value = -(
+            aft_loglik_np(z, data.log_time, data.observed, alpha, tau)
+            + gzellner_logpdf(design, bits, alpha, g)
+            + log_tau
+        )
+        grad = -g_ll
+        grad[:p] += prec @ alpha
+        grad[p] += -(2.0 * a - 1.0) / tau + 2.0 * b * tau
+        hess = -h_ll
+        hess[:p, :p] += prec
+        hess[p, p] += (2.0 * a - 1.0) / tau**2 + 2.0 * b
+        return value, grad, hess
+
+    theta0 = np.append(np.zeros(p), fam.aft_tau0(data))
     theta, value, grad, hess, its, evals = _reference_damped_newton(
         objective, theta0, positive=(p,)
     )

@@ -1,6 +1,7 @@
 """Tests for likelihood families: log likelihoods, derivatives, dispersion
 estimates, and the censored-Gaussian survival pieces."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,13 @@ class TestDispersionEstimate:
         np.testing.assert_allclose(
             phi0_mle(gaussian_unknown(), y, nu0=nu0), np.mean((y - nu0) ** 2), atol=1e-12
         )
+
+    def test_an_unknown_dispersion_of_another_family_is_refused(self, rng):
+        """Only the gaussian dispersion may be unknown, as the scorers
+        require."""
+        family = dataclasses.replace(poisson(), phi_known=False, phi=None)
+        with pytest.raises(ValueError, match="gaussian family only"):
+            phi0_mle(family, rng.poisson(2.0, size=20).astype(np.float64))
 
 
 class TestMillsRatio:

@@ -3,7 +3,6 @@ mode-based scores, refinement, non-local tilts, survival scoring, and the
 numerical oracles they are checked against."""
 
 import dataclasses
-import functools
 import math
 import re
 import tracemalloc
@@ -55,6 +54,7 @@ from tests.oracles import (
     _reference_damped_newton,
     plugin_log_ml,
     reference_la,
+    reference_la_aft,
     reference_newton_direction,
     reference_refined_expansion,
     zero_expansion_aft_log_ml,
@@ -2264,18 +2264,15 @@ def _engine_stats(kind, phi_known, method, seed=5):
 def _engine_reference(key, scorer, bits):
     """``(log_ml, method, rtol, expansion)`` that a table row's engine must
     give one model, from a reference of ``tests/oracles.py`` (``expansion``
-    None where it gives none); a row scored model by model gives what its
-    lone engine gives, bitwise, which the Newton tests check against their
-    references."""
+    None where it gives none)."""
     kind, method, prior_kind, phi_known = key
     stats, family, prior = scorer.cache, scorer.family, scorer.prior
     design = stats.design
-    engine = me._ENGINES[key]
-    if isinstance(engine, functools.partial):
-        lone = engine.args[0](scorer, design.model(bits))
-        return lone.log_ml, lone.method, 0.0, lone.expansion
     if kind == "aft":
         a, b = prior.phi_prior
+        if method == "la":
+            want, mode, _, _ = reference_la_aft(design, stats.data, bits, prior.g, a, b)
+            return want, "la", 1e-10, mode
         want, _ = zero_expansion_aft_log_ml(
             design, stats.data, bits, stats.tau0, prior.g, a, b
         )
@@ -2283,8 +2280,22 @@ def _engine_reference(key, scorer, bits):
     if method == "exact-gaussian":
         want = me.exact_gaussian_marginal(design.model(bits), stats, family, prior)
         return want.log_ml, "exact-gaussian", 1e-12, None
+    if method == "ala-refined":
+        k = scorer.refine_steps
+        beta, loglik, grad, hess = reference_refined_expansion(
+            design, bits, stats.y, family, k
+        )
+        prec, logdet = block_zellner_precision(design, bits, prior.g)
+        phi = float(family.phi)
+        want = me.ala_general(
+            loglik, grad, hess, prec / phi, theta0=beta,
+            prior_logdet=logdet - beta.size * np.log(phi),
+        )
+        return want.log_ml, f"ala-refined({k})", 1e-10, want.expansion
     if method == "la" and prior_kind == "gzellner":
-        want, mode, _, _ = reference_la(design, bits, stats.y, family, prior.g)
+        want, mode, _, _ = reference_la(
+            design, bits, stats.y, family, prior.g, prior.phi_prior
+        )
         return want, "la", 1e-10, mode
     if phi_known:
         rho = scorer.curvature.rho_hat if scorer.curvature is not None else 1.0
@@ -2317,9 +2328,7 @@ class TestEngineTable:
             want, name, rtol, expansion = _engine_reference(key, scorer, bits)
             np.testing.assert_allclose(got.log_ml, want, rtol=rtol, atol=0)
             assert got.method == name
-            if rtol == 0.0:
-                np.testing.assert_array_equal(got.expansion, expansion)
-            elif expansion is not None:
+            if expansion is not None:
                 np.testing.assert_allclose(got.expansion, expansion, rtol=1e-10, atol=1e-8)
 
     @pytest.mark.parametrize("key", sorted(me._ENGINES), ids=str)
@@ -2327,7 +2336,7 @@ class TestEngineTable:
         """``score_many`` returns a loop of ``log_score``'s values bitwise
         (known-dispersion ``la`` within 1e-10: its stacked Newton sums the
         data pass in another order), and ``marginal`` then gives each
-        batch value bitwise."""
+        batch value bitwise, with the loop's expansion and diagnostics."""
         kind, method, prior_kind, phi_known = key
         stats, family = _engine_stats(kind, phi_known, method)
         prior = ParamPriorSpec(kind=prior_kind)
@@ -2338,10 +2347,98 @@ class TestEngineTable:
         models = admissible_bits(design.n_groups, None, design.intercept_group)
         looped = [loop.log_score(bits) for bits in models]
         batched = batch.score_many(models)
-        if method == "la" and phi_known and prior_kind == "gzellner":
+        pair_products = method == "la" and phi_known and prior_kind == "gzellner"
+        if pair_products:
             np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=0)
         else:
             np.testing.assert_array_equal(batched, looped)
         assert batch.n_scored == loop.n_scored == len(models)
         for bits, value in zip(models, batched):
-            assert batch.marginal(bits).log_ml == value
+            got, want = batch.marginal(bits), loop.marginal(bits)
+            assert got.log_ml == value
+            assert got.method == want.method
+            assert got.diagnostics.keys() == want.diagnostics.keys()
+            if not pair_products:
+                np.testing.assert_array_equal(got.expansion, want.expansion)
+                assert got.diagnostics == want.diagnostics
+                continue
+            np.testing.assert_allclose(got.expansion, want.expansion, rtol=0, atol=1e-10)
+            for name, entry in want.diagnostics.items():
+                if name == "grad_norm":
+                    np.testing.assert_allclose(got.diagnostics[name], entry, atol=1e-12)
+                else:
+                    assert got.diagnostics[name] == entry
+
+    def test_a_failing_model_in_a_stack_raises_as_the_loop(self, monkeypatch):
+        """A stack with one failing model raises the class and message that
+        the loop of ``log_score`` raises, with the loop's ``n_scored``:
+        a survival model whose observed events cannot identify a column
+        (``NotConcave`` from the concavity check), and a gaussian model
+        whose Newton run needs more iterations than the cap
+        (``NoConvergence``)."""
+        rng = np.random.default_rng(11)
+        design, data = _survival_sample(rng, n=80, p=4)
+        values = design.values.copy()
+        values[data.observed, 3] = 0.0
+        design = DesignMatrix(values, design.groups)
+        aft = me.build_aft_context(design, data), None, "la"
+        stats, family = _engine_stats("gaussian", False, "la")
+        models = admissible_bits(stats.design.n_groups, None, 0)
+        iterations = [
+            me.ModelScorer(stats, family, ParamPriorSpec(), method="la")
+            .marginal(bits).diagnostics["iterations"]
+            for bits in models
+        ]
+        cap = iterations[0]
+        assert max(iterations) > cap
+        for stats, family, method in [aft, (stats, family, "la")]:
+            if family is not None:
+                monkeypatch.setattr(me, "_NEWTON_MAX_ITER", cap)
+            design = stats.design
+            models = admissible_bits(design.n_groups, None, design.intercept_group)
+            loop, batch = (
+                me.ModelScorer(stats, family, ParamPriorSpec(), method=method)
+                for _ in range(2)
+            )
+            with pytest.raises(SelectionError) as looped:
+                for bits in models:
+                    loop.log_score(bits)
+            with pytest.raises(SelectionError) as batched:
+                batch.score_many(models)
+            assert type(batched.value) is type(looped.value)
+            assert str(batched.value) == str(looped.value)
+            assert 0 < batch.n_scored == loop.n_scored < len(models)
+
+    def test_a_refined_row_that_loses_curvature_leaves_the_others_alone(self):
+        """In a refined stack, a model whose likelihood curvature is
+        singular (two copies of one column) stops with its note, and the
+        other models of its size take their steps bitwise as alone."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(80, 3))
+        values = np.column_stack([np.ones(80), x, x[:, 2]])
+        design = DesignMatrix(values, tuple((j, j + 1) for j in range(5)))
+        eta = 0.5 * x[:, 0] - 0.4 * x[:, 2]
+        y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(np.float64)
+        cache = build_cache(design, y, logistic())
+        prior = ParamPriorSpec()
+        models = admissible_bits(5, None, 0)
+        batch = me.ModelScorer(
+            cache, logistic(), prior, method="ala-refined", refine_steps=3
+        )
+        batched = batch.score_many(models)
+        lost = 0
+        for bits, value in zip(models, batched):
+            got = batch.marginal(bits)
+            alone = _marginal(cache, logistic(), prior, bits, "ala-refined", 3)
+            assert value == got.log_ml == alone.log_ml
+            np.testing.assert_array_equal(got.expansion, alone.expansion)
+            assert got.diagnostics == alone.diagnostics
+            if bits[3] and bits[4]:
+                lost += 1
+                assert got.diagnostics["steps_taken"] == 0
+                assert got.diagnostics["note"] == "curvature lost during refinement"
+                assert np.isfinite(value)
+            else:
+                assert got.diagnostics["steps_taken"] == 3
+                assert "note" not in got.diagnostics
+        assert lost == 4

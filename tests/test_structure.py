@@ -102,27 +102,26 @@ def test_a_leftover_public_engine_is_caught():
 
 
 def test_every_engine_row_names_one_engine():
-    """Each engine-table row names one engine, which scores a batch; only
-    the four rows whose Newton objective has no stacked form yet score
-    model by model, through the one loop adapter."""
+    """Each engine-table row names one engine, which scores a batch: the
+    known-dispersion ``la`` engine or a stacked engine, never a loop
+    adapter that scores model by model."""
     from functools import partial
 
     from alaselect import marginal_engines as me
 
     assert len(me._ENGINES) == 21
-    assert all(callable(engine) for engine in me._ENGINES.values())
-    looped = {
-        key
-        for key, engine in me._ENGINES.items()
-        if isinstance(engine, partial) and engine.func is me._model_by_model
-    }
-    assert looped == {
-        ("expfam", "ala-refined", "gzellner", True),
-        ("gaussian", "ala-refined", "gzellner", True),
-        ("gaussian", "la", "gzellner", False),
-        ("aft", "la", "gzellner", False),
-    }
-    stacked = {engine for key, engine in me._ENGINES.items() if key not in looped}
-    assert stacked == {
-        me._known_phi_ala, me._scale_plugin, me._exact_gaussian, me.la_known_phi_many
+    engines = set(me._ENGINES.values())
+    assert not any(isinstance(engine, partial) for engine in engines)
+    assert all(
+        engine is me.la_known_phi_many
+        or engine.__qualname__ == f"{me._stacked.__name__}.<locals>.engine"
+        for engine in engines
+    )
+    assert engines == {
+        me._known_phi_ala,
+        me._scale_plugin,
+        me._exact_gaussian,
+        me.la_known_phi_many,
+        me._la_with_scale,
+        me._ala_refined,
     }
