@@ -228,7 +228,7 @@ def _stacked(stack):
         # one pass: the rows by dimension, in order within one, and their columns
         order = np.argsort(p_gamma, kind="stable")
         flat = np.nonzero(col_mask[order])[1]
-        log_ml, scores, made = np.empty(col_mask.shape[0]), [None] * len(order), None
+        log_ml, scores = np.empty(col_mask.shape[0]), None
         first = at = 0
         for k, count in enumerate(np.bincount(p_gamma).tolist()):
             rows, cols = order[first : first + count], flat[at : at + count * k]
@@ -237,9 +237,11 @@ def _stacked(stack):
             for lo in range(0, count, step):
                 chunk = rows[lo : lo + step]
                 log_ml[chunk], made = stack(s, cols[lo : lo + step], records)
-                for i, score in zip(chunk.tolist(), made or ()):
-                    scores[i] = score
-        return log_ml, scores if made else None
+                if made:
+                    scores = scores or [None] * len(order)
+                    for i, score in zip(chunk.tolist(), made):
+                        scores[i] = score
+        return log_ml, scores
 
     return engine
 
@@ -424,8 +426,10 @@ def _gathered(stack):
     evaluates model r of a stack alone, on its gathered design columns
     ``zs[r]``, and returns ``MarginalScore``s when it builds them.
     A stack runs as runs of rows whose columns hold at most ``_LA_BLOCK //
-    2`` doubles (one model at least), each gathered once, so that a run and
-    one model's evaluation fit in one block whatever the stack's size."""
+    2`` doubles (one model at least), each gathered once and passed to one
+    ``stack`` call: one Newton run and one finish per run.  A run holds
+    one model alone once n k > ``_LA_BLOCK // 4`` for k columns (n > 8192
+    at k = 1, n > 2048 at k = 4)."""
 
     def run(s, cols, records):
         values = s.design.values
@@ -450,15 +454,14 @@ def _triples(triples):
 
 
 def _newton_rows(joint, zs, theta, lik=None, positive=None):
-    """One ``_stacked_newton`` run on a stack of models of one size, each
-    evaluated alone: ``joint(r, zs[r], theta, lik)`` is model r's negative
-    log joint with its gradient and Hessian at ``theta``, from its design
-    columns ``zs[r]`` or from its likelihood's triple ``lik``.  ``lik`` is
-    the stack's likelihood at the start ``theta`` (one value, one gradient
-    and Hessian per model) when the caller has it; coordinate ``positive``
-    (the dispersion or scale) is kept positive.  Returns the final
-    ``(theta, value, grad, hess)`` and each model's diagnostics: accepted
-    steps, evaluations and the final gradient norm."""
+    """One ``_stacked_newton`` run on one run of a stack (``_gathered``),
+    each model evaluated alone: ``joint(r, zs[r], theta, lik)`` is model
+    r's negative log joint with its gradient and Hessian at ``theta``, from
+    its columns ``zs[r]`` or its likelihood's triple ``lik``.  ``lik`` is
+    the run's likelihood at the start (one value, gradient and Hessian per
+    model) when the caller has it; coordinate ``positive`` (the scale) is
+    kept positive.  Returns the final ``(theta, value, grad, hess)`` and
+    each model's diagnostics: accepted steps, evaluations, gradient norm."""
 
     def objective(live, theta):
         return _triples(joint(r, zs[r], t) for r, t in zip(live.tolist(), theta))
@@ -813,71 +816,14 @@ def _stacked_direction(grad: np.ndarray, hess: np.ndarray, sizes) -> np.ndarray:
         return step
 
 
-@_gathered
-def _la_with_scale(s, cols, zs, records):
-    """Laplace scores with the scale as a parameter, in column k, under the
-    block Zellner prior: the Newton rule on each model's negative log joint
-    from where the null likelihood peaks, in ``(beta, phi)`` from
-    ``(0, phi0)`` for the gaussian dispersion phi with its inverse-gamma
-    prior, or in ``(alpha, tau)`` from ``(0, tau0)`` for the survival scale
-    tau with the prior that phi's induces.  A survival model whose observed
-    events cannot identify its coefficients raises ``NotConcave`` first."""
-    a, b = s.prior.phi_prior_required()
-    m, p = cols.shape
-    aft = isinstance(s.cache, AftContext)
-    for z in zs if aft else ():
-        fam.aft_concavity_check(z, s.cache.data)
-    # the scale-free coefficient prior's precision and its constants
-    prec, logdet = s.cache.block_prior.precision(cols, s.prior.g)
-    if aft:
-        const = -a * np.log(b) + gammaln(a) - np.log(2.0) + 0.5 * (p * _LOG_2PI - logdet)
-        scale0, lik = s.cache.tau0, None
-
-        def joint(r, z, theta):
-            alpha, tau = theta[:p], theta[p]
-            ll, g_ll, h_ll = fam.aft_loglik_grad_hess(z, s.cache.data, alpha, tau)
-            value = -ll + 0.5 * float(alpha @ prec[r] @ alpha)
-            value = value - (2.0 * a - 1.0) * np.log(tau) + b * tau * tau + const[r]
-            grad, hess = -g_ll, -h_ll
-            grad[:p] += prec[r] @ alpha
-            grad[p] += -(2.0 * a - 1.0) / tau + 2.0 * b * tau
-            hess[:p, :p] += prec[r]
-            hess[p, p] += (2.0 * a - 1.0) / tau**2 + 2.0 * b
-            return value, grad, hess
-
-    else:
-        const = 0.5 * p * _LOG_2PI - 0.5 * logdet - a * np.log(b) + gammaln(a)
-        st, y = _unknown_phi_stats(s.cache, s.family), s.cache.y
-        scale0, lik = st["phi0"], _at_zero(s.cache, s.family, st["phi0"], cols)
-        if lik is not None:
-            value, g_beta, h_bb = lik
-            hess = np.empty((m, p + 1, p + 1))
-            hess[:, :p, :p] = h_bb
-            # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
-            hess[:, :p, p] = hess[:, p, :p] = -g_beta / scale0
-            hess[:, p, p] = st["h_pp"]
-            lik = value, np.column_stack([g_beta, np.full(m, st["g_phi"])]), hess
-
-        def joint(r, z, theta, lik=None):
-            beta, phi = theta[:p], theta[p]
-            if lik is None:
-                lik = fam.grad_hess(s.family, z, y, beta, phi)
-            pb = prec[r] @ beta
-            quad = float(beta @ pb)
-            value = lik[0] + 0.5 * p * np.log(phi) + 0.5 * quad / phi
-            value = value + (a + 1.0) * np.log(phi) + b / phi + const[r]
-            grad, hess = lik[1].copy(), lik[2].copy()
-            grad[:p] += pb / phi
-            grad[p] += 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
-            hess[:p, :p] += prec[r] / phi
-            hess[:p, p] -= pb / phi**2
-            hess[p, :p] -= pb / phi**2
-            hess[p, p] += -0.5 * p / phi**2 + quad / phi**3 - (a + 1.0) / phi**2 + 2.0 * b / phi**3
-            return value, grad, hess
-
-    theta0 = np.zeros((m, p + 1))
-    theta0[:, p] = scale0
-    theta, value, _, hess, diagnostics = _newton_rows(joint, zs, theta0, lik, p)
+def _la_with_scale(joint, zs, scale0, lik=None):
+    """Laplace scores of a run whose last coordinate is a scale: one
+    ``_newton_rows`` run from zero coefficients and ``scale0`` (``lik``
+    there when the caller has it), and the expansion at each mode."""
+    p = zs[0].shape[1]
+    theta = np.zeros((len(zs), p + 1))
+    theta[:, p] = scale0
+    theta, value, _, hess, diagnostics = _newton_rows(joint, zs, theta, lik, p)
     factor = cholesky(hess, NotConcave, "curvature at the mode")
     log_ml = -value + 0.5 * (p + 1) * _LOG_2PI - 0.5 * chol_logdet(factor)
     rows = zip(log_ml.tolist(), theta, diagnostics)
@@ -885,27 +831,96 @@ def _la_with_scale(s, cols, zs, records):
 
 
 @_gathered
-def _ala_refined(s, cols, zs, records):
-    """Zero-expansion scores after ``k = s.refine_steps`` Newton steps on the
-    log-likelihood, under a known dispersion and the block Zellner prior.
+def _la_unknown_phi(s, cols, zs, records):
+    """Laplace scores in ``(beta, phi)`` for the gaussian dispersion phi,
+    under the block Zellner and inverse-gamma priors, from ``(0, phi0)``,
+    where a zero-centered cache supplies the first evaluation."""
+    a, b = s.prior.phi_prior_required()
+    m, p = cols.shape
+    # the phi-free coefficient prior's precision and its constants
+    prec, logdet = s.cache.block_prior.precision(cols, s.prior.g)
+    const = 0.5 * p * _LOG_2PI - 0.5 * logdet - a * np.log(b) + gammaln(a)
+    st, y = _unknown_phi_stats(s.cache, s.family), s.cache.y
+    phi0, lik = st["phi0"], _at_zero(s.cache, s.family, st["phi0"], cols)
+    if lik is not None:
+        value, g_beta, h_bb = lik
+        hess = np.empty((m, p + 1, p + 1))
+        hess[:, :p, :p] = h_bb
+        # Z'(y - b'(0)) / phi0^2, the cross derivative at (0, phi0)
+        hess[:, :p, p] = hess[:, p, :p] = -g_beta / phi0
+        hess[:, p, p] = st["h_pp"]
+        grad = np.empty((m, p + 1))
+        grad[:, :p], grad[:, p] = g_beta, st["g_phi"]
+        lik = value, grad, hess
 
-    Each model's expansion point moves toward its maximum-likelihood
-    estimate by plain Newton steps on its own likelihood, the stack's
-    models stepping together, before the closed-form Normal-prior integral
-    (``ala_general``, once per stack); ``k = 0`` is the plain zero
-    expansion.  The derivatives at zero come from the cache, so ``k``
-    steps take ``k`` passes over the data.  A model whose curvature is lost
-    or whose step is not finite stops early, noted in its diagnostics.
-    """
+    def joint(r, z, theta, lik=None):
+        beta, phi = theta[:p], theta[p]
+        if lik is None:
+            lik = fam.grad_hess(s.family, z, y, beta, phi)
+        prec_r = prec[r]
+        pb = prec_r @ beta
+        quad = float(beta @ pb)
+        value = lik[0] + 0.5 * p * np.log(phi) + 0.5 * quad / phi
+        value = value + (a + 1.0) * np.log(phi) + b / phi + const[r]
+        grad, hess = lik[1].copy(), lik[2].copy()
+        grad[:p] += pb / phi
+        grad[p] += 0.5 * p / phi - 0.5 * quad / phi**2 + (a + 1.0) / phi - b / phi**2
+        hess[:p, :p] += prec_r / phi
+        hess[:p, p] -= pb / phi**2
+        hess[p, :p] -= pb / phi**2
+        hess[p, p] += -0.5 * p / phi**2 + quad / phi**3 - (a + 1.0) / phi**2 + 2.0 * b / phi**3
+        return value, grad, hess
+
+    return _la_with_scale(joint, zs, phi0, lik)
+
+
+@_gathered
+def _la_aft(s, cols, zs, records):
+    """Laplace survival scores in ``(alpha, tau)`` from ``(0, tau0)``, under
+    the block Zellner prior and the one phi's induces on tau.  A model whose
+    observed events cannot identify its coefficients raises ``NotConcave``."""
+    a, b = s.prior.phi_prior_required()
+    p = cols.shape[1]
+    ctx = s.cache
+    for z in zs:
+        fam.aft_concavity_check(z, ctx.data)
+    prec, logdet = ctx.block_prior.precision(cols, s.prior.g)
+    const = -a * np.log(b) + gammaln(a) - np.log(2.0) + 0.5 * (p * _LOG_2PI - logdet)
+
+    def joint(r, z, theta):
+        alpha, tau = theta[:p], theta[p]
+        ll, g_ll, h_ll = fam.aft_loglik_grad_hess(z, ctx.data, alpha, tau)
+        prec_r = prec[r]
+        value = -ll + 0.5 * float(alpha @ prec_r @ alpha)
+        value = value - (2.0 * a - 1.0) * np.log(tau) + b * tau * tau + const[r]
+        grad, hess = -g_ll, -h_ll
+        grad[:p] += prec_r @ alpha
+        grad[p] += -(2.0 * a - 1.0) / tau + 2.0 * b * tau
+        hess[:p, :p] += prec_r
+        hess[p, p] += (2.0 * a - 1.0) / tau**2 + 2.0 * b
+        return value, grad, hess
+
+    return _la_with_scale(joint, zs, ctx.tau0)
+
+
+@_gathered
+def _ala_refined(s, cols, zs, records):
+    """Zero-expansion scores after ``k = s.refine_steps`` plain Newton steps
+    on each model's own log-likelihood, the run's models stepping together,
+    under a known dispersion and the block Zellner prior: the closed-form
+    Normal-prior integral (``ala_general``, once per run) at the point
+    reached; ``k = 0`` is the plain zero expansion.  The derivatives at
+    zero come from the cache, so ``k`` steps take ``k`` passes over the
+    data.  A model whose curvature is lost or whose step is not finite
+    stops early, noted in its diagnostics."""
     cache, family, k = s.cache, s.family, s.refine_steps
     if cache.nu0 != 0.0:
         raise ValueError("refined scoring expects zero centering")
     phi, (m, p), method = float(family.phi), cols.shape, f"ala-refined({k})"
     if p == 0:
         l0 = _loglik_at_center(cache, family, phi)
-        return np.full(m, l0), [
-            MarginalScore(l0, method, np.empty(0), {"steps_taken": 0}) for _ in range(m)
-        ]
+        nulls = (MarginalScore(l0, method, np.empty(0), {"steps_taken": 0}) for _ in range(m))
+        return np.full(m, l0), list(nulls) if records else None
     y, c_sum = cache.y, _c_sum(cache, family, phi)
     beta, live, steps, notes = np.zeros((m, p)), list(range(m)), [0] * m, [None] * m
     lik = _at_zero(cache, family, phi, cols)
@@ -935,16 +950,17 @@ def _ala_refined(s, cols, zs, records):
             value[r], grad[r], hess[r] = lik
             moved.append(r)
         live = moved
-    log_ml, finite, quads = np.full(m, -np.inf), np.isfinite(value), iter(())
-    at = slice(None) if finite.all() else np.flatnonzero(finite)
-    if finite.any():
-        prec, logdet_p0 = cache.block_prior.precision(cols[at], s.prior.g, phi)
-        score = ala_general(-value[at], grad[at], hess[at], prec, beta[at], logdet_p0)
-        log_ml[at], beta[at] = score.log_ml, score.expansion
-        quads = iter(score.diagnostics["quad"].tolist())
+        if not live:
+            break
+    # the models whose likelihood stayed finite, a view when all did
+    log_ml, finite = np.full(m, -np.inf), np.isfinite(value)
+    at = slice(None) if finite.all() else finite
+    prec, logdet_p0 = cache.block_prior.precision(cols[at], s.prior.g, phi)
+    score = ala_general(-value[at], grad[at], hess[at], prec, beta[at], logdet_p0)
+    log_ml[at], beta[at] = score.log_ml, score.expansion
     if not records:
         return log_ml, None
-    scores = []
+    quads, scores = iter(score.diagnostics["quad"].tolist()), []
     for lm, b, fit, n, note in zip(log_ml.tolist(), beta, finite.tolist(), steps, notes):
         diag = {"quad": next(quads)} if fit else {}
         diag["steps_taken"] = n
@@ -973,20 +989,7 @@ def _exact_gaussian(s, cols, records):
     logdet_h, fit, _ = bordered_cholesky(
         xtx + prec, xty[cols], NotInvertible, "posterior precision"
     )
-    logdet, quad = logdet_h - logdet_p, yty - fit
-    if s.family.phi_known:
-        phi = float(s.family.phi)
-        log_ml = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
-    else:
-        a, b = s.prior.phi_prior_required()
-        log_ml = (
-            -0.5 * n * _LOG_2PI
-            - 0.5 * logdet
-            + a * np.log(b)
-            - gammaln(a)
-            + gammaln(a + 0.5 * n)
-            - (a + 0.5 * n) * np.log(b + 0.5 * quad)
-        )
+    log_ml = _gaussian_log_ml(n, logdet_h - logdet_p, yty - fit, s.family, s.prior)
     if not records:
         return log_ml, None
     return log_ml, [
@@ -1038,21 +1041,21 @@ def _normal_kernel_marginal(model, cache, family, prior, shift, what):
     factor = cholesky(cov, NotInvertible, f"{what} covariance")
     half = scipy.linalg.solve_triangular(factor, y, lower=True)
     quad = float(half @ half)
-    logdet = chol_logdet(factor)
+    return _gaussian_log_ml(n, chol_logdet(factor), quad, family, prior), quad
+
+
+def _gaussian_log_ml(n, logdet, quad, family, prior):
+    """The log marginal likelihood of n gaussian observations with
+    covariance ``phi C``, from ``log det C`` and ``y'C^-1 y``, the
+    dispersion phi known or inverse-gamma."""
     if family.phi_known:
         phi = float(family.phi)
-        log_ml = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
-        return log_ml, quad
+        return -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * logdet - 0.5 * quad / phi
     a, b = prior.phi_prior_required()
-    log_ml = (
-        -0.5 * n * _LOG_2PI
-        - 0.5 * logdet
-        + a * np.log(b)
-        - gammaln(a)
-        + gammaln(a + 0.5 * n)
-        - (a + 0.5 * n) * np.log(b + 0.5 * quad)
+    return (
+        -0.5 * n * _LOG_2PI - 0.5 * logdet + a * np.log(b) - gammaln(a)
+        + gammaln(a + 0.5 * n) - (a + 0.5 * n) * np.log(b + 0.5 * quad)
     )
-    return log_ml, quad
 
 
 def _panel_logsum(logf, lo, hi, panels, nodes, weights):
@@ -1402,13 +1405,13 @@ _ENGINES.update(
     {
         ("gaussian", "ala", "gzellner", False): _scale_plugin,
         ("gaussian", "ala", "gmom", False): _scale_plugin,
-        ("gaussian", "la", "gzellner", False): _la_with_scale,
+        ("gaussian", "la", "gzellner", False): _la_unknown_phi,
         ("gaussian", "la", "gmom", True): _known_phi_ala,
         ("gaussian", "la", "gmom", False): _scale_plugin,
         ("gaussian", "exact-gaussian", "gzellner", True): _exact_gaussian,
         ("gaussian", "exact-gaussian", "gzellner", False): _exact_gaussian,
         ("aft", "ala", "gzellner", False): _scale_plugin,
-        ("aft", "la", "gzellner", False): _la_with_scale,
+        ("aft", "la", "gzellner", False): _la_aft,
     }
 )
 
@@ -1541,9 +1544,9 @@ class ModelScorer:
         ``dict.update``, as the prior's masses do.  The ``ala`` rows and
         ``exact-gaussian`` score stacks of one dimension from one stacked
         factorization each, with no ``MarginalScore`` built until
-        ``marginal`` asks; the ``la`` rows score each stack by one Newton
-        run and keep its ``MarginalScore``s, and ``ala-refined`` by k plain
-        steps.
+        ``marginal`` asks; the ``la`` rows score each run of a stack by one
+        Newton run and keep its ``MarginalScore``s, and ``ala-refined`` by k
+        plain steps.
         Each model's one ``log_score`` call is then two memo hits; after a
         failing batch, each scores alone, so the error is the first failing
         model's, as in a loop.
@@ -1605,5 +1608,5 @@ def AftScorer(
 ) -> ModelScorer:
     """``ModelScorer`` for survival models: ``method="ala"`` expands at
     ``(0, tau0)`` (``_scale_plugin``), ``"la"`` at the posterior mode
-    (``_la_with_scale``)."""
+    (``_la_aft``)."""
     return ModelScorer(ctx, None, prior, model_prior, method)

@@ -2442,3 +2442,30 @@ class TestEngineTable:
                 assert got.diagnostics["steps_taken"] == 3
                 assert "note" not in got.diagnostics
         assert lost == 4
+
+    def test_a_refined_model_whose_likelihood_overflows_scores_minus_infinity(self):
+        """A count of 5000 on a row where two covariates lie far out makes a
+        refined step's poisson likelihood overflow for every model with
+        either of them: such a model scores -inf with no integral, in a
+        stack or alone, also in a stack where every model overflows, and
+        the finite models of its stacks score bitwise as alone."""
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(60, 3))
+        x[0] = (40.0, -30.0, 0.5)
+        y = rng.poisson(np.exp(0.2 * x[:, 0].clip(-2.0, 2.0))).astype(np.float64)
+        y[0] = 5e3
+        values = np.column_stack([np.ones(60), x])
+        design = DesignMatrix(values, tuple((j, j + 1) for j in range(4)))
+        cache = build_cache(design, y, poisson())
+        prior = ParamPriorSpec()
+        models = admissible_bits(4, None, 0)
+        batch = me.ModelScorer(cache, poisson(), prior, method="ala-refined", refine_steps=2)
+        batched = batch.score_many(models)
+        for bits, value in zip(models, batched):
+            got = batch.marginal(bits)
+            alone = _marginal(cache, poisson(), prior, bits, "ala-refined", 2)
+            assert value == got.log_ml == alone.log_ml
+            np.testing.assert_array_equal(got.expansion, alone.expansion)
+            assert got.diagnostics == alone.diagnostics
+            assert ("quad" in got.diagnostics) == bool(np.isfinite(value))
+        assert np.isneginf(batched).tolist() == [bool(b[1] or b[2]) for b in models]

@@ -122,6 +122,7 @@ def test_every_engine_row_names_one_engine():
         me._scale_plugin,
         me._exact_gaussian,
         me.la_known_phi_many,
-        me._la_with_scale,
+        me._la_unknown_phi,
+        me._la_aft,
         me._ala_refined,
     }
