@@ -153,6 +153,29 @@ def _numeric_table(
     return table.reshape(len(rows), len(header))
 
 
+def _read_numeric_table(path: str) -> tuple[list[str], np.ndarray]:
+    """The header of a CSV data file and its data rows as an (n, columns)
+    float array: parsed by ``_loadtxt_table``, or when loadtxt rejects the
+    file by ``_read_table`` and ``_numeric_table``.  A cell that parses to
+    NaN or an infinity raises ``ParseError`` with its line and column."""
+    parsed = _loadtxt_table(path)
+    if parsed is None:
+        header, rows, lines = _read_table(path)
+        table = _numeric_table(path, header, rows, lines)
+    else:
+        (header, table), lines = parsed, None
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0].tolist()
+        if lines is None:
+            lines = _read_table(path)[2]
+        raise ParseError(
+            f"{path}:{lines[row]}: column {header[col]!r} has non-finite value "
+            f"{float(table[row, col])}"
+        )
+    return header, table
+
+
 def ingest(
     data_path: str,
     groups_path: str,
@@ -169,11 +192,7 @@ def ingest(
     response (a survival pair when ``status`` is given), and the constraint
     set (None when no file and no cap was supplied).
     """
-    parsed = _loadtxt_table(data_path)
-    if parsed is None:
-        header, rows, lines = _read_table(data_path)
-    else:
-        header, table = parsed
+    header, table = _read_numeric_table(data_path)
     if response not in header:
         raise ParseError(f"{data_path}: response column {response!r} not found")
     if status is not None and status not in header:
@@ -212,10 +231,6 @@ def ingest(
     ordered = sorted(
         group_of, key=lambda name: (id_to_pos[group_of[name]], header.index(name))
     )
-    if parsed is None:
-        table = _numeric_table(data_path, header, rows, lines)
-        # the cells' strings take ten times the memory of the table
-        del rows, lines
     y = table[:, header.index(response)].copy()
     values = table.take([header.index(name) for name in ordered], axis=1)
     ev = table[:, header.index(status)] != 0.0 if status is not None else None
@@ -436,11 +451,7 @@ def run_select(args) -> int:
 def run_expand(args) -> int:
     if args.spline_dim < 1:
         raise ParseError(f"--spline-dim must be at least 1, got {args.spline_dim}")
-    parsed = _loadtxt_table(args.data)
-    if parsed is None:
-        header, rows, lines = _read_table(args.data)
-    else:
-        header, table = parsed
+    header, table = _read_numeric_table(args.data)
     skip = {args.response}
     if args.status is not None:
         skip.add(args.status)
@@ -448,8 +459,6 @@ def run_expand(args) -> int:
         if name not in header:
             raise ParseError(f"{args.data}: column {name!r} not found")
     covariates = [h for h in header if h not in skip]
-    if parsed is None:
-        table = _numeric_table(args.data, header, rows, lines)
     n = table.shape[0]
     skip_list = [args.response] + ([args.status] if args.status else [])
     raw = table.take([header.index(name) for name in covariates], axis=1)
@@ -479,10 +488,15 @@ def run_expand(args) -> int:
     return 0
 
 
-def _aggregate(rows: list[dict], keys: list[str]) -> dict:
-    if not rows:
-        return {}
-    return {k: float(np.mean([r[k] for r in rows])) for k in keys}
+def _count(text: str) -> int:
+    """An ``argparse`` type: a whole number of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def run_simstudy(args) -> int:
@@ -630,12 +644,8 @@ def run_simstudy(args) -> int:
         raise ParseError(f"unknown design {design!r}")
     table = [[_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in header] for r in rows]
     _write_rows(out / "replicates.csv", header, table)
-    agg = _aggregate(rows, agg_keys)
-    _write_rows(
-        out / "summary.csv",
-        ["metric", "mean"],
-        [[k, _fmt(v)] for k, v in agg.items()],
-    )
+    means = [[k, _fmt(np.mean([r[k] for r in rows]))] for k in agg_keys]
+    _write_rows(out / "summary.csv", ["metric", "mean"], means)
     meta = {
         "version": __version__,
         "config_hash": _config_hash(args),
@@ -683,11 +693,11 @@ def run_oracle(args) -> int:
             raise ParseError("the quadrature oracle handles single-column models")
         cols = design.columns_for(bits)
         z = design.values[:, cols[0]]
-        phi = float(family.phi) if family.phi_known else None
-        if phi is None:
+        if not family.phi_known:
             raise ParseError("the quadrature oracle needs a known dispersion")
-        a_j = float(z @ z)
-        scale = phi * prior.g * design.n / a_j
+        phi = float(family.phi)
+        # the block prior's variance of the one coefficient
+        scale = 1.0 / float(cache.block_prior.precision(cols, prior.g, phi)[0][0, 0])
 
         def log_integrand(betas):
             vals = np.empty(betas.shape[0])
@@ -816,12 +826,12 @@ def make_parser() -> argparse.ArgumentParser:
             "aft-scenario2",
         ],
     )
-    p_sim.add_argument("--replicates", type=int, default=10)
+    p_sim.add_argument("--replicates", type=_count, default=10)
     p_sim.add_argument("--n", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n-scans", type=int, default=500, help="Gibbs scans (survival)")
     p_sim.add_argument(
-        "--mc-draws", type=int, default=100_000, help="draws for the Monte Carlo oracle"
+        "--mc-draws", type=_count, default=100_000, help="draws for the Monte Carlo oracle"
     )
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=run_simstudy)
@@ -834,7 +844,7 @@ def make_parser() -> argparse.ArgumentParser:
         default="exact-gaussian",
         choices=["exact-gaussian", "gmom-quadrature", "gmom-mc", "quadrature"],
     )
-    p_or.add_argument("--mc-draws", type=int, default=200_000)
+    p_or.add_argument("--mc-draws", type=_count, default=200_000)
     p_or.add_argument("--out", default=None, help="optional JSON output path")
     p_or.set_defaults(func=run_oracle)
     return parser

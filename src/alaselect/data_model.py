@@ -45,6 +45,12 @@ class DesignMatrix:
             raise ValueError("design matrix must be 2-dimensional")
         if vals.shape[0] < 1:
             raise ValueError("need at least one observation")
+        # a finite sum has finite terms and takes no n x p temporary; an
+        # overflowing sum is checked entry by entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = vals.sum()
+        if not np.isfinite(total) and not np.isfinite(vals).all():
+            raise ValueError("design matrix contains non-finite entries")
         object.__setattr__(self, "values", vals)
         groups = tuple((int(a), int(b)) for a, b in self.groups)
         object.__setattr__(self, "groups", groups)

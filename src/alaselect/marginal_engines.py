@@ -111,49 +111,6 @@ def _at_zero(cache: SuffStatsCache, family: fam.FamilySpec, phi: float, cols):
     )
 
 
-def ala_general(
-    loglik0: float,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    prior_precision: np.ndarray,
-    theta0: Optional[np.ndarray] = None,
-    prior_logdet: Optional[float] = None,
-    method: str = "ala-general",
-) -> MarginalScore:
-    """Closed-form integral of a quadratic log-likelihood expansion against a
-    centered Normal prior.
-
-    ``grad`` and ``hess`` are derivatives of the negative log-likelihood at
-    ``theta0``.  Exact whenever the log-likelihood is quadratic; at the
-    posterior mode it reproduces the Laplace approximation.  For a (B, d)
-    stack of gradients, with the Hessians, precisions, points and constants
-    of its B models, the score holds one entry per model in ``log_ml``, the
-    rows of ``expansion`` and ``quad``.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    if theta0 is None:
-        theta0 = np.zeros_like(grad)
-    if prior_logdet is None:
-        prior_logdet = chol_logdet(
-            cholesky(prior_precision, NotInvertible, "prior precision")
-        )
-    g_joint = grad + (prior_precision @ theta0[..., None])[..., 0]
-    factor, shift = cho_factor_solve(hess + prior_precision, g_joint[..., None])
-    shift = shift[..., 0]
-    quad = (g_joint[..., None, :] @ shift[..., None])[..., 0, 0]
-    quad_prior = (theta0[..., None, :] @ prior_precision @ theta0[..., None])[..., 0, 0]
-    log_ml = (
-        loglik0
-        - 0.5 * quad_prior
-        + 0.5 * prior_logdet
-        - 0.5 * chol_logdet(factor)
-        + 0.5 * quad
-    )
-    if grad.ndim == 1:
-        log_ml, quad = float(log_ml), float(quad)
-    return MarginalScore(log_ml, method, theta0 - shift, {"quad": quad})
-
-
 def curvature_context(cache: SuffStatsCache, family: fam.FamilySpec) -> CurvatureContext:
     """Ratio of observed response variance to the model-implied variance at
     the intercept-only fit.
@@ -246,6 +203,36 @@ def _stacked(stack):
     return engine
 
 
+def _laplace_finish(value, grad, hess, logdet_p0, exc, what):
+    """``-value + log det P0 / 2 - log det H / 2 + g'H^-1 g / 2`` for each
+    model of a stack: the integral over the coefficients d of the
+    expansion ``value + g'd + d'Hd / 2`` of its negative log joint
+    (``value``, ``grad``, ``hess``), whose Normal prior's precision has the
+    log determinant ``logdet_p0``; at a mode, the Laplace score.  Returns
+    it with ``g'H^-1 g`` and the factor of one stacked
+    ``bordered_cholesky``, which raises ``exc`` about ``what`` when an H is
+    not positive definite."""
+    logdet_h, quad, factor = bordered_cholesky(hess, grad, exc, what)
+    return -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad, quad, factor
+
+
+def _bordered_inverse(factor):
+    """The rows ``R`` of ``_laplace_finish``'s bordered factors that give
+    the expansion and second moment of each model's coefficient posterior:
+    with its corner set to 1, the factor's transpose ``[[L', L^-1 g],
+    [0, 1]]`` has the inverse ``[[L^-T, beta], [0, 1]]``, beta = -H^-1 g;
+    its first k rows R, found by one stacked back substitution from the
+    last up, hold beta in their last column and give ``H^-1 + beta beta' =
+    R R'``.  Overwrites the factor's corner."""
+    k = factor.shape[-1] - 1
+    factor[:, k, k] = 1.0
+    head = np.broadcast_to(np.eye(k + 1), factor.shape).copy()
+    for i in range(k - 1, -1, -1):
+        head[:, i] -= np.einsum("bl,blc->bc", factor[:, i + 1 :, i], head[:, i + 1 :])
+        head[:, i] /= factor[:, i, i, None]
+    return head[:, :k]
+
+
 @_stacked
 def _known_phi_ala(s, cols, records):
     """The known-dispersion ``ala`` engine: zero-expansion scores under the
@@ -267,28 +254,21 @@ def _known_phi_ala(s, cols, records):
     prec, logdet_p0 = cache.block_prior.precision(
         cols, prior.g, phi, 2 if gmom else 0, xtx
     )
-    logdet_h, quad, factor = bordered_cholesky(
-        (rho * w) * xtx + prec,
+    log_ml, quad, factor = _laplace_finish(
+        -_loglik_at_center(cache, s.family, phi),
         -w * cache.zty[cols],
+        (rho * w) * xtx + prec,
+        logdet_p0,
         NotConcaveAtExpansion,
         "joint curvature",
     )
-    l0 = _loglik_at_center(cache, s.family, phi)
-    log_ml = l0 + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
     if not (gmom or records):
         return log_ml, None
-    # with its corner set to 1, the factor's transpose [[L', L^-1 g], [0, 1]]
-    # has the inverse [[L^-T, beta], [0, 1]], beta = -H^-1 g; its first k rows
-    # R, found from the last up, give H^-1 + beta beta' = R R'
     k = cols.shape[1]
-    factor[:, k, k] = 1.0
-    head = np.broadcast_to(np.eye(k + 1), factor.shape).copy()
-    for i in range(k - 1, -1, -1):
-        head[:, i] -= np.einsum("bl,blc->bc", factor[:, i + 1 :, i], head[:, i + 1 :])
-        head[:, i] /= factor[:, i, i, None]
+    head = _bordered_inverse(factor)
     name, extra = "quad", quad
     if gmom:
-        moment = head[:, :k] @ head[:, :k].transpose(0, 2, 1) / phi
+        moment = head @ head.transpose(0, 2, 1) / phi
         extra = cache.block_prior.log_penalty(cols, moment, prior.g, xtx)
         name, log_ml = "tilt", log_ml + extra
     if not records:
@@ -296,7 +276,7 @@ def _known_phi_ala(s, cols, records):
     method = "ala-gmom" if gmom else "ala"
     if s.curvature is not None:
         method += "-curvadj"
-    rows = zip(log_ml.tolist(), head[:, :k, k], extra.tolist())
+    rows = zip(log_ml.tolist(), head[:, :, k], extra.tolist())
     return log_ml, [
         MarginalScore(lm, method, beta, {"phi": phi, "rho_hat": rho, name: value})
         for lm, beta, value in rows
@@ -505,8 +485,9 @@ def _la_known_phi(s, cols, zs, records):
 
     at_zero = _at_zero(cache, family, phi, cols)
     theta, value, grad, hess, diagnostics = _newton_rows(joint, zs, np.zeros((m, p)), at_zero)
-    logdet_h, quad, _ = bordered_cholesky(hess, grad, NotConcave, "curvature at the mode")
-    log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
+    log_ml, _, _ = _laplace_finish(
+        value, grad, hess, logdet_p0, NotConcave, "curvature at the mode"
+    )
     rows = zip(log_ml.tolist(), theta, diagnostics)
     return log_ml, [MarginalScore(lm, "la", mode, diag) for lm, mode, diag in rows]
 
@@ -608,10 +589,9 @@ def _la_stack(cache, family, prior, mask, union):
     theta, value, grad, hess, iterations, evaluations = _stacked_newton(
         objective, np.zeros((m, big)), first, sizes
     )
-    logdet_h, quad, _ = bordered_cholesky(
-        hess, grad, NotConcave, "curvature at the mode"
+    log_ml, _, _ = _laplace_finish(
+        value, grad, hess, logdet_p0, NotConcave, "curvature at the mode"
     )
-    log_ml = -value + 0.5 * logdet_p0 - 0.5 * logdet_h + 0.5 * quad
     norms = np.max(np.abs(grad), axis=1).tolist()
     diags = zip(iterations.tolist(), evaluations.tolist(), norms)
     keys = ("iterations", "evaluations", "grad_norm")
@@ -908,11 +888,14 @@ def _ala_refined(s, cols, zs, records):
     """Zero-expansion scores after ``k = s.refine_steps`` plain Newton steps
     on each model's own log-likelihood, the run's models stepping together,
     under a known dispersion and the block Zellner prior: the closed-form
-    Normal-prior integral (``ala_general``, once per run) at the point
-    reached; ``k = 0`` is the plain zero expansion.  The derivatives at
-    zero come from the cache, so ``k`` steps take ``k`` passes over the
-    data.  A model whose curvature is lost or whose step is not finite
-    stops early, noted in its diagnostics."""
+    Normal-prior integral of the log joint's expansion at the point reached
+    (``_laplace_finish``, once per run), and for ``records`` the expansion
+    that ``_bordered_inverse`` reads from the same factor; ``k = 0`` is the
+    plain zero expansion.  The derivatives at zero come from the cache, so
+    ``k`` steps take ``k`` passes over the data.  A model whose curvature
+    is lost or whose step is not finite stops early, noted in its
+    diagnostics; one whose likelihood is not finite at its point scores
+    -inf."""
     cache, family, k = s.cache, s.family, s.refine_steps
     if cache.nu0 != 0.0:
         raise ValueError("refined scoring expects zero centering")
@@ -952,15 +935,25 @@ def _ala_refined(s, cols, zs, records):
         live = moved
         if not live:
             break
-    # the models whose likelihood stayed finite, a view when all did
+    # the models whose likelihood stayed finite, a view when all did, and
+    # their negative log joint at the point reached
     log_ml, finite = np.full(m, -np.inf), np.isfinite(value)
     at = slice(None) if finite.all() else finite
     prec, logdet_p0 = cache.block_prior.precision(cols[at], s.prior.g, phi)
-    score = ala_general(-value[at], grad[at], hess[at], prec, beta[at], logdet_p0)
-    log_ml[at], beta[at] = score.log_ml, score.expansion
+    point = beta[at]
+    pb = (prec @ point[..., None])[..., 0]
+    log_ml[at], quad, factor = _laplace_finish(
+        value[at] + 0.5 * np.einsum("bi,bi->b", point, pb),
+        grad[at] + pb,
+        hess[at] + prec,
+        logdet_p0,
+        NotConcaveAtExpansion,
+        "joint curvature",
+    )
     if not records:
         return log_ml, None
-    quads, scores = iter(score.diagnostics["quad"].tolist()), []
+    beta[at] = point + _bordered_inverse(factor)[:, :, p]
+    quads, scores = iter(quad.tolist()), []
     for lm, b, fit, n, note in zip(log_ml.tolist(), beta, finite.tolist(), steps, notes):
         diag = {"quad": next(quads)} if fit else {}
         diag["steps_taken"] = n
@@ -1021,23 +1014,21 @@ def exact_gaussian_marginal(
 
 
 def _normal_kernel_marginal(model, cache, family, prior, shift, what):
-    """Log marginal likelihood of a gaussian response whose coefficient
-    groups are Normal with covariance ``phi g n / (p_j + shift)`` times the
-    inverse Gram block (shift 0 is the block Zellner prior, 2 the kernel of
-    the product-moment prior), through the n x n ``what`` covariance, with
-    the dispersion known or inverse-gamma; returns it and ``y' C^-1 y``."""
+    """Log marginal likelihood of a gaussian response whose coefficients
+    are Normal with covariance phi times the inverse of the block prior's
+    precision (shift 0 is the block Zellner prior, 2 the kernel of the
+    product-moment prior), through the n x n ``what`` covariance, with the
+    dispersion known or inverse-gamma; returns it and ``y' C^-1 y``."""
     # The references import scipy where they use it, so that a run of the
     # fast engines loads none.
     import scipy.linalg
 
     y = cache.y
     n = cache.n
-    cov = np.eye(n)
-    for j in model.active_groups:
-        start, stop = cache.design.groups[j]
-        zj = cache.design.values[:, start:stop]
-        ainv_zt = np.linalg.solve(zj.T @ zj, zj.T)
-        cov += (prior.g * n / (stop - start + shift)) * (zj @ ainv_zt)
+    cols = cache.design.columns_for(model.key)
+    z = cache.design.values[:, cols]
+    prec, _ = cache.block_prior.precision(cols, prior.g, 1.0, shift)
+    cov = np.eye(n) + z @ np.linalg.solve(prec, z.T)
     factor = cholesky(cov, NotInvertible, f"{what} covariance")
     half = scipy.linalg.solve_triangular(factor, y, lower=True)
     quad = float(half @ half)
@@ -1249,6 +1240,7 @@ def exact_gmom_mc(
     Writes the marginal as the Normal-kernel marginal times the posterior
     expectation of the penalty product, draws from the exact kernel
     posterior, and averages.  The log-scale standard error is reported.
+    Fewer than one draw raises ``ValueError``.
     """
     import scipy.linalg
 
@@ -1256,27 +1248,21 @@ def exact_gmom_mc(
         raise ValueError("the Monte Carlo reference expects the gaussian family")
     if prior.kind != "gmom":
         raise ValueError("the Monte Carlo reference expects the product-moment prior")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     if rng is None:
         rng = np.random.default_rng(0)
     n = cache.n
-    g = prior.g
     p = model.p_gamma
     log_kernel, quad = _normal_kernel_marginal(
         model, cache, family, prior, 2, "kernel marginal"
     )
     if p == 0:
         return MarginalScore(float(log_kernel), "mc", np.empty(0), {"mc_se_log": 0.0})
-    xtx, xty = submodel_stats(cache, model)
-    m_prec = np.array(xtx, copy=True)
-    offset = 0
-    for j in model.active_groups:
-        start, stop = cache.design.groups[j]
-        pj = stop - start
-        sl = slice(offset, offset + pj)
-        block = cache.gram.block(np.arange(start, stop))
-        m_prec[sl, sl] += ((pj + 2) / (g * n)) * block
-        offset += pj
-    m_factor = cholesky(m_prec, NotInvertible, "kernel posterior precision")
+    cols = cache.design.columns_for(model.key)
+    xtx, xty = cache.gram.block(cols), cache.zty[cols]
+    kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
+    m_factor = cholesky(xtx + kernel, NotInvertible, "kernel posterior precision")
     mean = scipy.linalg.cho_solve((m_factor, True), xty)
     shape = scipy.linalg.cho_solve((m_factor, True), np.eye(p))
     shape_chol = np.linalg.cholesky(shape + 1e-14 * np.eye(p))
@@ -1288,17 +1274,11 @@ def exact_gmom_mc(
         post_a, post_b = a + 0.5 * n, b + 0.5 * quad
         phi_draws = post_b / rng.gamma(post_a, 1.0, size=n_draws)
     draws = mean[None, :] + np.sqrt(phi_draws)[:, None] * (normal @ shape_chol.T)
-    log_pen = np.zeros(n_draws)
-    offset = 0
-    for j in model.active_groups:
-        start, stop = cache.design.groups[j]
-        pj = stop - start
-        sl = slice(offset, offset + pj)
-        offset += pj
-        block = cache.gram.block(np.arange(start, stop))
-        coef = (pj + 2) / (n * pj * g)
-        quad_j = np.einsum("mi,ij,mj->m", draws[:, sl], block, draws[:, sl])
-        log_pen += np.log(coef * quad_j / phi_draws)
+    # group j's penalty factor is its kernel quadratic form over p_j phi;
+    # the kernel is block diagonal, so the forms are sums over its columns
+    sizes = cache.design.group_sizes[list(model.active_groups)]
+    forms = np.add.reduceat((draws @ kernel) * draws, np.cumsum(sizes) - sizes, axis=1)
+    log_pen = np.log(forms / (sizes * phi_draws[:, None])).sum(axis=1)
     log_mean = float(logsumexp(log_pen) - np.log(n_draws))
     pen = np.exp(log_pen - log_pen.max())
     se_rel = float(np.std(pen) / (np.mean(pen) * np.sqrt(n_draws)))

@@ -8,11 +8,13 @@ package passes, up to rounding, including at infinities, NaN and poles.
 
 A score that needs only ``log det H`` and ``g' H^-1 g`` takes them from one
 Cholesky factorization of the bordered matrix ``[[H, g], [g', inf]]``
-(``bordered_cholesky``), for one matrix or a stack.  ``cho_factor_solve``
-is for the callers that use the solution itself: the Newton directions and
-the refined expansion's plain steps move by it, ``ala_general`` and the
-scale-bordered plug-in stack move to the update it gives, and that
-stack's product-moment tilt takes its kernel moments from it.
+(``bordered_cholesky``), for one matrix or a stack: the Laplace finish of
+every ``ala``, ``ala-refined`` and known-dispersion ``la`` score, which
+also reads its expansion from that factor.  ``cho_factor_solve`` is for the
+callers that use the solution itself: the Newton directions and the
+refined expansion's plain steps move by it, the scale-bordered plug-in
+stack moves to the update it gives, and that stack's product-moment tilt
+takes its kernel moments from it.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ def cho_factor_solve(
     log-determinant; the solve goes through ``numpy.linalg.solve``, which
     also rejects a singular matrix whose rounded factor has a tiny positive
     pivot.  Its callers use the solution itself: the Newton directions, the
-    refined expansion's steps (``_ala_refined``), ``ala_general``, and the
-    scale-bordered plug-in stack (``_scale_plugin``) with its
-    product-moment kernel moments."""
+    refined expansion's steps (``_ala_refined``), and the scale-bordered
+    plug-in stack (``_scale_plugin``) with its product-moment kernel
+    moments (``_gmom_tilt``)."""
     try:
         return np.linalg.cholesky(matrix), np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as err:

@@ -580,6 +580,38 @@ def reference_la_aft(design, data, bits, g, a, b):
     return log_ml, theta, its, evals
 
 
+def ala_general(loglik0, grad, hess, prior_precision, theta0=None, prior_logdet=None):
+    """The closed-form integral of the quadratic expansion at ``theta0``
+    (zero by default) of one model's log-likelihood, with value
+    ``loglik0`` and the gradient ``grad`` and Hessian ``hess`` of the
+    negative log-likelihood there, against the centred Normal prior of
+    precision ``P = prior_precision``, by ``numpy.linalg.solve`` and
+    ``slogdet``: with the joint gradient ``g = grad + P theta0`` and
+    curvature ``H = hess + P``, ``loglik0 - theta0'P theta0 / 2
+    + log det P / 2 - log det H / 2 + g'H^-1 g / 2``.  Exact when the
+    log-likelihood is quadratic, the Laplace approximation at its mode.
+    Returns the score and the expansion's mean ``theta0 - H^-1 g``; raises
+    ``numpy.linalg.LinAlgError`` when H or P is not positive definite."""
+    grad = np.asarray(grad, dtype=np.float64)
+    theta0 = np.zeros_like(grad) if theta0 is None else theta0
+    joint = hess + prior_precision
+    for matrix in (joint, prior_precision):
+        if grad.size and np.linalg.eigvalsh(matrix)[0] <= 0.0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+    if prior_logdet is None:
+        prior_logdet = np.linalg.slogdet(prior_precision)[1]
+    g_joint = grad + prior_precision @ theta0
+    shift = np.linalg.solve(joint, g_joint)
+    log_ml = (
+        loglik0
+        - 0.5 * theta0 @ prior_precision @ theta0
+        + 0.5 * prior_logdet
+        - 0.5 * np.linalg.slogdet(joint)[1]
+        + 0.5 * g_joint @ shift
+    )
+    return float(log_ml), theta0 - shift
+
+
 def reference_refined_expansion(design, bits, y, family, k):
     """Point, log-likelihood, gradient and Hessian after ``k`` undamped
     Newton steps on the log-likelihood from zero, each step from separate

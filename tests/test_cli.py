@@ -474,6 +474,76 @@ class TestIngestErrors:
         assert rc == 8
 
 
+def _non_finite_files(tmp_path, cell, column="x1", reader="loadtxt"):
+    """A 30-row file with a logistic response, an event column and two
+    covariates, whose row 13 (line 15) holds ``cell`` in ``column``; a
+    ``1_0`` cell on line 2 sends it to the csv reader."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, 2))
+    rows = [
+        [str(i % 2), str(int(i % 3 > 0)), _num(x[i, 0]), _num(x[i, 1])]
+        for i in range(30)
+    ]
+    rows[13][["y", "event", "x1", "x2"].index(column)] = cell
+    if reader == "csv":
+        rows[0][1] = "1_0"
+    data, groups = tmp_path / "d.csv", tmp_path / "g.csv"
+    _write_csv(data, ["y", "event", "x1", "x2"], rows)
+    _write_csv(groups, ["column", "group"], [["x1", "0"], ["x2", "1"]])
+    return data, groups
+
+
+class TestNonFiniteCells:
+    """A data cell that parses to NaN or an infinity is refused where the
+    file is read, with its file, line and column, by every command that
+    reads a data file."""
+
+    @pytest.mark.parametrize("reader", ["loadtxt", "csv"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--family", "logistic", "--search", "gibbs", "--n-scans", "5"),
+            ("--family", "logistic", "--search", "enumerate"),
+            ("--family", "logistic", "--method", "la"),
+            ("--family", "aft", "--status", "event"),
+        ],
+        ids=["gibbs", "enumerate", "la", "aft"],
+    )
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e999"])
+    def test_select_refuses_a_non_finite_cell(self, tmp_path, capsys, reader, extra, cell):
+        """Without the check, Gibbs wrote NaN inclusions, enumeration found
+        every model at -inf, ``la`` had no finite start and a NaN status
+        counted as an event."""
+        column = "event" if "aft" in extra else "x1"
+        data, groups = _non_finite_files(tmp_path, cell, column, reader)
+        rc = _select(data, groups, tmp_path / "r", *extra)
+        assert rc == 2
+        value = {"nan": "nan", "inf": "inf", "-1e999": "-inf"}[cell]
+        assert f"{data}:15: column {column!r} has non-finite value {value}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("reader", ["loadtxt", "csv"])
+    def test_expand_and_oracle_refuse_a_non_finite_cell(self, tmp_path, capsys, reader):
+        data, groups = _non_finite_files(tmp_path, "nan", "x2", reader)
+        rc = main([
+            "expand", "--data", str(data), "--response", "y", "--status", "event",
+            "--out-data", str(tmp_path / "e.csv"),
+            "--out-groups", str(tmp_path / "eg.csv"),
+            "--out-constraints", str(tmp_path / "ec.csv"),
+        ])
+        assert rc == 2
+        assert f"{data}:15: column 'x2' has non-finite value nan" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+        rc = main([
+            "oracle", "--data", str(data), "--groups", str(groups), "--response", "y",
+            "--status", "event", "--model", "11",
+        ])
+        assert rc == 2
+        assert f"{data}:15: column 'x2' has non-finite value nan" in capsys.readouterr().err
+
+
 class TestNumericIngest:
     """The data file is parsed by ``np.loadtxt`` when it accepts the file,
     and by the csv reader with ``float`` otherwise, to the same table."""
@@ -614,15 +684,26 @@ class TestExpandCommand:
 class TestSimstudyCommand:
     """Canned simulation designs run end to end."""
 
-    def test_zero_replicates_writes_headers_only(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simstudy", "--design", "logistic-trend", "--replicates", "0"],
+            ["simstudy", "--design", "gmom-accuracy", "--mc-draws", "0"],
+            ["oracle", "--data", "d.csv", "--groups", "g.csv", "--response", "y",
+             "--model", "1", "--oracle", "gmom-mc", "--mc-draws", "-2"],
+        ],
+        ids=["replicates", "simstudy-draws", "oracle-draws"],
+    )
+    def test_a_count_below_one_is_a_usage_error(self, tmp_path, capsys, argv):
+        """Zero replicates wrote tables of headers only, and zero draws
+        failed in the Monte Carlo reference with numpy's error."""
         out = tmp_path / "sim"
-        rc = main([
-            "simstudy", "--design", "logistic-trend", "--replicates", "0",
-            "--n", "100", "--out", str(out),
-        ])
-        assert rc == 0
-        _, rows = _read_csv(out / "replicates.csv")
-        assert rows == []
+        with pytest.raises(SystemExit) as stopped:
+            main([*argv, "--out", str(out)])
+        assert stopped.value.code == 2
+        name, value = argv[-2:]
+        assert f"argument {name}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_replicate_summarizes_inclusion(self, tmp_path):
         out = tmp_path / "sim"

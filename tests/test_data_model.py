@@ -49,6 +49,16 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             DesignMatrix(values, ((0, 1), (1, 2)), intercept_group=5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, rng, value):
+        """As ``build_cache`` refuses a non-finite response."""
+        values = rng.normal(size=(5, 2))
+        values[3, 1] = value
+        with pytest.raises(ValueError, match="design matrix contains non-finite entries"):
+            DesignMatrix(values, ((0, 1), (1, 2)))
+        # finite entries whose sum overflows pass
+        DesignMatrix(np.full((4, 2), 1e308), ((0, 1), (1, 2)))
+
     def test_singleton_constructor_matches_manual_ranges(self, rng):
         values = rng.normal(size=(6, 3))
         a = DesignMatrix.with_singleton_groups(values, intercept_group=0)

@@ -45,6 +45,7 @@ from alaselect import simdesigns
 from alaselect.search import enumerate_posterior, gibbs_models
 
 from tests.oracles import (
+    ala_general,
     block_zellner_precision,
     conjugate_known_phi_log_ml,
     conjugate_unknown_phi_log_ml,
@@ -76,7 +77,9 @@ def _aft_marginal(ctx, prior, bits, method="ala"):
 
 class TestGeneralBackbone:
     """The closed-form integral of a quadratic expansion against a Normal
-    prior is exact for genuinely quadratic objectives."""
+    prior, the engines' shared finish (``_laplace_finish``) and the
+    reference ``ala_general`` alike, is exact for genuinely quadratic
+    objectives."""
 
     def _quadratic_truth(self, m, a_mat, const, prec):
         """Integral of exp(const - (theta-m)' A (theta-m) / 2) against
@@ -90,6 +93,21 @@ class TestGeneralBackbone:
             + stats.multivariate_normal.logpdf(m, np.zeros(d), cov_sum)
         )
 
+    @staticmethod
+    def _finish(loglik0, grad, hess, prec, theta0):
+        """The shared finish of one model expanded at ``theta0``: its
+        negative log joint there, with the joint gradient and curvature."""
+        pb = prec @ theta0
+        log_ml, _, _ = me._laplace_finish(
+            np.array([-loglik0 + 0.5 * theta0 @ pb]),
+            (grad + pb)[None],
+            (hess + prec)[None],
+            np.linalg.slogdet(prec)[1],
+            NotConcaveAtExpansion,
+            "joint curvature",
+        )
+        return float(log_ml[0])
+
     def test_exact_for_quadratic_objectives(self, rng):
         d = 3
         raw = rng.normal(size=(d, d))
@@ -99,10 +117,11 @@ class TestGeneralBackbone:
         const = -1.7
         loglik0 = const - 0.5 * m @ a_mat @ m
         grad0 = -a_mat @ m  # negative-objective gradient at zero
-        score = me.ala_general(loglik0, grad0, a_mat, prec)
-        np.testing.assert_allclose(
-            score.log_ml, self._quadratic_truth(m, a_mat, const, prec), atol=1e-10
-        )
+        truth = self._quadratic_truth(m, a_mat, const, prec)
+        log_ml, _ = ala_general(loglik0, grad0, a_mat, prec)
+        np.testing.assert_allclose(log_ml, truth, atol=1e-10)
+        finish = self._finish(loglik0, grad0, a_mat, prec, np.zeros(d))
+        np.testing.assert_allclose(finish, truth, atol=1e-10)
 
     def test_expansion_point_does_not_matter_for_quadratics(self, rng):
         """Expanding the same quadratic objective anywhere gives the same
@@ -118,16 +137,17 @@ class TestGeneralBackbone:
             delta = theta - m
             return const - 0.5 * delta @ a_mat @ delta
 
-        at_zero = me.ala_general(objective(np.zeros(d)), -a_mat @ m, a_mat, prec)
+        at_zero, _ = ala_general(objective(np.zeros(d)), -a_mat @ m, a_mat, prec)
         theta0 = rng.normal(size=d)
-        at_theta0 = me.ala_general(
-            objective(theta0), a_mat @ (theta0 - m), a_mat, prec, theta0=theta0
-        )
-        np.testing.assert_allclose(at_zero.log_ml, at_theta0.log_ml, atol=1e-10)
+        grad = a_mat @ (theta0 - m)
+        at_theta0, _ = ala_general(objective(theta0), grad, a_mat, prec, theta0=theta0)
+        np.testing.assert_allclose(at_zero, at_theta0, atol=1e-10)
+        finish = self._finish(objective(theta0), grad, a_mat, prec, theta0)
+        np.testing.assert_allclose(finish, at_zero, atol=1e-10)
 
     def test_indefinite_curvature_raises(self):
-        with pytest.raises(NotConcaveAtExpansion):
-            me.ala_general(0.0, np.zeros(1), np.array([[-1.0]]), np.array([[0.5]]))
+        with pytest.raises(NotConcaveAtExpansion, match="joint curvature"):
+            self._finish(0.0, np.zeros(1), np.array([[-1.0]]), np.array([[0.5]]), np.zeros(1))
 
 
 class TestKnownDispersionExactness:
@@ -576,6 +596,16 @@ class TestNonlocalEngines:
         se = mc.diagnostics["mc_se_log"]
         assert abs(mc.log_ml - slow.log_ml) < 5.0 * se + 1e-4
 
+    @pytest.mark.parametrize("n_draws", [0, -5])
+    def test_monte_carlo_oracle_needs_a_draw(self, rng, n_draws):
+        design = make_design(rng, 30, [1, 1], intercept=True)
+        cache = build_cache(design, rng.normal(size=30), gaussian(1.0))
+        with pytest.raises(ValueError, match=f"n_draws must be at least 1, got {n_draws}"):
+            me.exact_gmom_mc(
+                design.model((1, 1, 0)), cache, gaussian(1.0), ParamPriorSpec(kind="gmom"),
+                n_draws=n_draws,
+            )
+
     def test_quadrature_oracle_rejects_correlated_groups(self, rng):
         design = make_design(rng, 30, [1, 1])
         # make the two columns strongly correlated
@@ -882,10 +912,10 @@ class TestScorers:
             design, (1, 1), y, logistic(), 2
         )
         prec, logdet = block_zellner_precision(design, (1, 1), 1.0)
-        reference = me.ala_general(
+        reference, _ = ala_general(
             loglik, grad, hess, prec, theta0=beta, prior_logdet=logdet
         )
-        np.testing.assert_allclose(score.log_ml, reference.log_ml, rtol=1e-10)
+        np.testing.assert_allclose(score.log_ml, reference, rtol=1e-10)
 
     def test_survival_scorer_memoizes_and_scores(self, rng):
         design, data = _survival_sample(rng)
@@ -1347,13 +1377,13 @@ class TestNewtonParity:
             )
             prec, logdet = block_zellner_precision(design, bits, 1.3)
             phi = float(family.phi)
-            reference = me.ala_general(
+            reference, expansion = ala_general(
                 loglik, grad, hess, prec / phi, theta0=beta,
                 prior_logdet=logdet - beta.size * np.log(phi),
             )
             score = _marginal(cache, family, prior, bits, "ala-refined", k)
-            np.testing.assert_allclose(score.log_ml, reference.log_ml, rtol=1e-10)
-            np.testing.assert_allclose(score.expansion, reference.expansion, atol=1e-8)
+            np.testing.assert_allclose(score.log_ml, reference, rtol=1e-10)
+            np.testing.assert_allclose(score.expansion, expansion, atol=1e-8)
             assert score.diagnostics["steps_taken"] == k
 
     @pytest.mark.parametrize(
@@ -2287,11 +2317,11 @@ def _engine_reference(key, scorer, bits):
         )
         prec, logdet = block_zellner_precision(design, bits, prior.g)
         phi = float(family.phi)
-        want = me.ala_general(
+        want, expansion = ala_general(
             loglik, grad, hess, prec / phi, theta0=beta,
             prior_logdet=logdet - beta.size * np.log(phi),
         )
-        return want.log_ml, f"ala-refined({k})", 1e-10, want.expansion
+        return want, f"ala-refined({k})", 1e-10, expansion
     if method == "la" and prior_kind == "gzellner":
         want, mode, _, _ = reference_la(
             design, bits, stats.y, family, prior.g, prior.phi_prior
@@ -2469,3 +2499,67 @@ class TestEngineTable:
             assert got.diagnostics == alone.diagnostics
             assert ("quad" in got.diagnostics) == bool(np.isfinite(value))
         assert np.isneginf(batched).tolist() == [bool(b[1] or b[2]) for b in models]
+
+    @pytest.mark.parametrize("name", ["logistic", "poisson"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_refined_stacks_match_the_reference_alone_and_batched(self, name, k):
+        """``ala-refined`` finishes every stack through the shared finish:
+        batched and alone, each model's score, expansion and diagnostics
+        are bitwise equal, and each finite score is the reference
+        ``ala_general`` at the reference point after the steps it took.
+        The stacks hold models whose likelihood curvature is singular (two
+        copies of one column), which stop with their note while the others
+        take all k steps, and under poisson models whose refined
+        likelihood overflows on a far-out row, which score -inf."""
+        rng = np.random.default_rng(14)
+        n = 80
+        x = rng.normal(size=(n, 3))
+        x[0] = (40.0, -30.0, 0.5)
+        values = np.column_stack([np.ones(n), x, x[:, 2]])
+        design = DesignMatrix(values, tuple((j, j + 1) for j in range(5)))
+        if name == "poisson":
+            family = poisson()
+            y = rng.poisson(np.exp(0.2 * x[:, 0].clip(-2.0, 2.0))).astype(np.float64)
+            y[0] = 5e3
+        else:
+            family = logistic()
+            eta = 0.5 * x[:, 0].clip(-2.0, 2.0) - 0.4 * x[:, 2]
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.float64)
+        cache = build_cache(design, y, family)
+        prior = ParamPriorSpec(g=1.3)
+        models = admissible_bits(5, None, 0)
+        batch = me.ModelScorer(cache, family, prior, method="ala-refined", refine_steps=k)
+        batched = batch.score_many(models)
+        notes = overflows = 0
+        for bits, value in zip(models, batched):
+            got = batch.marginal(bits)
+            alone = _marginal(cache, family, prior, bits, "ala-refined", k)
+            assert value == got.log_ml == alone.log_ml
+            np.testing.assert_array_equal(got.expansion, alone.expansion)
+            assert got.diagnostics == alone.diagnostics
+            steps, note = got.diagnostics["steps_taken"], got.diagnostics.get("note")
+            if not np.isfinite(value):
+                overflows += 1
+                assert name == "poisson" and k and (bits[1] or bits[2])
+                assert value == -np.inf and "quad" not in got.diagnostics
+                # the step after the overflowing one is not finite
+                assert steps == 1
+                assert note == (None if k == 1 else "refinement step diverged")
+                continue
+            if note is not None:
+                notes += 1
+                assert note == "curvature lost during refinement"
+                assert k and bits[3] and bits[4] and steps == 0
+            else:
+                assert steps == k
+            beta, loglik, grad, hess = reference_refined_expansion(
+                design, bits, y, family, steps
+            )
+            prec, logdet = block_zellner_precision(design, bits, 1.3)
+            want, expansion = ala_general(
+                loglik, grad, hess, prec, theta0=beta, prior_logdet=logdet
+            )
+            np.testing.assert_allclose(value, want, rtol=1e-10)
+            np.testing.assert_allclose(got.expansion, expansion, rtol=1e-10, atol=1e-8)
+        assert (notes > 0) == (k > 0)
+        assert (overflows > 0) == (k > 0 and name == "poisson")

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 
 from alaselect import marginal_engines as me
+from alaselect.data_model import DesignMatrix, build_cache
 from alaselect.errors import NotConcave, NotConcaveAtExpansion, NotInvertible
 from alaselect.numerics import (
     bordered_cholesky,
@@ -16,6 +17,8 @@ from alaselect.numerics import (
     logit,
     logsumexp,
 )
+from alaselect.families import logistic
+from alaselect.priors import ParamPriorSpec
 
 from tests.oracles import reference_newton_direction
 
@@ -105,12 +108,28 @@ class TestCholesky:
         np.testing.assert_allclose(chol_logdet(factor), np.linalg.slogdet(a)[1], rtol=1e-12)
         assert chol_logdet(np.empty((0, 0))) == 0.0
 
-    def test_each_engine_raises_its_own_error(self):
-        grad = np.ones(2)
-        with pytest.raises(NotConcaveAtExpansion, match="joint curvature"):
-            me.ala_general(0.0, grad, _INDEFINITE, np.eye(2))
-        with pytest.raises(NotInvertible, match="prior precision"):
-            me.ala_general(0.0, grad, np.eye(2), _INDEFINITE)
+    def test_each_engine_raises_its_own_error(self, rng):
+        """A joint curvature that is not positive definite raises
+        ``NotConcaveAtExpansion`` from the shared finish of the ``ala`` and
+        ``ala-refined`` engines; a singular group Gram block raises
+        ``NotInvertible`` from the block prior; a mode's curvature raises
+        ``NotConcave``."""
+        x = rng.normal(size=(30, 2))
+        values = np.column_stack([np.ones(30), x, x[:, 1]])
+        design = DesignMatrix(values, ((0, 1), (1, 2), (2, 4)))
+        y = (rng.random(30) < 0.5).astype(np.float64)
+        cache = build_cache(design, y, logistic())
+        refined = me.ModelScorer(
+            cache, logistic(), ParamPriorSpec(), method="ala-refined", refine_steps=0
+        )
+        with pytest.raises(NotInvertible, match="group 2 Gram block"):
+            refined.marginal((1, 0, 1))
+        # a likelihood curvature at zero of the wrong sign
+        cache.bpp_nu0 = -50.0
+        for method in ("ala", "ala-refined"):
+            scorer = me.ModelScorer(cache, logistic(), ParamPriorSpec(), method=method)
+            with pytest.raises(NotConcaveAtExpansion, match="joint curvature"):
+                scorer.marginal((1, 1, 0))
         with pytest.raises(NotConcave, match="curvature at the mode"):
             bordered_cholesky(
                 np.stack([np.eye(2), _INDEFINITE]),
