@@ -4,8 +4,9 @@ Scores models by approximate integrated likelihoods built from a quadratic
 expansion of the log likelihood at a fixed point, so that each candidate
 costs a single structured linear solve instead of an optimization run.
 Supports block Zellner and product-moment priors, hierarchical model-space
-constraints, exhaustive enumeration and Gibbs search over models, and slow
-reference implementations for validating the fast path.
+constraints, and exhaustive enumeration and Gibbs search over models.  Slow
+reference implementations that validate the fast path live in
+``alaselect.references``, which importing the package does not load.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ from .data_model import (
     ConstraintSet,
     DesignMatrix,
     Gram,
-    ModelId,
     SuffStatsCache,
     build_cache,
 )
@@ -42,10 +42,6 @@ from .marginal_engines import (
     MarginalScore,
     ModelScorer,
     build_aft_context,
-    exact_gaussian_marginal,
-    exact_gmom_blockdiag,
-    exact_gmom_mc,
-    quadrature_oracle,
 )
 from .priors import ModelPriorSpec, ParamPriorSpec
 from .search import (
@@ -68,7 +64,6 @@ __all__ = [
     "ImportanceReport",
     "InvalidModel",
     "MarginalScore",
-    "ModelId",
     "ModelPriorSpec",
     "ModelScorer",
     "NoConvergence",
@@ -85,15 +80,11 @@ __all__ = [
     "build_aft_context",
     "build_cache",
     "enumerate_posterior",
-    "exact_gaussian_marginal",
-    "exact_gmom_blockdiag",
-    "exact_gmom_mc",
     "gaussian",
     "gaussian_unknown",
     "gibbs_models",
     "importance_reweight",
     "logistic",
     "poisson",
-    "quadrature_oracle",
     "screen_then_refine",
 ]

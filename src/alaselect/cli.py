@@ -563,6 +563,8 @@ def run_simstudy(args) -> int:
             rows.append(row)
         agg_keys = header[1:]
     elif design == "gmom-accuracy":
+        from . import references
+
         header = ["replicate", "model_size", "err_ala", "err_la", "seconds_per_model"]
         family = fam.gaussian(1.0)
         for rep in range(args.replicates):
@@ -577,9 +579,9 @@ def run_simstudy(args) -> int:
                 approx = scorer.log_ml(bits)
                 elapsed = time.perf_counter() - t0
                 la_val = la_scorer.log_ml(bits)
-                model = sim.design.model(bits)
-                exact = engines.exact_gmom_mc(
-                    model,
+                key = sim.design.model(bits)
+                exact = references.exact_gmom_mc(
+                    key,
                     cache,
                     family,
                     prior,
@@ -589,7 +591,7 @@ def run_simstudy(args) -> int:
                 rows.append(
                     {
                         "replicate": rep,
-                        "model_size": model.p_gamma,
+                        "model_size": sim.design.columns_for(key).size,
                         "err_ala": approx - exact,
                         "err_la": la_val - exact,
                         "seconds_per_model": elapsed,
@@ -671,17 +673,19 @@ def run_oracle(args) -> int:
         standardize=args.standardize,
     )
     bits = tuple(int(b) for b in args.model)
-    model = design.model(bits)
+    key = design.model(bits)
     prior = _make_prior(args)
     family = _make_family(args)
     cache = build_cache(design, response, family, center="zero")
+    from . import references
+
     if args.oracle == "exact-gaussian":
-        log_ml = engines.exact_gaussian_marginal(model, cache, family, prior).log_ml
+        log_ml = references.exact_gaussian_marginal(key, cache, family, prior).log_ml
     elif args.oracle == "gmom-quadrature":
-        log_ml = engines.exact_gmom_blockdiag(model, cache, family, prior).log_ml
+        log_ml = references.exact_gmom_blockdiag(key, cache, family, prior).log_ml
     elif args.oracle == "gmom-mc":
-        log_ml = engines.exact_gmom_mc(
-            model,
+        log_ml = references.exact_gmom_mc(
+            key,
             cache,
             family,
             prior,
@@ -689,25 +693,13 @@ def run_oracle(args) -> int:
             rng=np.random.default_rng(args.seed),
         ).log_ml
     elif args.oracle == "quadrature":
-        if model.p_gamma != 1:
+        if design.columns_for(key).size != 1:
             raise ParseError("the quadrature oracle handles single-column models")
-        cols = design.columns_for(bits)
-        z = design.values[:, cols[0]]
         if not family.phi_known:
             raise ParseError("the quadrature oracle needs a known dispersion")
-        phi = float(family.phi)
-        # the block prior's variance of the one coefficient
-        scale = 1.0 / float(cache.block_prior.precision(cols, prior.g, phi)[0][0, 0])
-
-        def log_integrand(betas):
-            vals = np.empty(betas.shape[0])
-            for i, b in enumerate(betas):
-                vals[i] = fam.loglik(family, z * b, cache.y, phi) - 0.5 * (
-                    np.log(2.0 * np.pi * scale) + b * b / scale
-                )
-            return vals
-
-        log_ml = engines.quadrature_oracle(log_integrand)
+        log_ml = references.quadrature_oracle(
+            references.one_column_log_joint(key, cache, family, prior)
+        )
     else:
         raise ParseError(f"unknown oracle {args.oracle!r}")
     payload = {

@@ -1,4 +1,4 @@
-"""Grouped design matrices, model identifiers, constraint sets, and the
+"""Grouped design matrices, model keys, constraint sets, and the
 shared sufficient-statistics cache.
 
 The cache stores the shifted response cross-products ``Z^T ytilde`` and a
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateResponse, InvalidModel, RefuseEnumeration
-from .priors import KEY_DIGITS, BlockPrior, admissible, model_key
+from .priors import BlockPrior, admissible, model_key
 
 ENUMERATION_LIMIT = 25
 # masks expanded into bits per pass of ``admissible_bits``, so that a large
@@ -88,8 +88,8 @@ class DesignMatrix:
         view = np.frombuffer(model_key(bits), dtype=np.uint8)
         return np.flatnonzero(view[self.col_group])
 
-    def model(self, bits) -> "ModelId":
-        """The ``ModelId`` of a key or bit vector; raises ``ValueError`` for a
+    def model(self, bits) -> bytes:
+        """The checked key of a key or bit vector; raises ``ValueError`` for a
         key of the wrong length or with a byte other than 0/1, and
         ``InvalidModel`` when the intercept group is inactive."""
         key = model_key(bits)
@@ -99,8 +99,7 @@ class DesignMatrix:
             raise ValueError("a model key holds one 0/1 byte per group")
         if self.intercept_group is not None and not key[self.intercept_group]:
             raise InvalidModel("intercept group must be active in every model")
-        view = np.frombuffer(key, dtype=np.uint8)
-        return ModelId(key, int(np.count_nonzero(view)), int(self.group_sizes @ view))
+        return key
 
     @staticmethod
     def with_singleton_groups(
@@ -109,23 +108,6 @@ class DesignMatrix:
         values = np.asarray(values, dtype=np.float64)
         groups = tuple((j, j + 1) for j in range(values.shape[1]))
         return DesignMatrix(values, groups, intercept_group)
-
-
-@dataclass(frozen=True)
-class ModelId:
-    """A model's key (see ``model_key``) with its group count and column
-    count; ``DesignMatrix.model`` builds it."""
-
-    key: bytes
-    size: int
-    p_gamma: int
-
-    @property
-    def active_groups(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(np.frombuffer(self.key, dtype=np.uint8)).tolist())
-
-    def __str__(self) -> str:
-        return self.key.translate(KEY_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -311,15 +293,6 @@ def build_cache(
         bpp_nu0=bpp,
         gram=gram,
     )
-
-
-def submodel_stats(cache: SuffStatsCache, model: ModelId):
-    """Dense ``(Z_g^T Z_g, Z_g^T ytilde)`` for the active columns of one
-    model, gathered from the cache."""
-    cols = cache.design.columns_for(model.key)
-    xtx = cache.gram.block(cols)
-    xty = cache.zty[cols]
-    return xtx, xty
 
 
 def admissible_bits(

@@ -6,35 +6,28 @@ posterior mode this is the Laplace approximation; expanded at zero it gives
 a fast score whose per-model cost, read from the cached cross products,
 does not grow with the sample size.  Product-moment priors reuse
 the Normal-kernel score and multiply in the posterior expectation of the
-penalty.  Exact Gaussian formulas, numerical quadrature, and a Monte Carlo
-route are provided as references.
+penalty.  The slow references that back these scores live in
+``references``, which no ``select`` run imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import families as fam
-from .data_model import (
-    DesignMatrix,
-    Gram,
-    ModelId,
-    SuffStatsCache,
-    submodel_stats,
-)
+from .data_model import DesignMatrix, Gram, SuffStatsCache
 from .errors import (
     NoConvergence,
     NotConcave,
     NotConcaveAtExpansion,
     NotInvertible,
     SelectionError,
-    ToleranceNotMet,
 )
 from .numerics import (
-    bordered_cholesky, cho_factor_solve, chol_logdet, cholesky, gammaln, logsumexp
+    bordered_cholesky, cho_factor_solve, chol_logdet, cholesky, gammaln
 )
 from .priors import (
     BlockPrior,
@@ -893,9 +886,9 @@ def _ala_refined(s, cols, zs, records):
     that ``_bordered_inverse`` reads from the same factor; ``k = 0`` is the
     plain zero expansion.  The derivatives at zero come from the cache, so
     ``k`` steps take ``k`` passes over the data.  A model whose curvature
-    is lost or whose step is not finite stops early, noted in its
-    diagnostics; one whose likelihood is not finite at its point scores
-    -inf."""
+    is lost, whose step is not finite or whose likelihood overflows after
+    a step stops there, noted in its diagnostics; one whose likelihood is
+    not finite at its point scores -inf."""
     cache, family, k = s.cache, s.family, s.refine_steps
     if cache.nu0 != 0.0:
         raise ValueError("refined scoring expects zero centering")
@@ -931,7 +924,10 @@ def _ala_refined(s, cols, zs, records):
             beta[r], steps[r] = candidate, steps[r] + 1
             lik = fam.grad_hess(family, zs[r], y, candidate, phi, c_sum)
             value[r], grad[r], hess[r] = lik
-            moved.append(r)
+            if np.isfinite(value[r]):
+                moved.append(r)
+            else:
+                notes[r] = "likelihood overflowed during refinement"
         live = moved
         if not live:
             break
@@ -967,10 +963,11 @@ def _ala_refined(s, cols, zs, records):
 def _exact_gaussian(s, cols, records):
     """The exact gaussian marginal likelihood under the block Zellner prior,
     from X'X, X'y and y'y of the raw response, so at either centring.
-    ``exact_gaussian_marginal`` integrates the coefficients into the n x n
-    covariance ``phi C``, ``C = I + Z P^-1 Z'`` with P the prior precision
-    at unit dispersion; with ``H = Z'Z + P``, the matrix determinant lemma
-    gives ``log det C = log det H - log det P`` and Woodbury's identity
+    ``references.exact_gaussian_marginal`` integrates the coefficients into
+    the n x n covariance ``phi C``, ``C = I + Z P^-1 Z'`` with P the prior
+    precision at unit dispersion; with ``H = Z'Z + P``, the matrix
+    determinant lemma gives ``log det C = log det H - log det P`` and
+    Woodbury's identity
     ``y'C^-1 y = y'y - y'Z H^-1 Z'y``, both from one stacked bordered
     Cholesky factorization.  The dispersion is known or inverse-gamma."""
     cache, n = s.cache, s.cache.n
@@ -990,51 +987,6 @@ def _exact_gaussian(s, cols, records):
     ]
 
 
-def exact_gaussian_marginal(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-) -> MarginalScore:
-    """Exact Gaussian marginal likelihood through the n-dimensional
-    observation covariance.
-
-    Marginalizes the coefficients analytically: y is Normal with covariance
-    ``phi (I + sum_j (g n / p_j) Z_j A_j^{-1} Z_j')``.  With unknown
-    dispersion the inverse-gamma prior integrates to a multivariate-t form.
-    Cost grows with n cubed: the reference of the scorer's closed form
-    (``_exact_gaussian``), and what ``alaselect oracle`` runs.
-    """
-    if family.kind != "gaussian":
-        raise ValueError("exact marginal is available for the gaussian family")
-    if prior.kind != "gzellner":
-        raise ValueError("exact marginal expects the block Zellner prior")
-    log_ml, _ = _normal_kernel_marginal(model, cache, family, prior, 0, "marginal")
-    return MarginalScore(float(log_ml), "exact-gaussian", np.empty(0), {})
-
-
-def _normal_kernel_marginal(model, cache, family, prior, shift, what):
-    """Log marginal likelihood of a gaussian response whose coefficients
-    are Normal with covariance phi times the inverse of the block prior's
-    precision (shift 0 is the block Zellner prior, 2 the kernel of the
-    product-moment prior), through the n x n ``what`` covariance, with the
-    dispersion known or inverse-gamma; returns it and ``y' C^-1 y``."""
-    # The references import scipy where they use it, so that a run of the
-    # fast engines loads none.
-    import scipy.linalg
-
-    y = cache.y
-    n = cache.n
-    cols = cache.design.columns_for(model.key)
-    z = cache.design.values[:, cols]
-    prec, _ = cache.block_prior.precision(cols, prior.g, 1.0, shift)
-    cov = np.eye(n) + z @ np.linalg.solve(prec, z.T)
-    factor = cholesky(cov, NotInvertible, f"{what} covariance")
-    half = scipy.linalg.solve_triangular(factor, y, lower=True)
-    quad = float(half @ half)
-    return _gaussian_log_ml(n, chol_logdet(factor), quad, family, prior), quad
-
-
 def _gaussian_log_ml(n, logdet, quad, family, prior):
     """The log marginal likelihood of n gaussian observations with
     covariance ``phi C``, from ``log det C`` and ``y'C^-1 y``, the
@@ -1046,247 +998,6 @@ def _gaussian_log_ml(n, logdet, quad, family, prior):
     return (
         -0.5 * n * _LOG_2PI - 0.5 * logdet + a * np.log(b) - gammaln(a)
         + gammaln(a + 0.5 * n) - (a + 0.5 * n) * np.log(b + 0.5 * quad)
-    )
-
-
-def _panel_logsum(logf, lo, hi, panels, nodes, weights):
-    """Log of the integral of exp(logf) by composite Gauss-Legendre."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    points = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    logw = np.log(np.repeat(half, nodes.shape[0]) * np.tile(weights, panels))
-    vals = logf(points) + logw
-    return float(logsumexp(vals))
-
-
-def quadrature_oracle(
-    log_integrand: Callable[[np.ndarray], np.ndarray],
-    x0: float = 0.0,
-    rtol: float = 1e-8,
-    max_refinements: int = 12,
-) -> float:
-    """Log of a one-dimensional integral of ``exp(log_integrand)`` over the
-    real line, by mode-centered adaptive composite Gauss-Legendre.
-
-    Widens the window until the tails are negligible and doubles the panel
-    count until two successive estimates agree to ``rtol``; raises when the
-    tolerance cannot be met.
-    """
-    # Imported here, its one use: scipy.optimize pulls in scipy.sparse,
-    # scipy.spatial and scipy.fft, which no ``select`` run needs.
-    import scipy.optimize
-
-    scan = x0 + np.linspace(-50.0, 50.0, 4001)
-    scan_vals = log_integrand(scan)
-    best = int(np.argmax(scan_vals))
-    lo_b = scan[max(best - 1, 0)]
-    hi_b = scan[min(best + 1, scan.shape[0] - 1)]
-    opt = scipy.optimize.minimize_scalar(
-        lambda x: -float(log_integrand(np.array([x]))[0]),
-        bounds=(lo_b, hi_b),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    mode = float(opt.x)
-    peak = -float(opt.fun)
-    h = 1e-4 * (1.0 + abs(mode))
-    f2 = (
-        float(log_integrand(np.array([mode - h]))[0])
-        - 2.0 * peak
-        + float(log_integrand(np.array([mode + h]))[0])
-    ) / h**2
-    sd = 1.0 / np.sqrt(max(-f2, 1e-12))
-    width = 8.0 * sd
-    for _ in range(60):
-        lo, hi = mode - width, mode + width
-        tail = max(
-            float(log_integrand(np.array([lo]))[0]),
-            float(log_integrand(np.array([hi]))[0]),
-        )
-        if tail < peak + np.log(rtol) - 30.0:
-            break
-        width *= 2.0
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    panels = 8
-    previous = None
-    for _ in range(max_refinements):
-        estimate = _panel_logsum(log_integrand, lo, hi, panels, nodes, weights)
-        if previous is not None and abs(estimate - previous) <= rtol:
-            return estimate
-        previous = estimate
-        panels *= 2
-    raise ToleranceNotMet(
-        f"quadrature failed to stabilize within {rtol:.1e} after "
-        f"{max_refinements} refinements"
-    )
-
-
-def exact_gmom_blockdiag(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    rtol: float = 1e-9,
-) -> MarginalScore:
-    """Exact product-moment marginal for mutually orthogonal groups, by
-    per-group numerical quadrature.
-
-    Requires a known-dispersion gaussian family and a design whose active
-    groups have exactly zero cross products, so the integral factorizes.
-    Groups of one or two columns are supported.
-    """
-    if family.kind != "gaussian" or not family.phi_known:
-        raise ValueError("block quadrature expects the known-dispersion gaussian")
-    if prior.kind != "gmom":
-        raise ValueError("block quadrature expects the product-moment prior")
-    phi = float(family.phi)
-    y = cache.y
-    n = cache.n
-    if model.p_gamma:
-        xtx, _ = submodel_stats(cache, model)
-        off = np.array(xtx, copy=True)
-        offset = 0
-        for j in model.active_groups:
-            pj = int(cache.design.group_sizes[j])
-            off[offset : offset + pj, offset : offset + pj] = 0.0
-            offset += pj
-        scale = float(np.max(np.abs(np.diag(xtx)))) or 1.0
-        if float(np.max(np.abs(off))) > 1e-8 * scale:
-            raise ValueError("active groups are not mutually orthogonal")
-    base = -0.5 * n * (_LOG_2PI + np.log(phi)) - 0.5 * float(y @ y) / phi
-    total = base
-    g = prior.g
-    for j in model.active_groups:
-        pj = int(cache.design.group_sizes[j])
-        if pj > 2:
-            raise ValueError("block quadrature supports groups of up to 2 columns")
-        start, stop = cache.design.groups[j]
-        block = cache.gram.block(np.arange(start, stop))
-        logdet_a = np.linalg.slogdet(block)[1]
-        uj = cache.zty[start:stop]
-        kernel_cov = phi * g * n / (pj + 2)
-        pen_coef = (pj + 2) / (n * pj * g * phi)
-
-        def log_f(bvecs):
-            # bvecs: (m, pj) points; likelihood kernel times the prior density
-            quad_a = np.einsum("mi,ij,mj->m", bvecs, block, bvecs)
-            lin = bvecs @ uj
-            with np.errstate(divide="ignore"):
-                log_pen = np.log(pen_coef * quad_a)
-            log_kernel = (
-                -0.5 * pj * (_LOG_2PI + np.log(kernel_cov))
-                + 0.5 * logdet_a
-                - 0.5 * quad_a / kernel_cov
-            )
-            return lin / phi - 0.5 * quad_a / phi + log_pen + log_kernel
-
-        total += _tensor_quad(log_f, block, uj, phi, rtol)
-    return MarginalScore(float(total), "quadrature", np.empty(0), {})
-
-
-def _tensor_quad(log_f, block, uj, phi, rtol):
-    """Adaptive tensor Gauss-Legendre over an eigenbox centered at the
-    likelihood mean; the box is wide enough that the polynomial penalty
-    cannot push mass past it."""
-    n_cols = block.shape[0]
-    a_inv = np.linalg.inv(block)
-    mean = a_inv @ uj
-    cov_like = phi * a_inv
-    eigvals, eigvecs = np.linalg.eigh(cov_like)
-    half_widths = 12.0 * np.sqrt(np.maximum(eigvals, 1e-300))
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    panels = 4
-    previous = None
-    for _ in range(10):
-        per_axis = []
-        for k in range(n_cols):
-            edges = np.linspace(-half_widths[k], half_widths[k], panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            wts = np.repeat(half, nodes.shape[0]) * np.tile(weights, panels)
-            per_axis.append((pts, wts))
-        if n_cols == 1:
-            pts, wts = per_axis[0]
-            bvecs = mean[None, :] + pts[:, None] * eigvecs.T
-            logw = np.log(wts)
-        else:
-            p0, w0 = per_axis[0]
-            p1, w1 = per_axis[1]
-            grid0, grid1 = np.meshgrid(p0, p1, indexing="ij")
-            coords = np.stack([grid0.ravel(), grid1.ravel()], axis=1)
-            bvecs = mean[None, :] + coords @ eigvecs.T
-            logw = np.log(np.outer(w0, w1).ravel())
-        vals = log_f(bvecs) + logw
-        estimate = float(logsumexp(vals))
-        if previous is not None and abs(estimate - previous) <= rtol:
-            return estimate
-        previous = estimate
-        panels *= 2
-    raise ToleranceNotMet("group quadrature failed to stabilize")
-
-
-def exact_gmom_mc(
-    model: ModelId,
-    cache: SuffStatsCache,
-    family: fam.FamilySpec,
-    prior: ParamPriorSpec,
-    n_draws: int = 200_000,
-    rng: Optional[np.random.Generator] = None,
-) -> MarginalScore:
-    """Product-moment marginal for general gaussian designs by Monte Carlo.
-
-    Writes the marginal as the Normal-kernel marginal times the posterior
-    expectation of the penalty product, draws from the exact kernel
-    posterior, and averages.  The log-scale standard error is reported.
-    Fewer than one draw raises ``ValueError``.
-    """
-    import scipy.linalg
-
-    if family.kind != "gaussian":
-        raise ValueError("the Monte Carlo reference expects the gaussian family")
-    if prior.kind != "gmom":
-        raise ValueError("the Monte Carlo reference expects the product-moment prior")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = cache.n
-    p = model.p_gamma
-    log_kernel, quad = _normal_kernel_marginal(
-        model, cache, family, prior, 2, "kernel marginal"
-    )
-    if p == 0:
-        return MarginalScore(float(log_kernel), "mc", np.empty(0), {"mc_se_log": 0.0})
-    cols = cache.design.columns_for(model.key)
-    xtx, xty = cache.gram.block(cols), cache.zty[cols]
-    kernel, _ = cache.block_prior.precision(cols, prior.g, 1.0, 2, xtx)
-    m_factor = cholesky(xtx + kernel, NotInvertible, "kernel posterior precision")
-    mean = scipy.linalg.cho_solve((m_factor, True), xty)
-    shape = scipy.linalg.cho_solve((m_factor, True), np.eye(p))
-    shape_chol = np.linalg.cholesky(shape + 1e-14 * np.eye(p))
-    normal = rng.standard_normal((n_draws, p))
-    if family.phi_known:
-        phi_draws = np.full(n_draws, float(family.phi))
-    else:
-        a, b = prior.phi_prior_required()
-        post_a, post_b = a + 0.5 * n, b + 0.5 * quad
-        phi_draws = post_b / rng.gamma(post_a, 1.0, size=n_draws)
-    draws = mean[None, :] + np.sqrt(phi_draws)[:, None] * (normal @ shape_chol.T)
-    # group j's penalty factor is its kernel quadratic form over p_j phi;
-    # the kernel is block diagonal, so the forms are sums over its columns
-    sizes = cache.design.group_sizes[list(model.active_groups)]
-    forms = np.add.reduceat((draws @ kernel) * draws, np.cumsum(sizes) - sizes, axis=1)
-    log_pen = np.log(forms / (sizes * phi_draws[:, None])).sum(axis=1)
-    log_mean = float(logsumexp(log_pen) - np.log(n_draws))
-    pen = np.exp(log_pen - log_pen.max())
-    se_rel = float(np.std(pen) / (np.mean(pen) * np.sqrt(n_draws)))
-    return MarginalScore(
-        float(log_kernel + log_mean),
-        "mc",
-        mean,
-        {"mc_se_log": se_rel, "n_draws": n_draws},
     )
 
 
@@ -1480,7 +1191,7 @@ class ModelScorer:
         return self.cache.design
 
     def marginal(self, bits) -> MarginalScore:
-        """The score of one model (a key, a ``ModelId`` or bits), memoized;
+        """The score of one model (a key or bits), memoized;
         built on request by the engine from a batch of one, whose log
         marginal likelihood any batch gives bitwise.  A malformed key or a
         model without the intercept group raises what

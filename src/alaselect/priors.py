@@ -30,15 +30,12 @@ KEY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def model_key(bits) -> bytes:
     """The one representation of a model: one 0/1 byte per group.
 
-    Takes a key (returned as is), a ``ModelId``, or any sequence or array
-    of bits, nonzero meaning active.  Keys are hashed, compared and counted
-    in C, so their bookkeeping does not loop over the groups in Python.
+    Takes a key (returned as is) or any sequence or array of bits, nonzero
+    meaning active.  Keys are hashed, compared and counted in C, so their
+    bookkeeping does not loop over the groups in Python.
     """
     if type(bits) is bytes:
         return bits
-    key = getattr(bits, "key", None)
-    if key is not None:
-        return key
     return np.asarray(bits, dtype=bool).tobytes()
 
 

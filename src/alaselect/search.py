@@ -81,7 +81,8 @@ def _normalize(log_scores: np.ndarray) -> np.ndarray:
 
 
 def _inclusion_from(bits: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    return bits.astype(np.float64).T @ probs
+    # probabilities sum to 1 only up to rounding: clip the ulps above 1
+    return np.minimum(bits.astype(np.float64).T @ probs, 1.0)
 
 
 def _distinct_rows(samples: np.ndarray):

@@ -21,7 +21,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from alaselect import families as fam
-from alaselect.data_model import ConstraintSet, DesignMatrix, ModelId, SuffStatsCache
+from alaselect.data_model import ConstraintSet, DesignMatrix, SuffStatsCache
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +677,7 @@ def model_spaces(draw, max_groups=8):
 
 def log_gzellner(
     beta: np.ndarray,
-    model: ModelId,
+    key: bytes,
     cache: SuffStatsCache,
     g: float,
     phi: float = 1.0,
@@ -688,15 +688,15 @@ def log_gzellner(
     inverse Gram block.  ``beta`` concatenates the active groups in order.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (model.p_gamma,):
+    cols = cache.design.columns_for(key)
+    if beta.shape != cols.shape:
         raise ValueError("beta length does not match the active columns")
-    cols = cache.design.columns_for(model.key)
     return cache.block_prior.log_density(beta, cols, g, phi)
 
 
 def log_gmom(
     beta: np.ndarray,
-    model: ModelId,
+    key: bytes,
     cache: SuffStatsCache,
     g: float,
     phi: float = 1.0,
@@ -709,9 +709,9 @@ def log_gmom(
     zero (log density -inf) whenever any active block is zero.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (model.p_gamma,):
+    cols = cache.design.columns_for(key)
+    if beta.shape != cols.shape:
         raise ValueError("beta length does not match the active columns")
-    cols = cache.design.columns_for(model.key)
     prior = cache.block_prior
     block = prior.gram.block(cols)
     penalty = prior.log_penalty(cols, np.outer(beta, beta) / phi, g, block)

@@ -859,6 +859,7 @@ loaded = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
 loaded.append(scipy_modules())
+loaded.append("alaselect.references" in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -867,8 +868,10 @@ import json, sys
 import numpy as np
 from alaselect import cli, simdesigns
 loaded = []
+assert "alaselect.references" not in sys.modules
 assert cli.main(json.loads(sys.argv[1])) == 0
 loaded.append("scipy.optimize" in sys.modules)
+loaded.append("alaselect.references" in sys.modules)
 design, _ = simdesigns.expand_spline_design(
     np.random.default_rng(0).normal(size=(60, 2)), dim=3
 )
@@ -894,7 +897,8 @@ def _fresh_interpreter(script, argv):
 class TestImportFootprint:
     """Importing the package loads no scipy; a regression ``select`` runs on
     numpy alone, a survival one loads scipy.special, and the heavier scipy
-    subpackages load only on the paths that use them."""
+    subpackages load only on the paths that use them.  No ``select`` run
+    loads the slow references; an ``oracle`` run does."""
 
     def _files(self, tmp_path, name, response, x):
         data, groups = tmp_path / f"{name}.csv", tmp_path / f"{name}-groups.csv"
@@ -933,8 +937,8 @@ class TestImportFootprint:
              "--method", "exact-gaussian", *out],
             ["select", *weak, "--response", "y", "--family", "gaussian-unknown", *out],
         ]
-        imported, loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
-        assert imported == [] and loaded == []
+        imported, loaded, references = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
+        assert imported == [] and loaded == [] and not references
 
     def test_survival_run_loads_scipy_special(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -948,8 +952,8 @@ class TestImportFootprint:
             ["select", *aft, "--response", "t", "--status", "event",
              "--family", "aft", "--out", str(tmp_path / "out")],
         ]
-        _, loaded = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
-        assert "scipy.special" in loaded
+        _, loaded, references = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
+        assert "scipy.special" in loaded and not references
         assert [m for m in loaded if m.startswith(_HEAVY)] == []
 
     def test_deferred_imports_load_where_they_are_used(self, gaussian_files):
@@ -959,7 +963,7 @@ class TestImportFootprint:
             "--response", "y", "--model", "100", "--oracle", "quadrature",
             "--family", "gaussian",
         ]
-        assert _fresh_interpreter(_DEFERRED_SCRIPT, argv) == [True, True]
+        assert _fresh_interpreter(_DEFERRED_SCRIPT, argv) == [True, True, True]
 
 
 # Minor page faults of each round of twenty 320-KB arrays (6.4 MB) made and

@@ -1,4 +1,4 @@
-"""Tests for grouped designs, model identifiers, constraints, and the
+"""Tests for grouped designs, model keys, constraints, and the
 sufficient-statistics cache."""
 
 import numpy as np
@@ -13,7 +13,6 @@ from alaselect.data_model import (
     Gram,
     admissible_bits,
     build_cache,
-    submodel_stats,
 )
 from alaselect.errors import (
     DegenerateResponse,
@@ -72,13 +71,14 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(design.columns_for((1, 0, 1)), [0, 1, 3, 4, 5])
         np.testing.assert_array_equal(design.columns_for((0, 0, 0)), [])
 
-    def test_model_counts_groups_and_columns(self, rng):
+    def test_model_returns_the_checked_key(self, rng):
         design = make_design(rng, 8, [2, 1, 3])
-        model = design.model((1, 0, 1))
-        assert model.size == 2
-        assert model.p_gamma == 5
-        assert model.active_groups == (0, 2)
-        assert str(model) == "101"
+        key = b"\x01\x00\x01"
+        for form in ((1, 0, 1), [3, 0, -1], np.array([True, False, True]), key):
+            assert design.model(form) == key
+        assert design.columns_for(key).size == 5
+        with pytest.raises(ValueError, match="one 0/1 byte per group"):
+            design.model(b"\x01\x00\x02")
 
     def test_intercept_must_stay_active(self, rng):
         design = make_design(rng, 8, [2, 1], intercept=True)
@@ -198,10 +198,9 @@ class TestEnumerateModels:
         design = DesignMatrix(
             np.zeros((1, stops[-1])), tuple(zip([0] + stops[:-1], stops)), intercept
         )
-        models = [design.model(row) for row in bits]
-        assert [m.key for m in models] == [bytes(b) for b in expected]
-        assert [m.size for m in models] == [sum(b) for b in expected]
-        assert [m.p_gamma for m in models] == [
+        keys = [design.model(row) for row in bits]
+        assert keys == [bytes(b) for b in expected]
+        assert [design.columns_for(key).size for key in keys] == [
             sum(s for s, b in zip(sizes, bits) if b) for bits in expected
         ]
 
@@ -254,7 +253,8 @@ class TestEnumerateModels:
 
     def test_sizes_feed_model_dimensions(self):
         design = DesignMatrix(np.zeros((1, 5)), ((0, 2), (2, 5)))
-        dims = {m.key: m.p_gamma for m in map(design.model, admissible_bits(2))}
+        keys = map(design.model, admissible_bits(2))
+        dims = {key: design.columns_for(key).size for key in keys}
         assert dims[bytes((1, 1))] == 5
         assert dims[bytes((0, 1))] == 3
 
@@ -301,13 +301,12 @@ class TestBuildCache:
         with pytest.raises(ValueError):
             build_cache(design, np.zeros(7), gaussian())
 
-    def test_submodel_stats_match_dense_products(self, rng):
+    def test_model_statistics_match_dense_products(self, rng):
         design = make_design(rng, 15, [2, 1, 2], intercept=True)
         y = rng.normal(size=15)
         cache = build_cache(design, y, gaussian())
-        bits = (1, 0, 1, 1)
-        xtx, xty = submodel_stats(cache, design.model(bits))
-        cols = design.columns_for(bits)
+        cols = design.columns_for(design.model((1, 0, 1, 1)))
+        xtx, xty = cache.gram.block(cols), cache.zty[cols]
         z = design.values[:, cols]
         np.testing.assert_allclose(xtx, z.T @ z, atol=1e-12)
         np.testing.assert_allclose(xty, z.T @ y, atol=1e-12)

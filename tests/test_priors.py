@@ -509,7 +509,7 @@ class TestModelPrior:
             )
 
     def test_invalid_model_message_is_the_same_for_every_key_form(self, rng):
-        """A tuple, a ``ModelId`` and a ``bytes`` key of one invalid model
+        """A tuple, an array and a ``bytes`` key of one invalid model
         raise the same ``InvalidModel`` message, from the prior alone and
         from a scorer's ``log_score``."""
         design = make_design(rng, 30, [1, 1, 1], intercept=True)
@@ -522,7 +522,7 @@ class TestModelPrior:
         )
         scorer = ModelScorer(cache, gaussian(1.0), ParamPriorSpec(), spec)
         bad = (1, 0, 1, 0)
-        for form in (bad, design.model(bad), bytes(bad)):
+        for form in (bad, np.array(bad), bytes(bad)):
             with pytest.raises(InvalidModel, match="^model 1010 violates constraints$"):
                 log_model_prior_unnorm(form, spec)
             with pytest.raises(InvalidModel, match="^model 1010 violates constraints$"):

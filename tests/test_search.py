@@ -75,14 +75,19 @@ class TestEnumeratePosterior:
         ref_probs = np.exp(reference - logsumexp(reference))
         np.testing.assert_allclose(summary.probabilities, ref_probs, atol=1e-8)
 
-    def test_inclusion_sums_model_probabilities(self, rng):
-        _, _, scorer = _gaussian_scorer(rng)
+    @pytest.mark.parametrize("n, beta", [(40, [0.0] * 4), (50, [2.0, 0.0, 0.0])])
+    def test_inclusion_sums_model_probabilities(self, rng, n, beta):
+        """Each inclusion sums its models' probabilities and is at most 1,
+        also for a group of one strong effect, whose unrounded sum of
+        normalized probabilities lands a few ulps above 1 on this data."""
+        _, _, scorer = _gaussian_scorer(rng, n, len(beta), beta)
         summary = enumerate_posterior(scorer)
-        for j in range(4):
+        for j in range(len(beta)):
             direct = sum(
                 p for bits, p in zip(summary.bits, summary.probabilities) if bits[j]
             )
             np.testing.assert_allclose(summary.inclusion[j], direct, atol=1e-12)
+        assert summary.inclusion.max() <= 1.0
 
     def test_duplicate_columns_share_probability_equally(self, rng):
         """Two identical single-column groups are exchangeable, so the

@@ -1,7 +1,8 @@
 """The package keeps no helper without a caller: every module-level private
 function or class of ``src/alaselect`` is referenced somewhere in the
 package outside its own definition, and so is every public one of
-``marginal_engines`` that ``alaselect.__all__`` does not list."""
+``marginal_engines`` and ``references`` that ``alaselect.__all__`` does
+not list."""
 
 import ast
 from pathlib import Path
@@ -75,14 +76,16 @@ def test_every_public_engine_is_called_or_exported():
     engine or the command line, or is part of the package's interface: no
     second way to a score grows beside the table."""
     sources = _package_sources()
+    modules = ("marginal_engines", "references")
     public = [
         node.name
-        for node in ast.parse(sources["marginal_engines"]).body
+        for module in modules
+        for node in ast.parse(sources[module]).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     ]
     assert len(public) > 10
-    assert _unreferenced(sources, ("marginal_engines",), alaselect.__all__) == []
+    assert _unreferenced(sources, modules, alaselect.__all__) == []
 
 
 def test_a_leftover_public_engine_is_caught():
