@@ -1,9 +1,10 @@
 """Command-line front end: data ingestion, selection runs, basis expansion,
 simulation studies, and reference oracles.
 
-Outputs are CSV tables plus a meta.json recording the seed, a hash of the
-configuration, and the library version, so runs can be reproduced and
-diffed byte for byte.
+Every scorer is built by ``_build_scorers``, and ``simstudy`` runs any row
+of ``simdesigns.DESIGNS`` with one driver.  Outputs are CSV tables plus a
+meta.json recording the seed, a hash of the configuration, and the library
+version, so runs can be reproduced and diffed byte for byte.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     SelectionError,
     ToleranceNotMet,
 )
-from .priors import ModelPriorSpec, ParamPriorSpec, model_key
+from .priors import ModelPriorSpec, ParamPriorSpec
 from .search import (
     enumerate_posterior,
     gibbs_models,
@@ -347,6 +348,26 @@ def _write_summary_files(out: Path, summary, meta: dict) -> None:
         fh.write("\n")
 
 
+def _build_scorers(
+    design, response, family, prior, methods, center, refine_steps=1,
+    c_exponent=0.0, constraints=None,
+) -> list[engines.ModelScorer]:
+    """One scorer per method of ``methods``, all with one model prior and on
+    the statistics of one data pass: ``build_aft_context`` for survival data
+    (``family`` None), else ``build_cache`` at ``center``."""
+    model_prior = ModelPriorSpec(
+        design.n_groups, design.p, c_exponent, constraints, design.intercept_group
+    )
+    if family is None:
+        stats = engines.build_aft_context(design, response)
+    else:
+        stats = build_cache(design, response, family, center=center)
+    return [
+        engines.ModelScorer(stats, family, prior, model_prior, m, refine_steps)
+        for m in methods
+    ]
+
+
 def run_select(args) -> int:
     t_start = time.perf_counter()
     design, response, constraints = ingest(
@@ -361,13 +382,6 @@ def run_select(args) -> int:
     )
     t_ingest = time.perf_counter()
     prior = _make_prior(args)
-    model_prior = ModelPriorSpec(
-        n_groups=design.n_groups,
-        p_total=design.p,
-        c_exponent=args.model_prior_c,
-        constraints=constraints,
-        intercept_group=design.intercept_group,
-    )
     meta = {
         "version": __version__,
         "config_hash": _config_hash(args),
@@ -392,21 +406,25 @@ def run_select(args) -> int:
         if not isinstance(response, fam.SurvivalData):
             raise ParseError("family aft needs --status")
         family = None
-        stats = engines.build_aft_context(design, response)
-        meta["tau0"] = stats.tau0
     else:
         if isinstance(response, fam.SurvivalData):
             raise ParseError("a status column was given for a non-survival family")
         family = _make_family(args)
-        stats = build_cache(design, response, family, center=center)
-        if not family.phi_known:
-            meta["phi0"] = fam.phi0_mle(family, stats.y)
-    scorer = engines.ModelScorer(
-        stats, family, prior, model_prior, method=method, refine_steps=args.refine_steps
+    methods = [method]
+    if args.screen_threshold is not None:
+        # survivors are rescored by the mode expansion where the prior has one
+        methods.append("la" if prior.kind == "gzellner" else "ala")
+    scorers = _build_scorers(
+        design, response, family, prior, methods, center, args.refine_steps,
+        args.model_prior_c, constraints,
     )
+    scorer, stats = scorers[0], scorers[0].cache
+    if family is None:
+        meta["tau0"] = stats.tau0
+    elif not family.phi_known:
+        meta["phi0"] = fam.phi0_mle(family, stats.y)
     if scorer.curvature is not None:
         meta["rho_hat"] = scorer.curvature.rho_hat
-    scorers = [scorer]
     if args.screen_threshold is not None:
         if args.search != "enumerate":
             raise ParseError("screening requires --search enumerate")
@@ -414,13 +432,9 @@ def run_select(args) -> int:
             raise ParseError(
                 f"--screen-threshold {args.screen_threshold} is not finite"
             )
-        # survivors are rescored by the mode expansion where the prior has one
-        refine_method = "la" if prior.kind == "gzellner" else "ala"
-        refine = engines.ModelScorer(stats, family, prior, model_prior, refine_method)
         summary = screen_then_refine(
-            scorer, refine, threshold=args.screen_threshold, constraints=constraints
+            scorer, scorers[1], threshold=args.screen_threshold, constraints=constraints
         )
-        scorers.append(refine)
     elif args.search == "enumerate":
         summary = enumerate_posterior(scorer, constraints)
     elif args.search == "gibbs":
@@ -499,163 +513,52 @@ def _count(text: str) -> int:
     return value
 
 
+def _search(search: str, scorer, sim, args, rep: int):
+    """What ``search`` finds with ``scorer`` on replicate ``rep``, and its
+    seconds per model (one per model for the nested models, scored alone)."""
+    if search == "nested":
+        found, seconds = [], []
+        for bits in simdesigns.nested_models(sim.design.n_groups):
+            t0 = time.perf_counter()
+            found.append(scorer.log_ml(bits))
+            seconds.append(time.perf_counter() - t0)
+        return found, seconds
+    t0 = time.perf_counter()
+    if search == "enumerate":
+        found = enumerate_posterior(scorer)
+    else:
+        found = gibbs_models(scorer, args.n_scans, args.seed + rep, sim.constraints)
+    return found, (time.perf_counter() - t0) / max(found.bits.shape[0], 1)
+
+
 def run_simstudy(args) -> int:
+    """Run the row of ``simdesigns.DESIGNS`` named by ``--design``: each
+    replicate draws its data with ``default_rng(seed + replicate)``, scores
+    it by each method of the row through the row's search, and adds the
+    row's metrics to ``replicates.csv``."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    design = args.design
+    study = simdesigns.DESIGNS[args.design]
     rows: list[dict] = []
-    if design == "logistic-trend" or design == "poisson-trend":
-        adjusted_too = design == "poisson-trend"
-        header = [
-            "replicate",
-            "incl_active",
-            "incl_inactive",
-            "correct_top",
-            "seconds_per_model",
-        ]
-        if adjusted_too:
-            header += ["incl_active_adj", "incl_inactive_adj"]
-        for rep in range(args.replicates):
-            rng = np.random.default_rng(args.seed + rep)
-            maker = (
-                simdesigns.poisson_trend if adjusted_too else simdesigns.logistic_trend
+    for rep in range(args.replicates):
+        sim = study.simulate(np.random.default_rng(args.seed + rep), args.n)
+        runs = []
+        for method, center in study.methods:
+            [scorer] = _build_scorers(
+                sim.design, sim.response, study.family, study.prior, [method], center,
+                constraints=sim.constraints,
             )
-            sim = maker(rng, args.n)
-            family = fam.poisson() if adjusted_too else fam.logistic()
-            cache = build_cache(sim.design, sim.response, family, center="zero")
-            scorer = engines.ModelScorer(
-                cache,
-                family,
-                ParamPriorSpec(),
-                ModelPriorSpec(n_groups=10, p_total=10),
-            )
-            t0 = time.perf_counter()
-            summary = enumerate_posterior(scorer)
-            per_model = (time.perf_counter() - t0) / summary.bits.shape[0]
-            active = np.array(sim.active_groups)
-            inactive = np.setdiff1d(np.arange(10), active)
-            truth = model_key([j in sim.active_groups for j in range(10)])
-            row = {
-                "replicate": rep,
-                "incl_active": float(np.mean(summary.inclusion[active])),
-                "incl_inactive": float(np.mean(summary.inclusion[inactive])),
-                "correct_top": float(summary.top(1)[0][0] == truth),
-                "seconds_per_model": per_model,
-            }
-            if adjusted_too:
-                cache_adj = build_cache(
-                    sim.design,
-                    sim.response,
-                    family,
-                    center="intercept-mle",
-                    gram=cache.gram,
-                )
-                adj = engines.ModelScorer(
-                    cache_adj,
-                    family,
-                    ParamPriorSpec(),
-                    ModelPriorSpec(n_groups=10, p_total=10),
-                    method="ala-curvadj",
-                )
-                s_adj = enumerate_posterior(adj)
-                row["incl_active_adj"] = float(np.mean(s_adj.inclusion[active]))
-                row["incl_inactive_adj"] = float(np.mean(s_adj.inclusion[inactive]))
-            rows.append(row)
-        agg_keys = header[1:]
-    elif design == "gmom-accuracy":
-        from . import references
-
-        header = ["replicate", "model_size", "err_ala", "err_la", "seconds_per_model"]
-        family = fam.gaussian(1.0)
-        for rep in range(args.replicates):
-            rng = np.random.default_rng(args.seed + rep)
-            sim = simdesigns.gmom_accuracy(rng, args.n)
-            cache = build_cache(sim.design, sim.response, family, center="zero")
-            prior = ParamPriorSpec(kind="gmom")
-            scorer = engines.ModelScorer(cache, family, prior)
-            la_scorer = engines.ModelScorer(cache, family, prior, method="la")
-            for bits in simdesigns.nested_models(10):
-                t0 = time.perf_counter()
-                approx = scorer.log_ml(bits)
-                elapsed = time.perf_counter() - t0
-                la_val = la_scorer.log_ml(bits)
-                key = sim.design.model(bits)
-                exact = references.exact_gmom_mc(
-                    key,
-                    cache,
-                    family,
-                    prior,
-                    n_draws=args.mc_draws,
-                    rng=np.random.default_rng(10_000 + rep),
-                ).log_ml
-                rows.append(
-                    {
-                        "replicate": rep,
-                        "model_size": sim.design.columns_for(key).size,
-                        "err_ala": approx - exact,
-                        "err_la": la_val - exact,
-                        "seconds_per_model": elapsed,
-                    }
-                )
-        agg_keys = ["err_ala", "err_la", "seconds_per_model"]
-    elif design in ("aft-scenario1", "aft-scenario2"):
-        scenario = 1 if design.endswith("1") else 2
-        header = [
-            "replicate",
-            "censoring_rate",
-            "incl_linear_x1",
-            "incl_spline_x2",
-            "max_inactive_incl",
-            "seconds_per_model",
-        ]
-        for rep in range(args.replicates):
-            rng = np.random.default_rng(args.seed + rep)
-            x, data, meta_r = simdesigns.aft_scenario(rng, args.n, scenario)
-            design_m, constraints = simdesigns.expand_spline_design(x)
-            ctx = engines.build_aft_context(design_m, data)
-            scorer = engines.AftScorer(
-                ctx,
-                ParamPriorSpec(),
-                ModelPriorSpec(
-                    n_groups=design_m.n_groups,
-                    p_total=design_m.p,
-                    constraints=constraints,
-                ),
-            )
-            t0 = time.perf_counter()
-            summary = gibbs_models(
-                scorer, n_scans=args.n_scans, seed=args.seed + rep,
-                constraints=constraints,
-            )
-            elapsed = time.perf_counter() - t0
-            p_cov = x.shape[1]
-            active = {0, p_cov + 1}
-            inactive = [j for j in range(design_m.n_groups) if j not in active | {1}]
-            rows.append(
-                {
-                    "replicate": rep,
-                    "censoring_rate": meta_r["censoring_rate"],
-                    "incl_linear_x1": float(summary.inclusion[0]),
-                    "incl_spline_x2": float(summary.inclusion[p_cov + 1]),
-                    "max_inactive_incl": float(np.max(summary.inclusion[inactive])),
-                    "seconds_per_model": elapsed / max(summary.bits.shape[0], 1),
-                }
-            )
-        agg_keys = header[1:]
-    else:
-        raise ParseError(f"unknown design {design!r}")
+            runs.append((scorer, *_search(study.search, scorer, sim, args, rep)))
+        rows += [{"replicate": rep, **row} for row in study.metrics(rep, sim, runs, args)]
+    header = [*study.index, *study.columns]
     table = [[_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in header] for r in rows]
     _write_rows(out / "replicates.csv", header, table)
-    means = [[k, _fmt(np.mean([r[k] for r in rows]))] for k in agg_keys]
+    means = [[k, _fmt(np.mean([r[k] for r in rows]))] for k in study.columns]
     _write_rows(out / "summary.csv", ["metric", "mean"], means)
-    meta = {
-        "version": __version__,
-        "config_hash": _config_hash(args),
-        "design": design,
-        "replicates": args.replicates,
-        "n": args.n,
-        "seed": args.seed,
-    }
+    meta = dict(
+        version=__version__, config_hash=_config_hash(args), design=args.design,
+        replicates=args.replicates, n=args.n, seed=args.seed,
+    )
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -807,19 +710,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=run_expand)
 
     p_sim = sub.add_parser("simstudy", help="run a canned simulation design")
-    p_sim.add_argument(
-        "--design",
-        required=True,
-        choices=[
-            "logistic-trend",
-            "poisson-trend",
-            "gmom-accuracy",
-            "aft-scenario1",
-            "aft-scenario2",
-        ],
-    )
+    p_sim.add_argument("--design", required=True, choices=list(simdesigns.DESIGNS))
     p_sim.add_argument("--replicates", type=_count, default=10)
-    p_sim.add_argument("--n", type=int, default=1000)
+    p_sim.add_argument("--n", type=_count, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n-scans", type=int, default=500, help="Gibbs scans (survival)")
     p_sim.add_argument(

@@ -241,14 +241,11 @@ def build_cache(
     y: np.ndarray,
     family,
     center: str = "zero",
-    gram: Optional[Gram] = None,
 ) -> SuffStatsCache:
     """Build the sufficient-statistics cache for one response transform.
 
     ``center`` selects the expansion predictor: "zero" uses nu0 = 0,
-    "intercept-mle" uses nu0 = h(ybar).  Passing an existing ``gram`` shares
-    the column cross products between transforms (they do not depend on the
-    response).
+    "intercept-mle" uses nu0 = h(ybar).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (design.n,):
@@ -279,8 +276,6 @@ def build_cache(
     ytilde = (y - bp) / bpp
     zty = design.values.T @ ytilde
     yty = float(ytilde @ ytilde)
-    if gram is None:
-        gram = Gram(design.values)
     return SuffStatsCache(
         design=design,
         y=y,
@@ -291,7 +286,7 @@ def build_cache(
         nu0=nu0,
         bp_nu0=bp,
         bpp_nu0=bpp,
-        gram=gram,
+        gram=Gram(design.values),
     )
 
 

@@ -143,7 +143,6 @@ def gibbs_models(
     constraints: Optional[ConstraintSet] = None,
     init: Optional[Sequence[int]] = None,
     burn_frac: float = 0.1,
-    debug: bool = False,
 ) -> PosteriorSummary:
     """Systematic-scan Gibbs over group-inclusion bits.
 
@@ -182,7 +181,6 @@ def gibbs_models(
     raw_sums = np.zeros(j_groups)
     kept = 0
     samples = np.empty((max(n_scans - burn, 0), j_groups), dtype=np.uint8)
-    violations = 0
     for scan in range(n_scans):
         keep = scan >= burn
         for j in range(j_groups):
@@ -213,9 +211,6 @@ def gibbs_models(
             active += on - was_on
             if keep:
                 rb_sums[j] += p_on
-            if debug and constraints is not None:
-                if not constraints.satisfied_by(bytes(state)):
-                    violations += 1
         if keep:
             samples[kept] = np.frombuffer(state, dtype=np.uint8)
             raw_sums += samples[kept]
@@ -237,7 +232,6 @@ def gibbs_models(
             "burn_scans": burn,
             "seed": seed,
             "n_visited": bits.shape[0],
-            "constraint_violations": violations,
         },
     )
 

@@ -1,20 +1,24 @@
-"""Synthetic-data generators for the simulation harness and the test suite.
+"""Synthetic-data generators, and the table of ``simstudy`` designs.
 
 Covariates are multivariate Normal with pairwise correlation 0.5 unless
 noted.  Each generator returns the raw design, the response, and the
 index set of truly active groups so harness code can compute inclusion
-summaries without re-deriving the truth.
+summaries without re-deriving the truth.  ``DESIGNS`` holds one
+``SimDesign`` row per ``simstudy`` design, which ``cli.run_simstudy`` runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import families as fam
 from .data_model import ConstraintSet, DesignMatrix
 from .families import SurvivalData
+from .priors import ParamPriorSpec, model_key
 
 
 @dataclass
@@ -23,7 +27,6 @@ class SimulatedData:
     response: object
     active_groups: tuple[int, ...]
     constraints: Optional[ConstraintSet] = None
-    meta: dict = None
 
 
 def equicorr_draw(rng: np.random.Generator, n: int, p: int, rho: float = 0.5):
@@ -34,34 +37,28 @@ def equicorr_draw(rng: np.random.Generator, n: int, p: int, rho: float = 0.5):
     return rng.standard_normal((n, p)) @ chol.T
 
 
+def _trend(rng: np.random.Generator, n: int, p: int, draw) -> SimulatedData:
+    """Two active covariates (0.5 and 1) at the end of a correlated block;
+    ``draw(eta)`` draws the response from the linear predictor."""
+    x = equicorr_draw(rng, n, p)
+    beta = np.zeros(p)
+    beta[-2], beta[-1] = 0.5, 1.0
+    y = draw(x @ beta).astype(np.float64)
+    return SimulatedData(DesignMatrix.with_singleton_groups(x), y, (p - 2, p - 1))
+
+
 def logistic_trend(rng: np.random.Generator, n: int, p: int = 10) -> SimulatedData:
-    """Two active covariates (0.5 and 1) at the end of a correlated block."""
+    """The trend design with a logistic response."""
     # scipy.special is imported by each generator that uses it, so that
     # importing the package loads no scipy
     from scipy.special import expit
 
-    x = equicorr_draw(rng, n, p)
-    beta = np.zeros(p)
-    beta[-2], beta[-1] = 0.5, 1.0
-    y = (rng.random(n) < expit(x @ beta)).astype(np.float64)
-    return SimulatedData(
-        design=DesignMatrix.with_singleton_groups(x),
-        response=y,
-        active_groups=(p - 2, p - 1),
-    )
+    return _trend(rng, n, p, lambda eta: rng.random(n) < expit(eta))
 
 
 def poisson_trend(rng: np.random.Generator, n: int, p: int = 10) -> SimulatedData:
-    """Poisson counterpart of the logistic trend design."""
-    x = equicorr_draw(rng, n, p)
-    beta = np.zeros(p)
-    beta[-2], beta[-1] = 0.5, 1.0
-    y = rng.poisson(np.exp(x @ beta)).astype(np.float64)
-    return SimulatedData(
-        design=DesignMatrix.with_singleton_groups(x),
-        response=y,
-        active_groups=(p - 2, p - 1),
-    )
+    """The trend design with a Poisson response."""
+    return _trend(rng, n, p, lambda eta: rng.poisson(np.exp(eta)))
 
 
 def gmom_accuracy(rng: np.random.Generator, n: int = 50, p: int = 10) -> SimulatedData:
@@ -74,7 +71,6 @@ def gmom_accuracy(rng: np.random.Generator, n: int = 50, p: int = 10) -> Simulat
         design=DesignMatrix.with_singleton_groups(x),
         response=y,
         active_groups=(0, 1, 2, 3),
-        meta={"beta": beta},
     )
 
 
@@ -176,3 +172,113 @@ def expand_spline_design(
         requires=requires,
     )
     return DesignMatrix(values, tuple(groups)), constraints
+
+
+def aft_spline(rng: np.random.Generator, n: int, scenario: int) -> SimulatedData:
+    """``aft_scenario``'s data expanded by ``expand_spline_design``.  The
+    active groups are 0 (covariate 0's linear effect) and p + 1 (covariate
+    1's deviation block, which requires its linear group 1)."""
+    x, data, _ = aft_scenario(rng, n, scenario)
+    design, constraints = expand_spline_design(x)
+    return SimulatedData(design, data, (0, x.shape[1] + 1), constraints)
+
+
+def _inclusion_metrics(rep: int, sim: SimulatedData, runs, options) -> list[dict]:
+    """Mean inclusion of the active and of the inactive groups under each
+    method (suffixes "" and "_adj"), and whether the first method's most
+    probable model is the true one."""
+    active = np.isin(np.arange(sim.design.n_groups), sim.active_groups)
+    (_, summary, seconds), *_ = runs
+    top = summary.top(1)[0][0]
+    row = {"correct_top": float(top == model_key(active)), "seconds_per_model": seconds}
+    for suffix, (_, found, _) in zip(("", "_adj"), runs):
+        row["incl_active" + suffix] = float(np.mean(found.inclusion[active]))
+        row["incl_inactive" + suffix] = float(np.mean(found.inclusion[~active]))
+    return [row]
+
+
+def _oracle_errors(rep: int, sim: SimulatedData, runs, options) -> list[dict]:
+    """Each nested model's ``ala`` and ``la`` score less its Monte Carlo
+    reference of ``options.mc_draws`` draws from ``default_rng(10_000 + rep)``."""
+    from . import references  # the slow references load for this design only
+
+    (scorer, ala, seconds), (_, la, _) = runs
+    design, rows = sim.design, []
+    for k, bits in enumerate(nested_models(design.n_groups)):
+        key = design.model(bits)
+        exact = references.exact_gmom_mc(
+            key, scorer.cache, scorer.family, scorer.prior, n_draws=options.mc_draws,
+            rng=np.random.default_rng(10_000 + rep),
+        ).log_ml
+        rows.append({
+            "model_size": design.columns_for(key).size,
+            "err_ala": ala[k] - exact,
+            "err_la": la[k] - exact,
+            "seconds_per_model": seconds[k],
+        })
+    return rows
+
+
+def _spline_metrics(rep: int, sim: SimulatedData, runs, options) -> list[dict]:
+    """The censoring rate, the inclusion of the two active groups, and the
+    largest inclusion of any other group but the spline block's parent, 1."""
+    [(_, summary, seconds)] = runs
+    incl = summary.inclusion
+    linear, spline = sim.active_groups
+    others = [j for j in range(incl.shape[0]) if j not in (linear, 1, spline)]
+    return [{
+        "censoring_rate": 1.0 - float(np.mean(sim.response.observed)),
+        "incl_linear_x1": float(incl[linear]),
+        "incl_spline_x2": float(incl[spline]),
+        "max_inactive_incl": float(np.max(incl[others])),
+        "seconds_per_model": seconds,
+    }]
+
+
+@dataclass(frozen=True)
+class SimDesign:
+    """One ``simstudy`` design: ``simulate(rng, n)`` draws a replicate's
+    data, which ``family`` (None for survival data) and ``prior`` score by
+    each ``(method, centre)`` of ``methods`` through ``search``
+    ("enumerate", "gibbs", or "nested": each of ``nested_models`` alone).
+    ``metrics(rep, sim, runs, options)`` makes replicate ``rep``'s rows from
+    one (scorer, found, seconds per model) triple per method: the cells of
+    ``index`` but "replicate", which the driver adds, and of ``columns``,
+    which ``summary.csv`` averages."""
+
+    simulate: Callable[[np.random.Generator, int], SimulatedData]
+    family: Optional[fam.FamilySpec]
+    methods: tuple[tuple[str, str], ...]
+    search: str
+    columns: tuple[str, ...]
+    metrics: Callable[..., list[dict]]
+    prior: ParamPriorSpec = ParamPriorSpec()
+    index: tuple[str, ...] = ("replicate",)
+
+
+_ALA = (("ala", "zero"),)
+_TREND = ("incl_active", "incl_inactive", "correct_top", "seconds_per_model")
+_SPLINE = ("censoring_rate", "incl_linear_x1", "incl_spline_x2", "max_inactive_incl",
+           "seconds_per_model")
+DESIGNS = {
+    "logistic-trend": SimDesign(
+        logistic_trend, fam.logistic(), _ALA, "enumerate", _TREND, _inclusion_metrics
+    ),
+    "poisson-trend": SimDesign(
+        poisson_trend, fam.poisson(), _ALA + (("ala-curvadj", "intercept-mle"),),
+        "enumerate", _TREND + ("incl_active_adj", "incl_inactive_adj"),
+        _inclusion_metrics,
+    ),
+    "gmom-accuracy": SimDesign(
+        gmom_accuracy, fam.gaussian(1.0), _ALA + (("la", "zero"),), "nested",
+        ("err_ala", "err_la", "seconds_per_model"), _oracle_errors,
+        prior=ParamPriorSpec(kind="gmom"), index=("replicate", "model_size"),
+    ),
+    **{
+        f"aft-scenario{k}": SimDesign(
+            functools.partial(aft_spline, scenario=k), None, _ALA, "gibbs", _SPLINE,
+            _spline_metrics,
+        )
+        for k in (1, 2)
+    },
+}

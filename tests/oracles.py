@@ -12,7 +12,9 @@ dense ``ala`` reference takes the same statistics from the package: the
 log-likelihood at the centre (``loglik``) and the cache's ``b''(nu0)`` and
 shifted response.  The two prior densities at the end are the package's
 block prior evaluated at one coefficient vector; ``tests/test_priors.py``
-checks them against scipy and numerical integration.
+checks them against scipy and numerical integration.  The last section is
+no reference but an audit: a scorer that checks each model a search asks
+it for against the search's constraints.
 """
 
 import numpy as np
@@ -22,6 +24,8 @@ from scipy.special import gammaln
 
 from alaselect import families as fam
 from alaselect.data_model import ConstraintSet, DesignMatrix, SuffStatsCache
+from alaselect.marginal_engines import ModelScorer
+from alaselect.priors import model_key
 
 
 # ----------------------------------------------------------------------
@@ -716,3 +720,30 @@ def log_gmom(
     block = prior.gram.block(cols)
     penalty = prior.log_penalty(cols, np.outer(beta, beta) / phi, g, block)
     return float(penalty + prior.log_density(beta, cols, g, phi, 2, block))
+
+
+# ----------------------------------------------------------------------
+# Constraint audit of a search
+# ----------------------------------------------------------------------
+
+
+class ConstraintCheckedScorer(ModelScorer):
+    """A ``ModelScorer`` that checks each distinct model passed to
+    ``log_score`` against ``constraints``: ``checked`` holds every key seen,
+    ``violations`` those that break the constraints.  A Gibbs step leaves
+    the state at one of the two models it scores, so every state a chain
+    reaches through a step is checked."""
+
+    def __init__(self, constraints: ConstraintSet, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.constraints = constraints
+        self.checked: set[bytes] = set()
+        self.violations: list[bytes] = []
+
+    def log_score(self, bits) -> float:
+        key = model_key(bits)
+        if key not in self.checked:
+            self.checked.add(key)
+            if not self.constraints.satisfied_by(key):
+                self.violations.append(key)
+        return super().log_score(key)

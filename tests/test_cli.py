@@ -689,14 +689,16 @@ class TestSimstudyCommand:
         [
             ["simstudy", "--design", "logistic-trend", "--replicates", "0"],
             ["simstudy", "--design", "gmom-accuracy", "--mc-draws", "0"],
+            ["simstudy", "--design", "aft-scenario1", "--n", "0"],
             ["oracle", "--data", "d.csv", "--groups", "g.csv", "--response", "y",
              "--model", "1", "--oracle", "gmom-mc", "--mc-draws", "-2"],
         ],
-        ids=["replicates", "simstudy-draws", "oracle-draws"],
+        ids=["replicates", "simstudy-draws", "simstudy-n", "oracle-draws"],
     )
     def test_a_count_below_one_is_a_usage_error(self, tmp_path, capsys, argv):
-        """Zero replicates wrote tables of headers only, and zero draws
-        failed in the Monte Carlo reference with numpy's error."""
+        """Zero replicates wrote tables of headers only, zero draws failed
+        in the Monte Carlo reference with numpy's error, and zero
+        observations in ``np.quantile`` with a traceback."""
         out = tmp_path / "sim"
         with pytest.raises(SystemExit) as stopped:
             main([*argv, "--out", str(out)])
@@ -898,7 +900,8 @@ class TestImportFootprint:
     """Importing the package loads no scipy; a regression ``select`` runs on
     numpy alone, a survival one loads scipy.special, and the heavier scipy
     subpackages load only on the paths that use them.  No ``select`` run
-    loads the slow references; an ``oracle`` run does."""
+    loads the slow references; an ``oracle`` run does, and of the simulation
+    designs only ``gmom-accuracy``, whose metrics are errors against one."""
 
     def _files(self, tmp_path, name, response, x):
         data, groups = tmp_path / f"{name}.csv", tmp_path / f"{name}-groups.csv"
@@ -955,6 +958,22 @@ class TestImportFootprint:
         _, loaded, references = _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)
         assert "scipy.special" in loaded and not references
         assert [m for m in loaded if m.startswith(_HEAVY)] == []
+
+    @pytest.mark.parametrize(
+        "design, sizes, loads",
+        [
+            ("logistic-trend", ["--n", "100"], False),
+            ("gmom-accuracy", ["--n", "30", "--mc-draws", "100"], True),
+        ],
+    )
+    def test_only_the_accuracy_design_loads_the_references(
+        self, tmp_path, design, sizes, loads
+    ):
+        runs = [
+            ["simstudy", "--design", design, "--replicates", "1", *sizes,
+             "--out", str(tmp_path / "sim")],
+        ]
+        assert _fresh_interpreter(_FOOTPRINT_SCRIPT, runs)[2] is loads
 
     def test_deferred_imports_load_where_they_are_used(self, gaussian_files):
         data, groups, _, _ = gaussian_files

@@ -311,19 +311,6 @@ class TestBuildCache:
         np.testing.assert_allclose(xtx, z.T @ z, atol=1e-12)
         np.testing.assert_allclose(xty, z.T @ y, atol=1e-12)
 
-    def test_caches_for_two_centers_can_share_one_gram_store(self, rng):
-        design = make_design(rng, 30, [1, 1], intercept=True)
-        y = (rng.random(30) < 0.5).astype(np.float64)
-        first = build_cache(design, y, logistic(), center="zero")
-        second = build_cache(
-            design, y, logistic(), center="intercept-mle", gram=first.gram
-        )
-        assert second.gram is first.gram
-        first.gram.block(np.array([1]))
-        count = first.gram.dot_count
-        second.gram.block(np.array([1]))
-        assert second.gram.dot_count == count
-
     def test_group_block_matches_raw_gram(self, rng):
         design = make_design(rng, 12, [2, 3])
         cache = build_cache(design, rng.normal(size=12), gaussian())

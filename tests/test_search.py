@@ -25,6 +25,7 @@ from alaselect.search import (
 )
 
 from tests.oracles import (
+    ConstraintCheckedScorer,
     conjugate_known_phi_log_ml,
     make_design,
     model_spaces,
@@ -49,13 +50,18 @@ class _FakeScorer:
         return np.array([self.log_score(m) for m in models])
 
 
-def _gaussian_scorer(rng, n=40, n_groups=4, seed_beta=None, method="ala"):
+def _gaussian_scorer(rng, n=40, n_groups=4, seed_beta=None, method="ala", checked=None):
+    """A gaussian design, its response and an ``ala`` scorer; with
+    ``checked`` constraints, a ``ConstraintCheckedScorer`` of them."""
     design = make_design(rng, n, [1] * n_groups)
     beta = np.zeros(n_groups) if seed_beta is None else np.asarray(seed_beta)
     y = design.values @ beta + rng.normal(size=n)
     cache = build_cache(design, y, gaussian(1.0))
     prior = ParamPriorSpec(kind="gzellner", g=1.0)
-    return design, y, ModelScorer(cache, gaussian(1.0), prior, method=method)
+    args = (cache, gaussian(1.0), prior)
+    if checked is not None:
+        return design, y, ConstraintCheckedScorer(checked, *args, method=method)
+    return design, y, ModelScorer(*args, method=method)
 
 
 class TestEnumeratePosterior:
@@ -221,19 +227,23 @@ class TestGibbs:
         assert chain.diagnostics["burn_scans"] == 10
 
     def test_size_cap_is_never_violated(self, rng):
-        _, _, scorer = _gaussian_scorer(rng, seed_beta=[0.8, 0.8, 0.8, 0.8])
         constraints = ConstraintSet(2)
-        chain = gibbs_models(scorer, n_scans=400, seed=5, constraints=constraints, debug=True)
+        _, _, scorer = _gaussian_scorer(
+            rng, seed_beta=[0.8, 0.8, 0.8, 0.8], checked=constraints
+        )
+        chain = gibbs_models(scorer, n_scans=400, seed=5, constraints=constraints)
         assert chain.samples.sum(axis=1).max() <= 2
-        assert chain.diagnostics["constraint_violations"] == 0
+        assert scorer.checked and scorer.violations == []
 
     def test_children_never_appear_without_parents(self, rng):
-        _, _, scorer = _gaussian_scorer(rng, seed_beta=[0.0, 0.9, 0.0, 0.0])
         constraints = ConstraintSet(4, ((1, 0), (2, 1)))
-        chain = gibbs_models(scorer, n_scans=400, seed=5, constraints=constraints, debug=True)
+        _, _, scorer = _gaussian_scorer(
+            rng, seed_beta=[0.0, 0.9, 0.0, 0.0], checked=constraints
+        )
+        chain = gibbs_models(scorer, n_scans=400, seed=5, constraints=constraints)
         for row in chain.samples:
             assert constraints.satisfied_by(tuple(int(b) for b in row))
-        assert chain.diagnostics["constraint_violations"] == 0
+        assert scorer.checked and scorer.violations == []
 
     def test_invalid_start_is_rejected(self, rng):
         _, _, scorer = _gaussian_scorer(rng)
