@@ -10,6 +10,7 @@ version, so runs can be reproduced and diffed byte for byte.
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import csv
 import functools
@@ -177,6 +178,22 @@ def _read_numeric_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, table
 
 
+def _read_data(
+    path: str, response: str, status: Optional[str]
+) -> tuple[dict[str, int], np.ndarray, list[str]]:
+    """The columns of a CSV data file by name, each with its position, the
+    file's numeric table, and the response and (when given) status names,
+    response first.  The first of these two that the file lacks raises
+    ``ParseError``."""
+    header, table = _read_numeric_table(path)
+    column = {name: j for j, name in enumerate(header)}
+    outcome = [response] if status is None else [response, status]
+    for role, name in zip(("response", "status"), outcome):
+        if name not in column:
+            raise ParseError(f"{path}: {role} column {name!r} not found")
+    return column, table, outcome
+
+
 def ingest(
     data_path: str,
     groups_path: str,
@@ -189,15 +206,12 @@ def ingest(
 ):
     """Read data, group map, and constraints into the engine types.
 
-    Covariate columns are reordered by group id.  Returns the design, the
-    response (a survival pair when ``status`` is given), and the constraint
-    set (None when no file and no cap was supplied).
+    Covariate columns are ordered by group id, then by data position, each
+    found through one map of the data columns by name.  Returns the design,
+    the response (a survival pair when ``status`` is given), and the
+    constraint set (None when no file and no cap was supplied).
     """
-    header, table = _read_numeric_table(data_path)
-    if response not in header:
-        raise ParseError(f"{data_path}: response column {response!r} not found")
-    if status is not None and status not in header:
-        raise ParseError(f"{data_path}: status column {status!r} not found")
+    column, table, outcome = _read_data(data_path, response, status)
     g_header, g_rows, g_lines = _read_table(groups_path)
     if [h.lower() for h in g_header[:2]] != ["column", "group"]:
         raise ParseError(f"{groups_path}: header must be 'column,group'")
@@ -206,11 +220,11 @@ def ingest(
         name = row[0].strip()
         if name in group_of:
             raise ParseError(f"{groups_path}:{line}: column {name!r} listed twice")
-        if name not in header:
+        if name not in column:
             raise ParseError(
                 f"{groups_path}:{line}: column {name!r} not present in the data"
             )
-        if name in (response, status):
+        if name in outcome:
             raise ParseError(
                 f"{groups_path}:{line}: column {name!r} is the response/status"
             )
@@ -220,38 +234,31 @@ def ingest(
             raise ParseError(
                 f"{groups_path}:{line}: group id {row[1]!r} is not an integer"
             ) from exc
-    missing = [
-        c for c in header if c not in (response, status) and c not in group_of
-    ]
+    missing = [c for c in column if c not in outcome and c not in group_of]
     if missing:
         raise ParseError(
             f"{groups_path}: data columns without a group: {', '.join(missing)}"
         )
-    group_ids = sorted(set(group_of.values()))
+    sizes = collections.Counter(group_of.values())
+    group_ids = sorted(sizes)
     id_to_pos = {gid: k for k, gid in enumerate(group_ids)}
-    ordered = sorted(
-        group_of, key=lambda name: (id_to_pos[group_of[name]], header.index(name))
-    )
-    y = table[:, header.index(response)].copy()
-    values = table.take([header.index(name) for name in ordered], axis=1)
-    ev = table[:, header.index(status)] != 0.0 if status is not None else None
+    ordered = sorted(group_of, key=lambda name: (group_of[name], column[name]))
+    y = table[:, column[response]].copy()
+    values = table.take([column[name] for name in ordered], axis=1)
+    ev = table[:, column[status]] != 0.0 if status is not None else None
     if standardize:
         sd = values.std(axis=0, ddof=0)
         mean = values.mean(axis=0)
         keep = sd > 0
         values[:, keep] = (values[:, keep] - mean[keep]) / sd[keep]
-    groups = []
-    start = 0
-    for gid in group_ids:
-        size = sum(1 for name in ordered if group_of[name] == gid)
-        groups.append((start, start + size))
-        start += size
+    ends = list(itertools.accumulate(sizes[gid] for gid in group_ids))
+    groups = tuple(zip([0, *ends], ends))
     ig_pos = None
     if intercept_group is not None:
         if intercept_group not in id_to_pos:
             raise ParseError(f"intercept group {intercept_group} not in the group map")
         ig_pos = id_to_pos[intercept_group]
-    design = DesignMatrix(values, tuple(groups), intercept_group=ig_pos)
+    design = DesignMatrix(values, groups, intercept_group=ig_pos)
     constraints = None
     if constraints_path is not None or max_groups is not None:
         requires = []
@@ -309,6 +316,12 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _json_text(payload: dict) -> str:
+    """``payload`` as every JSON output file holds it: keys sorted, indented
+    by two spaces, ending in a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -343,9 +356,7 @@ def _write_summary_files(out: Path, summary, meta: dict) -> None:
             row.append(_fmt(raw[j]))
         inc_rows.append(row)
     _write_rows(out / "inclusion.csv", inc_header, inc_rows)
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "meta.json").write_text(_json_text(meta), encoding="utf-8")
 
 
 def _build_scorers(
@@ -465,37 +476,22 @@ def run_select(args) -> int:
 def run_expand(args) -> int:
     if args.spline_dim < 1:
         raise ParseError(f"--spline-dim must be at least 1, got {args.spline_dim}")
-    header, table = _read_numeric_table(args.data)
-    skip = {args.response}
-    if args.status is not None:
-        skip.add(args.status)
-    for name in skip:
-        if name not in header:
-            raise ParseError(f"{args.data}: column {name!r} not found")
-    covariates = [h for h in header if h not in skip]
-    n = table.shape[0]
-    skip_list = [args.response] + ([args.status] if args.status else [])
-    raw = table.take([header.index(name) for name in covariates], axis=1)
-    passthrough = table.take([header.index(name) for name in skip_list], axis=1)
+    column, table, outcome = _read_data(args.data, args.response, args.status)
+    covariates = [c for c in column if c not in outcome]
+    raw = table.take([column[c] for c in covariates], axis=1)
+    passthrough = table.take([column[c] for c in outcome], axis=1)
     design, constraints = simdesigns.expand_spline_design(
         raw, dim=args.spline_dim, max_groups=args.max_groups
     )
     p = len(covariates)
-    names = list(covariates)
-    for j, name in enumerate(covariates):
-        names += [f"{name}__dev{k + 1}" for k in range(args.spline_dim)]
-    out_header = skip_list + names
-    out_rows = []
-    for r in range(n):
-        cells = [_fmt(v) for v in passthrough[r]]
-        cells += [_fmt(v) for v in design.values[r]]
-        out_rows.append(cells)
+    deviations = [
+        [f"{name}__dev{k + 1}" for k in range(args.spline_dim)] for name in covariates
+    ]
+    out_header = outcome + covariates + [d for devs in deviations for d in devs]
+    out_rows = [[_fmt(v) for v in row] for row in np.hstack([passthrough, design.values])]
     _write_rows(Path(args.out_data), out_header, out_rows)
     group_rows = [[name, str(j)] for j, name in enumerate(covariates)]
-    for j, name in enumerate(covariates):
-        group_rows += [
-            [f"{name}__dev{k + 1}", str(p + j)] for k in range(args.spline_dim)
-        ]
+    group_rows += [[d, str(p + j)] for j, devs in enumerate(deviations) for d in devs]
     _write_rows(Path(args.out_groups), ["column", "group"], group_rows)
     constraint_rows = [[str(c), str(par)] for c, par in constraints.requires]
     _write_rows(Path(args.out_constraints), ["child", "parent"], constraint_rows)
@@ -559,9 +555,7 @@ def run_simstudy(args) -> int:
         version=__version__, config_hash=_config_hash(args), design=args.design,
         replicates=args.replicates, n=args.n, seed=args.seed,
     )
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "meta.json").write_text(_json_text(meta), encoding="utf-8")
     return 0
 
 
@@ -611,10 +605,10 @@ def run_oracle(args) -> int:
         "log_ml": log_ml,
         "version": __version__,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        Path(args.out).write_text(text, encoding="utf-8")
+    print(text, end="")
     return 0
 
 

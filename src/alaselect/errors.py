@@ -6,14 +6,7 @@ class SelectionError(Exception):
 
 
 class NotInvertible(SelectionError):
-    """A Gram block or hessian could not be factorized.
-
-    Carries the model (when known) so callers can decide whether to jitter.
-    """
-
-    def __init__(self, message, model=None):
-        super().__init__(message)
-        self.model = model
+    """A Gram block or hessian could not be factorized."""
 
 
 class RefuseEnumeration(SelectionError):

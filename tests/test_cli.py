@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,59 @@ class TestNumericIngest:
                 cli.ingest(str(data), str(groups), "y")
 
 
+class TestIngestColumns:
+    """``ingest`` orders the covariates by group id and, within a group, by
+    data position, whatever order the group map lists them in."""
+
+    def test_an_unordered_group_map_gives_the_reference_layout(self, tmp_path):
+        header = ["a", "y", "b", "c", "d", "e"]
+        table = np.arange(24, dtype=float).reshape(4, 6) ** 1.5
+        data = tmp_path / "d.csv"
+        groups = tmp_path / "g.csv"
+        cons = tmp_path / "c.csv"
+        _write_csv(data, header, [[_num(v) for v in row] for row in table])
+        # ids 7, 3, 10 in the order first listed; groups 3 and 7 each hold
+        # two columns that are not adjacent in the data
+        _write_csv(
+            groups,
+            ["column", "group"],
+            [["e", "3"], ["a", "7"], ["c", "10"], ["d", "7"], ["b", "3"]],
+        )
+        _write_csv(cons, ["child", "parent"], [["3", "10"], ["7", "3"]])
+        design, y, constraints = cli.ingest(
+            str(data), str(groups), "y", constraints_path=str(cons),
+            intercept_group=10,
+        )
+        col = {name: table[:, j] for j, name in enumerate(header)}
+        # group 3: b, e; group 7: a, d; group 10: c
+        expected = np.column_stack([col["b"], col["e"], col["a"], col["d"], col["c"]])
+        np.testing.assert_array_equal(design.values, expected)
+        assert design.groups == ((0, 2), (2, 4), (4, 5))
+        assert design.intercept_group == 2
+        np.testing.assert_array_equal(y, col["y"])
+        assert constraints.requires == ((0, 2), (1, 0))
+        assert constraints.max_groups == 3
+
+    def test_a_wide_design_is_read_in_time_linear_in_its_width(self, tmp_path):
+        """Each column is looked up by name once: twenty thousand singleton
+        groups took about 25 s when every lookup scanned the header."""
+        p = 20_000
+        names = [f"x{j}" for j in range(p)]
+        data = tmp_path / "d.csv"
+        groups = tmp_path / "g.csv"
+        rows = [[str(i + j % 7) for j in range(p + 1)] for i in range(2)]
+        _write_csv(data, ["y", *names], rows)
+        _write_csv(
+            groups, ["column", "group"], [[name, str(j)] for j, name in enumerate(names)]
+        )
+        t0 = time.perf_counter()
+        design, _, _ = cli.ingest(str(data), str(groups), "y")
+        seconds = time.perf_counter() - t0
+        print("wide ingest: p = %d in %.3f s" % (p, seconds))
+        assert design.n_groups == p
+        assert seconds < 3.0
+
+
 class TestExpandCommand:
     """Spline expansion of raw covariates with hierarchy constraints."""
 
@@ -679,6 +733,29 @@ class TestExpandCommand:
         assert rc == 2
         assert f"--spline-dim must be at least 1, got {dim}" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+    def test_a_missing_response_is_named_under_every_hash_seed(self, tmp_path):
+        """With both the response and the status column missing, the error
+        names the response: a check over a set of the two names named
+        either one, by the string hash seed."""
+        data = tmp_path / "raw.csv"
+        _write_csv(data, ["y", "u"], [["1.0", "0.5"], ["2.0", "1.5"]])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for seed in ("1", "2", "3", "4"):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "alaselect.cli", "expand",
+                    "--data", str(data), "--response", "qq", "--status", "zz",
+                    "--out-data", str(tmp_path / "e.csv"),
+                    "--out-groups", str(tmp_path / "eg.csv"),
+                    "--out-constraints", str(tmp_path / "ec.csv"),
+                ],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 2
+            assert f"{data}: response column 'qq' not found" in proc.stderr, seed
 
 
 class TestSimstudyCommand:
